@@ -18,14 +18,13 @@ import os
 import sys
 import time
 from multiprocessing import Pool
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, groups, intersections, magic, mtp
 from .gw import OffspringDistribution, sample_marked_fuzz_tree
 from .rng import substream
-
-EXPERIMENTS = ("spectra", "visits", "magic-fuzz", "mtp-test", "intersect", "thin-sweep", "ends")
 
 CAPS = {
     "replicates": 1_000_000,
@@ -35,6 +34,7 @@ CAPS = {
     "n_max": 60_000,
     "budget": 10_000_000,
     "max_vertices": 5_000,
+    "ball_radius": 16,
 }
 
 _RNG_NOTE = "philox counter-based; substream(i) = Philox(SeedSequence((seed, i)))"
@@ -44,42 +44,117 @@ class ConfigError(ValueError):
     pass
 
 
-def _need(cfg, key, kind, lo=None, hi=None):
-    if key not in cfg:
-        raise ConfigError(f"missing config key {key!r}")
-    val = cfg[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, kind):
-        raise ConfigError(f"config key {key!r} must be {kind.__name__}")
-    if lo is not None and val < lo:
-        raise ConfigError(f"config key {key!r} must be >= {lo}")
-    if hi is not None and val > hi:
-        raise ConfigError(f"config key {key!r} must be <= {hi}")
-    return val
+# ---------------------------------------------------------------------------
+# config parsing: a table of keys (at the end of this module) checked against
+# the raw JSON before anything is allocated
 
 
-def _group_from(cfg) -> groups.GroupSpec:
-    g = _need(cfg, "group", dict)
-    try:
-        return groups.GroupSpec(g.get("kind", ""), int(g.get("param", 0)))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad group spec: {exc}") from exc
+REQUIRED = object()
 
 
-def _offspring_from(cfg, key) -> OffspringDistribution:
-    pmf = _need(cfg, key, list)
-    try:
-        return OffspringDistribution(pmf)
-    except ValueError as exc:
-        raise ConfigError(f"bad offspring distribution {key!r}: {exc}") from exc
+class Key(NamedTuple):
+    """One config key: a parser from its JSON value to a typed value (it
+    raises ValueError), an inclusive range checked on that value (on each
+    entry of a grid), and a default (REQUIRED: the key must be present;
+    None: optional; a callable: computed from the keys before it)."""
+
+    parse: Callable
+    lo: object = None
+    hi: object = None
+    default: object = REQUIRED
 
 
-def _grid(cfg, key, kind=float):
-    vals = _need(cfg, key, list)
-    if not vals:
-        raise ConfigError(f"grid {key!r} must be nonempty")
-    return [kind(v) for v in vals]
+def _parse(cfg, keys, after=None) -> dict:
+    """Check a JSON object against a table of keys and return the typed
+    values; after(values) then runs the cross-key checks.  Every failure
+    is a one-line ConfigError that names the key."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("expected a JSON object")
+    out = {}
+    for key, spec in keys.items():
+        if key not in cfg:
+            if spec.default is REQUIRED:
+                raise ConfigError(f"missing config key {key!r}")
+            out[key] = spec.default(out) if callable(spec.default) else spec.default
+            continue
+        try:
+            val = spec.parse(cfg[key])
+            for x in val if isinstance(val, list) else (val,):
+                if spec.lo is not None and x < spec.lo:
+                    raise ValueError(f"must be >= {spec.lo}")
+                if spec.hi is not None and x > spec.hi:
+                    raise ValueError(f"must be <= {spec.hi}")
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+        out[key] = val
+    if after is not None:
+        try:
+            after(out)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return out
+
+
+def _is(what, ok, convert=None):
+    """Parser that accepts a JSON value when ok(value) holds.  Exact type
+    tests keep true/false out of the numbers; json.load yields NaN and
+    Infinity, which the float range test rejects."""
+
+    def parse(raw):
+        if not ok(raw):
+            raise ValueError(f"must be {what}")
+        return raw if convert is None else convert(raw)
+
+    return parse
+
+
+_int = _is("an integer", lambda x: type(x) is int)
+_float = _is("a finite number",
+             lambda x: type(x) in (int, float) and abs(x) <= sys.float_info.max, float)
+_open_unit = _is("in (0, 1)", lambda x: type(x) in (int, float) and 0 < x < 1, float)
+_text = _is("a string", lambda x: type(x) is str)
+
+
+def _one_of(*options):
+    return _is(f"one of: {', '.join(options)}", lambda x: type(x) is str and x in options)
+
+
+def _grid(entry):
+    nonempty = _is("a nonempty list", lambda x: type(x) is list and len(x) > 0)
+    return lambda raw: [entry(x) for x in nonempty(raw)]
+
+
+def _require(ok, message):
+    if not ok:
+        raise ValueError(message)
+
+
+def _offspring(raw) -> OffspringDistribution:
+    return OffspringDistribution(_grid(_float)(raw))
+
+
+def _group(raw) -> groups.GroupSpec:
+    return groups.GroupSpec(**_parse(raw, {"kind": Key(_text), "param": Key(_int)}))
+
+
+_GRAPH_KEYS = {
+    "shape": Key(_one_of("path", "star")),
+    "n": Key(_int, 2, CAPS["max_vertices"]),
+    "marks": Key(_one_of("all", "leaves"), default="all"),
+}
+
+
+def _graph(raw):
+    """A finite path or star for the fixed-graph samplers: (adj, marks)."""
+    spec = _parse(raw, _GRAPH_KEYS)
+    n = spec["n"]
+    if spec["shape"] == "path":
+        adj = {i: [j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)}
+    else:
+        adj = {i: [0] if i else list(range(1, n)) for i in range(n)}
+    if spec["marks"] == "all":
+        return adj, set(adj)
+    return adj, {v for v, ns in adj.items() if len(ns) == 1}
 
 
 def _fmt(value) -> str:
@@ -99,152 +174,65 @@ def _write_csv(path, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# finite graphs for the fixed-graph samplers
+# sharded experiments: one worker call covers a block of replicate indices;
+# shards receive the typed config values
 
 
-def _finite_graph(cfg):
-    spec = _need(cfg, "graph", dict)
-    shape = spec.get("shape")
-    n = int(spec.get("n", 0))
-    if shape == "path":
-        if n < 2:
-            raise ConfigError("path graph needs n >= 2")
-        adj = {i: [] for i in range(n)}
-        for i in range(n - 1):
-            adj[i].append(i + 1)
-            adj[i + 1].append(i)
-    elif shape == "star":
-        if n < 2:
-            raise ConfigError("star graph needs n >= 2")
-        adj = {i: [] for i in range(n)}
-        for i in range(1, n):
-            adj[0].append(i)
-            adj[i].append(0)
-    else:
-        raise ConfigError(f"unknown finite graph shape {shape!r}")
-    marks_rule = spec.get("marks", "all")
-    if marks_rule == "all":
-        marks = set(adj)
-    elif marks_rule == "leaves":
-        marks = {v for v, ns in adj.items() if len(ns) == 1}
-    else:
-        raise ConfigError(f"unknown marks rule {marks_rule!r}")
-    return adj, marks
-
-
-# ---------------------------------------------------------------------------
-# sharded experiments: one worker call covers a block of replicate indices
-
-
-def _mtp_sampler_from(cfg):
-    sampler = _need(cfg, "sampler", str)
-    if sampler == "uniform_root":
-        adj, marks = _finite_graph(cfg)
-        return mtp.uniform_root_sampler(adj, marks)
-    if sampler == "fixed_root":
-        adj, marks = _finite_graph(cfg)
-        root = int(cfg.get("root_index", 0))
-        if root not in adj:
-            raise ConfigError("root_index outside the graph")
-        return mtp.fixed_root_sampler(adj, marks, root)
-    if sampler == "pullback":
-        g = _group_from(cfg)
-        mu = _offspring_from(cfg, "offspring")
-        depth = _need(cfg, "depth", int, 1, CAPS["depth"])
-        rule = cfg.get("a_rule", "origin")
-        kwargs = {"budget": int(cfg.get("budget", 1_000_000))}
-        if rule == "ball":
-            kwargs["ball_radius"] = int(cfg.get("ball_radius", 1))
-        if rule == "trace":
-            if "offspring2" in cfg:
-                kwargs["mu2"] = _offspring_from(cfg, "offspring2")
-            if "depth2" in cfg:
-                kwargs["depth2"] = _need(cfg, "depth2", int, 1, CAPS["depth"])
-        try:
-            return mtp.pullback_sampler(g, mu, depth, rule, **kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if sampler == "pushforward":
-        g = _group_from(cfg)
-        mu = _offspring_from(cfg, "offspring")
-        depth = _need(cfg, "depth", int, 1, CAPS["depth"])
-        radius = _need(cfg, "ball_radius", int, 1, 16)
-        return mtp.pushforward_trace_sampler(
-            g, mu, depth, radius, budget=int(cfg.get("budget", 1_000_000))
-        )
-    raise ConfigError(f"unknown sampler {sampler!r}")
-
-
-def _shard_magic_fuzz(cfg, seed, lo, hi):
-    max_vertices = cfg["max_vertices"]
-    k_grid = cfg["k_grid"]
-    r_grid = cfg["r_grid"]
+def _shard_magic_fuzz(v, seed, lo, hi):
     rows = []
-    violations = 0
     for idx in range(lo, hi):
         rng = substream(seed, idx)
-        tree = sample_marked_fuzz_tree(rng, max_vertices)
+        tree = sample_marked_fuzz_tree(rng, v["max_vertices"])
         T = magic.OrientedTree.from_tree(tree)
-        branch_vals = magic.branch_deficiency_values(T, r_grid)
-        for r in r_grid:
-            gaps = magic.supported_gap_values(T, r)
+        branch_vals = magic.branch_deficiency_values(T, v["r_grid"])
+        for r in v["r_grid"]:
             vals = list(branch_vals[r].values())
-            gap_vals = list(gaps.values())
-            for k in k_grid:
-                bcount = sum(1 for v in vals if v >= k)
+            gap_vals = list(magic.supported_gap_values(T, r).values())
+            for k in v["k_grid"]:
+                bcount = sum(1 for x in vals if x >= k)
                 scount = sum(1 for gp in gap_vals if gp >= k)
                 bound = r * (2.0 * T.n_marks - k) / k
                 ok = bcount <= max(bound, 0.0)
-                if not ok:
-                    violations += 1
-                rows.append(
-                    (idx, T.n_vertices, T.n_marks, k, r, bcount, scount, bound, ok)
-                )
-    return rows, violations
+                rows.append((idx, T.n_vertices, T.n_marks, k, r, bcount, scount, bound, ok))
+    return rows, None
 
 
-def _shard_mtp(cfg, seed, lo, hi):
-    sampler = _mtp_sampler_from(cfg)
-    F = mtp.BUILTIN_TRANSPORT[cfg["f"]]
-    W = mtp.BUILTIN_WEIGHT[cfg["w"]]
-    deltas = []
-    weights = []
+def _shard_mtp(v, seed, lo, hi):
+    sampler = MTP_SAMPLERS[v["sampler"]][0](v)
+    F = mtp.BUILTIN_TRANSPORT[v["f"]]
+    W = mtp.BUILTIN_WEIGHT[v["w"]]
+    rows = []  # (weighted difference, weight) of each certified sample
     inconclusive = 0
     for idx in range(lo, hi):
         got = mtp.evaluate_sample(sampler(substream(seed, idx)), F, W)
         if got is None:
             inconclusive += 1
         else:
-            deltas.append(got[0])
-            weights.append(got[1])
-    return [], (deltas, weights, inconclusive)
+            rows.append(got)
+    return rows, inconclusive
 
 
-def _shard_intersect(cfg, seed, lo, hi):
-    g = groups.GroupSpec(**cfg["group_spec"])
-    mu1 = OffspringDistribution(cfg["pmf1"])
-    mu2 = OffspringDistribution(cfg["pmf2"])
-    depth = cfg["depth"]
-    budget = cfg["budget"]
-    e = g.identity()
+def _shard_intersect(v, seed, lo, hi):
+    e = v["group"].identity()
     rows = []
     for idx in range(lo, hi):
         rng = substream(seed, idx)
-        rec = intersections.sample_intersections(mu1, mu2, g, e, e, depth, depth, rng, budget)
+        rec = intersections.sample_intersections(
+            v["offspring1"], v["offspring2"], v["group"], e, e, v["depth"], v["depth"], rng,
+            v["budget"],
+        )
         rows.append((idx, rec.pair_count, len(rec.intersection), rec.truncated))
     return rows, None
 
 
-def _shard_thin_sweep(cfg, seed, lo, hi):
-    g = groups.GroupSpec(**cfg["group_spec"])
-    mu1 = OffspringDistribution(cfg["pmf1"])
-    mu2 = OffspringDistribution(cfg["pmf2"])
+def _shard_thin_sweep(v, seed, lo, hi):
     rows = []
     violations = 0
     for idx in range(lo, hi):
         rng = substream(seed, idx)
         rep = intersections.thinned_intersection_sweep(
-            mu1, mu2, g, cfg["p_grid"], cfg["depth"], 1, rng, cfg["budget"]
+            v["offspring1"], v["offspring2"], v["group"], v["p_grid"], v["depth"], 1, rng,
+            v["budget"],
         )[0]
         ps = sorted(rep.sets)
         for a, b in zip(ps, ps[1:]):
@@ -255,14 +243,13 @@ def _shard_thin_sweep(cfg, seed, lo, hi):
     return rows, violations
 
 
-def _shard_ends(cfg, seed, lo, hi):
-    g = groups.GroupSpec(**cfg["group_spec"])
-    mu = OffspringDistribution(cfg["pmf"])
+def _shard_ends(v, seed, lo, hi):
     rows = []
     for idx in range(lo, hi):
         rng = substream(seed, idx)
         res = intersections.trace_ends_experiment(
-            mu, g, cfg["depth"], cfg["radius_grid"], cfg["m_threshold"], 1, rng, cfg["budget"]
+            v["offspring"], v["group"], v["depth"], v["radius_grid"], v["m_threshold"], 1, rng,
+            v["budget"],
         )
         for j, radius in enumerate(res.radii):
             rows.append((radius, idx, int(res.qualifying[0, j]), bool(res.survived[0])))
@@ -279,38 +266,32 @@ _SHARDS = {
 
 
 def _shard_worker(args):
-    name, cfg, seed, lo, hi = args
-    return lo, _SHARDS[name][0](cfg, seed, lo, hi)
+    name, v, seed, lo, hi = args
+    return _SHARDS[name][0](v, seed, lo, hi)
 
 
-def _run_sharded(name, cfg, seed, n_units, workers):
+def _run_sharded(name, v, seed, n_units, workers):
     block = _SHARDS[name][1]
     tasks = [
-        (name, cfg, seed, lo, min(lo + block, n_units))
+        (name, v, seed, lo, min(lo + block, n_units))
         for lo in range(0, n_units, block)
     ]
-    if workers > 1 and len(tasks) > 1:
-        with Pool(processes=workers) as pool:
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    if processes > 1:
+        with Pool(processes=processes) as pool:
             parts = pool.map(_shard_worker, tasks)
     else:
         parts = [_shard_worker(t) for t in tasks]
-    parts.sort(key=lambda item: item[0])
-    rows = []
-    extras = []
-    for _, (shard_rows, extra) in parts:
-        rows.extend(shard_rows)
-        extras.append(extra)
-    return rows, extras
+    # both paths keep the task order, so rows come in replicate order
+    return [row for rows, _ in parts for row in rows], [extra for _, extra in parts]
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers
+# experiment drivers: each takes the typed values of its table
 
 
-def _run_spectra(cfg, seed, workers, out_dir):
-    g = _group_from(cfg)
-    n_max = _need(cfg, "n_max", int, 1, CAPS["n_max"])
-    stride = int(cfg.get("stride", max(1, n_max // 2000)))
+def _run_spectra(v, seed, workers, out_dir):
+    g, n_max, stride = v["group"], v["n_max"], v["stride"]
     traj = groups.spectral_radius_trajectory(g, n_max)
     picks = sorted(set(range(stride, n_max + 1, stride)) | {n_max})
     rows = [(2 * n, float(traj[n - 1])) for n in picks]
@@ -318,63 +299,35 @@ def _run_spectra(cfg, seed, workers, out_dir):
     return 0, {"closed_form": g.spectral_radius_closed_form(), "estimate": float(traj[-1])}
 
 
-def _run_visits(cfg, seed, workers, out_dir):
-    g = _group_from(cfg)
-    mean = _need(cfg, "mean", float, 0.0)
-    n_max = _need(cfg, "n_max", int, 1, CAPS["n_max"])
-    stride = int(cfg.get("stride", 1))
-    series = groups.visits_series(g, mean, n_max)
+def _run_visits(v, seed, workers, out_dir):
+    n_max, stride = v["n_max"], v["stride"]
+    series = groups.visits_series(v["group"], v["mean"], n_max)
     picks = sorted(set(range(0, n_max + 1, stride)) | {n_max})
     rows = [(n, float(series.partial_sums[n])) for n in picks]
     _write_csv(os.path.join(out_dir, "visits.csv"), ("n", "partial_sum"), rows)
-    extra = {
+    return 0, {
         "diverged": series.diverged,
         "guard_index": series.guard_index,
         "final_sum": float(series.partial_sums[-1]),
     }
-    return 0, extra
 
 
-def _run_magic_fuzz(cfg, seed, workers, out_dir):
-    norm = {
-        "max_vertices": _need(cfg, "max_vertices", int, 1, CAPS["max_vertices"]),
-        "k_grid": _grid(cfg, "k_grid", int),
-        "r_grid": _grid(cfg, "r_grid", int),
-    }
-    if any(k < 1 for k in norm["k_grid"]) or any(r < 1 for r in norm["r_grid"]):
-        raise ConfigError("k_grid and r_grid entries must be >= 1")
-    n_trees = _need(cfg, "n_trees", int, 1, CAPS["n_trees"])
-    rows, extras = _run_sharded("magic-fuzz", norm, seed, n_trees, workers)
-    violations = sum(extras)
-    _write_csv(
-        os.path.join(out_dir, "magic_fuzz.csv"),
-        ("tree_id", "n_vertices", "n_marks", "k", "r", "branching_count",
-         "supported_count", "bound", "pass"),
-        rows,
-    )
+def _run_magic_fuzz(v, seed, workers, out_dir):
+    rows, _ = _run_sharded("magic-fuzz", v, seed, v["n_trees"], workers)
+    violations = sum(1 for row in rows if not row[-1])
+    _write_csv(os.path.join(out_dir, "magic_fuzz.csv"),
+               ("tree_id", "n_vertices", "n_marks", "k", "r", "branching_count",
+                "supported_count", "bound", "pass"), rows)
     return (0 if violations == 0 else 2), {"bound_violations": violations}
 
 
-def _run_mtp_test(cfg, seed, workers, out_dir):
-    if cfg.get("f") not in mtp.BUILTIN_TRANSPORT:
-        raise ConfigError(f"unknown transport function {cfg.get('f')!r}")
-    if cfg.get("w") not in mtp.BUILTIN_WEIGHT:
-        raise ConfigError(f"unknown weight {cfg.get('w')!r}")
-    n_samples = _need(cfg, "n_samples", int, 1000, CAPS["n_samples"])
-    alpha = _need(cfg, "alpha", float)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must be in (0, 1)")
-    _mtp_sampler_from(cfg)  # validate sampler config before sharding
-    _, extras = _run_sharded("mtp-test", cfg, seed, n_samples, workers)
-    deltas = []
-    weights = []
-    inconclusive = 0
-    for d, w, inc in extras:
-        deltas.extend(d)
-        weights.extend(w)
-        inconclusive += inc
+def _run_mtp_test(v, seed, workers, out_dir):
+    n_samples = v["n_samples"]
+    rows, extras = _run_sharded("mtp-test", v, seed, n_samples, workers)
+    deltas = [d for d, _ in rows]
+    weights = [w for _, w in rows]
     try:
-        report = mtp.aggregate_mtp_report(deltas, weights, inconclusive, n_samples, alpha)
+        report = mtp.aggregate_mtp_report(deltas, weights, sum(extras), n_samples, v["alpha"])
     except mtp.TruncationError as exc:
         raise ConfigError(str(exc)) from exc
     with open(os.path.join(out_dir, "mtp_report.json"), "w") as fh:
@@ -383,33 +336,15 @@ def _run_mtp_test(cfg, seed, workers, out_dir):
     return (0 if report.passed else 2), {"report": report.to_json_dict()}
 
 
-def _norm_pair_cfg(cfg):
-    g = _group_from(cfg)
-    mu1 = _offspring_from(cfg, "offspring1")
-    mu2 = _offspring_from(cfg, "offspring2") if "offspring2" in cfg else mu1
-    return {
-        "group_spec": {"kind": g.kind, "param": g.param},
-        "pmf1": mu1.pmf.tolist(),
-        "pmf2": mu2.pmf.tolist(),
-        "depth": _need(cfg, "depth", int, 0, CAPS["depth"]),
-        "budget": int(cfg.get("budget", 1_000_000)),
-    }
-
-
-def _run_intersect(cfg, seed, workers, out_dir):
-    norm = _norm_pair_cfg(cfg)
-    replicates = _need(cfg, "replicates", int, 2, CAPS["replicates"])
-    rows, _ = _run_sharded("intersect", norm, seed, replicates, workers)
-    _write_csv(
-        os.path.join(out_dir, "intersect.csv"),
-        ("replicate", "pair_count", "intersection_size", "truncated"),
-        rows,
-    )
-    g = groups.GroupSpec(**norm["group_spec"])
+def _run_intersect(v, seed, workers, out_dir):
+    rows, _ = _run_sharded("intersect", v, seed, v["replicates"], workers)
+    _write_csv(os.path.join(out_dir, "intersect.csv"),
+               ("replicate", "pair_count", "intersection_size", "truncated"), rows)
+    g = v["group"]
     e = g.identity()
-    mu1 = OffspringDistribution(norm["pmf1"])
-    mu2 = OffspringDistribution(norm["pmf2"])
-    exact = intersections.expected_pairs_truncated(mu1.mean, mu2.mean, g, e, e, norm["depth"])
+    exact = intersections.expected_pairs_truncated(
+        v["offspring1"].mean, v["offspring2"].mean, g, e, e, v["depth"]
+    )
     counts = np.array([r[1] for r in rows], dtype=float)
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     z = (counts.mean() - exact) / se if se > 0 else 0.0
@@ -422,76 +357,140 @@ def _run_intersect(cfg, seed, workers, out_dir):
     }
 
 
-def _run_thin_sweep(cfg, seed, workers, out_dir):
-    norm = _norm_pair_cfg(cfg)
-    norm["p_grid"] = _grid(cfg, "p_grid", float)
-    if any(not 0.0 <= p <= 1.0 for p in norm["p_grid"]):
-        raise ConfigError("p_grid entries must lie in [0, 1]")
-    replicates = _need(cfg, "replicates", int, 1, CAPS["replicates"])
-    rows, extras = _run_sharded("thin-sweep", norm, seed, replicates, workers)
+def _run_thin_sweep(v, seed, workers, out_dir):
+    rows, extras = _run_sharded("thin-sweep", v, seed, v["replicates"], workers)
     violations = sum(extras)
-    _write_csv(
-        os.path.join(out_dir, "thin_sweep.csv"),
-        ("p", "replicate", "intersection_size", "pair_count", "truncated"),
-        rows,
-    )
+    _write_csv(os.path.join(out_dir, "thin_sweep.csv"),
+               ("p", "replicate", "intersection_size", "pair_count", "truncated"), rows)
     return (0 if violations == 0 else 2), {"monotonicity_violations": violations}
 
 
-def _run_ends(cfg, seed, workers, out_dir):
-    g = _group_from(cfg)
-    mu = _offspring_from(cfg, "offspring")
-    if mu.mean <= 1.0:
-        raise ConfigError("ends experiment needs offspring mean > 1")
-    norm = {
-        "group_spec": {"kind": g.kind, "param": g.param},
-        "pmf": mu.pmf.tolist(),
-        "depth": _need(cfg, "depth", int, 1, CAPS["depth"]),
-        "radius_grid": _grid(cfg, "radius_grid", int),
-        "m_threshold": _need(cfg, "m_threshold", int, 1),
-        "budget": int(cfg.get("budget", 1_000_000)),
-    }
-    replicates = _need(cfg, "replicates", int, 1, CAPS["replicates"])
-    rows, _ = _run_sharded("ends", norm, seed, replicates, workers)
-    _write_csv(
-        os.path.join(out_dir, "ends.csv"),
-        ("radius", "replicate", "qualifying_components", "survived"),
-        rows,
-    )
+def _run_ends(v, seed, workers, out_dir):
+    rows, _ = _run_sharded("ends", v, seed, v["replicates"], workers)
+    _write_csv(os.path.join(out_dir, "ends.csv"),
+               ("radius", "replicate", "qualifying_components", "survived"), rows)
     survivors = [r for r in rows if r[3]]
     by_radius = {}
     for radius, _, q, _ in survivors:
         by_radius.setdefault(radius, []).append(q)
-    medians = {str(rad): float(np.median(v)) for rad, v in sorted(by_radius.items())}
+    medians = {str(rad): float(np.median(qs)) for rad, qs in sorted(by_radius.items())}
     return 0, {"median_qualifying_by_radius": medians, "n_survivors": len(survivors) // max(len(by_radius), 1)}
 
 
-_DRIVERS = {
-    "spectra": _run_spectra,
-    "visits": _run_visits,
-    "magic-fuzz": _run_magic_fuzz,
-    "mtp-test": _run_mtp_test,
-    "intersect": _run_intersect,
-    "thin-sweep": _run_thin_sweep,
-    "ends": _run_ends,
+# ---------------------------------------------------------------------------
+# the config table: experiment -> (driver, keys, cross-key check)
+
+
+_BUDGET = Key(_int, 1, CAPS["budget"], 1_000_000)
+_TREE_KEYS = {  # samplers of unimodular trees: the budget must cover root and co-root
+    "group": Key(_group),
+    "offspring": Key(_offspring),
+    "depth": Key(_int, 1, CAPS["depth"]),
+    "budget": Key(_int, 2, CAPS["budget"], 1_000_000),
 }
+_PAIR_KEYS = {
+    "group": Key(_group),
+    "offspring1": Key(_offspring),
+    "offspring2": Key(_offspring, default=lambda v: v["offspring1"]),
+    "depth": Key(_int, 0, CAPS["depth"]),
+    "budget": _BUDGET,
+}
+
+# mtp-test: sampler -> (builder, keys, cross-key check), parsed after the
+# keys that every sampler shares
+MTP_SAMPLERS = {
+    "uniform_root": (lambda v: mtp.uniform_root_sampler(*v["graph"]), {"graph": Key(_graph)}, None),
+    "fixed_root": (
+        lambda v: mtp.fixed_root_sampler(*v["graph"], v["root_index"]),
+        {"graph": Key(_graph), "root_index": Key(_int, 0, default=0)},
+        lambda v: _require(v["root_index"] < len(v["graph"][0]), "root_index outside the graph"),
+    ),
+    "pullback": (
+        lambda v: mtp.pullback_sampler(
+            v["group"], v["offspring"], v["depth"], v["a_rule"], ball_radius=v["ball_radius"],
+            mu2=v["offspring2"], depth2=v["depth2"], budget=v["budget"]),
+        dict(
+            _TREE_KEYS,
+            a_rule=Key(_one_of(mtp.A_RULE_ORIGIN, mtp.A_RULE_BALL, mtp.A_RULE_TRACE),
+                       default=mtp.A_RULE_ORIGIN),
+            ball_radius=Key(_int, 0, CAPS["ball_radius"], 1),
+            offspring2=Key(_offspring, default=None),
+            depth2=Key(_int, 1, CAPS["depth"], None),
+        ),
+        # only the ball rule materialises its ball
+        lambda v: v["a_rule"] != mtp.A_RULE_BALL or groups.check_ball(v["group"], v["ball_radius"]),
+    ),
+    "pushforward": (
+        lambda v: mtp.pushforward_trace_sampler(
+            v["group"], v["offspring"], v["depth"], v["ball_radius"], budget=v["budget"]),
+        dict(_TREE_KEYS, ball_radius=Key(_int, 1, CAPS["ball_radius"])),
+        lambda v: groups.check_ball(v["group"], v["ball_radius"]),
+    ),
+}
+
+TABLE = {
+    "spectra": (_run_spectra, {
+        "group": Key(_group),
+        "n_max": Key(_int, 1, CAPS["n_max"]),
+        "stride": Key(_int, 1, default=lambda v: max(1, v["n_max"] // 2000)),
+    }, lambda v: groups.check_lattice_box(v["group"], 2 * v["n_max"])),
+    "visits": (_run_visits, {
+        "group": Key(_group),
+        "mean": Key(_float, 0.0),
+        "n_max": Key(_int, 1, CAPS["n_max"]),
+        "stride": Key(_int, 1, default=1),
+    }, lambda v: groups.check_lattice_box(v["group"], v["n_max"])),
+    "magic-fuzz": (_run_magic_fuzz, {
+        "n_trees": Key(_int, 1, CAPS["n_trees"]),
+        "max_vertices": Key(_int, 1, CAPS["max_vertices"]),
+        "k_grid": Key(_grid(_int), 1),
+        "r_grid": Key(_grid(_int), 1),
+    }, None),
+    "mtp-test": (_run_mtp_test, {
+        "f": Key(_one_of(*mtp.BUILTIN_TRANSPORT)),
+        "w": Key(_one_of(*mtp.BUILTIN_WEIGHT)),
+        "n_samples": Key(_int, 1000, CAPS["n_samples"]),
+        "alpha": Key(_open_unit),
+        "sampler": Key(_one_of(*MTP_SAMPLERS)),
+    }, None),
+    "intersect": (_run_intersect, dict(
+        _PAIR_KEYS, replicates=Key(_int, 2, CAPS["replicates"]),
+    ), lambda v: groups.check_lattice_box(v["group"], 2 * v["depth"])),
+    "thin-sweep": (_run_thin_sweep, dict(
+        _PAIR_KEYS,
+        p_grid=Key(_grid(_float), 0.0, 1.0),
+        replicates=Key(_int, 1, CAPS["replicates"]),
+    ), None),
+    "ends": (_run_ends, {
+        "group": Key(_group),
+        "offspring": Key(_offspring),
+        "depth": Key(_int, 1, CAPS["depth"]),
+        "radius_grid": Key(_grid(_int), 0),
+        "m_threshold": Key(_int, 1),
+        "budget": _BUDGET,
+        "replicates": Key(_int, 1, CAPS["replicates"]),
+    }, lambda v: _require(v["offspring"].mean > 1.0, "ends experiment needs offspring mean > 1")),
+}
+EXPERIMENTS = tuple(TABLE)
 
 
 def run(config: dict, out_dir: str, workers: int = 1, seed_override=None) -> int:
     """Execute one experiment config; returns the exit status."""
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    name = config.get("experiment")
-    if name not in _DRIVERS:
-        raise ConfigError(f"unknown experiment {name!r} (one of: {', '.join(EXPERIMENTS)})")
-    seed = seed_override if seed_override is not None else config.get("seed")
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError("seed must be an unsigned 64-bit integer")
+    name = _parse(config, {"experiment": Key(_one_of(*EXPERIMENTS))})["experiment"]
+    seeded = config if seed_override is None else {"seed": seed_override}
+    seed = _parse(seeded, {"seed": Key(_int, 0, 2**64 - 1)})["seed"]
+    driver, keys, after = TABLE[name]
+    values = _parse(config, keys, after)
+    if name == "mtp-test":
+        values.update(_parse(config, *MTP_SAMPLERS[values["sampler"]][1:]))
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     started = time.time()
-    status, extra = _DRIVERS[name](config, seed, workers, out_dir)
+    status, extra = driver(values, seed, workers, out_dir)
     manifest = {
         "experiment": name,
         "config": config,
@@ -521,14 +520,13 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    out_dir = args.out or config.get("out_dir")
-    if not out_dir:
-        print("error: no output directory (set out_dir in config or pass --out)", file=sys.stderr)
-        return 1
     try:
+        out_dir = args.out or _parse(config, {"out_dir": Key(_text, default=None)})["out_dir"]
+        if not out_dir:
+            raise ConfigError("no output directory (set out_dir in config or pass --out)")
         return run(config, out_dir, workers=args.workers, seed_override=args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

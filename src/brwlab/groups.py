@@ -22,6 +22,8 @@ _KINDS = (REGULAR_TREE, FREE_GROUP, INTEGER_LATTICE)
 
 # Box convolution memory is (2N+1)^dim; keep lattices at desk scale.
 MAX_LATTICE_DIM = 3
+MAX_LATTICE_CELLS = 2**24  # doubles in one box: 128 MiB
+MAX_BALL_ELEMENTS = 10**6
 
 
 class InvalidElementError(ValueError):
@@ -163,9 +165,23 @@ def distance(g: GroupSpec, x, y) -> int:
     return len(mul(g, inv(g, x), y))
 
 
+def check_ball(g: GroupSpec, radius: int) -> None:
+    """Raise ValueError when a radius ball may hold more than
+    MAX_BALL_ELEMENTS vertices: its exact size on tree-like graphs, the
+    (2r+1)^dim box around it on Z^d."""
+    if g.is_tree_like:  # sum of sphere sizes; any radius above 64 is over the cap
+        d = g.degree
+        size = 1 + d * ((d - 1) ** min(radius, 64) - 1) // (d - 2)
+    else:
+        size = (2 * radius + 1) ** g.param
+    if size > MAX_BALL_ELEMENTS:
+        raise ValueError(f"a radius-{radius} ball exceeds {MAX_BALL_ELEMENTS} vertices")
+
+
 def elements_within(g: GroupSpec, x, radius: int):
     """All vertices within the given distance of x, in BFS order."""
     validate_elem(g, x)
+    check_ball(g, radius)
     seen = {x}
     order = [x]
     frontier = [x]
@@ -249,8 +265,18 @@ def _tree_scaled_series(d: int, dist: int, n_max: int) -> np.ndarray:
     return out
 
 
+def check_lattice_box(g: GroupSpec, steps: int) -> None:
+    """Raise ValueError when an exact lattice kernel over the given number
+    of steps needs a (2*steps+1)^dim box above MAX_LATTICE_CELLS."""
+    if g.kind == INTEGER_LATTICE and (2 * steps + 1) ** g.param > MAX_LATTICE_CELLS:
+        raise ValueError(
+            f"{steps} steps on Z^{g.param} need more than {MAX_LATTICE_CELLS} lattice cells"
+        )
+
+
 def _lattice_vertex_series(g: GroupSpec, delta, n_max: int) -> np.ndarray:
     """p_n(x, x+delta) for n = 0..n_max by exact box convolution."""
+    check_lattice_box(g, n_max)
     dim = g.param
     shape = (2 * n_max + 1,) * dim
     p = np.zeros(shape)

@@ -27,6 +27,8 @@ class OffspringDistribution:
             raise ValueError("pmf must be a nonempty 1-d probability vector")
         if len(pmf) > MAX_OFFSPRING + 1:
             raise ValueError(f"offspring support capped at {MAX_OFFSPRING}")
+        if not np.all(np.isfinite(pmf)):
+            raise ValueError("pmf entries must be finite")
         if np.any(pmf < -1e-15):
             raise ValueError("pmf entries must be >= 0")
         pmf = np.clip(pmf, 0.0, None)
@@ -83,12 +85,16 @@ def thin(mu: OffspringDistribution, p: float) -> OffspringDistribution:
 
 
 def extinction_probability(mu: OffspringDistribution, tol: float = 1e-12, max_iter: int = 5_000_000) -> float:
-    """Smallest fixed point of the generating function, by monotone
-    iteration from 0.
+    """Smallest fixed point of the generating function.
 
-    Near-critical laws converge slowly; the iteration cap keeps the cost
-    bounded while staying far below the tolerance for the laws used here.
+    A non-trivial law with mean <= 1 dies out almost surely (Athreya and
+    Ney, 1972), so that case is exact.  Otherwise monotone iteration from
+    0; near-critical laws converge slowly, and the iteration cap keeps the
+    cost bounded while staying far below the tolerance for the laws used
+    here.
     """
+    if mu.mean <= 1.0 and mu.non_trivial:
+        return 1.0
     q = 0.0
     for _ in range(max_iter):
         nxt = mu.pgf(q)
@@ -201,21 +207,17 @@ class MarkedTree:
         return tree
 
 
-def sample_gw(mu: OffspringDistribution, budget: int, rng, max_depth: int | None = None) -> MarkedTree:
-    """Breadth-first Galton-Watson tree, truncated at the vertex budget
-    (and optionally at a depth cap)."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    tree = MarkedTree(root=0)
-    next_id = 1
-    frontier = [0]
+def _grow(tree: MarkedTree, frontier: list, next_id: int, mu: OffspringDistribution,
+          budget: int, rng, max_depth: int | None) -> MarkedTree:
+    """Breadth-first GW(mu) growth below the frontier, giving new vertices
+    ids from next_id on; stops at the vertex budget or the depth cap."""
     while frontier:
         if max_depth is not None and tree.depth[frontier[0]] >= max_depth:
             # children beyond the depth cap are never generated
             if any(int(k) > 0 for k in mu.sample(rng, size=len(frontier))):
                 tree.truncated = True
                 tree.truncation_reason = "depth"
-            break
+            return tree
         draws = mu.sample(rng, size=len(frontier))
         nxt = []
         for v, k in zip(frontier, draws):
@@ -231,39 +233,12 @@ def sample_gw(mu: OffspringDistribution, budget: int, rng, max_depth: int | None
     return tree
 
 
-def _grow_pair(tree: MarkedTree, root_offspring: int, mu: OffspringDistribution,
-               budget: int, rng, max_depth: int | None):
-    """Shared body for the augmented samplers: root has root_offspring own
-    children plus the co-root (vertex 1), everything below is GW(mu)."""
-    next_id = 2
-    frontier = []
-    for _ in range(root_offspring):
-        if next_id >= budget:
-            tree.truncated = True
-            tree.truncation_reason = "budget"
-            return
-        tree.add_child(0, next_id)
-        frontier.append(next_id)
-        next_id += 1
-    frontier.append(1)  # co-root draws its own offspring too
-    while frontier:
-        if max_depth is not None and tree.depth[frontier[0]] >= max_depth:
-            if any(int(k) > 0 for k in mu.sample(rng, size=len(frontier))):
-                tree.truncated = True
-                tree.truncation_reason = "depth"
-            return
-        draws = mu.sample(rng, size=len(frontier))
-        nxt = []
-        for v, k in zip(frontier, draws):
-            for _ in range(int(k)):
-                if next_id >= budget:
-                    tree.truncated = True
-                    tree.truncation_reason = "budget"
-                    return
-                tree.add_child(v, next_id)
-                nxt.append(next_id)
-                next_id += 1
-        frontier = nxt
+def sample_gw(mu: OffspringDistribution, budget: int, rng, max_depth: int | None = None) -> MarkedTree:
+    """Breadth-first Galton-Watson tree, truncated at the vertex budget
+    (and optionally at a depth cap)."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    return _grow(MarkedTree(root=0), [0], 1, mu, budget, rng, max_depth)
 
 
 AUGMENTED = "augmented"
@@ -299,8 +274,16 @@ def sample_unimodular_gw(mu: OffspringDistribution, budget: int, rng,
             raise SamplingError(f"root-degree rejection failed {max_retries} times")
     tree = MarkedTree(root=0)
     tree.add_child(0, 1)
-    _grow_pair(tree, k0, mu, budget, rng, max_depth)
-    return tree
+    # the root's own children come first, then the co-root draws its own
+    # offspring alongside them; everything below is GW(mu)
+    own = list(range(2, 2 + min(k0, budget - 2)))
+    for v in own:
+        tree.add_child(0, v)
+    if len(own) < k0:
+        tree.truncated = True
+        tree.truncation_reason = "budget"
+        return tree
+    return _grow(tree, own + [1], 2 + len(own), mu, budget, rng, max_depth)
 
 
 def sample_marked_fuzz_tree(rng, max_vertices: int) -> MarkedTree:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -226,8 +227,7 @@ def aggregate_mtp_report(deltas, weights, inconclusive: int, n_samples: int,
         raise ValueError("need at least 2 usable samples")
     mean = float(deltas.mean())
     sd = float(deltas.std(ddof=1))
-    # two-sided normal quantile via the error function
-    z = math.sqrt(2.0) * _erfinv(1.0 - alpha)
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     half = z * sd / math.sqrt(n)
     mean_w = float(np.mean(weights))
     passed = (mean - half) <= 0.0 <= (mean + half)
@@ -264,20 +264,6 @@ def mc_mtp_test(sampler, F: TransportFunction, W: WeightFunction,
         deltas.append(got[0])
         weights.append(got[1])
     return aggregate_mtp_report(deltas, weights, inconclusive, n_samples, alpha)
-
-
-def _erfinv(y: float) -> float:
-    """Inverse error function by bisection (monotone, well-conditioned)."""
-    if not -1.0 < y < 1.0:
-        raise ValueError("erfinv domain is (-1, 1)")
-    lo, hi = -10.0, 10.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.erf(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -239,3 +239,18 @@ def test_elem_text_round_trip():
     for g, x in [(T3, (0, 1, 2)), (T3, ()), (F2, (1, -2, 1)), (Z2, (-3, 4))]:
         s = groups.elem_to_str(g, x)
         assert groups.elem_from_str(g, s) == x
+
+
+def test_ball_and_lattice_box_caps():
+    """Balls and lattice kernel boxes over their caps are refused from the
+    closed-form size, before anything is built."""
+    groups.check_ball(T3, 18)  # 1 + 3 (2^18 - 1) = 786430 vertices
+    with pytest.raises(ValueError):
+        groups.check_ball(T3, 19)
+    with pytest.raises(ValueError):
+        groups.elements_within(T4, (), 10**9)
+    z3 = GroupSpec("integer_lattice", 3)
+    groups.check_lattice_box(z3, 127)  # 255^3 cells
+    with pytest.raises(ValueError):
+        groups.p_series(z3, (0, 0, 0), (0, 0, 0), 128)
+    assert len(groups.elements_within(Z2, (0, 0), 3)) == 25

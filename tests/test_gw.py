@@ -18,6 +18,9 @@ def test_offspring_validation():
         OffspringDistribution([1.2, -0.2])
     with pytest.raises(ValueError):
         OffspringDistribution([0.0] * 70 + [1.0])  # support cap
+    for bad in ([math.nan, 1.0], [0.5, 0.5, math.nan], [math.inf, 1.0], [-math.inf, 1.0]):
+        with pytest.raises(ValueError):
+            OffspringDistribution(bad)
     mu = OffspringDistribution([0.25, 0.25, 0.5])
     assert mu.mean == pytest.approx(1.25)
     assert mu.non_trivial
@@ -70,6 +73,8 @@ def test_extinction_probability():
     assert q == pytest.approx(0.5, abs=1e-9)
     # the deterministic single-child line never dies
     assert gw.extinction_probability(OffspringDistribution.delta(1)) == pytest.approx(0.0)
+    # a critical non-trivial law dies out almost surely: exactly 1
+    assert gw.extinction_probability(OffspringDistribution([0.5, 0, 0.5])) == 1.0
 
 
 def test_sample_gw_degenerate_cases():
