@@ -6,7 +6,7 @@ Each run writes a fixed-name CSV (or JSON report) plus manifest.json into
 the output directory.  Replicate work is sharded over counter-based
 substreams keyed by (seed, replicate index) only, so CSV bodies are byte
 identical for any worker count.  Exit status: 0 pass, 2 failed assertion,
-1 usage error.
+1 usage error (a malformed flag or config, one "error:" line).
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def _shard_magic_fuzz(v, seed, lo, hi):
             for k in v["k_grid"]:
                 bcount = sum(1 for x in vals if x >= k)
                 scount = sum(1 for gp in gap_vals if gp >= k)
-                bound = r * (2.0 * T.n_marks - k) / k
+                bound = magic.counting_bound(T.n_marks, k, r)
                 ok = bcount <= max(bound, 0.0)
                 rows.append((idx, T.n_vertices, T.n_marks, k, r, bcount, scount, bound, ok))
     return rows, None
@@ -508,22 +508,29 @@ def run(config: dict, out_dir: str, workers: int = 1, seed_override=None) -> int
     return status
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed flag as a ConfigError: exit 1 and one line,
+    where argparse would print its usage and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="brwlab", description="branching random walk experiment runner"
     )
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    args = parser.parse_args(argv)
     try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = parser.parse_args(argv)
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
         out_dir = args.out or _parse(config, {"out_dir": Key(_text, default=None)})["out_dir"]
         if not out_dir:
             raise ConfigError("no output directory (set out_dir in config or pass --out)")

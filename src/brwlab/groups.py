@@ -24,6 +24,7 @@ _KINDS = (REGULAR_TREE, FREE_GROUP, INTEGER_LATTICE)
 MAX_LATTICE_DIM = 3
 MAX_LATTICE_CELLS = 2**24  # doubles in one box: 128 MiB
 MAX_BALL_ELEMENTS = 10**6
+MAX_DEGREE = 64  # neighbors() builds every neighbour word of a vertex at each step
 
 
 class InvalidElementError(ValueError):
@@ -52,6 +53,8 @@ class GroupSpec:
             raise ValueError("free group needs rank >= 2")
         if self.kind == INTEGER_LATTICE and not (1 <= self.param <= MAX_LATTICE_DIM):
             raise ValueError(f"lattice dimension must be in 1..{MAX_LATTICE_DIM}")
+        if self.degree > MAX_DEGREE:
+            raise ValueError(f"degree {self.degree} exceeds {MAX_DEGREE}")
 
     @property
     def degree(self) -> int:
@@ -182,19 +185,47 @@ def elements_within(g: GroupSpec, x, radius: int):
     """All vertices within the given distance of x, in BFS order."""
     validate_elem(g, x)
     check_ball(g, radius)
-    seen = {x}
-    order = [x]
-    frontier = [x]
-    for _ in range(radius):
+    return list(bfs(lambda v: neighbors(g, v), x, radius))
+
+
+def bfs(nbrs, root, radius=None) -> dict:
+    """Breadth-first search from root over nbrs(v), an iterable of the
+    neighbours of v: every vertex within radius of root (every reachable
+    one when radius is None), in BFS order, mapped to (distance, parent).
+    The root's parent is None."""
+    out = {root: (0, None)}
+    frontier = [root]
+    d = 0
+    while frontier and (radius is None or d < radius):
+        d += 1
         nxt = []
         for v in frontier:
-            for w in neighbors(g, v):
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
+            for w in nbrs(v):
+                if w not in out:
+                    out[w] = (d, v)
                     nxt.append(w)
         frontier = nxt
-    return order
+    return out
+
+
+def adjacency(vertices, edges) -> dict:
+    """Undirected adjacency lists: every vertex, and each edge (a, b)
+    listed at both of its ends, in edge order."""
+    adj = {v: [] for v in vertices}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def as_adjacency(graph) -> dict:
+    """An adjacency dict passes through; a graph object (MarkedTree,
+    OrientedTree, TraceGraph) gives its .adjacency()."""
+    if isinstance(graph, dict):
+        return graph
+    if hasattr(graph, "adjacency"):
+        return graph.adjacency()
+    raise TypeError(f"cannot interpret {type(graph).__name__} as a graph")
 
 
 def sphere_size(g: GroupSpec, j: int) -> float:

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from . import groups
+
 
 class SamplingError(RuntimeError):
     """Raised when rejection sampling exhausts its retry budget."""
@@ -155,11 +157,7 @@ class MarkedTree:
                 self.edge_labels[c] = float(rng.random())
 
     def adjacency(self):
-        adj = {v: list(self.children[v]) for v in self.parent}
-        for c, p in self.parent.items():
-            if p is not None:
-                adj[c].append(p)
-        return adj
+        return groups.adjacency(self.parent, self.edges())
 
     def to_lines(self):
         """Line format: id parent depth mark label (root parent = -1)."""

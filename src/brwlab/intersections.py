@@ -12,7 +12,7 @@ import numpy as np
 
 from . import groups
 from .gw import MarkedTree, OffspringDistribution, percolate_root_component, sample_gw
-from .magic import OrientedTree, branching_vertices, ends_profile
+from .magic import OrientedTree, branching_vertices, counting_bound, ends_profile
 from .walks import TreeWalk, run_walk, trace
 
 
@@ -200,7 +200,7 @@ def intersection_ends_diagnostic(record: IntersectionRecord, k_grid, r_grid) -> 
                 EndsDiagnosticEntry(
                     k=k, r=r,
                     branching_count=len(B),
-                    bound_value=r * (2.0 * len(I) - k) / k,
+                    bound_value=counting_bound(len(I), k, r),
                     root_branching=record.tree1.root in B,
                     root_fraction=frac,
                     three_plus_signal=three_plus,

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import groups
 from .gw import MarkedTree
-from .walks import TraceGraph
 
 
 class OrientedTree:
@@ -61,19 +61,9 @@ class OrientedTree:
         bad = [v for v in marks if v not in tree.parent]
         if bad:
             raise ValueError(f"marks outside the tree: {bad[:3]}")
-        adj = tree.adjacency()
-        parent = {anchor: None}
-        layer = {anchor: 0}
-        frontier = [anchor]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in parent:
-                        parent[w] = v
-                        layer[w] = layer[v] + 1
-                        nxt.append(w)
-            frontier = nxt
+        found = groups.bfs(tree.adjacency().__getitem__, anchor)
+        parent = {v: p for v, (_, p) in found.items()}
+        layer = {v: d for v, (d, _) in found.items()}
         return cls(parent, layer, marks)
 
     def vertices(self):
@@ -91,11 +81,8 @@ class OrientedTree:
         return [v for v, p in self.parent.items() if p is None]
 
     def adjacency(self):
-        adj = {v: list(self.children[v]) for v in self.parent}
-        for v, p in self.parent.items():
-            if p is not None:
-                adj[v].append(p)
-        return adj
+        return groups.adjacency(
+            self.parent, ((v, p) for v, p in self.parent.items() if p is not None))
 
     def subtree_mark_counts(self) -> dict:
         """Marks at or below each vertex (cached)."""
@@ -257,6 +244,12 @@ class BranchingReport:
         return len(self.supported)
 
 
+def counting_bound(n_marks: int, k: int, r: int) -> float:
+    """r(2|A| - k)/k, the flow-counting bound on (k, r)-supported vertices
+    (and on (k, 1)-branching ones); negative when k > 2|A|."""
+    return r * (2.0 * n_marks - k) / k
+
+
 def magic_bound_check(T, A, k: int, r: int, anchor=None) -> BranchingReport:
     """Count branching and supported vertices and compare the branching
     count against r(2|A| - k)/k (clamped at 0 for k > 2|A|).
@@ -269,7 +262,7 @@ def magic_bound_check(T, A, k: int, r: int, anchor=None) -> BranchingReport:
     T = _as_oriented(T, A, anchor)
     branching = frozenset(branching_vertices(T, None, k, r))
     supported = frozenset(supported_vertices(T, None, k, r))
-    bound = r * (2.0 * T.n_marks - k) / k
+    bound = counting_bound(T.n_marks, k, r)
     passed = len(branching) <= max(bound, 0.0)
     return BranchingReport(
         k, r, T.n_vertices, T.n_marks, branching, supported, bound, passed
@@ -314,16 +307,6 @@ class EndsProfile:
     removed: int
 
 
-def _as_adjacency(graph):
-    if isinstance(graph, MarkedTree):
-        return graph.adjacency()
-    if isinstance(graph, TraceGraph):
-        return graph.adjacency()
-    if isinstance(graph, dict):
-        return graph
-    raise TypeError(f"cannot interpret {type(graph).__name__} as a graph")
-
-
 def ends_profile(graph, A, center, radius: int, m_threshold: int) -> EndsProfile:
     """Remove the closed ball around the center and census the remaining
     components by size and mark count."""
@@ -331,39 +314,19 @@ def ends_profile(graph, A, center, radius: int, m_threshold: int) -> EndsProfile
         raise ValueError("radius must be >= 0")
     if m_threshold < 1:
         raise ValueError("m_threshold must be >= 1")
-    adj = _as_adjacency(graph)
+    adj = groups.as_adjacency(graph)
     if center not in adj:
         raise ValueError("center not in graph")
     A = set(A)
-    removed = {center}
-    frontier = [center]
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in removed:
-                    removed.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    removed = groups.bfs(adj.__getitem__, center, radius)
     seen = set(removed)
     census = []
     for v in adj:
         if v in seen:
             continue
-        comp_size = 0
-        comp_marks = 0
-        stack = [v]
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            comp_size += 1
-            if x in A:
-                comp_marks += 1
-            for w in adj[x]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        census.append((comp_size, comp_marks))
+        comp = groups.bfs(lambda x: (w for w in adj[x] if w not in removed), v)
+        seen.update(comp)
+        census.append((len(comp), len(A.intersection(comp))))
     census.sort(reverse=True)
     qualifying = sum(1 for _, marks in census if marks >= m_threshold)
     return EndsProfile(census, qualifying, len(removed))

@@ -10,7 +10,6 @@ function's radius is excluded from the test and counted as inconclusive.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -28,21 +27,8 @@ class TruncationError(RuntimeError):
 
 
 def _local_distance(adj, u, v, cap):
-    if u == v:
-        return 0
-    seen = {u}
-    dq = deque([(u, 0)])
-    while dq:
-        x, d = dq.popleft()
-        if d >= cap:
-            continue
-        for w in adj[x]:
-            if w == v:
-                return d + 1
-            if w not in seen:
-                seen.add(w)
-                dq.append((w, d + 1))
-    return cap + 1
+    """d(u, v) when it is at most cap, else cap + 1."""
+    return groups.bfs(adj.__getitem__, u, cap).get(v, (cap + 1,))[0]
 
 
 @dataclass(frozen=True)
@@ -121,22 +107,12 @@ class MtpSample:
     certified_radius: int = UNBOUNDED
 
 
-def _as_marked_adjacency(graph, A):
-    if isinstance(graph, MarkedTree):
-        adj = graph.adjacency()
-    elif isinstance(graph, dict):
-        adj = graph
-    else:
-        adj = graph.adjacency()
-    return adj, frozenset(A)
-
-
 def exact_mtp_check(graph, A, F: TransportFunction):
     """Uniform-root mass transport on a finite marked graph: compares
     |A|^-1 sum_{u,v in A} F(u, v) with its transpose.  The two sides are
     the same finite sum, so agreement to 1e-12 is an exact harness check.
     """
-    adj, marks = _as_marked_adjacency(graph, A)
+    adj, marks = groups.as_adjacency(graph), frozenset(A)
     if not marks:
         raise ValueError("the marked set must be nonempty")
     if any(a not in adj for a in marks):
@@ -174,24 +150,10 @@ class MtpTestReport:
         }
 
 
-def _ball(adj, root, radius):
-    seen = {root}
-    frontier = [root]
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
-
-
 def paired_difference(sample: MtpSample, F: TransportFunction) -> float:
     """sum_{v in A} F(root, v) - F(v, root), restricted to the radius ball
     (built-in transports vanish outside it)."""
-    ball = _ball(sample.adj, sample.root, F.radius)
+    ball = groups.bfs(sample.adj.__getitem__, sample.root, F.radius)
     out = 0.0
     for v in sample.marks:
         if v in ball:
@@ -273,7 +235,7 @@ def mc_mtp_test(sampler, F: TransportFunction, W: WeightFunction,
 def uniform_root_sampler(graph, A):
     """Root uniform on the marked set of a fixed finite graph: locally
     unimodular by construction."""
-    adj, marks = _as_marked_adjacency(graph, A)
+    adj, marks = groups.as_adjacency(graph), frozenset(A)
     order = sorted(marks, key=repr)
 
     def sample(rng) -> MtpSample:
@@ -286,7 +248,7 @@ def uniform_root_sampler(graph, A):
 def fixed_root_sampler(graph, A, root):
     """Deterministic root: a deliberately non-unimodular sampler used as a
     negative control."""
-    adj, marks = _as_marked_adjacency(graph, A)
+    adj, marks = groups.as_adjacency(graph), frozenset(A)
     if root not in adj:
         raise ValueError("root not in graph")
 
@@ -354,8 +316,7 @@ def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
             walk2 = run_walk(tree2, g, start, rng)
             image2 = set(walk2.values.values())
             marks = frozenset(v for v, x in walk.values.items() if x in image2)
-            returns = sum(1 for x in walk2.values.values() if x == start)
-            ingredient = 1.0 / returns
+            ingredient = 1.0 / walk2.visits_to(start)
         cert = _certified_radius(tree, depth)
         return MtpSample(tree.adjacency(), marks, tree.root, ingredient, cert)
 
@@ -380,10 +341,9 @@ def pushforward_trace_sampler(g: groups.GroupSpec, mu: OffspringDistribution,
         tree = sample_unimodular_gw(mu, budget, rng, max_depth=depth)
         walk = run_walk(tree, g, start, rng)
         marks = frozenset(x for x in walk.values.values() if x in ball_set)
-        returns = sum(1 for x in walk.values.values() if x == start)
         cert = ball_radius // 2
         if tree.truncation_reason == "budget":
             cert = -1
-        return MtpSample(adj, marks, start, 1.0 / returns, cert)
+        return MtpSample(adj, marks, start, 1.0 / walk.visits_to(start), cert)
 
     return sample

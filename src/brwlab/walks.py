@@ -61,11 +61,7 @@ class TraceGraph:
         return len(self.vertices)
 
     def adjacency(self):
-        adj = {v: [] for v in self.vertices}
-        for (a, b) in self.edge_mult:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
+        return groups.adjacency(self.vertices, self.edge_mult)
 
     def to_lines(self, g: groups.GroupSpec):
         out = []

@@ -338,6 +338,7 @@ MALFORMED = [
     ("intersect", {"group": Z3, "depth": 64}, "brwlab.intersections.sample_intersections"),
     ("uniform_root", {"graph": {"shape": "star", "n": 10**9}}, "brwlab.mtp.uniform_root_sampler"),
     ("magic-fuzz", {"n_trees": 10**7}, "brwlab.cli.Pool"),
+    ("pullback", {"group": {"kind": "free_group", "param": 10**8}}, "brwlab.groups.neighbors"),
 ]
 
 
@@ -371,8 +372,16 @@ def test_malformed_invocation_exits_1(tmp_path, capsys):
     assert main_with(tmp_path, BASE["spectra"], "--out", str(tmp_path / "file" / "o")) == 1
     (tmp_path / "latin1.json").write_bytes(b'\xff{"experiment": "spectra"}')
     assert cli.main(["--config", str(tmp_path / "latin1.json"), "--out", str(tmp_path)]) == 1
+    # malformed flags: one error line, not argparse's usage text and exit 2
+    out = str(tmp_path / "o")
+    assert main_with(tmp_path, BASE["spectra"], "--out", out, "--workers", "x") == 1
+    assert main_with(tmp_path, BASE["spectra"], "--out", out, "--seed", "1.5") == 1
+    assert cli.main(["--out", out]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 4 and all(line.startswith("error: ") for line in err)
+    assert len(err) == 7 and all(line.startswith("error: ") for line in err), err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
 
 
 def test_worker_pool_clamped(tmp_path, monkeypatch):

@@ -8,7 +8,10 @@ import pytest
 from brwlab import groups
 from brwlab.groups import GroupSpec, InvalidElementError, TransitionTable
 
-from oracles import enumerate_walk_endpoint_law
+from brwlab.gw import MarkedTree, OffspringDistribution, sample_gw, sample_marked_fuzz_tree
+from brwlab.walks import run_walk, trace
+
+from oracles import bfs_distances, enumerate_walk_endpoint_law
 
 T3 = GroupSpec("regular_tree", 3)
 T4 = GroupSpec("regular_tree", 4)
@@ -30,6 +33,16 @@ def test_spec_validation():
     assert F2.degree == 4
     assert Z2.degree == 4
     assert T4.is_nonamenable and not Z1.is_nonamenable
+
+
+def test_degree_cap():
+    """neighbors() builds every neighbour word at each walk step, so the
+    degree is capped when the spec is made."""
+    assert GroupSpec("regular_tree", groups.MAX_DEGREE).degree == 64
+    assert GroupSpec("free_group", groups.MAX_DEGREE // 2).degree == 64
+    for kind, param in [("regular_tree", 65), ("free_group", 33), ("free_group", 10**8)]:
+        with pytest.raises(ValueError, match="exceeds"):
+            GroupSpec(kind, param)
 
 
 def test_neighbors_degree_and_examples():
@@ -254,3 +267,85 @@ def test_ball_and_lattice_box_caps():
     with pytest.raises(ValueError):
         groups.p_series(z3, (0, 0, 0), (0, 0, 0), 128)
     assert len(groups.elements_within(Z2, (0, 0), 3)) == 25
+
+
+# ---------------------------------------------------------------------------
+# the graph helpers: one BFS, one adjacency builder
+
+
+def _sample_graphs():
+    """Adjacency dicts of random marked trees and of walk traces, with a
+    start vertex in each."""
+    rng = np.random.default_rng(31)
+    out = []
+    for _ in range(30):
+        t = sample_marked_fuzz_tree(rng, 60)
+        out.append((t.adjacency(), t.root))
+    mu = OffspringDistribution([0.2, 0.3, 0.5])
+    for g in (T4, Z2):
+        for _ in range(10):
+            tr = trace(run_walk(sample_gw(mu, 400, rng, max_depth=6), g, g.identity(), rng))
+            out.append((tr.adjacency(), tr.start))
+    return out
+
+
+def test_bfs_matches_oracle_distances():
+    for adj, root in _sample_graphs():
+        want = bfs_distances(adj, root)
+        found = groups.bfs(adj.__getitem__, root)
+        assert {v: d for v, (d, _) in found.items()} == want
+        assert list(found)[0] == root and found[root] == (0, None)
+        dists = [d for d, _ in found.values()]
+        assert dists == sorted(dists)  # BFS order
+        for v, (d, p) in found.items():
+            if v != root:
+                assert found[p][0] == d - 1 and v in adj[p]
+        for radius in (0, 1, 2, 5):
+            cut = groups.bfs(adj.__getitem__, root, radius)
+            assert cut == {v: found[v] for v in found if found[v][0] <= radius}
+            assert list(cut) == [v for v in found if found[v][0] <= radius]
+
+
+def test_bfs_parents_on_a_rooted_tree():
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        t = sample_marked_fuzz_tree(rng, 80)
+        found = groups.bfs(t.adjacency().__getitem__, t.root)
+        assert {v: p for v, (_, p) in found.items()} == t.parent
+        assert {v: d for v, (d, _) in found.items()} == t.depth
+
+
+def test_elements_within_order():
+    assert groups.elements_within(T3, (), 0) == [()]
+    assert groups.elements_within(T3, (), 2) == [
+        (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)
+    ]
+    assert groups.elements_within(Z1, (3,), 2) == [(3,), (4,), (2,), (5,), (1,)]
+    ball = groups.elements_within(F2, (1,), 3)
+    assert len(ball) == 1 + 4 + 12 + 36
+    dists = [groups.distance(F2, (1,), x) for x in ball]
+    assert dists == sorted(dists) and len(set(ball)) == len(ball)
+
+
+def test_adjacency_builder():
+    adj = groups.adjacency([0, 1, 2, 3], [(0, 1), (1, 2), (3, 1)])
+    assert adj == {0: [1], 1: [0, 2, 3], 2: [1], 3: [1]}
+    assert groups.adjacency(["a"], []) == {"a": []}
+    t = MarkedTree(root=0)
+    for c, p in [(1, 0), (2, 0), (3, 1)]:
+        t.add_child(p, c)
+    assert t.adjacency() == {0: [1, 2], 1: [0, 3], 2: [0], 3: [1]}
+    for adj, _ in _sample_graphs():
+        for v, ns in adj.items():
+            assert len(set(ns)) == len(ns)
+            assert all(v in adj[w] for w in ns)
+
+
+def test_as_adjacency():
+    adj = {0: [1], 1: [0]}
+    assert groups.as_adjacency(adj) is adj
+    t = MarkedTree(root=0)
+    t.add_child(0, 1)
+    assert groups.as_adjacency(t) == adj
+    with pytest.raises(TypeError):
+        groups.as_adjacency([(0, 1)])
