@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from bisect import bisect_left
 from multiprocessing import Pool
 from typing import Callable, NamedTuple
 
@@ -186,11 +187,11 @@ def _shard_magic_fuzz(v, seed, lo, hi):
         T = magic.OrientedTree.from_tree(tree)
         branch_vals = magic.branch_deficiency_values(T, v["r_grid"])
         for r in v["r_grid"]:
-            vals = list(branch_vals[r].values())
-            gap_vals = list(magic.supported_gap_values(T, r).values())
+            vals = sorted(branch_vals[r].values())
+            gap_vals = sorted(magic.supported_gap_values(T, r).values())
             for k in v["k_grid"]:
-                bcount = sum(1 for x in vals if x >= k)
-                scount = sum(1 for gp in gap_vals if gp >= k)
+                bcount = len(vals) - bisect_left(vals, k)
+                scount = len(gap_vals) - bisect_left(gap_vals, k)
                 bound = magic.counting_bound(T.n_marks, k, r)
                 ok = bcount <= max(bound, 0.0)
                 rows.append((idx, T.n_vertices, T.n_marks, k, r, bcount, scount, bound, ok))

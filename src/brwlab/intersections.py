@@ -12,7 +12,7 @@ import numpy as np
 
 from . import groups
 from .gw import MarkedTree, OffspringDistribution, percolate_root_component, sample_gw
-from .magic import OrientedTree, branching_vertices, counting_bound, ends_profile
+from .magic import OrientedTree, branch_deficiency_values, counting_bound, ends_profile
 from .walks import TreeWalk, run_walk, trace
 
 
@@ -188,11 +188,15 @@ def intersection_ends_diagnostic(record: IntersectionRecord, k_grid, r_grid) -> 
     if not I:
         return EndsDiagnostic("finite/empty", [])
     T = OrientedTree.from_tree(record.tree1, marks=I)
+    ks = sorted(set(int(k) for k in k_grid))
+    if ks and ks[0] < 1:
+        raise ValueError("k must be >= 1")
+    values = branch_deficiency_values(T, r_grid)
     entries = []
     signal = False
-    for r in sorted(set(int(r) for r in r_grid)):
-        for k in sorted(set(int(k) for k in k_grid)):
-            B = branching_vertices(T, None, k, r)
+    for r, vals in values.items():
+        for k in ks:
+            B = {u for u, val in vals.items() if val >= k}
             frac = len(B & I) / len(I)
             three_plus = len(B) > 4 * r
             signal = signal or three_plus
@@ -243,7 +247,8 @@ def trace_ends_experiment(mu: OffspringDistribution, g: groups.GroupSpec,
         survived[i] = tree.max_depth() >= depth
         walk = run_walk(tree, g, start, rng)
         tr = trace(walk)
+        adj = tr.adjacency()
         for j, radius in enumerate(radii):
-            profile = ends_profile(tr, tr.vertices, start, radius, m_threshold)
+            profile = ends_profile(adj, tr.vertices, start, radius, m_threshold)
             quals[i, j] = profile.qualifying
     return TraceEndsResult(radii, quals, survived)

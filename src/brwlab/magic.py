@@ -96,11 +96,6 @@ class OrientedTree:
             self._sub = sub
         return self._sub
 
-    def strict_descendant_marks(self, v) -> int:
-        """|A_v|: marks strictly below v."""
-        sub = self.subtree_mark_counts()
-        return sub[v] - (1 if v in self.marks else 0)
-
 
 def _require_marks(T: OrientedTree):
     if not T.marks:
@@ -113,7 +108,25 @@ def branch_deficiency_values(T: OrientedTree, r_list) -> dict:
 
     u is (k,r)-branching iff this value is >= k.  Distinct sphere vertices
     carry disjoint mark sets, so the worst pair is always the top two (or
-    the single direction doubled when the sphere has one vertex).
+    the single direction doubled when the sphere has one vertex).  A cone
+    of 0 never changes that sum, so absent or virtual (ray) sphere
+    vertices are padding zeros and a sphere of one vertex needs no rule.
+
+    All roots at once, by rerooting: row j holds, for every vertex u, the
+    top two cones on the distance-j sphere of u, split into the part
+    below u (down) and the part reached through u's parent (up):
+
+      down_j(u) = merge of down_{j-1}(c) over the children c of u,
+                  starting from down_0(c) = (sub[c], 0);
+      up_j(u)   = merge of up_{j-1}(p) and excl_{j-1}(u), p = parent of u,
+                  where excl_{j-1}(u) is down_{j-1}(p) without u's branch
+                  and excl_0(u) = (|A| - sub[u], 0) is p itself.
+
+    Dropping u's branch can drop both of p's top two, so each fold also
+    keeps the runner-up child's pair and the third-best child's top cone.
+    Each row reads only the previous one, so the cost is O(n * r_max)
+    time and O(n) memory.  No two vertices are farther apart than twice
+    the height, and every r beyond that gives |A| without a row.
     """
     _require_marks(T)
     tops = T.tops()
@@ -122,53 +135,80 @@ def branch_deficiency_values(T: OrientedTree, r_list) -> dict:
     r_list = sorted(set(int(r) for r in r_list))
     if any(r < 1 for r in r_list):
         raise ValueError("r must be >= 1")
-    r_max = r_list[-1]
-    sub = T.subtree_mark_counts()
     n_marks = T.n_marks
-    adj = T.adjacency()
-    parent = T.parent
+    verts = list(T.parent)
+    n = len(verts)
     layer = T.layer
-    out = {r: {} for r in r_list}
-    r_set = set(r_list)
-    for u in T.parent:
-        # BFS to depth r_max, recording the cone size of each sphere vertex
-        visited = {u}
-        frontier = [(u, None)]
-        for depth in range(1, r_max + 1):
-            nxt = []
-            for v, _ in frontier:
-                for w in adj[v]:
-                    if w not in visited:
-                        visited.add(w)
-                        nxt.append((w, v))
-            frontier = nxt
-            if depth in r_set:
-                top1 = 0
-                top2 = 0
-                count = 0
-                for w, prev in frontier:
-                    if parent[w] == prev:
-                        cone = sub[w]
-                    else:
-                        cone = n_marks - sub[prev]
-                    count += 1
-                    if cone > top1:
-                        top1, top2 = cone, top1
-                    elif cone > top2:
-                        top2 = cone
-                if layer[u] <= depth - 1:
-                    # the virtual ray supplies one unmarked sphere vertex
-                    count += 1
-                value = n_marks - top1 - (top2 if count >= 2 else 0)
-                out[depth][u] = value
-            if not frontier:
-                # no real vertex this far out, so layer[u] < depth and all
-                # deeper spheres hold exactly one ray vertex: value is |A|
-                for rr in r_list:
-                    if rr > depth:
-                        out[rr][u] = n_marks
-                break
-    return out
+    reach = 2 * (max(layer.values()) - layer[tops[0]])
+    out = {r: dict.fromkeys(verts, n_marks) for r in r_list if r > reach}
+    wanted = [r for r in r_list if r <= reach]
+    if not wanted:
+        return out
+    index = {v: i for i, v in enumerate(verts)}
+    sub = T.subtree_mark_counts()
+    kids = {}
+    for v, p in T.parent.items():
+        if p is not None:
+            kids.setdefault(index[p], []).append(index[v])
+    kids = list(kids.items())
+    # row 0: a child's own cone below its parent, and the parent's cone
+    # (everything outside the child's subtree) seen from the child; the
+    # top's up rows stay 0, since its ray carries no marks
+    down1 = [sub[v] for v in verts]
+    down2 = [0] * n
+    up1 = [0] * n
+    up2 = [0] * n
+    ex1 = [n_marks - s for s in down1]
+    ex2 = [0] * n
+    for j in range(1, wanted[-1] + 1):
+        nd1, nd2, nu1, nu2, nx1, nx2 = ([0] * n for _ in range(6))
+        for p, cs in kids:
+            # one pass over p's children: each child's up row, and the fold
+            # of their down rows into p's, keeping the best child's pair
+            # (a1, b1), the runner-up's (a2, b2) and the third-best a3
+            pu1 = up1[p]
+            pu2 = up2[p]
+            a1 = b1 = a2 = b2 = a3 = 0
+            c1 = c2 = -1
+            for c in cs:
+                x1 = ex1[c]
+                if pu1 >= x1:
+                    nu1[c] = pu1
+                    nu2[c] = pu2 if pu2 > x1 else x1
+                else:
+                    nu1[c] = x1
+                    x2 = ex2[c]
+                    nu2[c] = pu1 if pu1 > x2 else x2
+                x1 = down1[c]
+                if x1 > a1:
+                    a3 = a2
+                    a2, b2, c2 = a1, b1, c1
+                    a1, b1, c1 = x1, down2[c], c
+                elif x1 > a2:
+                    a3 = a2
+                    a2, b2, c2 = x1, down2[c], c
+                elif x1 > a3:
+                    a3 = x1
+            top2 = b1 if b1 > a2 else a2
+            nd1[p] = a1
+            nd2[p] = top2
+            # p's down row without each child's branch
+            for c in cs:
+                nx1[c] = a1
+                nx2[c] = top2
+            if c1 >= 0:
+                nx1[c1] = a2
+                nx2[c1] = b2 if b2 > a3 else a3
+            if c2 >= 0:
+                nx2[c2] = b1 if b1 > a3 else a3
+        down1, down2, up1, up2, ex1, ex2 = nd1, nd2, nu1, nu2, nx1, nx2
+        if j in wanted:
+            out[j] = {
+                v: n_marks - (d1 + (d2 if d2 > u1 else u1) if d1 >= u1
+                              else u1 + (d1 if d1 > u2 else u2))
+                for v, d1, d2, u1, u2 in zip(verts, down1, down2, up1, up2)
+            }
+    return {r: out[r] for r in r_list}
 
 
 def branching_vertices(T, A, k: int, r: int, anchor=None) -> set:
@@ -191,19 +231,22 @@ def supported_gap_values(T: OrientedTree, r: int) -> dict:
     _require_marks(T)
     if r < 1:
         raise ValueError("r must be >= 1")
+    parent = T.parent
+    marks = T.marks
+    sub = T.subtree_mark_counts()
     best = {}
-    for w in T.parent:
+    for w in parent:
         a = w
         for _ in range(r):
-            a = T.parent[a]
+            a = parent[a]
             if a is None:
                 break
         if a is None:
             continue
-        gap_w = T.strict_descendant_marks(w)
+        gap_w = sub[w] - (w in marks)  # |A_w|: marks strictly below w
         if a not in best or gap_w > best[a]:
             best[a] = gap_w
-    return {v: T.strict_descendant_marks(v) - worst for v, worst in best.items()}
+    return {v: sub[v] - (v in marks) - worst for v, worst in best.items()}
 
 
 def supported_vertices(T, A, k: int, r: int, anchor=None) -> set:

@@ -2,7 +2,10 @@
 
 These follow the definitions directly on an explicit graph with the
 virtual ray materialized, using all-pairs BFS distances; they share no
-code with the library implementations.
+code with the library implementations.  The one exception is
+`bfs_branch_values`, the per-vertex BFS that `branch_deficiency_values`
+ran before its rerooting pass, which reads the oriented tree's own
+adjacency and subtree mark counts.
 """
 
 from collections import deque
@@ -73,6 +76,64 @@ def brute_branch_values(tree, A, r, anchor=None):
         inter = M.astype(np.int32) @ M.T.astype(np.int32)
         union = counts[:, None] + counts[None, :] - inter
         out[u] = int(len(A) - union.max())
+    return out
+
+
+def bfs_branch_values(T, r_list):
+    """The per-vertex reference for `magic.branch_deficiency_values`: a
+    BFS over the radius-max(r_list) ball of every vertex of the oriented
+    tree T, scoring each sphere vertex by the cone it is reached through.
+    O(n * ball size), so quadratic on stars; kept as a differential
+    oracle for the rerooting pass."""
+    r_list = sorted(set(int(r) for r in r_list))
+    if any(r < 1 for r in r_list):
+        raise ValueError("r must be >= 1")
+    r_max = r_list[-1]
+    sub = T.subtree_mark_counts()
+    n_marks = T.n_marks
+    adj = T.adjacency()
+    parent = T.parent
+    layer = T.layer
+    out = {r: {} for r in r_list}
+    r_set = set(r_list)
+    for u in T.parent:
+        # BFS to depth r_max, recording the cone size of each sphere vertex
+        visited = {u}
+        frontier = [(u, None)]
+        for depth in range(1, r_max + 1):
+            nxt = []
+            for v, _ in frontier:
+                for w in adj[v]:
+                    if w not in visited:
+                        visited.add(w)
+                        nxt.append((w, v))
+            frontier = nxt
+            if depth in r_set:
+                top1 = 0
+                top2 = 0
+                count = 0
+                for w, prev in frontier:
+                    if parent[w] == prev:
+                        cone = sub[w]
+                    else:
+                        cone = n_marks - sub[prev]
+                    count += 1
+                    if cone > top1:
+                        top1, top2 = cone, top1
+                    elif cone > top2:
+                        top2 = cone
+                if layer[u] <= depth - 1:
+                    # the virtual ray supplies one unmarked sphere vertex
+                    count += 1
+                value = n_marks - top1 - (top2 if count >= 2 else 0)
+                out[depth][u] = value
+            if not frontier:
+                # no real vertex this far out, so layer[u] < depth and all
+                # deeper spheres hold exactly one ray vertex: value is |A|
+                for rr in r_list:
+                    if rr > depth:
+                        out[rr][u] = n_marks
+                break
     return out
 
 

@@ -205,6 +205,32 @@ def test_diagnostic_bushy_set_signals():
     assert diag.entries[0].root_fraction <= 1.0
 
 
+def test_diagnostic_entries_per_k_and_r():
+    """Every (k, r) entry, in r-major order over the sorted, deduplicated
+    grids, counts the (k, r)-branching vertices of the pulled-back set."""
+    from brwlab.magic import OrientedTree, branching_vertices
+
+    rng = np.random.default_rng(10)
+    for _ in range(40):
+        rec = isec.sample_intersections(MU11, MU11, T4, E, E, 6, 6, rng)
+        diag = isec.intersection_ends_diagnostic(rec, [3, 1, 2, 1, 5], [2, 1, 3, 2])
+        I = rec.pulled_back
+        if not I:
+            assert diag.entries == []
+            continue
+        T = OrientedTree.from_tree(rec.tree1, marks=I)
+        assert [(e.k, e.r) for e in diag.entries] == [
+            (k, r) for r in (1, 2, 3) for k in (1, 2, 3, 5)]
+        for e in diag.entries:
+            B = branching_vertices(T, None, e.k, e.r)
+            assert e.branching_count == len(B)
+            assert e.root_branching == (rec.tree1.root in B)
+            assert e.root_fraction == len(B & I) / len(I)
+            assert e.three_plus_signal == (len(B) > 4 * e.r)
+    with pytest.raises(ValueError):
+        isec.intersection_ends_diagnostic(
+            _record_with_marks(MarkedTree(0), {0}), [0, 1], [1])
+
 def test_trace_ends_depth_zero():
     rng = np.random.default_rng(4)
     mu = OffspringDistribution([0.0, 0.0, 1.0])

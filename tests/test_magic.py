@@ -145,6 +145,85 @@ def test_supported_matches_brute_force():
             )
 
 
+R_LISTS = ([1], [2], [3], [4], [1, 3], [2, 3], [1, 2, 3])
+
+
+def test_rerooting_matches_bfs_oracle():
+    """The all-roots pass against the per-vertex BFS it replaced, on fuzz
+    trees oriented toward the root and toward random other anchors."""
+    rng = np.random.default_rng(13)
+    for i in range(500):
+        t = sample_marked_fuzz_tree(rng, 200)
+        anchor = int(rng.integers(0, t.n_vertices)) if i % 2 else None
+        T = OrientedTree.from_tree(t, anchor=anchor)
+        for r_list in R_LISTS:
+            assert branch_deficiency_values(T, r_list) == oracles.bfs_branch_values(T, r_list)
+
+
+def caterpillar_tree(n, rng):
+    t = MarkedTree(0)
+    spine = 0
+    for v in range(1, n):
+        t.add_child(spine, v)
+        if rng.random() < 0.5:
+            spine = v
+    return t
+
+
+def test_rerooting_matches_bfs_oracle_at_vertex_cap():
+    """Paths and caterpillars of 5000 vertices (the CLI's max_vertices),
+    anchored at the root and in the middle."""
+    rng = np.random.default_rng(14)
+    for t in (path_tree(5000), caterpillar_tree(5000, rng)):
+        for marks in ({0, 2500}, {v for v in t.parent if rng.random() < 0.3}):
+            for anchor in (0, 2500):
+                T = OrientedTree.from_tree(t, anchor=anchor, marks=marks)
+                assert branch_deficiency_values(T, [1, 2, 3]) == oracles.bfs_branch_values(
+                    T, [1, 2, 3])
+
+
+def test_rerooting_on_a_large_star():
+    """A star with 4999 leaves against its closed form (the BFS needs
+    seconds here: every leaf's radius-2 ball is the whole star).  With L
+    marked leaves and the hub marked, |A| = L + 1; at r = 1 the hub sees
+    the leaves and a leaf sees the hub's cone |A| - [leaf marked]; at
+    r = 2 a leaf sees the other leaves and the hub sees only the ray."""
+    t = star_tree(4999)
+    marks = {0} | {v for v in t.parent if v % 3 == 0}
+    n_marks = len(marks)
+    L = n_marks - 1
+    vals = branch_deficiency_values(OrientedTree.from_tree(t, marks=marks), [1, 2, 3])
+    leaves = range(1, 5000)
+    assert vals[1] == {0: n_marks - 2, **{v: int(v in marks) for v in leaves}}
+    assert vals[2] == {0: n_marks, **{v: n_marks - min(2, L - (v in marks)) for v in leaves}}
+    assert vals[3] == dict.fromkeys(t.parent, n_marks)
+
+
+def test_radius_beyond_the_tree_gives_all_marks():
+    """r past every distance in the tree: the sphere is the ray alone, and
+    no row of that depth is built."""
+    t = path_tree(5000)
+    marks = set(range(0, 5000, 7))
+    T = OrientedTree.from_tree(t, marks=marks)
+    vals = branch_deficiency_values(T, [1, 10**9])
+    assert vals[10**9] == dict.fromkeys(t.parent, len(marks))
+    assert vals[1] == oracles.bfs_branch_values(T, [1])[1]
+
+
+def test_branch_values_argument_checks():
+    T = OrientedTree({0: None, 1: None, 2: 0}, {0: 0, 1: 0, 2: 1}, {2})
+    with pytest.raises(ValueError, match="single-anchor"):
+        branch_deficiency_values(T, [1])
+    two_tops = auxiliary_tree(OrientedTree.from_tree(path_tree(6), marks={5}), 1, 2)
+    assert len(two_tops.tops()) == 2
+    with pytest.raises(ValueError, match="single-anchor"):
+        branch_deficiency_values(two_tops, [1, 2])
+    T = OrientedTree.from_tree(path_tree(3), marks={0})
+    with pytest.raises(ValueError, match="r must be"):
+        branch_deficiency_values(T, [0, 1])
+    with pytest.raises(ValueError, match="nonempty"):
+        branch_deficiency_values(OrientedTree.from_tree(path_tree(3), marks=set()), [1])
+
 def test_anchor_choice_does_not_change_branching():
     """Branching is orientation-free; the virtual ray only guarantees a
     non-empty sphere, so any anchor gives the same set."""
