@@ -158,20 +158,13 @@ def _graph(raw):
     return adj, {v for v, ns in adj.items() if len(ns) == 1}
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, header, rows):
+    """csv writes floats by repr, so every float round-trips; the shards
+    build flags as 0/1 ints."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +187,7 @@ def _shard_magic_fuzz(v, seed, lo, hi):
                 scount = len(gap_vals) - bisect_left(gap_vals, k)
                 bound = magic.counting_bound(T.n_marks, k, r)
                 ok = bcount <= max(bound, 0.0)
-                rows.append((idx, T.n_vertices, T.n_marks, k, r, bcount, scount, bound, ok))
+                rows.append((idx, T.n_vertices, T.n_marks, k, r, bcount, scount, bound, int(ok)))
     return rows, None
 
 
@@ -222,7 +215,7 @@ def _shard_intersect(v, seed, lo, hi):
             v["offspring1"], v["offspring2"], v["group"], e, e, v["depth"], v["depth"], rng,
             v["budget"],
         )
-        rows.append((idx, rec.pair_count, len(rec.intersection), rec.truncated))
+        rows.append((idx, rec.pair_count, len(rec.intersection), int(rec.truncated)))
     return rows, None
 
 
@@ -240,7 +233,7 @@ def _shard_thin_sweep(v, seed, lo, hi):
             if not rep.sets[a] <= rep.sets[b]:
                 violations += 1
         for p in ps:
-            rows.append((p, idx, len(rep.sets[p]), rep.pair_counts[p], rep.truncated))
+            rows.append((p, idx, len(rep.sets[p]), rep.pair_counts[p], int(rep.truncated)))
     return rows, violations
 
 
@@ -253,7 +246,7 @@ def _shard_ends(v, seed, lo, hi):
             v["budget"],
         )
         for j, radius in enumerate(res.radii):
-            rows.append((radius, idx, int(res.qualifying[0, j]), bool(res.survived[0])))
+            rows.append((radius, idx, int(res.qualifying[0, j]), int(res.survived[0])))
     return rows, None
 
 

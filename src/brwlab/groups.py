@@ -3,8 +3,9 @@
 Vertices are normal-form words (trees, free groups) or coordinate tuples
 (lattices).  n-step transition probabilities of simple random walk are
 computed exactly: a radial birth-death recursion for the tree-like graphs,
-a box convolution for lattices.  Long-horizon series are computed on the
-scale of the operator norm so that nothing under- or overflows.
+closed-form 1-d binomial laws combined per dimension for lattices.
+Long-horizon series are computed on the scale of the operator norm so that
+nothing under- or overflows.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ INTEGER_LATTICE = "integer_lattice"
 
 _KINDS = (REGULAR_TREE, FREE_GROUP, INTEGER_LATTICE)
 
-# Box convolution memory is (2N+1)^dim; keep lattices at desk scale.
 MAX_LATTICE_DIM = 3
-MAX_LATTICE_CELLS = 2**24  # doubles in one box: 128 MiB
+# Horizon cap: an N-step lattice kernel is refused when the (2N+1)^dim box
+# of cells the walk can reach exceeds this.  The kernel builds no box; the
+# cap keeps Z^d runs at the horizons they were tested at.
+MAX_LATTICE_CELLS = 2**24
 MAX_BALL_ELEMENTS = 10**6
 MAX_DEGREE = 64  # neighbors() builds every neighbour word of a vertex at each step
 
@@ -270,67 +273,105 @@ def _tree_scaled_series(d: int, dist: int, n_max: int) -> np.ndarray:
     which keeps every entry in [0, 1]; no under- or overflow at any horizon.
     The window sqrt-scales with n_max (boundary mass is diffusive); the
     truncation error is below 1e-20 relative.
+
+    After n steps v[j] is zero unless j = n mod 2, so v is held as its even
+    entries ev = v[0::2] and odd entries od = v[1::2]; each step rewrites
+    the parity it makes live, in place, from the other one.
     """
-    if dist > n_max:
-        return np.zeros(n_max + 1)
-    window = max(64, int(6.0 * math.sqrt(max(n_max, 1))) + 4, dist + 8)
-    v = np.zeros(window + 1)
-    v[0] = 1.0
     out = np.zeros(n_max + 1)
-    # per-vertex conversion: p_n(x,y) = v[dist] * rho^n * (d-1)^(1-dist/2)/d
-    if dist == 0:
-        conv = 1.0
-    else:
-        conv = (d - 1.0) ** (1.0 - dist / 2.0) / d
-    out[0] = v[dist] * conv
+    if dist > n_max:
+        return out
+    window = max(64, int(6.0 * math.sqrt(max(n_max, 1))) + 4, dist + 8)
+    ev = np.zeros(window // 2 + 1)
+    od = np.zeros((window + 1) // 2)
+    ev[0] = 1.0
+    ne, no = len(ev), len(od)
+    # interior rules: od[k] from ev[k], ev[k+1] and ev[k] from od[k-1], od[k]
+    od_mid, ev_lo, ev_hi = od[1:ne - 1], ev[1:ne - 1], ev[2:ne]
+    ev_mid, od_lo, od_hi = ev[1:no], od[:no - 1], od[1:no]
     from_zero = d / (2.0 * (d - 1.0))
+    live = od if dist % 2 else ev
+    out[0] = float(dist == 0)
     for n in range(1, n_max + 1):
-        nxt = np.zeros_like(v)
-        nxt[0] = 0.5 * v[1]
-        nxt[1] = from_zero * v[0] + (0.5 * v[2] if window >= 2 else 0.0)
-        if window >= 2:
-            nxt[2:-1] = 0.5 * (v[1:-2] + v[3:])
-            nxt[-1] = 0.5 * v[-2]
-        v = nxt
-        out[n] = v[dist] * conv
+        if n % 2:
+            od[0] = from_zero * ev[0] + 0.5 * ev[1]
+            np.add(ev_lo, ev_hi, out=od_mid)
+            od_mid *= 0.5
+            if no == ne:  # odd window: its last entry is odd
+                od[-1] = 0.5 * ev[-1]
+        else:
+            ev[0] = 0.5 * od[0]
+            np.add(od_lo, od_hi, out=ev_mid)
+            ev_mid *= 0.5
+            if ne > no:  # even window: its last entry is even
+                ev[-1] = 0.5 * od[-1]
+        if n % 2 == dist % 2:
+            out[n] = live[dist // 2]
+    if dist:
+        # per-vertex conversion: p_n(x,y) = v[dist] * rho^n * (d-1)^(1-dist/2)/d
+        out *= (d - 1.0) ** (1.0 - dist / 2.0) / d
     return out
 
 
 def check_lattice_box(g: GroupSpec, steps: int) -> None:
     """Raise ValueError when an exact lattice kernel over the given number
-    of steps needs a (2*steps+1)^dim box above MAX_LATTICE_CELLS."""
+    of steps reaches a (2*steps+1)^dim box of cells above
+    MAX_LATTICE_CELLS.  A horizon cap: the kernel itself needs O(steps)
+    memory."""
     if g.kind == INTEGER_LATTICE and (2 * steps + 1) ** g.param > MAX_LATTICE_CELLS:
         raise ValueError(
             f"{steps} steps on Z^{g.param} need more than {MAX_LATTICE_CELLS} lattice cells"
         )
 
 
+def _walk_law(c: int, n_max: int) -> np.ndarray:
+    """q[m] = P(S_m = c) = C(m, (m+c)/2) 2^-m for the simple +-1 walk S,
+    m = 0..n_max, by the exact ratios q_m / q_{m-2} = m(m-1) / ((m+c)(m-c)).
+    The products start from the correctly rounded q at the first m where
+    q >= 2^-1000 (m = |c| when |c| <= 1000), so they stay normal doubles;
+    the smaller q before it are the exponentials of summed logs."""
+    c = abs(c)
+    q = np.zeros(n_max + 1)
+    if c > n_max:
+        return q
+    m = np.arange(c + 2, n_max + 1, 2, dtype=float)
+    ratios = m * (m - 1) / ((m + c) * (m - c))
+    log_q = np.cumsum(np.concatenate(([-c * math.log(2.0)], np.log(ratios))))
+    normal = np.flatnonzero(log_q >= -1000 * math.log(2.0))
+    k = int(normal[0]) if len(normal) else len(log_q)
+    m0 = c + 2 * k
+    q[c:m0:2] = np.exp(log_q[:k])
+    if m0 <= n_max:
+        start = math.comb(m0, (m0 + c) // 2) / 2**m0
+        q[m0::2] = np.cumprod(np.concatenate(([start], ratios[k:])))
+    return q
+
+
 def _lattice_vertex_series(g: GroupSpec, delta, n_max: int) -> np.ndarray:
-    """p_n(x, x+delta) for n = 0..n_max by exact box convolution."""
+    """p_n(x, x+delta) for n = 0..n_max from the exact 1-d laws q of
+    _walk_law, in O(n_max) memory (Lawler and Limic, Random Walk: A Modern
+    Introduction, 2010):
+      Z^1: q(d1);
+      Z^2: q(d1 + d2) q(d1 - d2), as x+y and x-y are independent +-1 walks;
+      Z^3: sum over the m steps taken along axis 1 of
+           Bin(n, 1/3)(m) q_m(d1) p2_{n-m}(d2, d3), O(n_max^2) time.
+    """
     check_lattice_box(g, n_max)
-    dim = g.param
-    shape = (2 * n_max + 1,) * dim
-    p = np.zeros(shape)
-    center = (n_max,) * dim
-    p[center] = 1.0
-    target = tuple(n_max + c for c in delta)
-    out = np.zeros(n_max + 1)
-    in_box = all(0 <= t < 2 * n_max + 1 for t in target)
-    if in_box:
-        out[0] = p[target]
-    step_w = 1.0 / (2 * dim)
-    for n in range(1, n_max + 1):
-        nxt = np.zeros_like(p)
-        for axis in range(dim):
-            lo = [slice(None)] * dim
-            hi = [slice(None)] * dim
-            lo[axis] = slice(0, -1)
-            hi[axis] = slice(1, None)
-            nxt[tuple(lo)] += p[tuple(hi)] * step_w
-            nxt[tuple(hi)] += p[tuple(lo)] * step_w
-        p = nxt
-        if in_box:
-            out[n] = p[target]
+    if g.param == 1:
+        return _walk_law(delta[0], n_max)
+    a, b = delta[-2:]
+    plane = _walk_law(a + b, n_max) * _walk_law(a - b, n_max)
+    if g.param == 2:
+        return plane
+    axis = _walk_law(delta[0], n_max)
+    out = np.empty(n_max + 1)
+    binom = np.zeros(n_max + 1)  # row n of Bin(n, 1/3), updated in place
+    binom[0] = 1.0
+    for n in range(n_max + 1):
+        if n:
+            binom[1:n + 1] = binom[1:n + 1] * (2.0 / 3.0) + binom[:n] * (1.0 / 3.0)
+            binom[0] *= 2.0 / 3.0
+        out[n] = np.dot(binom[:n + 1] * axis[:n + 1], plane[n::-1])
     return out
 
 

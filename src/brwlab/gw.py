@@ -86,24 +86,32 @@ def thin(mu: OffspringDistribution, p: float) -> OffspringDistribution:
     return OffspringDistribution(out)
 
 
-def extinction_probability(mu: OffspringDistribution, tol: float = 1e-12, max_iter: int = 5_000_000) -> float:
-    """Smallest fixed point of the generating function.
+def extinction_probability(mu: OffspringDistribution) -> float:
+    """Smallest fixed point of the generating function f.
 
     A non-trivial law with mean <= 1 dies out almost surely (Athreya and
-    Ney, 1972), so that case is exact.  Otherwise monotone iteration from
-    0; near-critical laws converge slowly, and the iteration cap keeps the
-    cost bounded while staying far below the tolerance for the laws used
-    here.
+    Ney, 1972), so that case is exact.  Otherwise the root lies in [0, 1)
+    and is bisected to adjacent doubles; a law with p0 = 0 never leaves
+    lo = 0 and gets exactly 0.  On [0, 1), f(s) - s = (1 - s)(p0 - H(s))
+    with H(s) = sum_{k>=1} P(X > k) s^k, so the sign of f(s) - s is the
+    sign of p0 - H(s), computed from positive terms, free of the
+    cancellation against the fixed point at 1 that makes near-critical
+    laws ill-conditioned.
     """
     if mu.mean <= 1.0 and mu.non_trivial:
         return 1.0
-    q = 0.0
-    for _ in range(max_iter):
-        nxt = mu.pgf(q)
-        if abs(nxt - q) < tol:
-            return nxt
-        q = nxt
-    return q
+    p0 = float(mu.pmf[0])
+    tail = np.cumsum(mu.pmf[::-1])[::-1]  # tail[k] = P(X >= k)
+    coeffs = np.append(tail[:1:-1], 0.0)  # H, highest power first
+    lo, hi = 0.0, 1.0  # H(hi) >= p0 throughout, and H(lo) < p0 once lo > 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo
+        if np.polyval(coeffs, mid) < p0:
+            lo = mid
+        else:
+            hi = mid
 
 
 class MarkedTree:

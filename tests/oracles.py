@@ -5,10 +5,14 @@ virtual ray materialized, using all-pairs BFS distances; they share no
 code with the library implementations.  The one exception is
 `bfs_branch_values`, the per-vertex BFS that `branch_deficiency_values`
 ran before its rerooting pass, which reads the oriented tree's own
-adjacency and subtree mark counts.
+adjacency and subtree mark counts.  `full_tree_scaled_series` and
+`box_lattice_series` are the kernels `groups` used before its
+parity-split tree recursion and its closed-form lattice laws.
 """
 
+import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -261,3 +265,65 @@ def random_marked_tree(rng, max_vertices, mark_rate=None):
         marks = {int(rng.integers(0, n))}
     tree.marks = marks
     return tree
+
+
+def full_tree_scaled_series(d, dist, n_max):
+    """p_n(x, y) / ||P||^n on the d-regular tree at distance dist, by the
+    conjugated radial recursion of `groups._tree_scaled_series` on the full
+    window, both parities, with a fresh array per step.  The same
+    arithmetic on every live entry, so equal to the library bit for bit."""
+    if dist > n_max:
+        return np.zeros(n_max + 1)
+    window = max(64, int(6.0 * math.sqrt(max(n_max, 1))) + 4, dist + 8)
+    v = np.zeros(window + 1)
+    v[0] = 1.0
+    out = np.zeros(n_max + 1)
+    conv = 1.0 if dist == 0 else (d - 1.0) ** (1.0 - dist / 2.0) / d
+    out[0] = v[dist] * conv
+    from_zero = d / (2.0 * (d - 1.0))
+    for n in range(1, n_max + 1):
+        nxt = np.zeros_like(v)
+        nxt[0] = 0.5 * v[1]
+        nxt[1] = from_zero * v[0] + 0.5 * v[2]
+        nxt[2:-1] = 0.5 * (v[1:-2] + v[3:])
+        nxt[-1] = 0.5 * v[-2]
+        v = nxt
+        out[n] = v[dist] * conv
+    return out
+
+
+def box_lattice_series(dim, delta, n_max):
+    """p_n(x, x+delta) on Z^dim for n = 0..n_max by pushing the whole law
+    through a (2 n_max + 1)^dim box, one step at a time."""
+    shape = (2 * n_max + 1,) * dim
+    p = np.zeros(shape)
+    p[(n_max,) * dim] = 1.0
+    target = tuple(n_max + c for c in delta)
+    out = np.zeros(n_max + 1)
+    if not all(0 <= t < 2 * n_max + 1 for t in target):
+        return out
+    out[0] = p[target]
+    step_w = 1.0 / (2 * dim)
+    for n in range(1, n_max + 1):
+        nxt = np.zeros_like(p)
+        for axis in range(dim):
+            lo = [slice(None)] * dim
+            hi = [slice(None)] * dim
+            lo[axis] = slice(0, -1)
+            hi[axis] = slice(1, None)
+            nxt[tuple(lo)] += p[tuple(hi)] * step_w
+            nxt[tuple(hi)] += p[tuple(lo)] * step_w
+        p = nxt
+        out[n] = p[target]
+    return out
+
+
+def z3_even_return_exact(k):
+    """p_2k(e, e) on Z^3 as a Fraction:
+    C(2k, k) sum_{i+j<=k} (k! / (i! j! (k-i-j)!))^2 / 36^k."""
+    total = sum(
+        (math.comb(k, i) * math.comb(k - i, j)) ** 2
+        for i in range(k + 1)
+        for j in range(k - i + 1)
+    )
+    return Fraction(math.comb(2 * k, k) * total, 36**k)

@@ -5,14 +5,17 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from brwlab import cli
+from oracles import z3_even_return_exact
 
 
 def run_cfg(tmp_path, cfg, name, workers=1, seed=None):
@@ -96,6 +99,34 @@ def test_visits_run(tmp_path):
     assert by_n[100] > by_n[10]
 
 
+def test_lattice_runs_at_the_caps_match_exact_values(tmp_path):
+    """Spectra on Z^1 at n_max 60000 (120000 steps) and visits on Z^3 at
+    n_max 127, the largest runs the caps admit, against exact values."""
+    z1 = {"kind": "integer_lattice", "param": 1}
+    cfg = {"experiment": "spectra", "seed": 7, "group": z1, "n_max": 60_000}
+    status, out = run_cfg(tmp_path, cfg, "z1")
+    assert status == 0
+    rows = read_csv(out / "spectra.csv")[1:]
+    assert len(rows) == 2000
+    for steps, estimate in rows[::199] + rows[-1:]:
+        n = int(steps) // 2
+        # p_2n^(1/2n) with p_2n = C(2n, n) / 4^n
+        want = math.exp((math.log(math.comb(2 * n, n)) - n * math.log(4.0)) / (2 * n))
+        assert float(estimate) == pytest.approx(want, rel=1e-12), steps
+
+    z3 = {"kind": "integer_lattice", "param": 3}
+    cfg = {"experiment": "visits", "seed": 7, "group": z3, "mean": 1.0, "n_max": 127}
+    status, out = run_cfg(tmp_path, cfg, "z3")
+    assert status == 0
+    rows = read_csv(out / "visits.csv")[1:]
+    assert [int(n) for n, _ in rows] == list(range(128))
+    total = Fraction(0)
+    for k in range(64):
+        total += z3_even_return_exact(k)  # the odd-n terms are 0
+        for n in (2 * k, 2 * k + 1):
+            assert float(rows[n][1]) == pytest.approx(float(total), rel=1e-12), n
+
+
 def test_magic_fuzz_exit_semantics(tmp_path):
     base = {"experiment": "magic-fuzz", "seed": 7, "n_trees": 80, "max_vertices": 80}
     # radius one never violates the bound
@@ -167,6 +198,7 @@ def test_intersect_run_and_agreement(tmp_path):
     rows = read_csv(out / "intersect.csv")
     assert rows[0] == ["replicate", "pair_count", "intersection_size", "truncated"]
     assert len(rows) == 3001
+    assert {r[3] for r in rows[1:]} <= {"0", "1"}
 
 
 def test_thin_sweep_run(tmp_path):
@@ -185,6 +217,7 @@ def test_thin_sweep_run(tmp_path):
     assert manifest["monotonicity_violations"] == 0
     rows = read_csv(out / "thin_sweep.csv")
     assert len(rows) == 1 + 3 * 150
+    assert {r[4] for r in rows[1:]} <= {"0", "1"}
 
 
 def test_ends_run(tmp_path):
@@ -202,6 +235,7 @@ def test_ends_run(tmp_path):
     assert status == 0
     rows = read_csv(out / "ends.csv")
     assert rows[0] == ["radius", "replicate", "qualifying_components", "survived"]
+    assert {r[3] for r in rows[1:]} <= {"0", "1"}
 
 
 def test_seed_override_changes_output(tmp_path):

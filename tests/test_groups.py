@@ -1,6 +1,7 @@
 """Tests for the base graphs and their exact transition kernels."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,13 +12,20 @@ from brwlab.groups import GroupSpec, InvalidElementError, TransitionTable
 from brwlab.gw import MarkedTree, OffspringDistribution, sample_gw, sample_marked_fuzz_tree
 from brwlab.walks import run_walk, trace
 
-from oracles import bfs_distances, enumerate_walk_endpoint_law
+from oracles import (
+    bfs_distances,
+    box_lattice_series,
+    enumerate_walk_endpoint_law,
+    full_tree_scaled_series,
+    z3_even_return_exact,
+)
 
 T3 = GroupSpec("regular_tree", 3)
 T4 = GroupSpec("regular_tree", 4)
 F2 = GroupSpec("free_group", 2)
 Z1 = GroupSpec("integer_lattice", 1)
 Z2 = GroupSpec("integer_lattice", 2)
+Z3 = GroupSpec("integer_lattice", 3)
 
 
 def test_spec_validation():
@@ -246,6 +254,89 @@ def test_series_for_unreachable_targets_is_zero():
     s = groups.p_series(T4, (), far, 3)
     assert np.all(s == 0.0)
     assert groups.return_probability(T4, 5, (), far) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the exact kernels: against the kernels they replaced, and against exact
+# values at the CLI caps
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 64])
+def test_tree_kernel_matches_full_array_oracle(d):
+    """The parity-split recursion does the full-array arithmetic on the live
+    entries only, so the series are equal bit for bit.  The window is even
+    (64) up to n_max 100 and odd (193, 383) at 1000 and 4001; at distance
+    120 and 121 it is dist + 8 (even and odd), and mass reflected at its
+    edge reaches the output."""
+    cases = [(dist, n_max) for dist in (0, 1, 2, 7) for n_max in (1, 63, 64, 65, 1000, 4001)]
+    for dist, n_max in cases + [(120, 200), (121, 200)]:
+        got = groups._tree_scaled_series(d, dist, n_max)
+        assert np.array_equal(got, full_tree_scaled_series(d, dist, n_max)), (dist, n_max)
+
+
+_LATTICE_DELTAS = {
+    1: [(0,), (1,), (-3,), (8,), (-41,)],
+    2: [(0, 0), (1, 0), (-2, 1), (3, -3), (0, -7), (25, -20)],
+    3: [(0, 0, 0), (1, 0, 0), (0, -1, 1), (-2, 3, -1), (4, 0, -5), (-20, 15, 10)],
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lattice_kernel_matches_box_oracle(dim):
+    """The closed-form laws against the box convolution for n <= 40: within
+    1e-12 relative, and zero at exactly the same n.  The displacements take
+    in the origin, odd parity, negative coordinates and |delta|_1 > 40."""
+    g = GroupSpec("integer_lattice", dim)
+    for delta in _LATTICE_DELTAS[dim]:
+        for n_max in (0, 1, 40):
+            want = box_lattice_series(dim, delta, n_max)
+            got = groups._lattice_vertex_series(g, delta, n_max)
+            assert np.array_equal(got == 0.0, want == 0.0), (delta, n_max)
+            hit = want != 0.0
+            assert np.all(np.abs(got[hit] - want[hit]) <= 1e-12 * want[hit]), (delta, n_max)
+
+
+def test_walk_law_against_exact_binomials():
+    """q_m(c) = C(m, (m+c)/2) / 2^m, on both sides of |c| = 1000, where
+    2^-|c| leaves the normal doubles and the law is summed in logs."""
+    for c in (0, 7, -999, 1000, 1001, -1500):
+        q = groups._walk_law(c, 4000)
+        assert np.all(q[: abs(c)] == 0.0) and np.all(q[abs(c) + 1 :: 2] == 0.0)
+        for m in range(abs(c), 4001, 50):
+            want = math.comb(m, (m + c) // 2) / 2**m
+            assert q[m] == pytest.approx(want, rel=1e-12, abs=1e-300), (c, m)
+
+
+def test_z3_return_series_exact_to_the_visits_cap():
+    """p_n(e, e) on Z^3 for n <= 127, the largest visits n_max, against
+    exact rationals."""
+    s = groups.return_series(Z3, 127)
+    assert np.all(s[1::2] == 0.0)
+    for k in range(64):
+        want = z3_even_return_exact(k)
+        assert abs(Fraction(s[2 * k]) - want) <= Fraction(1, 10**12) * want, k
+
+
+def test_z1_return_series_exact_at_the_spectra_cap():
+    """Spectra at n_max 60000 take 120000 steps: p_2n(e, e) on Z^1 against
+    C(2n, n) / 4^n at sampled n."""
+    s = groups.return_series(Z1, 120_000)
+    assert np.all(s[1::2] == 0.0)
+    for n in [0, 1, 2, 3, 10, 1000] + list(range(5000, 60_001, 11_000)) + [60_000]:
+        assert s[2 * n] == pytest.approx(math.comb(2 * n, n) / 4**n, rel=1e-12), n
+
+
+def test_z2_series_is_the_product_of_two_1d_laws():
+    """x+y and x-y are independent +-1 walks on Z^2:
+    p_n(delta) = C(n, (n+a+b)/2) C(n, (n+a-b)/2) / 4^n, up to the box cap."""
+    for a, b in [(0, 0), (3, -2), (-40, 17)]:
+        s = groups.p_series(Z2, (0, 0), (a, b), 2047)
+        for n in list(range(0, 2048, 89)) + [2046, 2047]:
+            if (n - a - b) % 2 or abs(a) + abs(b) > n:
+                assert s[n] == 0.0
+                continue
+            want = math.comb(n, (n + a + b) // 2) * math.comb(n, (n + a - b) // 2) / 4**n
+            assert s[n] == pytest.approx(want, rel=1e-12), (a, b, n)
 
 
 def test_elem_text_round_trip():

@@ -75,6 +75,12 @@ def test_extinction_probability():
     assert gw.extinction_probability(OffspringDistribution.delta(1)) == pytest.approx(0.0)
     # a critical non-trivial law dies out almost surely: exactly 1
     assert gw.extinction_probability(OffspringDistribution([0.5, 0, 0.5])) == 1.0
+    # near-critical supercritical laws against q = (1/2 - eps) / (1/2 + eps)
+    for eps in (1e-2, 1e-3, 1e-4, 1e-6):
+        q = gw.extinction_probability(OffspringDistribution([0.5 - eps, 0, 0.5 + eps]))
+        assert abs(q - (0.5 - eps) / (0.5 + eps)) <= 1e-12
+    # without childless individuals the process never dies out: exactly 0
+    assert gw.extinction_probability(OffspringDistribution([0, 0.5, 0.5])) == 0.0
 
 
 def test_sample_gw_degenerate_cases():
