@@ -10,8 +10,11 @@ nothing under- or overflows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, eq, neg
 
 import numpy as np
 
@@ -73,6 +76,16 @@ class GroupSpec:
     def is_nonamenable(self) -> bool:
         return self.is_tree_like
 
+    @functools.cached_property
+    def generators(self) -> tuple:
+        """The degree generators, in the fixed order neighbors() uses."""
+        if self.kind == REGULAR_TREE:
+            return tuple(range(self.param))
+        if self.kind == FREE_GROUP:
+            return tuple(s for i in range(1, self.param + 1) for s in (i, -i))
+        return tuple(tuple(sign if i == axis else 0 for i in range(self.param))
+                     for axis in range(self.param) for sign in (1, -1))
+
     def identity(self):
         if self.kind == INTEGER_LATTICE:
             return (0,) * self.param
@@ -88,43 +101,27 @@ class GroupSpec:
 
 
 def validate_elem(g: GroupSpec, x) -> None:
+    """Raise InvalidElementError unless x is a vertex of g.  Every walk
+    step calls this, so each check is one builtin that loops in C."""
     if not isinstance(x, tuple):
         raise InvalidElementError(f"element must be a tuple, got {type(x).__name__}")
+    ints = all(map(isinstance, x, repeat(int)))
     if g.kind == INTEGER_LATTICE:
-        if len(x) != g.param or not all(isinstance(c, int) for c in x):
+        if len(x) != g.param or not ints:
             raise InvalidElementError(f"{x!r} is not a coordinate in Z^{g.param}")
         return
     if g.kind == REGULAR_TREE:
         d = g.param
-        if not all(isinstance(s, int) and 0 <= s < d for s in x):
+        if not ints or (x and (min(x) < 0 or max(x) >= d)):
             raise InvalidElementError(f"{x!r} has letters outside 0..{d - 1}")
-        if any(x[i] == x[i + 1] for i in range(len(x) - 1)):
+        if any(map(eq, x, x[1:])):
             raise InvalidElementError(f"{x!r} is not reduced")
         return
     k = g.param
-    if not all(isinstance(s, int) and s != 0 and abs(s) <= k for s in x):
+    if not ints or (x and (0 in x or min(x) < -k or max(x) > k)):
         raise InvalidElementError(f"{x!r} has letters outside +-1..{k}")
-    if any(x[i] == -x[i + 1] for i in range(len(x) - 1)):
+    if any(map(eq, x, map(neg, x[1:]))):
         raise InvalidElementError(f"{x!r} is not reduced")
-
-
-def _generators(g: GroupSpec):
-    if g.kind == REGULAR_TREE:
-        return tuple(range(g.param))
-    if g.kind == FREE_GROUP:
-        gens = []
-        for i in range(1, g.param + 1):
-            gens.extend((i, -i))
-        return tuple(gens)
-    gens = []
-    for axis in range(g.param):
-        step = [0] * g.param
-        step[axis] = 1
-        gens.append(tuple(step))
-        step2 = [0] * g.param
-        step2[axis] = -1
-        gens.append(tuple(step2))
-    return tuple(gens)
 
 
 def _apply_letter(g: GroupSpec, x, s):
@@ -141,9 +138,13 @@ def _apply_letter(g: GroupSpec, x, s):
 def neighbors(g: GroupSpec, x):
     """The deg(g) neighbours of x, in fixed generator order."""
     validate_elem(g, x)
+    gens = g.generators
     if g.kind == INTEGER_LATTICE:
-        return [tuple(a + b for a, b in zip(x, step)) for step in _generators(g)]
-    return [_apply_letter(g, x, s) for s in _generators(g)]
+        return [tuple(map(add, x, step)) for step in gens]
+    # the one letter that cancels x's last letter steps back to x[:-1]
+    back = x[:-1]
+    undo = (x[-1] if g.kind == REGULAR_TREE else -x[-1]) if x else None
+    return [back if s == undo else x + (s,) for s in gens]
 
 
 def mul(g: GroupSpec, x, y):

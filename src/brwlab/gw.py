@@ -39,6 +39,8 @@ class OffspringDistribution:
         self.pmf = pmf
         self.mean = float(np.dot(np.arange(len(pmf)), pmf))
         self._cum = np.cumsum(pmf)
+        # every u in [0, 1) lands at index <= K, also when the sum rounds below 1
+        self._cum[-1] = np.inf
 
     @classmethod
     def delta(cls, k: int) -> "OffspringDistribution":
@@ -58,7 +60,7 @@ class OffspringDistribution:
 
     def sample(self, rng, size=None):
         u = rng.random(size)
-        return np.searchsorted(self._cum, u, side="right").clip(0, self.max_children)
+        return np.searchsorted(self._cum, u, side="right")
 
     def pgf(self, s: float) -> float:
         return float(np.polyval(self.pmf[::-1], s))
@@ -213,28 +215,44 @@ class MarkedTree:
         return tree
 
 
+def _add_family(tree: MarkedTree, parent_id: int, family: range) -> None:
+    """add_child for each id in family, in order, without the presence
+    check: the samplers hand out every id once."""
+    parent, children, depth = tree.parent, tree.children, tree.depth
+    d = depth[parent_id] + 1
+    for c in family:
+        parent[c] = parent_id
+        children[c] = []
+        depth[c] = d
+    children[parent_id].extend(family)
+
+
 def _grow(tree: MarkedTree, frontier: list, next_id: int, mu: OffspringDistribution,
           budget: int, rng, max_depth: int | None) -> MarkedTree:
     """Breadth-first GW(mu) growth below the frontier, giving new vertices
-    ids from next_id on; stops at the vertex budget or the depth cap."""
+    ids from next_id on; stops at the vertex budget or the depth cap.  A
+    family that crosses the budget keeps its children below it."""
     while frontier:
         if max_depth is not None and tree.depth[frontier[0]] >= max_depth:
             # children beyond the depth cap are never generated
-            if any(int(k) > 0 for k in mu.sample(rng, size=len(frontier))):
+            if mu.sample(rng, size=len(frontier)).any():
                 tree.truncated = True
                 tree.truncation_reason = "depth"
             return tree
-        draws = mu.sample(rng, size=len(frontier))
         nxt = []
-        for v, k in zip(frontier, draws):
-            for _ in range(int(k)):
-                if next_id >= budget:
-                    tree.truncated = True
-                    tree.truncation_reason = "budget"
-                    return tree
-                tree.add_child(v, next_id)
-                nxt.append(next_id)
-                next_id += 1
+        for v, k in zip(frontier, mu.sample(rng, size=len(frontier)).tolist()):
+            if not k:
+                continue
+            stop = next_id + k
+            if stop > budget:
+                _add_family(tree, v, range(next_id, budget))
+                tree.truncated = True
+                tree.truncation_reason = "budget"
+                return tree
+            family = range(next_id, stop)
+            _add_family(tree, v, family)
+            nxt.extend(family)
+            next_id = stop
         frontier = nxt
     return tree
 
@@ -282,14 +300,13 @@ def sample_unimodular_gw(mu: OffspringDistribution, budget: int, rng,
     tree.add_child(0, 1)
     # the root's own children come first, then the co-root draws its own
     # offspring alongside them; everything below is GW(mu)
-    own = list(range(2, 2 + min(k0, budget - 2)))
-    for v in own:
-        tree.add_child(0, v)
+    own = range(2, 2 + min(k0, budget - 2))
+    _add_family(tree, 0, own)
     if len(own) < k0:
         tree.truncated = True
         tree.truncation_reason = "budget"
         return tree
-    return _grow(tree, own + [1], 2 + len(own), mu, budget, rng, max_depth)
+    return _grow(tree, [*own, 1], 2 + len(own), mu, budget, rng, max_depth)
 
 
 def sample_marked_fuzz_tree(rng, max_vertices: int) -> MarkedTree:

@@ -2,9 +2,10 @@
 paired Monte Carlo tests for sampled rooted marked structures.
 
 A transport function sends mass F(g, A, u, v) >= 0 from u to v and may
-only look at the radius-R neighbourhood of {u, v}; built-ins vanish when
-d(u, v) > R.  A sample whose structure is not certified out to the
-function's radius is excluded from the test and counted as inconclusive.
+only look at the radius-R neighbourhood of {u, v}; built-ins see u only
+through d(u, v) and vanish when d(u, v) > R.  A sample whose structure
+is not certified out to the function's radius is excluded from the test
+and counted as inconclusive.
 """
 
 from __future__ import annotations
@@ -33,48 +34,57 @@ def _local_distance(adj, u, v, cap):
 
 @dataclass(frozen=True)
 class TransportFunction:
-    """Named transport rule with a declared locality radius."""
+    """Named transport rule with a declared locality radius.
+
+    fn(adj, marks, u, v) is the mass sent from u to v.  A rule that sees u
+    only through d = d(u, v) is given as local(adj, marks, v, d) instead,
+    with d exact up to the radius (a larger d means farther); then
+    paired_difference reads d from the root's ball and searches no more.
+    """
 
     name: str
     radius: int
-    fn: object  # callable (adj, marks, u, v) -> float
+    fn: object = None  # callable (adj, marks, u, v) -> float
+    local: object = None  # callable (adj, marks, v, d) -> float
 
     def __call__(self, adj, marks, u, v) -> float:
-        return self.fn(adj, marks, u, v)
+        if self.local is None:
+            return self.fn(adj, marks, u, v)
+        return self.local(adj, marks, v, _local_distance(adj, u, v, self.radius))
 
 
-def _f_adjacent(adj, marks, u, v):
-    return 1.0 if _local_distance(adj, u, v, 1) == 1 else 0.0
+def _f_adjacent(adj, marks, v, d):
+    return 1.0 if d == 1 else 0.0
 
 
-def _f_within_two(adj, marks, u, v):
-    return 1.0 if _local_distance(adj, u, v, 2) <= 2 else 0.0
+def _f_within_two(adj, marks, v, d):
+    return 1.0 if d <= 2 else 0.0
 
 
-def _f_marked_neighbors(adj, marks, u, v):
-    if _local_distance(adj, u, v, 1) > 1:
+def _f_marked_neighbors(adj, marks, v, d):
+    if d > 1:
         return 0.0
     return float(min(sum(1 for w in adj[v] if w in marks), 8))
 
 
-def _f_leaf_target(adj, marks, u, v):
-    if _local_distance(adj, u, v, 1) > 1:
+def _f_leaf_target(adj, marks, v, d):
+    if d > 1:
         return 0.0
     return 1.0 if len(adj[v]) == 1 else 0.0
 
 
-def _f_target_degree(adj, marks, u, v):
-    if _local_distance(adj, u, v, 2) > 2:
+def _f_target_degree(adj, marks, v, d):
+    if d > 2:
         return 0.0
     return float(min(len(adj[v]), 8))
 
 
 BUILTIN_TRANSPORT = {
-    "adjacent": TransportFunction("adjacent", 1, _f_adjacent),
-    "within_two": TransportFunction("within_two", 2, _f_within_two),
-    "marked_neighbors": TransportFunction("marked_neighbors", 2, _f_marked_neighbors),
-    "leaf_target": TransportFunction("leaf_target", 2, _f_leaf_target),
-    "target_degree": TransportFunction("target_degree", 3, _f_target_degree),
+    "adjacent": TransportFunction("adjacent", 1, local=_f_adjacent),
+    "within_two": TransportFunction("within_two", 2, local=_f_within_two),
+    "marked_neighbors": TransportFunction("marked_neighbors", 2, local=_f_marked_neighbors),
+    "leaf_target": TransportFunction("leaf_target", 2, local=_f_leaf_target),
+    "target_degree": TransportFunction("target_degree", 3, local=_f_target_degree),
 }
 
 
@@ -152,13 +162,21 @@ class MtpTestReport:
 
 def paired_difference(sample: MtpSample, F: TransportFunction) -> float:
     """sum_{v in A} F(root, v) - F(v, root), restricted to the radius ball
-    (built-in transports vanish outside it)."""
-    ball = groups.bfs(sample.adj.__getitem__, sample.root, F.radius)
+    (built-in transports vanish outside it).  A rule given by distance
+    reads d(root, v) = d(v, root) from the ball's one search."""
+    adj, marks, root = sample.adj, sample.marks, sample.root
+    ball = groups.bfs(adj.__getitem__, root, F.radius)
     out = 0.0
-    for v in sample.marks:
-        if v in ball:
-            out += F(sample.adj, sample.marks, sample.root, v)
-            out -= F(sample.adj, sample.marks, v, sample.root)
+    for v in marks:
+        if v not in ball:
+            continue
+        if F.local is None:
+            out += F.fn(adj, marks, root, v)
+            out -= F.fn(adj, marks, v, root)
+        else:
+            d = ball[v][0]
+            out += F.local(adj, marks, v, d)
+            out -= F.local(adj, marks, root, d)
     return out
 
 

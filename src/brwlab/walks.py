@@ -35,14 +35,10 @@ class TreeWalk:
 def run_walk(tree: MarkedTree, g: groups.GroupSpec, start, rng) -> TreeWalk:
     groups.validate_elem(g, start)
     values = {tree.root: start}
-    deg = g.degree
-    order = tree.vertices()
-    picks = rng.integers(0, deg, size=len(order))
-    for i, v in enumerate(order):
-        p = tree.parent[v]
-        if p is None:
-            continue
-        values[v] = groups.neighbors(g, values[p])[picks[i]]
+    picks = rng.integers(0, g.degree, size=tree.n_vertices)
+    for (v, p), k in zip(tree.parent.items(), picks.tolist()):
+        if p is not None:  # one neighbors() step per non-root vertex
+            values[v] = groups.neighbors(g, values[p])[k]
     return TreeWalk(tree, g, values)
 
 

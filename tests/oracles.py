@@ -7,7 +7,11 @@ code with the library implementations.  The one exception is
 ran before its rerooting pass, which reads the oriented tree's own
 adjacency and subtree mark counts.  `full_tree_scaled_series` and
 `box_lattice_series` are the kernels `groups` used before its
-parity-split tree recursion and its closed-form lattice laws.
+parity-split tree recursion and its closed-form lattice laws.  The
+references for `validate_elem`, `neighbors`, `run_walk` and the GW
+samplers are those functions as they were before each became a
+builtin-level or family-at-a-time step; the sampler references build
+their trees with `MarkedTree.add_child`.
 """
 
 import math
@@ -327,3 +331,127 @@ def z3_even_return_exact(k):
         for j in range(k - i + 1)
     )
     return Fraction(math.comb(2 * k, k) * total, 36**k)
+
+
+def validate_elem_reference(g, x):
+    """`groups.validate_elem` as it was before its checks became builtins
+    that loop in C: one generator expression per letter check.  Raises
+    the same InvalidElementError messages."""
+    from brwlab.groups import INTEGER_LATTICE, REGULAR_TREE, InvalidElementError
+
+    if not isinstance(x, tuple):
+        raise InvalidElementError(f"element must be a tuple, got {type(x).__name__}")
+    if g.kind == INTEGER_LATTICE:
+        if len(x) != g.param or not all(isinstance(c, int) for c in x):
+            raise InvalidElementError(f"{x!r} is not a coordinate in Z^{g.param}")
+        return
+    if g.kind == REGULAR_TREE:
+        d = g.param
+        if not all(isinstance(s, int) and 0 <= s < d for s in x):
+            raise InvalidElementError(f"{x!r} has letters outside 0..{d - 1}")
+        if any(x[i] == x[i + 1] for i in range(len(x) - 1)):
+            raise InvalidElementError(f"{x!r} is not reduced")
+        return
+    k = g.param
+    if not all(isinstance(s, int) and s != 0 and abs(s) <= k for s in x):
+        raise InvalidElementError(f"{x!r} has letters outside +-1..{k}")
+    if any(x[i] == -x[i + 1] for i in range(len(x) - 1)):
+        raise InvalidElementError(f"{x!r} is not reduced")
+
+
+def neighbors_reference(g, x):
+    """The deg(g) neighbours of x in generator order, one letter at a
+    time, after `validate_elem_reference`."""
+    from brwlab.groups import FREE_GROUP, INTEGER_LATTICE
+
+    validate_elem_reference(g, x)
+    if g.kind == INTEGER_LATTICE:
+        out = []
+        for axis in range(g.param):
+            for sign in (1, -1):
+                out.append(tuple(c + sign * (i == axis) for i, c in enumerate(x)))
+        return out
+    if g.kind == FREE_GROUP:
+        letters = [s for i in range(1, g.param + 1) for s in (i, -i)]
+        cancels = [-s for s in letters]
+    else:
+        letters = cancels = list(range(g.param))
+    return [x[:-1] if x and x[-1] == c else x + (s,) for s, c in zip(letters, cancels)]
+
+
+def run_walk_values_reference(tree, g, start, rng):
+    """`walks.run_walk` values by the loop it used before zipping the
+    parent map with the picks: one pick per vertex in tree order, the
+    root's unused, and a fresh neighbour list per step."""
+    validate_elem_reference(g, start)
+    values = {tree.root: start}
+    order = list(tree.parent)
+    picks = rng.integers(0, g.degree, size=len(order))
+    for i, v in enumerate(order):
+        p = tree.parent[v]
+        if p is None:
+            continue
+        values[v] = neighbors_reference(g, values[p])[picks[i]]
+    return values
+
+
+def offspring_sample_reference(mu, rng, size=None):
+    """`OffspringDistribution.sample` before its cumulative sum ended in
+    inf: the plain cumulative sum, searched, then clipped to the support."""
+    u = rng.random(size)
+    return np.searchsorted(np.cumsum(mu.pmf), u, side="right").clip(0, mu.max_children)
+
+
+def _grow_reference(tree, frontier, next_id, mu, budget, rng, max_depth):
+    """`gw._grow` before it wrote a family at a time: one add_child per
+    vertex, checking the budget before each."""
+    while frontier:
+        if max_depth is not None and tree.depth[frontier[0]] >= max_depth:
+            if any(int(k) > 0 for k in offspring_sample_reference(mu, rng, len(frontier))):
+                tree.truncated = True
+                tree.truncation_reason = "depth"
+            return tree
+        draws = offspring_sample_reference(mu, rng, len(frontier))
+        nxt = []
+        for v, k in zip(frontier, draws):
+            for _ in range(int(k)):
+                if next_id >= budget:
+                    tree.truncated = True
+                    tree.truncation_reason = "budget"
+                    return tree
+                tree.add_child(v, next_id)
+                nxt.append(next_id)
+                next_id += 1
+        frontier = nxt
+    return tree
+
+
+def sample_gw_reference(mu, budget, rng, max_depth=None):
+    """`gw.sample_gw` over `_grow_reference`."""
+    from brwlab.gw import MarkedTree
+
+    return _grow_reference(MarkedTree(root=0), [0], 1, mu, budget, rng, max_depth)
+
+
+def sample_unimodular_gw_reference(mu, budget, rng, variant, max_depth=None):
+    """`gw.sample_unimodular_gw` over `_grow_reference`, with one
+    add_child per root child."""
+    from brwlab.gw import AUGMENTED, MarkedTree
+
+    if variant == AUGMENTED:
+        k0 = int(offspring_sample_reference(mu, rng))
+    else:
+        while True:
+            k0 = int(offspring_sample_reference(mu, rng))
+            if rng.random() < 1.0 / (k0 + 1):
+                break
+    tree = MarkedTree(root=0)
+    tree.add_child(0, 1)
+    own = list(range(2, 2 + min(k0, budget - 2)))
+    for v in own:
+        tree.add_child(0, v)
+    if len(own) < k0:
+        tree.truncated = True
+        tree.truncation_reason = "budget"
+        return tree
+    return _grow_reference(tree, own + [1], 2 + len(own), mu, budget, rng, max_depth)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brwlab import groups
 from brwlab.groups import GroupSpec, InvalidElementError, TransitionTable
@@ -17,6 +19,8 @@ from oracles import (
     box_lattice_series,
     enumerate_walk_endpoint_law,
     full_tree_scaled_series,
+    neighbors_reference,
+    validate_elem_reference,
     z3_even_return_exact,
 )
 
@@ -79,6 +83,40 @@ def test_invalid_elements_rejected():
         groups.neighbors(Z2, (1,))  # wrong dimension
     with pytest.raises(InvalidElementError):
         groups.return_probability(T3, 2, (5,), ())
+
+
+_INTS = st.lists(st.integers(-3, 4), max_size=7).map(tuple)
+_SMALL = st.lists(st.integers(0, 2) | st.integers(-2, 2), max_size=4).map(tuple)
+_ODD = st.one_of(st.booleans(), st.integers(-3, 4).map(np.int64), st.floats(allow_nan=True),
+                 st.none(), st.sampled_from([2**70, -(2**70), 2**63]))
+_MIXED = st.tuples(_INTS, _ODD, _INTS).map(lambda t: t[0] + (t[1],) + t[2])
+# adjacent equal and adjacent inverse letters: the two non-reduced forms
+_STUTTER = st.tuples(_SMALL, st.integers(-3, 3), st.booleans(), _SMALL).map(
+    lambda t: t[0] + (t[1], t[1] if t[2] else -t[1]) + t[3])
+_NOT_A_TUPLE = st.one_of(st.lists(st.integers(0, 3), max_size=3), st.integers(),
+                         st.text(max_size=3), st.none(), st.just(np.array([0, 1])))
+_SPECS = [T3, T4, F2, GroupSpec("free_group", 3), Z1, Z2, Z3]
+
+
+def _outcome(fn, g, x):
+    try:
+        fn(g, x)
+    except InvalidElementError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(_SPECS), st.one_of(_INTS, _SMALL, _MIXED, _STUTTER, _NOT_A_TUPLE))
+def test_validate_elem_matches_reference(g, x):
+    """Same accept/reject set and the same messages as the per-letter
+    generator expressions, on ints, bools, numpy ints, floats, None, huge
+    ints, empty and non-reduced words, and non-tuples; accepted words get
+    the same neighbour list."""
+    got = _outcome(groups.validate_elem, g, x)
+    assert got == _outcome(validate_elem_reference, g, x)
+    if got is None:
+        assert groups.neighbors(g, x) == neighbors_reference(g, x)
 
 
 def test_word_arithmetic():

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from brwlab import gw
 from brwlab.gw import MarkedTree, OffspringDistribution
 
+import oracles
+
 
 def test_offspring_validation():
     with pytest.raises(ValueError):
@@ -168,6 +170,82 @@ def test_delta2_unimodular_law_equals_augmented():
     # both are deterministic here: root side depth 4, co-root side depth 3
     assert sizes_a.std() == 0 and sizes_u.std() == 0
     assert sizes_a[0] == sizes_u[0]
+
+
+DRAW_LAWS = [
+    OffspringDistribution([0.45, 0.0, 0.55]),
+    OffspringDistribution([0.2, 0.3, 0.5, 0.0, 0.0]),  # trailing zeros
+    OffspringDistribution([0.1] * 10),  # cumulative sum rounds below 1
+    OffspringDistribution([0.3, 0.1, 0.1, 0.1, 0.4]),
+    OffspringDistribution.delta(3),
+]
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose random() returns given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None):
+        return self.u if size is not None else float(self.u[0])
+
+
+def test_offspring_sample_matches_clipped_search():
+    """The index is the clipped one's for every u in [0, 1), including u
+    at and just below each cumulative sum and above a sum that rounds
+    below 1."""
+    assert np.cumsum([0.1] * 10)[-1] < 1.0
+    for mu in DRAW_LAWS:
+        cum = np.cumsum(mu.pmf)
+        u = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)], cum[cum < 1.0],
+                            np.nextafter(cum, 0.0)])
+        fixed = _FixedUniforms(u)
+        assert mu.sample(fixed, size=len(u)).tolist() == \
+            oracles.offspring_sample_reference(mu, fixed, len(u)).tolist()
+        for x in u:
+            assert int(mu.sample(_FixedUniforms([x]))) == \
+                int(oracles.offspring_sample_reference(mu, _FixedUniforms([x])))
+
+
+def _sample_both(variant, mu, budget, depth, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if variant is None:
+        tree = gw.sample_gw(mu, budget, rng, max_depth=depth)
+        ref = oracles.sample_gw_reference(mu, budget, ref_rng, max_depth=depth)
+    else:
+        tree = gw.sample_unimodular_gw(mu, budget, rng, variant=variant, max_depth=depth)
+        ref = oracles.sample_unimodular_gw_reference(mu, budget, ref_rng, variant, depth)
+    assert tree.to_lines() == ref.to_lines()
+    assert tree.children == ref.children
+    assert (tree.truncated, tree.truncation_reason) == (ref.truncated, ref.truncation_reason)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return tree
+
+
+def test_samplers_match_reference_draws():
+    """Family-at-a-time growth gives the per-vertex trees and leaves the
+    generator in the same state, under budget cuts and depth caps."""
+    settings_ = [(1, None), (2, None), (3, None), (4, None), (5, None), (8, None), (40, None),
+                 (10**6, 0), (10**6, 1), (10**6, 4), (25, 3)]
+    for law, mu in enumerate(DRAW_LAWS):
+        for budget, depth in settings_:
+            for variant in (None, gw.AUGMENTED, gw.UNIMODULAR):
+                if variant is not None and budget < 2:
+                    continue
+                for seed in range(25):
+                    _sample_both(variant, mu, budget, depth, [law, budget, seed])
+    mu3 = OffspringDistribution.delta(3)
+    # the root family fills the budget exactly; the next family is cut at once
+    t = _sample_both(None, mu3, 4, None, 0)
+    assert t.children[0] == [1, 2, 3] and t.n_vertices == 4 and t.truncated
+    # a family cut inside: two of the root's three children fit
+    t = _sample_both(None, mu3, 3, None, 0)
+    assert t.children[0] == [1, 2] and t.truncation_reason == "budget"
+    # double tree: the root's own family ends at 5, the next one (vertex 2's) at 8
+    t = _sample_both(gw.AUGMENTED, mu3, 8, None, 0)
+    assert t.children[0] == [1, 2, 3, 4] and t.children[2] == [5, 6, 7]
+    assert t.n_vertices == 8 and t.truncation_reason == "budget"
 
 
 def test_unimodular_retry_cap():

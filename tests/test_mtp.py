@@ -1,9 +1,11 @@
 """Tests for the exact and Monte Carlo mass-transport checks."""
 
+import math
+
 import numpy as np
 import pytest
 
-from brwlab import mtp
+from brwlab import groups, mtp
 from brwlab.groups import GroupSpec
 from brwlab.gw import OffspringDistribution
 
@@ -70,6 +72,80 @@ def test_builtin_locality_under_relabeling():
             a = F(adj, frozenset(t.marks), u, v)
             b = F(adj2, marks2, perm[u], perm[v])
             assert a == b
+
+
+def _by_definition(name, adj, marks, u, v):
+    """The built-in transports from their definitions, on all-pairs BFS."""
+    d = oracles.bfs_distances(adj, u).get(v, math.inf)
+    if name == "adjacent":
+        return float(d == 1)
+    if name == "within_two":
+        return float(d <= 2)
+    if name == "marked_neighbors":
+        return float(min(sum(w in marks for w in adj[v]), 8)) if d <= 1 else 0.0
+    if name == "leaf_target":
+        return float(len(adj[v]) == 1) if d <= 1 else 0.0
+    return float(min(len(adj[v]), 8)) if d <= 2 else 0.0
+
+
+def test_builtin_transports_match_their_definitions():
+    """Called on a pair, as exact_mtp_check does, each built-in sees u only
+    through d(u, v)."""
+    rng = np.random.default_rng(13)
+    for _ in range(15):
+        t = oracles.random_marked_tree(rng, 30)
+        adj, marks = t.adjacency(), frozenset(t.marks)
+        for name, F in mtp.BUILTIN_TRANSPORT.items():
+            for u in adj:
+                for v in adj:
+                    assert F(adj, marks, u, v) == _by_definition(name, adj, marks, u, v)
+
+
+def _count_bfs(monkeypatch):
+    calls = [0]
+    real = groups.bfs
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "bfs", counted)
+    return calls
+
+
+def test_paired_difference_one_bfs_per_sample(monkeypatch):
+    """Built-in transports read d(root, v) from the root's ball: one BFS
+    per sample under every a_rule, and bit for bit the sum of the pairwise
+    calls over the marks in the ball."""
+    calls = _count_bfs(monkeypatch)
+    rng = np.random.default_rng(12)
+    for rule in ("origin", "ball", "trace"):
+        sampler = mtp.pullback_sampler(T4, MU11, 8, rule)
+        for _ in range(25):
+            s = sampler(rng)
+            dist = oracles.bfs_distances(s.adj, s.root)
+            for F in mtp.BUILTIN_TRANSPORT.values():
+                want = 0.0
+                for v in s.marks:
+                    if dist.get(v, math.inf) <= F.radius:
+                        want += F(s.adj, s.marks, s.root, v)
+                        want -= F(s.adj, s.marks, v, s.root)
+                calls[0] = 0
+                assert mtp.paired_difference(s, F) == want
+                assert calls[0] == 1
+
+
+def test_custom_transport_goes_through_fn(monkeypatch):
+    """A TransportFunction given as fn(adj, marks, u, v) may read u
+    freely; paired_difference calls it per pair after the one ball BFS."""
+    calls = _count_bfs(monkeypatch)
+    F = mtp.TransportFunction(
+        "leaf_or_up", 2, lambda adj, marks, u, v: float(len(adj[v]) == 1) + float(u < v))
+    sample = mtp.MtpSample(PATH3, frozenset({0, 1, 2}), 1)
+    assert mtp.paired_difference(sample, F) == 2.0  # v = 2: 2 - 0; v = 0: 1 - 1
+    assert calls[0] == 1
+    lhs, rhs, ok = mtp.exact_mtp_check(PATH3, {0, 1, 2}, F)
+    assert ok and lhs == rhs == 3.0 and calls[0] == 1  # (6 leaf pairs + 3 up pairs) / 3
 
 
 def test_uniform_root_sampler_passes():

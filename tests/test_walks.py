@@ -7,12 +7,23 @@ import numpy as np
 
 from brwlab import groups
 from brwlab.groups import GroupSpec
-from brwlab.gw import MarkedTree, OffspringDistribution, sample_gw
+from brwlab.gw import (
+    MarkedTree,
+    OffspringDistribution,
+    percolate_root_component,
+    sample_gw,
+    sample_marked_fuzz_tree,
+    sample_unimodular_gw,
+)
 from brwlab.walks import TreeWalk, origin_visit_experiment, run_walk, trace
+
+import oracles
 
 T3 = GroupSpec("regular_tree", 3)
 T4 = GroupSpec("regular_tree", 4)
 Z1 = GroupSpec("integer_lattice", 1)
+Z2 = GroupSpec("integer_lattice", 2)
+F2 = GroupSpec("free_group", 2)
 
 
 def path_tree(n):
@@ -55,6 +66,42 @@ def test_two_children_collision_probability():
         coll += w.values[1] == w.values[2]
     sd = math.sqrt(0.25 * 0.75 / n)
     assert abs(coll / n - 0.25) < 4 * sd
+
+
+def test_run_walk_one_neighbors_call_per_step(monkeypatch):
+    """Exactly one groups.neighbors call per non-root vertex, looked up at
+    call time, and the values, their order and the generator state of the
+    per-vertex loop, on trees from every sampler and from percolation."""
+    calls = [0]
+    real = groups.neighbors
+
+    def counted(g, x):
+        calls[0] += 1
+        return real(g, x)
+
+    monkeypatch.setattr(groups, "neighbors", counted)
+    mu = OffspringDistribution([0.3, 0.2, 0.5])
+    for g, start in [(T4, ()), (T4, (2, 1)), (F2, (1, -2)), (Z2, (3, -1))]:
+        for seed in range(15):
+            rng = np.random.default_rng(seed)
+            tree = sample_gw(mu, 300, rng, max_depth=8)
+            trees = [
+                MarkedTree(0),
+                tree,
+                sample_unimodular_gw(mu, 300, rng, variant="augmented", max_depth=8),
+                sample_unimodular_gw(mu, 300, rng, max_depth=8),
+                percolate_root_component(tree, 0.7, rng),
+                sample_marked_fuzz_tree(rng, 60),
+            ]
+            for t in trees:
+                ref_rng = np.random.default_rng()
+                ref_rng.bit_generator.state = rng.bit_generator.state
+                calls[0] = 0
+                walk = run_walk(t, g, start, rng)
+                assert calls[0] == t.n_vertices - 1
+                ref = oracles.run_walk_values_reference(t, g, start, ref_rng)
+                assert list(walk.values.items()) == list(ref.items())
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_walk_steps_are_edges():
