@@ -8,14 +8,12 @@ __version__ = "0.1.0"
 from .groups import (
     GroupSpec,
     InvalidElementError,
-    TransitionTable,
     SpectralEstimate,
     VisitsSeries,
     distance,
     elements_within,
     neighbors,
     p_series,
-    return_probability,
     return_series,
     scaled_p_series,
     spectral_radius,
@@ -33,12 +31,11 @@ from .gw import (
     sample_unimodular_gw,
     thin,
 )
-from .walks import TraceGraph, TreeWalk, VisitProfile, origin_visit_experiment, run_walk, trace
+from .walks import TraceGraph, TreeWalk, run_walk, trace
 from .magic import (
     BranchingReport,
     EndsProfile,
     OrientedTree,
-    auxiliary_tree,
     branch_deficiency_values,
     branching_vertices,
     ends_profile,
@@ -62,13 +59,11 @@ from .mtp import (
     uniform_root_sampler,
 )
 from .intersections import (
-    EndsDiagnostic,
     IntersectionRecord,
     ThinSweepReplicate,
     TraceEndsResult,
     expected_pairs_profile,
     expected_pairs_truncated,
-    intersection_ends_diagnostic,
     sample_intersections,
     thinned_intersection_sweep,
     trace_ends_experiment,

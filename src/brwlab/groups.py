@@ -72,10 +72,6 @@ class GroupSpec:
     def is_tree_like(self) -> bool:
         return self.kind in (REGULAR_TREE, FREE_GROUP)
 
-    @property
-    def is_nonamenable(self) -> bool:
-        return self.is_tree_like
-
     @functools.cached_property
     def generators(self) -> tuple:
         """The degree generators, in the fixed order neighbors() uses."""
@@ -232,38 +228,6 @@ def as_adjacency(graph) -> dict:
     raise TypeError(f"cannot interpret {type(graph).__name__} as a graph")
 
 
-def sphere_size(g: GroupSpec, j: int) -> float:
-    """Number of vertices at distance exactly j (tree-like graphs only)."""
-    if not g.is_tree_like:
-        raise ValueError("sphere_size is radial only for tree-like graphs")
-    if j == 0:
-        return 1.0
-    d = g.degree
-    return float(d) * float(d - 1) ** (j - 1)
-
-
-def _tree_distance_law(d: int, n_max: int) -> np.ndarray:
-    """Law of the distance-from-origin chain of SRW on the d-regular tree.
-
-    rho[n, j] = P(dist = j after n steps).  From distance j >= 1 the walk
-    moves out with probability (d-1)/d and in with probability 1/d; from 0
-    it always moves out.  Plain floats; fine up to a few thousand steps.
-    """
-    inv_d = 1.0 / d
-    out_p = (d - 1.0) / d
-    rho = np.zeros((n_max + 1, n_max + 1))
-    rho[0, 0] = 1.0
-    for n in range(1, n_max + 1):
-        prev = rho[n - 1]
-        cur = rho[n]
-        cur[0] = prev[1] * inv_d if n_max >= 1 else 0.0
-        cur[1] = prev[0] + (prev[2] * inv_d if n_max >= 2 else 0.0)
-        if n_max >= 2:
-            cur[2:] = prev[1:-1] * out_p
-            cur[2:-1] += prev[3:] * inv_d
-    return rho
-
-
 def _tree_scaled_series(d: int, dist: int, n_max: int) -> np.ndarray:
     """p_n(x, y) / ||P||^n at a fixed distance, for n = 0..n_max.
 
@@ -411,65 +375,6 @@ def return_series(g: GroupSpec, n_max: int) -> np.ndarray:
     return p_series(g, e, e, n_max)
 
 
-def return_probability(g: GroupSpec, n: int, x, y) -> float:
-    """Exact n-step transition probability p_n(x, y)."""
-    if n < 0:
-        raise ValueError("step count must be >= 0")
-    validate_elem(g, x)
-    validate_elem(g, y)
-    if g.is_tree_like and distance(g, x, y) > n:
-        return 0.0
-    return float(p_series(g, x, y, n)[n])
-
-
-class TransitionTable:
-    """Cached radial table of p_n(distance) for a tree-like spec, or the
-    per-displacement series for a lattice.
-
-    Immutable after construction; safe to share across workers.  Intended
-    for moderate n_max (a few thousand); the long-horizon helpers use the
-    scaled recursion instead.
-    """
-
-    def __init__(self, g: GroupSpec, n_max: int):
-        if n_max < 0:
-            raise ValueError("n_max must be >= 0")
-        self.group = g
-        self.n_max = n_max
-        if g.is_tree_like:
-            self._law = _tree_distance_law(g.degree, n_max)
-            spheres = np.array([sphere_size(g, j) for j in range(n_max + 1)])
-            self._per_vertex = self._law / spheres
-        else:
-            self._law = None
-            self._per_vertex = None
-            self._lattice_cache = {}
-
-    def p(self, n: int, x, y) -> float:
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"n must be in 0..{self.n_max}")
-        g = self.group
-        validate_elem(g, x)
-        validate_elem(g, y)
-        if g.is_tree_like:
-            return float(self._per_vertex[n, distance(g, x, y)])
-        delta = tuple(b - a for a, b in zip(x, y))
-        if delta not in self._lattice_cache:
-            self._lattice_cache[delta] = _lattice_vertex_series(g, delta, self.n_max)
-        return float(self._lattice_cache[delta][n])
-
-    def p_dist(self, n: int, dist: int) -> float:
-        """Per-vertex probability at a given distance (tree-like only)."""
-        if not self.group.is_tree_like:
-            raise ValueError("p_dist is radial only for tree-like graphs")
-        return float(self._per_vertex[n, dist])
-
-    def distance_law(self, n: int) -> np.ndarray:
-        if not self.group.is_tree_like:
-            raise ValueError("distance_law only for tree-like graphs")
-        return self._law[n].copy()
-
-
 @dataclass(frozen=True)
 class SpectralEstimate:
     estimate: float
@@ -554,36 +459,3 @@ def visits_series(g: GroupSpec, mean: float, n_max: int, guard: float = 1e12) ->
         total = t
         sums[n] = total
     return VisitsSeries(sums, guard_index is not None, guard_index)
-
-
-def simulate_srw(g: GroupSpec, start, n_steps: int, rng):
-    """One simple-random-walk trajectory (list of n_steps+1 vertices)."""
-    validate_elem(g, start)
-    path = [start]
-    x = start
-    deg = g.degree
-    picks = rng.integers(0, deg, size=n_steps)
-    for i in range(n_steps):
-        x = neighbors(g, x)[picks[i]]
-        path.append(x)
-    return path
-
-
-def elem_to_str(g: GroupSpec, x) -> str:
-    """Compact text form of a vertex, used in trace serialization."""
-    if g.kind == INTEGER_LATTICE:
-        return ",".join(str(c) for c in x)
-    if not x:
-        return "e"
-    return ".".join(str(s) for s in x)
-
-
-def elem_from_str(g: GroupSpec, s: str):
-    if g.kind == INTEGER_LATTICE:
-        x = tuple(int(c) for c in s.split(","))
-    elif s == "e":
-        x = ()
-    else:
-        x = tuple(int(t) for t in s.split("."))
-    validate_elem(g, x)
-    return x

@@ -62,9 +62,6 @@ class OffspringDistribution:
         u = rng.random(size)
         return np.searchsorted(self._cum, u, side="right")
 
-    def pgf(self, s: float) -> float:
-        return float(np.polyval(self.pmf[::-1], s))
-
     def __repr__(self):
         return f"OffspringDistribution({np.round(self.pmf, 6).tolist()})"
 
@@ -143,9 +140,6 @@ class MarkedTree:
         self.children[parent_id].append(child_id)
         self.depth[child_id] = self.depth[parent_id] + 1
 
-    def vertices(self):
-        return list(self.parent.keys())
-
     @property
     def n_vertices(self) -> int:
         return len(self.parent)
@@ -182,37 +176,6 @@ class MarkedTree:
                 f"{v} {-1 if p is None else p} {self.depth[v]} {1 if v in marks else 0} {label}"
             )
         return out
-
-    @classmethod
-    def from_lines(cls, lines):
-        rows = [ln.split() for ln in lines if ln.strip()]
-        root_rows = [r for r in rows if r[1] == "-1"]
-        if len(root_rows) != 1:
-            raise ValueError("tree text must have exactly one root line")
-        tree = cls(root=int(root_rows[0][0]))
-        pending = [r for r in rows if r[1] != "-1"]
-        marks = set()
-        labels = {}
-        if int(root_rows[0][3]):
-            marks.add(tree.root)
-        while pending:
-            rest = []
-            for r in pending:
-                v, p = int(r[0]), int(r[1])
-                if p in tree.parent:
-                    tree.add_child(p, v)
-                    if int(r[3]):
-                        marks.add(v)
-                    if r[4] != "-":
-                        labels[v] = float(r[4])
-                else:
-                    rest.append(r)
-            if len(rest) == len(pending):
-                raise ValueError("disconnected tree text")
-            pending = rest
-        tree.marks = marks if marks else None
-        tree.edge_labels = labels if labels else None
-        return tree
 
 
 def _add_family(tree: MarkedTree, parent_id: int, family: range) -> None:

@@ -1,6 +1,7 @@
 """Intersections of two independent tree-indexed walks: exact expected
-pair counts at matched truncation, Monte Carlo sampling, shared-label
-thinning sweeps, and ends diagnostics."""
+pair counts at matched truncation, Monte Carlo sampling, and shared-label
+thinning sweeps; and the ends experiment, a ball-removal component census
+of one walk's trace."""
 
 from __future__ import annotations
 
@@ -12,16 +13,19 @@ import numpy as np
 
 from . import groups
 from .gw import MarkedTree, OffspringDistribution, percolate_root_component, sample_gw
-from .magic import OrientedTree, branch_deficiency_values, counting_bound, ends_profile
+from .magic import ends_profile
 from .walks import TreeWalk, run_walk, trace
+
+# expected_pairs_profile freezes once a term or partial sum passes this
+PAIRS_GUARD = 1e30
 
 
 def expected_pairs_profile(mean1: float, mean2: float, g: groups.GroupSpec,
-                           x, y, n_max: int, guard: float = 1e30) -> np.ndarray:
+                           x, y, n_max: int) -> np.ndarray:
     """E(N) = sum_{n,m <= N} mean1^n mean2^m p_{n+m}(x, y) for N = 0..n_max.
 
     Terms are assembled in log space on the operator-norm scale; once a
-    partial sum passes the guard the profile is frozen there (divergence
+    partial sum passes PAIRS_GUARD the profile is frozen there (divergence
     at desk scale).
     """
     if mean1 < 0 or mean2 < 0:
@@ -41,7 +45,7 @@ def expected_pairs_profile(mean1: float, mean2: float, g: groups.GroupSpec,
     log_w2 = ns * (lm2 + log_rho) if mean2 > 0 else np.where(ns == 0, 0.0, -np.inf)
     total = float(np.exp(log_s[0]))  # the (0, 0) term: p_0(x, y)
     out[0] = total
-    log_guard = math.log(guard)
+    log_guard = math.log(PAIRS_GUARD)
     for N in range(1, n_max + 1):
         # new terms: (n, N) for n < N, (N, m) for m < N, and (N, N)
         lt1 = log_w1[:N] + log_w2[N] + log_s[N + ns[:N]]
@@ -54,7 +58,7 @@ def expected_pairs_profile(mean1: float, mean2: float, g: groups.GroupSpec,
             return out
         with np.errstate(under="ignore"):
             total += float(np.exp(finite).sum()) if len(finite) else 0.0
-        if total > guard:
+        if total > PAIRS_GUARD:
             out[N:] = total
             return out
         out[N] = total
@@ -120,29 +124,26 @@ class ThinSweepReplicate:
 
 def thinned_intersection_sweep(mu1: OffspringDistribution, mu2: OffspringDistribution,
                                g: groups.GroupSpec, p_grid, depth: int,
-                               replicates: int, rng, budget: int = 1_000_000,
-                               x=None, y=None):
+                               replicates: int, rng, budget: int = 1_000_000):
     """For each replicate, thin both trees by their fixed edge labels at
     every p in the grid and intersect the restricted walks.
 
     With shared labels the root components grow with p, so the overlap
-    sets are nested along the grid on every replicate.
+    sets are nested along the grid on every replicate.  Both walks start
+    at the identity.
     """
     p_grid = sorted(set(float(p) for p in p_grid))
     if any(not 0.0 <= p <= 1.0 for p in p_grid):
         raise ValueError("p_grid entries must lie in [0, 1]")
-    if x is None:
-        x = g.identity()
-    if y is None:
-        y = g.identity()
+    e = g.identity()
     out = []
     for _ in range(replicates):
         tree1 = sample_gw(mu1, budget, rng, max_depth=depth)
         tree2 = sample_gw(mu2, budget, rng, max_depth=depth)
         tree1.ensure_edge_labels(rng)
         tree2.ensure_edge_labels(rng)
-        walk1 = run_walk(tree1, g, x, rng)
-        walk2 = run_walk(tree2, g, y, rng)
+        walk1 = run_walk(tree1, g, e, rng)
+        walk2 = run_walk(tree2, g, e, rng)
         sets = {}
         pairs = {}
         for p in p_grid:
@@ -161,84 +162,20 @@ def thinned_intersection_sweep(mu1: OffspringDistribution, mu2: OffspringDistrib
 
 
 @dataclass
-class EndsDiagnosticEntry:
-    k: int
-    r: int
-    branching_count: int
-    bound_value: float
-    root_branching: bool
-    root_fraction: float
-    three_plus_signal: bool
-
-
-@dataclass
-class EndsDiagnostic:
-    verdict: str
-    entries: list
-
-
-def intersection_ends_diagnostic(record: IntersectionRecord, k_grid, r_grid) -> EndsDiagnostic:
-    """Branching census of the pulled-back overlap inside tree 1.
-
-    A path-shaped overlap produces no branching vertices at small (k, r);
-    a bushy overlap produces many, which is the finite-scale signature of
-    three or more directions of accumulation.
-    """
-    I = record.pulled_back
-    if not I:
-        return EndsDiagnostic("finite/empty", [])
-    T = OrientedTree.from_tree(record.tree1, marks=I)
-    ks = sorted(set(int(k) for k in k_grid))
-    if ks and ks[0] < 1:
-        raise ValueError("k must be >= 1")
-    values = branch_deficiency_values(T, r_grid)
-    entries = []
-    signal = False
-    for r, vals in values.items():
-        for k in ks:
-            B = {u for u, val in vals.items() if val >= k}
-            frac = len(B & I) / len(I)
-            three_plus = len(B) > 4 * r
-            signal = signal or three_plus
-            entries.append(
-                EndsDiagnosticEntry(
-                    k=k, r=r,
-                    branching_count=len(B),
-                    bound_value=counting_bound(len(I), k, r),
-                    root_branching=record.tree1.root in B,
-                    root_fraction=frac,
-                    three_plus_signal=three_plus,
-                )
-            )
-    verdict = "three_plus_ends_signal" if signal else "le_two_ends_compatible"
-    return EndsDiagnostic(verdict, entries)
-
-
-@dataclass
 class TraceEndsResult:
     radii: list
     qualifying: np.ndarray  # replicates x radii
     survived: np.ndarray
 
-    def median_qualifying(self) -> np.ndarray:
-        """Median count per radius among surviving replicates."""
-        out = np.full(len(self.radii), np.nan)
-        alive = self.survived
-        if alive.any():
-            out = np.median(self.qualifying[alive], axis=0)
-        return out
-
 
 def trace_ends_experiment(mu: OffspringDistribution, g: groups.GroupSpec,
                           depth: int, radius_grid, m_threshold: int,
-                          replicates: int, rng, budget: int = 1_000_000,
-                          start=None) -> TraceEndsResult:
-    """Grow traces to a depth budget, carve out balls around the start and
-    count components still holding enough trace vertices."""
+                          replicates: int, rng, budget: int = 1_000_000) -> TraceEndsResult:
+    """Grow traces from the identity to a depth budget, carve out balls
+    around it and count components still holding enough trace vertices."""
     if mu.mean <= 1.0:
         raise ValueError("trace ends experiment needs a supercritical mean")
-    if start is None:
-        start = g.identity()
+    start = g.identity()
     radii = sorted(set(int(r) for r in radius_grid))
     quals = np.zeros((replicates, len(radii)), dtype=np.int64)
     survived = np.zeros(replicates, dtype=bool)

@@ -33,7 +33,7 @@ class OrientedTree:
 
     Every real vertex has a parent: a real vertex, or (for top vertices)
     a virtual ray vertex.  layer is depth relative to the anchor, anchor
-    in layer 0.  Auxiliary trees may have several top vertices.
+    in layer 0.  One built from a parent map may have several top vertices.
     """
 
     def __init__(self, parent: dict, layer: dict, marks, children=None):
@@ -65,9 +65,6 @@ class OrientedTree:
         parent = {v: p for v, (_, p) in found.items()}
         layer = {v: d for v, (d, _) in found.items()}
         return cls(parent, layer, marks)
-
-    def vertices(self):
-        return list(self.parent.keys())
 
     @property
     def n_vertices(self) -> int:
@@ -310,33 +307,6 @@ def magic_bound_check(T, A, k: int, r: int, anchor=None) -> BranchingReport:
     return BranchingReport(
         k, r, T.n_vertices, T.n_marks, branching, supported, bound, passed
     )
-
-
-def auxiliary_tree(T: OrientedTree, m: int, r: int) -> OrientedTree:
-    """Residue-class contraction: every vertex is re-parented to its
-    nearest strict ancestor in the layer class m mod r.
-
-    Vertices of the class keep their depth-r descendants as children; all
-    other vertices become leaves.  Vertices whose class ancestor is
-    virtual become top vertices.  Vertex set, marks, and layers are
-    preserved.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if not 1 <= m <= r:
-        raise ValueError("m must be in 1..r")
-    parent = {}
-    for v in T.parent:
-        j = (T.layer[v] - m) % r
-        if j == 0:
-            j = r
-        a = v
-        for _ in range(j):
-            a = T.parent[a]
-            if a is None:
-                break
-        parent[v] = a
-    return OrientedTree(parent, T.layer, T.marks)
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Mass-transport checks: exact double sums on finite marked graphs, and
 paired Monte Carlo tests for sampled rooted marked structures.
 
-A transport function sends mass F(g, A, u, v) >= 0 from u to v and may
-only look at the radius-R neighbourhood of {u, v}; built-ins see u only
-through d(u, v) and vanish when d(u, v) > R.  A sample whose structure
-is not certified out to the function's radius is excluded from the test
-and counted as inconclusive.
+A transport function with radius R sends mass fn(adj, A, v, d) >= 0 from
+u to v, where d = d(u, v) <= R: it sees u only through that distance, and
+it vanishes when d(u, v) > R, so every check reads the distances of one
+radius-R ball per sending vertex and skips the vertices outside it.  A
+sample whose structure is not certified out to the function's radius is
+excluded from the test and counted as inconclusive.
 """
 
 from __future__ import annotations
@@ -27,30 +28,15 @@ class TruncationError(RuntimeError):
     """Raised when too many samples cannot certify the required radius."""
 
 
-def _local_distance(adj, u, v, cap):
-    """d(u, v) when it is at most cap, else cap + 1."""
-    return groups.bfs(adj.__getitem__, u, cap).get(v, (cap + 1,))[0]
-
-
 @dataclass(frozen=True)
 class TransportFunction:
-    """Named transport rule with a declared locality radius.
-
-    fn(adj, marks, u, v) is the mass sent from u to v.  A rule that sees u
-    only through d = d(u, v) is given as local(adj, marks, v, d) instead,
-    with d exact up to the radius (a larger d means farther); then
-    paired_difference reads d from the root's ball and searches no more.
-    """
+    """Named transport rule with a declared locality radius: fn(adj,
+    marks, v, d) is the mass sent to v from a vertex at distance d <= radius
+    (the mass from anything farther is 0)."""
 
     name: str
     radius: int
-    fn: object = None  # callable (adj, marks, u, v) -> float
-    local: object = None  # callable (adj, marks, v, d) -> float
-
-    def __call__(self, adj, marks, u, v) -> float:
-        if self.local is None:
-            return self.fn(adj, marks, u, v)
-        return self.local(adj, marks, v, _local_distance(adj, u, v, self.radius))
+    fn: object  # callable (adj, marks, v, d) -> float
 
 
 def _f_adjacent(adj, marks, v, d):
@@ -80,11 +66,11 @@ def _f_target_degree(adj, marks, v, d):
 
 
 BUILTIN_TRANSPORT = {
-    "adjacent": TransportFunction("adjacent", 1, local=_f_adjacent),
-    "within_two": TransportFunction("within_two", 2, local=_f_within_two),
-    "marked_neighbors": TransportFunction("marked_neighbors", 2, local=_f_marked_neighbors),
-    "leaf_target": TransportFunction("leaf_target", 2, local=_f_leaf_target),
-    "target_degree": TransportFunction("target_degree", 3, local=_f_target_degree),
+    "adjacent": TransportFunction("adjacent", 1, _f_adjacent),
+    "within_two": TransportFunction("within_two", 2, _f_within_two),
+    "marked_neighbors": TransportFunction("marked_neighbors", 2, _f_marked_neighbors),
+    "leaf_target": TransportFunction("leaf_target", 2, _f_leaf_target),
+    "target_degree": TransportFunction("target_degree", 3, _f_target_degree),
 }
 
 
@@ -121,6 +107,7 @@ def exact_mtp_check(graph, A, F: TransportFunction):
     """Uniform-root mass transport on a finite marked graph: compares
     |A|^-1 sum_{u,v in A} F(u, v) with its transpose.  The two sides are
     the same finite sum, so agreement to 1e-12 is an exact harness check.
+    One radius ball per marked u gives every d(u, v) that F can see.
     """
     adj, marks = groups.as_adjacency(graph), frozenset(A)
     if not marks:
@@ -131,9 +118,12 @@ def exact_mtp_check(graph, A, F: TransportFunction):
     lhs = 0.0
     rhs = 0.0
     for u in marks:
+        ball = groups.bfs(adj.__getitem__, u, F.radius)
         for v in marks:
-            lhs += F(adj, marks, u, v) * inv
-            rhs += F(adj, marks, v, u) * inv
+            if v in ball:
+                d = ball[v][0]
+                lhs += F.fn(adj, marks, v, d) * inv
+                rhs += F.fn(adj, marks, u, d) * inv
     return lhs, rhs, abs(lhs - rhs) < 1e-12
 
 
@@ -161,22 +151,16 @@ class MtpTestReport:
 
 
 def paired_difference(sample: MtpSample, F: TransportFunction) -> float:
-    """sum_{v in A} F(root, v) - F(v, root), restricted to the radius ball
-    (built-in transports vanish outside it).  A rule given by distance
-    reads d(root, v) = d(v, root) from the ball's one search."""
+    """sum_{v in A} F(root, v) - F(v, root) over the marks in the root's
+    radius ball, which gives d(root, v) = d(v, root)."""
     adj, marks, root = sample.adj, sample.marks, sample.root
     ball = groups.bfs(adj.__getitem__, root, F.radius)
     out = 0.0
     for v in marks:
-        if v not in ball:
-            continue
-        if F.local is None:
-            out += F.fn(adj, marks, root, v)
-            out -= F.fn(adj, marks, v, root)
-        else:
+        if v in ball:
             d = ball[v][0]
-            out += F.local(adj, marks, v, d)
-            out -= F.local(adj, marks, root, d)
+            out += F.fn(adj, marks, v, d)
+            out -= F.fn(adj, marks, root, d)
     return out
 
 
@@ -288,11 +272,12 @@ def _certified_radius(tree: MarkedTree, depth: int) -> int:
 
 
 def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
-                     a_rule: str = A_RULE_ORIGIN, *, start=None, ball_radius: int = 1,
+                     a_rule: str = A_RULE_ORIGIN, *, ball_radius: int = 1,
                      mu2: OffspringDistribution | None = None, depth2: int | None = None,
                      budget: int = 1_000_000):
     """Tree-side samples: an offspring-biased double tree, a tree-indexed
-    walk on g, and the preimage marks of a target set on g.
+    walk on g from the identity (the start), and the preimage marks of a
+    target set on g.
 
     Target rules:
       origin: the start vertex itself.
@@ -303,9 +288,7 @@ def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
               the weight ingredient is 1 / #returns of that walk to the
               start, for use with the 'ingredient' weight.
     """
-    if start is None:
-        start = g.identity()
-    groups.validate_elem(g, start)
+    start = g.identity()
     if a_rule not in (A_RULE_ORIGIN, A_RULE_BALL, A_RULE_TRACE):
         raise ValueError(f"unknown a_rule {a_rule!r}")
     if a_rule == A_RULE_BALL:
@@ -342,13 +325,11 @@ def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
 
 
 def pushforward_trace_sampler(g: groups.GroupSpec, mu: OffspringDistribution,
-                              depth: int, ball_radius: int, *, start=None,
-                              budget: int = 1_000_000):
-    """Graph-side samples: the walk image marked inside a materialized ball
-    of g around the start, with ingredient 1 / #returns to the start."""
-    if start is None:
-        start = g.identity()
-    groups.validate_elem(g, start)
+                              depth: int, ball_radius: int, *, budget: int = 1_000_000):
+    """Graph-side samples: the walk from the identity (the start), its
+    image marked inside a materialized ball of g around the start, with
+    ingredient 1 / #returns to the start."""
+    start = g.identity()
     ball_elems = groups.elements_within(g, start, ball_radius)
     ball_set = set(ball_elems)
     adj = {

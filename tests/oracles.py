@@ -5,13 +5,16 @@ virtual ray materialized, using all-pairs BFS distances; they share no
 code with the library implementations.  The one exception is
 `bfs_branch_values`, the per-vertex BFS that `branch_deficiency_values`
 ran before its rerooting pass, which reads the oriented tree's own
-adjacency and subtree mark counts.  `full_tree_scaled_series` and
-`box_lattice_series` are the kernels `groups` used before its
-parity-split tree recursion and its closed-form lattice laws.  The
-references for `validate_elem`, `neighbors`, `run_walk` and the GW
-samplers are those functions as they were before each became a
-builtin-level or family-at-a-time step; the sampler references build
-their trees with `MarkedTree.add_child`.
+adjacency and subtree mark counts.  `TransitionTable` (the double-sum
+oracle, built from the unscaled radial law `tree_distance_law`) and
+`auxiliary_tree` (residue-class contractions, which may have several top
+vertices) are references that no experiment needs.
+`full_tree_scaled_series` and `box_lattice_series` are the kernels
+`groups` used before its parity-split tree recursion and its closed-form
+lattice laws.  The references for `validate_elem`, `neighbors`,
+`run_walk` and the GW samplers are those functions as they were before
+each became a builtin-level or family-at-a-time step; the sampler
+references build their trees with `MarkedTree.add_child`.
 """
 
 import math
@@ -238,6 +241,35 @@ def implication_slack_marks(tree, A, u, r, anchor=None):
     return out
 
 
+def auxiliary_tree(T, m, r):
+    """Residue-class contraction of an `OrientedTree`: every vertex is
+    re-parented to its nearest strict ancestor in the layer class m mod r.
+
+    Vertices of the class keep their depth-r descendants as children; all
+    other vertices become leaves.  Vertices whose class ancestor is
+    virtual become top vertices.  Vertex set, marks, and layers are
+    preserved.
+    """
+    from brwlab.magic import OrientedTree
+
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if not 1 <= m <= r:
+        raise ValueError("m must be in 1..r")
+    parent = {}
+    for v in T.parent:
+        j = (T.layer[v] - m) % r
+        if j == 0:
+            j = r
+        a = v
+        for _ in range(j):
+            a = T.parent[a]
+            if a is None:
+                break
+        parent[v] = a
+    return OrientedTree(parent, T.layer, T.marks)
+
+
 def enumerate_walk_endpoint_law(g, x, n):
     """Exact n-step endpoint law of SRW from x by full transition fanout."""
     from brwlab import groups
@@ -252,6 +284,78 @@ def enumerate_walk_endpoint_law(g, x, n):
                 nxt[w] = nxt.get(w, 0.0) + share
         law = nxt
     return law
+
+
+def sphere_size(g, j):
+    """Number of vertices at distance exactly j (tree-like graphs only)."""
+    if not g.is_tree_like:
+        raise ValueError("sphere_size is radial only for tree-like graphs")
+    if j == 0:
+        return 1.0
+    d = g.degree
+    return float(d) * float(d - 1) ** (j - 1)
+
+
+def tree_distance_law(d, n_max):
+    """Law of the distance-from-origin chain of SRW on the d-regular tree,
+    unscaled: rho[n, j] = P(dist = j after n steps).  From distance j >= 1
+    the walk moves out with probability (d-1)/d and in with probability
+    1/d; from 0 it always moves out.  O(n_max^2) memory; plain floats,
+    fine up to a few thousand steps."""
+    inv_d = 1.0 / d
+    out_p = (d - 1.0) / d
+    rho = np.zeros((n_max + 1, n_max + 1))
+    rho[0, 0] = 1.0
+    for n in range(1, n_max + 1):
+        prev = rho[n - 1]
+        cur = rho[n]
+        cur[0] = prev[1] * inv_d if n_max >= 1 else 0.0
+        cur[1] = prev[0] + (prev[2] * inv_d if n_max >= 2 else 0.0)
+        if n_max >= 2:
+            cur[2:] = prev[1:-1] * out_p
+            cur[2:-1] += prev[3:] * inv_d
+    return rho
+
+
+class TransitionTable:
+    """Table of p_n: per distance from `tree_distance_law` over the sphere
+    sizes on tree-like graphs, per displacement from the library's lattice
+    kernel on Z^d.  The double-sum oracle for the expected pair counts."""
+
+    def __init__(self, g, n_max):
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0")
+        self.group = g
+        self.n_max = n_max
+        if g.is_tree_like:
+            self._law = tree_distance_law(g.degree, n_max)
+            spheres = np.array([sphere_size(g, j) for j in range(n_max + 1)])
+            self._per_vertex = self._law / spheres
+        else:
+            self._lattice_cache = {}
+
+    def p(self, n, x, y):
+        from brwlab import groups
+
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"n must be in 0..{self.n_max}")
+        g = self.group
+        groups.validate_elem(g, x)
+        groups.validate_elem(g, y)
+        if g.is_tree_like:
+            return float(self._per_vertex[n, groups.distance(g, x, y)])
+        delta = tuple(b - a for a, b in zip(x, y))
+        if delta not in self._lattice_cache:
+            self._lattice_cache[delta] = groups._lattice_vertex_series(g, delta, self.n_max)
+        return float(self._lattice_cache[delta][n])
+
+    def p_dist(self, n, dist):
+        """Per-vertex probability at a given distance (tree-like only)."""
+        return float(self._per_vertex[n, dist])
+
+    def distance_law(self, n):
+        """The law of the distance after n steps (tree-like only)."""
+        return self._law[n].copy()
 
 
 def random_marked_tree(rng, max_vertices, mark_rate=None):

@@ -9,17 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brwlab import groups
-from brwlab.groups import GroupSpec, InvalidElementError, TransitionTable
+from brwlab.groups import GroupSpec, InvalidElementError
 
 from brwlab.gw import MarkedTree, OffspringDistribution, sample_gw, sample_marked_fuzz_tree
 from brwlab.walks import run_walk, trace
 
 from oracles import (
+    TransitionTable,
     bfs_distances,
     box_lattice_series,
     enumerate_walk_endpoint_law,
     full_tree_scaled_series,
     neighbors_reference,
+    tree_distance_law,
     validate_elem_reference,
     z3_even_return_exact,
 )
@@ -44,7 +46,7 @@ def test_spec_validation():
     assert T4.degree == 4
     assert F2.degree == 4
     assert Z2.degree == 4
-    assert T4.is_nonamenable and not Z1.is_nonamenable
+    assert T4.is_tree_like and not Z1.is_tree_like
 
 
 def test_degree_cap():
@@ -82,7 +84,7 @@ def test_invalid_elements_rejected():
     with pytest.raises(InvalidElementError):
         groups.neighbors(Z2, (1,))  # wrong dimension
     with pytest.raises(InvalidElementError):
-        groups.return_probability(T3, 2, (5,), ())
+        groups.p_series(T3, (5,), (), 2)
 
 
 _INTS = st.lists(st.integers(-3, 4), max_size=7).map(tuple)
@@ -129,11 +131,11 @@ def test_word_arithmetic():
 
 def test_return_probability_examples():
     e = ()
-    assert groups.return_probability(T4, 2, e, e) == pytest.approx(0.25, abs=1e-15)
-    assert groups.return_probability(T4, 1, e, e) == 0.0
-    assert groups.return_probability(Z1, 4, (0,), (0,)) == pytest.approx(6 / 16, abs=1e-14)
-    assert groups.return_probability(T4, 0, e, e) == 1.0
-    assert groups.return_probability(T4, 0, e, (0,)) == 0.0
+    assert groups.p_series(T4, e, e, 2)[2] == pytest.approx(0.25, abs=1e-15)
+    assert groups.p_series(T4, e, e, 1)[1] == 0.0
+    assert groups.p_series(Z1, (0,), (0,), 4)[4] == pytest.approx(6 / 16, abs=1e-14)
+    assert groups.p_series(T4, e, e, 0)[0] == 1.0
+    assert groups.p_series(T4, e, (0,), 0)[0] == 0.0
 
 
 @pytest.mark.parametrize("g,n_max", [(T3, 5), (T4, 4), (F2, 4), (Z1, 6), (Z2, 4)])
@@ -144,7 +146,7 @@ def test_kernel_against_path_enumeration(g, n_max):
     for n in range(1, n_max + 1):
         law = enumerate_walk_endpoint_law(g, x, n)
         for y, expected in law.items():
-            assert groups.return_probability(g, n, x, y) == pytest.approx(expected, abs=1e-12)
+            assert groups.p_series(g, x, y, n)[n] == pytest.approx(expected, abs=1e-12)
 
 
 def test_row_stochasticity_radial():
@@ -156,7 +158,7 @@ def test_row_stochasticity_radial():
 def test_row_stochasticity_element_level():
     for n in range(5):
         total = sum(
-            groups.return_probability(T3, n, (), z)
+            groups.p_series(T3, (), z, n)[n]
             for z in groups.elements_within(T3, (), n)
         )
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -173,12 +175,12 @@ def test_symmetry_and_radial_consistency():
         for _ in range(int(rng.integers(0, 4))):
             y = groups.neighbors(T4, y)[int(rng.integers(0, 4))]
         for n in (2, 5, 8):
-            assert groups.return_probability(T4, n, x, y) == pytest.approx(
-                groups.return_probability(T4, n, y, x), abs=1e-15
+            assert groups.p_series(T4, x, y, n)[n] == pytest.approx(
+                groups.p_series(T4, y, x, n)[n], abs=1e-15
             )
     # p_n(x, y) depends only on the distance
     pairs_at_2 = [((), (0, 1)), ((1,), (1, 0, 1)[:3]), ((0,), (0, 1, 0)[:3])]
-    vals = {groups.return_probability(T4, 6, a, b) for a, b in pairs_at_2}
+    vals = {groups.p_series(T4, a, b, 6)[6] for a, b in pairs_at_2}
     assert len(vals) == 1
 
 
@@ -190,7 +192,7 @@ def test_submultiplicativity():
 
 
 def test_scaled_series_matches_plain_law():
-    law = groups._tree_distance_law(5, 600)
+    law = tree_distance_law(5, 600)
     scaled, rho = groups.scaled_p_series(GroupSpec("regular_tree", 5), (), (), 600)
     rec = scaled * rho ** np.arange(601)
     mask = law[:, 0] > 0
@@ -199,20 +201,24 @@ def test_scaled_series_matches_plain_law():
 
 def test_monte_carlo_agreement():
     """Empirical endpoint frequencies from simulated walks match the kernel
-    within four binomial standard deviations."""
+    within four binomial standard deviations.  A tree-indexed walk on a
+    path is a simple random walk."""
     rng = np.random.default_rng(7)
     g = T3
     n, runs = 4, 100_000
+    path = MarkedTree(0)
+    for v in range(1, n + 1):
+        path.add_child(v - 1, v)
     e = ()
     hits_e = 0
     target = (0, 1)
     hits_t = 0
     for _ in range(runs):
-        end = groups.simulate_srw(g, e, n, rng)[-1]
+        end = run_walk(path, g, e, rng).values[n]
         hits_e += end == e
         hits_t += end == target
     for hits, y in ((hits_e, e), (hits_t, target)):
-        p = groups.return_probability(g, n, e, y)
+        p = groups.p_series(g, e, y, n)[n]
         sd = math.sqrt(p * (1 - p) / runs)
         assert abs(hits / runs - p) < 4 * sd
 
@@ -279,7 +285,7 @@ def test_transition_table_matches_pointwise():
     for n in (0, 3, 7, 12):
         for y in [(), (0,), (0, 1), (0, 1, 2)]:
             assert table.p(n, (), y) == pytest.approx(
-                groups.return_probability(T3, n, (), y), abs=1e-14
+                groups.p_series(T3, (), y, n)[n], abs=1e-14
             )
     with pytest.raises(ValueError):
         table.p(13, (), ())
@@ -291,7 +297,7 @@ def test_series_for_unreachable_targets_is_zero():
     far = (0, 1, 0, 1, 0, 1)
     s = groups.p_series(T4, (), far, 3)
     assert np.all(s == 0.0)
-    assert groups.return_probability(T4, 5, (), far) == 0.0
+    assert groups.p_series(T4, (), far, 5)[5] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +381,6 @@ def test_z2_series_is_the_product_of_two_1d_laws():
                 continue
             want = math.comb(n, (n + a + b) // 2) * math.comb(n, (n + a - b) // 2) / 4**n
             assert s[n] == pytest.approx(want, rel=1e-12), (a, b, n)
-
-
-def test_elem_text_round_trip():
-    for g, x in [(T3, (0, 1, 2)), (T3, ()), (F2, (1, -2, 1)), (Z2, (-3, 4))]:
-        s = groups.elem_to_str(g, x)
-        assert groups.elem_from_str(g, s) == x
 
 
 def test_ball_and_lattice_box_caps():

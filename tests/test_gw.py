@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brwlab import gw
-from brwlab.gw import MarkedTree, OffspringDistribution
+from brwlab.gw import OffspringDistribution
 
 import oracles
 
@@ -316,18 +316,6 @@ def test_thinned_tree_law_equivalence():
         pa, pb = perc[k] / n, direct[k] / n
         sd = math.sqrt(max(pa * (1 - pa), pb * (1 - pb)) / n)
         assert abs(pa - pb) < 4 * math.sqrt(2) * sd + 1e-9
-
-
-def test_tree_text_round_trip():
-    rng = np.random.default_rng(30)
-    t = gw.sample_gw(OffspringDistribution([0.2, 0.3, 0.5]), 300, rng, max_depth=6)
-    t.marks = {v for v in t.parent if rng.random() < 0.4}
-    t.ensure_edge_labels(rng)
-    back = MarkedTree.from_lines(t.to_lines())
-    assert back.parent == t.parent
-    assert back.depth == t.depth
-    assert (back.marks or set()) == t.marks
-    assert back.edge_labels == t.edge_labels
 
 
 def test_fuzz_tree_sampler_shapes():

@@ -1,5 +1,5 @@
 """Tests for intersection expectations, sampling, thinning, and the ends
-diagnostics."""
+experiment."""
 
 import math
 
@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from brwlab import intersections as isec
-from brwlab.groups import GroupSpec, TransitionTable
-from brwlab.gw import MarkedTree, OffspringDistribution
-from brwlab.walks import run_walk
+from brwlab.groups import GroupSpec
+from brwlab.gw import OffspringDistribution
+
+from oracles import TransitionTable
 
 T4 = GroupSpec("regular_tree", 4)
 E = T4.identity()
@@ -160,77 +161,6 @@ def test_thinning_p1_recovers_plain_sample():
         assert rep.pair_counts[1.0] >= len(rep.sets[1.0]) > 0 or rep.sets[1.0] == frozenset()
 
 
-def test_diagnostic_empty():
-    rec = isec.IntersectionRecord(
-        T4, E, E, 3, 3, MarkedTree(0), None, frozenset(), frozenset(), 0, False
-    )
-    diag = isec.intersection_ends_diagnostic(rec, [2, 4], [1])
-    assert diag.verdict == "finite/empty"
-    assert diag.entries == []
-
-
-def _record_with_marks(tree, marks):
-    rng = np.random.default_rng(9)
-    walk = run_walk(tree, T4, E, rng)
-    return isec.IntersectionRecord(
-        T4, E, E, tree.max_depth(), tree.max_depth(), tree, walk,
-        frozenset(), frozenset(marks), len(marks), False,
-    )
-
-
-def test_diagnostic_path_is_two_ended_compatible():
-    t = MarkedTree(0)
-    for v in range(1, 9):
-        t.add_child(v - 1, v)
-    diag = isec.intersection_ends_diagnostic(_record_with_marks(t, set(t.parent)), [2], [1])
-    assert diag.verdict == "le_two_ends_compatible"
-    assert diag.entries[0].branching_count == 0
-
-
-def test_diagnostic_bushy_set_signals():
-    t = MarkedTree(0)
-    nid = 1
-    frontier = [0]
-    for _ in range(6):
-        nxt = []
-        for v in frontier:
-            for _ in range(2):
-                t.add_child(v, nid)
-                nxt.append(nid)
-                nid += 1
-        frontier = nxt
-    diag = isec.intersection_ends_diagnostic(_record_with_marks(t, set(t.parent)), [4], [1])
-    assert diag.verdict == "three_plus_ends_signal"
-    assert diag.entries[0].branching_count == 30
-    assert diag.entries[0].root_fraction <= 1.0
-
-
-def test_diagnostic_entries_per_k_and_r():
-    """Every (k, r) entry, in r-major order over the sorted, deduplicated
-    grids, counts the (k, r)-branching vertices of the pulled-back set."""
-    from brwlab.magic import OrientedTree, branching_vertices
-
-    rng = np.random.default_rng(10)
-    for _ in range(40):
-        rec = isec.sample_intersections(MU11, MU11, T4, E, E, 6, 6, rng)
-        diag = isec.intersection_ends_diagnostic(rec, [3, 1, 2, 1, 5], [2, 1, 3, 2])
-        I = rec.pulled_back
-        if not I:
-            assert diag.entries == []
-            continue
-        T = OrientedTree.from_tree(rec.tree1, marks=I)
-        assert [(e.k, e.r) for e in diag.entries] == [
-            (k, r) for r in (1, 2, 3) for k in (1, 2, 3, 5)]
-        for e in diag.entries:
-            B = branching_vertices(T, None, e.k, e.r)
-            assert e.branching_count == len(B)
-            assert e.root_branching == (rec.tree1.root in B)
-            assert e.root_fraction == len(B & I) / len(I)
-            assert e.three_plus_signal == (len(B) > 4 * e.r)
-    with pytest.raises(ValueError):
-        isec.intersection_ends_diagnostic(
-            _record_with_marks(MarkedTree(0), {0}), [0, 1], [1])
-
 def test_trace_ends_depth_zero():
     rng = np.random.default_rng(4)
     mu = OffspringDistribution([0.0, 0.0, 1.0])
@@ -249,7 +179,7 @@ def test_trace_ends_transient_counts_grow_with_radius():
     climbs with the removal radius on surviving runs."""
     rng = np.random.default_rng(6)
     res = isec.trace_ends_experiment(MU11, T4, 12, [1, 2, 3, 4], 2, 500, rng)
-    med = res.median_qualifying()
+    med = np.median(res.qualifying[res.survived], axis=0)
     assert res.survived.sum() > 50
     assert np.all(np.diff(med) >= 0)
     assert med[-1] >= med[0]
@@ -262,9 +192,9 @@ def test_trace_ends_regime_contrast():
     rng = np.random.default_rng(7)
     mu2 = OffspringDistribution.delta(2)
     rec = isec.trace_ends_experiment(mu2, T4, 9, [1, 2, 3], 2, 60, rng)
-    med_rec = rec.median_qualifying()
+    med_rec = np.median(rec.qualifying[rec.survived], axis=0)
     rng = np.random.default_rng(8)
     thin = isec.trace_ends_experiment(MU11, T4, 9, [1, 2, 3], 2, 400, rng)
-    med_thin = thin.median_qualifying()
+    med_thin = np.median(thin.qualifying[thin.survived], axis=0)
     assert med_rec[-1] > med_rec[0]
     assert med_rec[-1] > 3 * med_thin[-1]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from brwlab.gw import MarkedTree, sample_marked_fuzz_tree
 from brwlab.magic import (
     OrientedTree,
-    auxiliary_tree,
     branch_deficiency_values,
     branching_vertices,
     ends_profile,
@@ -214,7 +213,7 @@ def test_branch_values_argument_checks():
     T = OrientedTree({0: None, 1: None, 2: 0}, {0: 0, 1: 0, 2: 1}, {2})
     with pytest.raises(ValueError, match="single-anchor"):
         branch_deficiency_values(T, [1])
-    two_tops = auxiliary_tree(OrientedTree.from_tree(path_tree(6), marks={5}), 1, 2)
+    two_tops = oracles.auxiliary_tree(OrientedTree.from_tree(path_tree(6), marks={5}), 1, 2)
     assert len(two_tops.tops()) == 2
     with pytest.raises(ValueError, match="single-anchor"):
         branch_deficiency_values(two_tops, [1, 2])
@@ -380,14 +379,14 @@ def test_auxiliary_tree_r1_is_identity():
     rng = np.random.default_rng(10)
     t = oracles.random_marked_tree(rng, 25)
     T = OrientedTree.from_tree(t)
-    T1 = auxiliary_tree(T, 1, 1)
+    T1 = oracles.auxiliary_tree(T, 1, 1)
     assert T1.parent == T.parent
     assert T1.layer == T.layer
 
 
 def test_auxiliary_tree_path_alternates():
     T = OrientedTree.from_tree(path_tree(5), marks={0})
-    Tm = auxiliary_tree(T, 2, 2)
+    Tm = oracles.auxiliary_tree(T, 2, 2)
     # layers 0..4; class m=2 mod 2 = {0, 2, 4}: those keep descendants
     internal = {v for v in Tm.parent if Tm.children[v]}
     assert internal == {0, 2}
@@ -397,7 +396,7 @@ def test_auxiliary_tree_path_alternates():
 def test_auxiliary_tree_binary_example():
     t = binary_tree(4)
     T = OrientedTree.from_tree(t, marks={0})
-    Tm = auxiliary_tree(T, 1, 2)
+    Tm = oracles.auxiliary_tree(T, 1, 2)
     internal = {v for v in Tm.parent if Tm.children[v]}
     assert internal == {v for v in t.parent if t.depth[v] in (1, 3)}
     assert Tm.n_vertices == t.n_vertices
@@ -413,7 +412,7 @@ def test_residue_class_supported_implication():
         for r in (2, 3):
             gaps_r = supported_gap_values(T, r)
             for m in range(1, r + 1):
-                Tm = auxiliary_tree(T, m, r)
+                Tm = oracles.auxiliary_tree(T, m, r)
                 gaps_m = supported_gap_values(Tm, 1)
                 for v, gap in gaps_r.items():
                     if T.layer[v] % r != m % r:

@@ -24,10 +24,11 @@ def test_exact_check_adjacency_indicator():
 
 
 def test_exact_check_leaf_indicator_example():
-    """Plain leaf-target mass (no distance gate): six ordered pairs hit a
-    leaf, divided by three marked vertices."""
+    """Plain leaf-target mass (no distance gate inside the radius, which
+    covers the whole path): six ordered pairs hit a leaf, divided by three
+    marked vertices."""
     F = mtp.TransportFunction(
-        "leaf_any", 2, lambda adj, marks, u, v: 1.0 if len(adj[v]) == 1 else 0.0
+        "leaf_any", 2, lambda adj, marks, v, d: 1.0 if len(adj[v]) == 1 else 0.0
     )
     lhs, rhs, ok = mtp.exact_mtp_check(PATH3, {0, 1, 2}, F)
     assert ok
@@ -36,7 +37,7 @@ def test_exact_check_leaf_indicator_example():
 
 
 def test_exact_check_zero_function():
-    F = mtp.TransportFunction("zero", 1, lambda adj, marks, u, v: 0.0)
+    F = mtp.TransportFunction("zero", 1, lambda adj, marks, v, d: 0.0)
     assert mtp.exact_mtp_check(PATH3, {0, 1, 2}, F) == (0.0, 0.0, True)
 
 
@@ -68,15 +69,17 @@ def test_builtin_locality_under_relabeling():
         marks2 = frozenset(perm[v] for v in t.marks)
         u = int(rng.integers(0, t.n_vertices))
         v = int(rng.integers(0, t.n_vertices))
+        d = oracles.bfs_distances(adj, u)[v]
+        d2 = oracles.bfs_distances(adj2, perm[u])[perm[v]]
         for F in mtp.BUILTIN_TRANSPORT.values():
-            a = F(adj, frozenset(t.marks), u, v)
-            b = F(adj2, marks2, perm[u], perm[v])
+            a = F.fn(adj, frozenset(t.marks), v, d)
+            b = F.fn(adj2, marks2, perm[v], d2)
             assert a == b
 
 
-def _by_definition(name, adj, marks, u, v):
-    """The built-in transports from their definitions, on all-pairs BFS."""
-    d = oracles.bfs_distances(adj, u).get(v, math.inf)
+def _by_definition(name, adj, marks, v, d):
+    """The built-in transports from their definitions: the mass sent to v
+    from a vertex at distance d, read off an all-pairs BFS."""
     if name == "adjacent":
         return float(d == 1)
     if name == "within_two":
@@ -88,17 +91,28 @@ def _by_definition(name, adj, marks, u, v):
     return float(min(len(adj[v]), 8)) if d <= 2 else 0.0
 
 
+def _all_pairs(adj):
+    return {u: oracles.bfs_distances(adj, u) for u in adj}
+
+
 def test_builtin_transports_match_their_definitions():
-    """Called on a pair, as exact_mtp_check does, each built-in sees u only
-    through d(u, v)."""
+    """Given d = d(u, v) up to its radius, each built-in equals its
+    definition; beyond the radius the definition is 0, so the checks may
+    skip every vertex outside the sender's ball."""
     rng = np.random.default_rng(13)
     for _ in range(15):
         t = oracles.random_marked_tree(rng, 30)
         adj, marks = t.adjacency(), frozenset(t.marks)
+        dist = _all_pairs(adj)
         for name, F in mtp.BUILTIN_TRANSPORT.items():
             for u in adj:
                 for v in adj:
-                    assert F(adj, marks, u, v) == _by_definition(name, adj, marks, u, v)
+                    d = dist[u][v]
+                    want = _by_definition(name, adj, marks, v, d)
+                    if d <= F.radius:
+                        assert F.fn(adj, marks, v, d) == want
+                    else:
+                        assert want == 0.0
 
 
 def _count_bfs(monkeypatch):
@@ -116,7 +130,7 @@ def _count_bfs(monkeypatch):
 def test_paired_difference_one_bfs_per_sample(monkeypatch):
     """Built-in transports read d(root, v) from the root's ball: one BFS
     per sample under every a_rule, and bit for bit the sum of the pairwise
-    calls over the marks in the ball."""
+    masses over the marks in the ball."""
     calls = _count_bfs(monkeypatch)
     rng = np.random.default_rng(12)
     for rule in ("origin", "ball", "trace"):
@@ -127,25 +141,35 @@ def test_paired_difference_one_bfs_per_sample(monkeypatch):
             for F in mtp.BUILTIN_TRANSPORT.values():
                 want = 0.0
                 for v in s.marks:
-                    if dist.get(v, math.inf) <= F.radius:
-                        want += F(s.adj, s.marks, s.root, v)
-                        want -= F(s.adj, s.marks, v, s.root)
+                    d = dist.get(v, math.inf)
+                    if d <= F.radius:
+                        want += F.fn(s.adj, s.marks, v, d)
+                        want -= F.fn(s.adj, s.marks, s.root, d)
                 calls[0] = 0
                 assert mtp.paired_difference(s, F) == want
                 assert calls[0] == 1
 
 
-def test_custom_transport_goes_through_fn(monkeypatch):
-    """A TransportFunction given as fn(adj, marks, u, v) may read u
-    freely; paired_difference calls it per pair after the one ball BFS."""
+def test_exact_check_is_the_all_pairs_sum_with_one_bfs_per_mark(monkeypatch):
+    """exact_mtp_check equals, bit for bit, the double sum over all marked
+    pairs of the definitions on all-pairs BFS distances (in the same
+    order), and searches one ball per marked vertex."""
     calls = _count_bfs(monkeypatch)
-    F = mtp.TransportFunction(
-        "leaf_or_up", 2, lambda adj, marks, u, v: float(len(adj[v]) == 1) + float(u < v))
-    sample = mtp.MtpSample(PATH3, frozenset({0, 1, 2}), 1)
-    assert mtp.paired_difference(sample, F) == 2.0  # v = 2: 2 - 0; v = 0: 1 - 1
-    assert calls[0] == 1
-    lhs, rhs, ok = mtp.exact_mtp_check(PATH3, {0, 1, 2}, F)
-    assert ok and lhs == rhs == 3.0 and calls[0] == 1  # (6 leaf pairs + 3 up pairs) / 3
+    rng = np.random.default_rng(14)
+    for _ in range(30):
+        t = oracles.random_marked_tree(rng, 60)
+        adj, marks = t.adjacency(), frozenset(t.marks)
+        dist = _all_pairs(adj)
+        inv = 1.0 / len(marks)
+        for name, F in mtp.BUILTIN_TRANSPORT.items():
+            lhs = rhs = 0.0
+            for u in marks:
+                for v in marks:
+                    lhs += _by_definition(name, adj, marks, v, dist[u][v]) * inv
+                    rhs += _by_definition(name, adj, marks, u, dist[v][u]) * inv
+            calls[0] = 0
+            assert mtp.exact_mtp_check(t, t.marks, F) == (lhs, rhs, abs(lhs - rhs) < 1e-12)
+            assert calls[0] == len(marks)
 
 
 def test_uniform_root_sampler_passes():

@@ -1,4 +1,4 @@
-"""Tests for tree-indexed walks, traces, and the visit-count probe."""
+"""Tests for tree-indexed walks and traces."""
 
 import math
 from collections import Counter
@@ -15,7 +15,7 @@ from brwlab.gw import (
     sample_marked_fuzz_tree,
     sample_unimodular_gw,
 )
-from brwlab.walks import TreeWalk, origin_visit_experiment, run_walk, trace
+from brwlab.walks import TreeWalk, run_walk, trace
 
 import oracles
 
@@ -168,7 +168,7 @@ def test_time_reversal_endpoint_law():
     x = ()
     y = (0, 1, 2)
     n = 20_000
-    p_exact = groups.return_probability(T3, 3, x, y)
+    p_exact = groups.p_series(T3, x, y, 3)[3]
     fwd = sum(run_walk(t, T3, x, rng).values[3] == y for _ in range(n)) / n
     rev = sum(run_walk(t, T3, y, rng).values[3] == x for _ in range(n)) / n
     sd = math.sqrt(p_exact * (1 - p_exact) / n)
@@ -206,56 +206,35 @@ def test_conditional_path_uniformity():
         assert abs(freq - target) < 4 * sd
 
 
-def test_origin_visits_trivial():
-    rng = np.random.default_rng(7)
-    prof = origin_visit_experiment(OffspringDistribution.delta(0), T4, (), 4, 50, rng)
-    assert np.all(prof.counts == 1)
-    assert np.all(prof.survived[:, 0])
-
-
 def test_origin_visits_match_visit_series():
-    """Unconditional mean visits up to depth n equal the partial sums of
-    the expected-visits series (exact identity, tested at 4 sigma)."""
+    """Unconditional mean visits to the start up to depth n equal the
+    partial sums of the expected-visits series (exact identity, tested at
+    4 sigma)."""
     rng = np.random.default_rng(8)
     mu = OffspringDistribution([0.3, 0.3, 0.4])  # mean 1.1
     depth, reps = 8, 4000
-    prof = origin_visit_experiment(mu, T4, (), depth, reps, rng)
+    counts = np.zeros((reps, depth + 1), dtype=np.int64)
+    for i in range(reps):
+        tree = sample_gw(mu, budget=10_000_000, rng=rng, max_depth=depth)
+        walk = run_walk(tree, T4, (), rng)
+        for v, x in walk.values.items():
+            if x == ():
+                counts[i, tree.depth[v]] += 1
+    counts = np.cumsum(counts, axis=1)
     series = groups.visits_series(T4, mu.mean, depth).partial_sums
     for n in range(depth + 1):
-        mean = prof.counts[:, n].mean()
-        se = prof.counts[:, n].std(ddof=1) / math.sqrt(reps)
+        mean = counts[:, n].mean()
+        se = counts[:, n].std(ddof=1) / math.sqrt(reps)
         assert abs(mean - series[n]) < max(4 * se, 1e-12)
 
 
-def test_origin_visits_recurrent_growth():
-    rng = np.random.default_rng(9)
-    mu = OffspringDistribution([0.25, 0.0, 0.75])  # mean 1.5 > 1/||P|| on T4
-    prof = origin_visit_experiment(mu, T4, (), 10, 1200, rng)
-    cond = prof.conditional_mean_by_depth()
-    assert prof.classification == "growing"
-    assert cond[-1] > cond[5]
-
-
-def test_origin_visits_transient_bounded():
-    rng = np.random.default_rng(10)
-    mu = OffspringDistribution([0.3, 0.3, 0.4])  # mean 1.1 <= 1/||P||
-    depth, reps = 12, 2500
-    prof = origin_visit_experiment(mu, T4, (), depth, reps, rng)
-    total = groups.visits_series(T4, mu.mean, 4000).partial_sums[-1]
-    mean = prof.counts[:, -1].mean()
-    se = prof.counts[:, -1].std(ddof=1) / math.sqrt(reps)
-    assert mean < total + 4 * se
-
-
 def test_trace_serialization():
+    """Every trace edge joins group neighbours, and the multiplicities
+    count the tree's edges: each >= 1, summing to n_vertices - 1."""
     rng = np.random.default_rng(11)
     t = sample_gw(OffspringDistribution([0.2, 0.3, 0.5]), 200, rng, max_depth=6)
     tr = trace(run_walk(t, T3, (), rng))
-    lines = tr.to_lines(T3)
-    assert len(lines) == len(tr.edge_mult)
-    for ln in lines:
-        a, b, m = ln.split()
-        ea = groups.elem_from_str(T3, a)
-        eb = groups.elem_from_str(T3, b)
-        assert groups.distance(T3, ea, eb) == 1
-        assert int(m) >= 1
+    for (a, b), m in tr.edge_mult.items():
+        assert groups.distance(T3, a, b) == 1
+        assert m >= 1
+    assert sum(tr.edge_mult.values()) == t.n_vertices - 1
