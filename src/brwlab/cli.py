@@ -65,13 +65,14 @@ class Key(NamedTuple):
     default: object = REQUIRED
 
 
-def _parse(cfg, keys, after=None) -> dict:
+def _parse(cfg, keys, after=None, into=None) -> dict:
     """Check a JSON object against a table of keys and return the typed
-    values; after(values) then runs the cross-key checks.  Every failure
-    is a one-line ConfigError that names the key."""
+    values; after(values) then runs the cross-key checks.  The values are
+    added to into when given, so after also sees the keys parsed before.
+    Every failure is a one-line ConfigError that names the key."""
     if not isinstance(cfg, dict):
         raise ConfigError("expected a JSON object")
-    out = {}
+    out = {} if into is None else into
     for key, spec in keys.items():
         if key not in cfg:
             if spec.default is REQUIRED:
@@ -390,8 +391,30 @@ _PAIR_KEYS = {
     "budget": _BUDGET,
 }
 
+
+def _certifies(v, radius, rule):
+    """Refuse a tree sampler that cannot certify the transport.  Every
+    pull-back or push-forward sample not cut at the budget certifies
+    radius (which rule computes from the config); below the radius of f
+    no sample could be evaluated."""
+    need = mtp.BUILTIN_TRANSPORT[v["f"]].radius
+    _require(radius >= need, f"{v['sampler']} certifies radius {rule} = {radius}, "
+                             f"below the radius {need} of transport {v['f']!r}")
+
+
+def _check_pullback(v):
+    _certifies(v, v["depth"] // 2, "depth // 2")
+    if v["a_rule"] == mtp.A_RULE_BALL:  # only the ball rule materialises its ball
+        groups.check_ball(v["group"], v["ball_radius"])
+
+
+def _check_pushforward(v):
+    _certifies(v, v["ball_radius"] // 2, "ball_radius // 2")
+    groups.check_ball(v["group"], v["ball_radius"])
+
+
 # mtp-test: sampler -> (builder, keys, cross-key check), parsed after the
-# keys that every sampler shares
+# keys that every sampler shares; the check also sees those keys
 MTP_SAMPLERS = {
     "uniform_root": (lambda v: mtp.uniform_root_sampler(*v["graph"]), {"graph": Key(_graph)}, None),
     "fixed_root": (
@@ -411,14 +434,13 @@ MTP_SAMPLERS = {
             offspring2=Key(_offspring, default=None),
             depth2=Key(_int, 1, CAPS["depth"], None),
         ),
-        # only the ball rule materialises its ball
-        lambda v: v["a_rule"] != mtp.A_RULE_BALL or groups.check_ball(v["group"], v["ball_radius"]),
+        _check_pullback,
     ),
     "pushforward": (
         lambda v: mtp.pushforward_trace_sampler(
             v["group"], v["offspring"], v["depth"], v["ball_radius"], budget=v["budget"]),
         dict(_TREE_KEYS, ball_radius=Key(_int, 1, CAPS["ball_radius"])),
-        lambda v: groups.check_ball(v["group"], v["ball_radius"]),
+        _check_pushforward,
     ),
 }
 
@@ -476,7 +498,7 @@ def run(config: dict, out_dir: str, workers: int = 1, seed_override=None) -> int
     driver, keys, after = TABLE[name]
     values = _parse(config, keys, after)
     if name == "mtp-test":
-        values.update(_parse(config, *MTP_SAMPLERS[values["sampler"]][1:]))
+        _parse(config, *MTP_SAMPLERS[values["sampler"]][1:], into=values)
     if workers < 1:
         raise ConfigError("workers must be >= 1")
     try:

@@ -59,8 +59,7 @@ class OffspringDistribution:
         return p1 < 1.0
 
     def sample(self, rng, size=None):
-        u = rng.random(size)
-        return np.searchsorted(self._cum, u, side="right")
+        return self._cum.searchsorted(rng.random(size), side="right")
 
     def __repr__(self):
         return f"OffspringDistribution({np.round(self.pmf, 6).tolist()})"
@@ -153,12 +152,14 @@ class MarkedTree:
 
     def ensure_edge_labels(self, rng):
         """Draw uniform labels for any edges that lack one, then keep them
-        fixed so percolation is monotone-coupled across p."""
+        fixed so percolation is monotone-coupled across p.  One
+        rng.random(k) call gives the k missing labels, in parent-map order:
+        the same doubles, and the same later stream, as k scalar draws."""
         if self.edge_labels is None:
             self.edge_labels = {}
-        for c, p in self.parent.items():
-            if p is not None and c not in self.edge_labels:
-                self.edge_labels[c] = float(rng.random())
+        labels = self.edge_labels
+        missing = [c for c, p in self.parent.items() if p is not None and c not in labels]
+        labels.update(zip(missing, rng.random(len(missing)).tolist()))
 
     def adjacency(self):
         return groups.adjacency(self.parent, self.edges())
@@ -283,9 +284,13 @@ def sample_marked_fuzz_tree(rng, max_vertices: int) -> MarkedTree:
     n = int(rng.integers(1, hi + 1))
     kind = int(rng.integers(0, 5))
     tree = MarkedTree(root=0)
+    # per-vertex draws are made in bulk: broadcast integers and random(k)
+    # give the values of one scalar draw per vertex, and leave the stream
+    # in the same state
+    sizes = np.arange(1, n)
     if kind == 0:  # uniform attachment
-        for v in range(1, n):
-            tree.add_child(int(rng.integers(0, v)), v)
+        for v, p in enumerate(rng.integers(0, sizes).tolist(), 1):
+            tree.add_child(p, v)
     elif kind == 1:  # path
         for v in range(1, n):
             tree.add_child(v - 1, v)
@@ -293,19 +298,19 @@ def sample_marked_fuzz_tree(rng, max_vertices: int) -> MarkedTree:
         for v in range(1, n):
             tree.add_child(0, v)
     elif kind == 3:  # preferential attachment (size-biased parents)
-        ends = [0]
-        for v in range(1, n):
-            p = ends[int(rng.integers(0, len(ends)))]
+        ends = [0]  # 2v - 1 entries when vertex v attaches
+        for v, i in enumerate(rng.integers(0, 2 * sizes - 1).tolist(), 1):
+            p = ends[i]
             tree.add_child(p, v)
             ends.extend((p, v))
     else:  # caterpillar
         spine = 0
-        for v in range(1, n):
+        for v, step in enumerate((rng.random(n - 1) < 0.5).tolist(), 1):
             tree.add_child(spine, v)
-            if rng.random() < 0.5:
+            if step:
                 spine = v
     rate = float(rng.uniform(0.02, 1.0))
-    marks = {v for v in range(n) if rng.random() < rate}
+    marks = set(np.flatnonzero(rng.random(n) < rate).tolist())
     if not marks:
         marks = {int(rng.integers(0, n))}
     tree.marks = marks

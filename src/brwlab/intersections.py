@@ -6,7 +6,7 @@ of one walk's trace."""
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,15 +122,38 @@ class ThinSweepReplicate:
     truncated: bool
 
 
+def _thresholds(tree: MarkedTree, p: float) -> dict:
+    """thr(v) for each v in the root component at p: the largest edge
+    label on v's root path, 0.0 at the root.  The component's parent map
+    lists every parent before its children, so one pass fills it."""
+    comp = percolate_root_component(tree, p)
+    labels = tree.edge_labels
+    thr = {}
+    for v, u in comp.parent.items():
+        if u is None:
+            thr[v] = 0.0
+        else:
+            t, label = thr[u], labels[v]
+            thr[v] = label if label > t else t
+    return thr
+
+
 def thinned_intersection_sweep(mu1: OffspringDistribution, mu2: OffspringDistribution,
                                g: groups.GroupSpec, p_grid, depth: int,
                                replicates: int, rng, budget: int = 1_000_000):
     """For each replicate, thin both trees by their fixed edge labels at
     every p in the grid and intersect the restricted walks.
 
-    With shared labels the root components grow with p, so the overlap
-    sets are nested along the grid on every replicate.  Both walks start
-    at the identity.
+    Each tree is percolated once, at the top of the grid, whose root
+    component contains every lower one.  A vertex's threshold thr(v) is
+    the largest label on its root path (0.0 at the root), and v lies in
+    the component at p iff thr(v) <= p: the rule `label <= p` on every
+    edge of the path, ties included.  With tree-2 thresholds grouped by
+    walk value and sorted, a tree-1 vertex v with value z is in the
+    overlap set at p iff thr(v) <= p and the smallest tree-2 threshold
+    of z is <= p, and it adds bisect_right(thresholds of z, p) to the
+    pair count.  The overlap sets are therefore nested along the grid by
+    construction.  Both walks start at the identity.
     """
     p_grid = sorted(set(float(p) for p in p_grid))
     if any(not 0.0 <= p <= 1.0 for p in p_grid):
@@ -146,15 +169,20 @@ def thinned_intersection_sweep(mu1: OffspringDistribution, mu2: OffspringDistrib
         walk2 = run_walk(tree2, g, e, rng)
         sets = {}
         pairs = {}
-        for p in p_grid:
-            sub1 = percolate_root_component(tree1, p)
-            sub2 = percolate_root_component(tree2, p)
-            counts2 = Counter(walk2.values[v] for v in sub2.parent)
-            counts1 = Counter(walk1.values[v] for v in sub1.parent)
-            sets[p] = frozenset(v for v in sub1.parent if walk1.values[v] in counts2)
-            pairs[p] = sum(
-                c * counts2[z] for z, c in counts1.items() if z in counts2
-            )
+        if p_grid:
+            by_value = {}  # walk value -> sorted tree-2 thresholds
+            for v, t in _thresholds(tree2, p_grid[-1]).items():
+                by_value.setdefault(walk2.values[v], []).append(t)
+            for ts in by_value.values():
+                ts.sort()
+            hits = []  # (v, thr1(v), by_value entry) for the values both walks reach
+            for v, t in _thresholds(tree1, p_grid[-1]).items():
+                ts = by_value.get(walk1.values[v])
+                if ts is not None:
+                    hits.append((v, t, ts))
+            for p in p_grid:
+                sets[p] = frozenset(v for v, t, ts in hits if t <= p and ts[0] <= p)
+                pairs[p] = sum(bisect_right(ts, p) for _, t, ts in hits if t <= p)
         out.append(
             ThinSweepReplicate(sets, pairs, tree1.truncated or tree2.truncated)
         )

@@ -14,7 +14,11 @@ vertices) are references that no experiment needs.
 lattice laws.  The references for `validate_elem`, `neighbors`,
 `run_walk` and the GW samplers are those functions as they were before
 each became a builtin-level or family-at-a-time step; the sampler
-references build their trees with `MarkedTree.add_child`.
+references build their trees with `MarkedTree.add_child`.  The
+references for `ensure_edge_labels` and `sample_marked_fuzz_tree` draw one
+scalar per vertex, as those functions did before they drew in bulk, and
+`thinned_intersection_sweep_reference` is the sweep as it was before its
+threshold pass: both root components rebuilt and recounted at every p.
 """
 
 import math
@@ -559,3 +563,87 @@ def sample_unimodular_gw_reference(mu, budget, rng, variant, max_depth=None):
         tree.truncation_reason = "budget"
         return tree
     return _grow_reference(tree, own + [1], 2 + len(own), mu, budget, rng, max_depth)
+
+
+def ensure_edge_labels_reference(tree, rng):
+    """`MarkedTree.ensure_edge_labels` before it drew its labels in one
+    call: one scalar draw per unlabelled edge, in parent-map order."""
+    if tree.edge_labels is None:
+        tree.edge_labels = {}
+    for c, p in tree.parent.items():
+        if p is not None and c not in tree.edge_labels:
+            tree.edge_labels[c] = float(rng.random())
+
+
+def thinned_intersection_sweep_reference(mu1, mu2, g, p_grid, depth, replicates, rng,
+                                         budget=1_000_000):
+    """`intersections.thinned_intersection_sweep` before its threshold
+    pass: both root components rebuilt at every p, and the overlap read
+    off two Counters of walk values."""
+    from collections import Counter
+
+    from brwlab.gw import percolate_root_component, sample_gw
+    from brwlab.intersections import ThinSweepReplicate
+    from brwlab.walks import run_walk
+
+    p_grid = sorted(set(float(p) for p in p_grid))
+    if any(not 0.0 <= p <= 1.0 for p in p_grid):
+        raise ValueError("p_grid entries must lie in [0, 1]")
+    e = g.identity()
+    out = []
+    for _ in range(replicates):
+        tree1 = sample_gw(mu1, budget, rng, max_depth=depth)
+        tree2 = sample_gw(mu2, budget, rng, max_depth=depth)
+        ensure_edge_labels_reference(tree1, rng)
+        ensure_edge_labels_reference(tree2, rng)
+        walk1 = run_walk(tree1, g, e, rng)
+        walk2 = run_walk(tree2, g, e, rng)
+        sets = {}
+        pairs = {}
+        for p in p_grid:
+            sub1 = percolate_root_component(tree1, p)
+            sub2 = percolate_root_component(tree2, p)
+            counts2 = Counter(walk2.values[v] for v in sub2.parent)
+            counts1 = Counter(walk1.values[v] for v in sub1.parent)
+            sets[p] = frozenset(v for v in sub1.parent if walk1.values[v] in counts2)
+            pairs[p] = sum(c * counts2[z] for z, c in counts1.items() if z in counts2)
+        out.append(ThinSweepReplicate(sets, pairs, tree1.truncated or tree2.truncated))
+    return out
+
+
+def sample_marked_fuzz_tree_reference(rng, max_vertices):
+    """`gw.sample_marked_fuzz_tree` before it drew its per-vertex values
+    in bulk: one scalar draw per attachment, caterpillar step and mark."""
+    from brwlab.gw import MarkedTree
+
+    hi = max_vertices if rng.random() < 0.2 else max(1, max_vertices // 4)
+    n = int(rng.integers(1, hi + 1))
+    kind = int(rng.integers(0, 5))
+    tree = MarkedTree(root=0)
+    if kind == 0:
+        for v in range(1, n):
+            tree.add_child(int(rng.integers(0, v)), v)
+    elif kind == 1:
+        for v in range(1, n):
+            tree.add_child(v - 1, v)
+    elif kind == 2:
+        for v in range(1, n):
+            tree.add_child(0, v)
+    elif kind == 3:
+        ends = [0]
+        for v in range(1, n):
+            p = ends[int(rng.integers(0, len(ends)))]
+            tree.add_child(p, v)
+            ends.extend((p, v))
+    else:
+        spine = 0
+        for v in range(1, n):
+            tree.add_child(spine, v)
+            if rng.random() < 0.5:
+                spine = v
+    rate = float(rng.uniform(0.02, 1.0))
+    marks = {v for v in range(n) if rng.random() < rate}
+    if not marks:
+        marks = {int(rng.integers(0, n))}
+    tree.marks = marks
+    return tree

@@ -15,7 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from brwlab import cli
-from oracles import z3_even_return_exact
+from brwlab.groups import GroupSpec
+from brwlab.gw import OffspringDistribution
+from brwlab.rng import substream
+from oracles import thinned_intersection_sweep_reference, z3_even_return_exact
 
 
 def run_cfg(tmp_path, cfg, name, workers=1, seed=None):
@@ -220,6 +223,30 @@ def test_thin_sweep_run(tmp_path):
     assert {r[4] for r in rows[1:]} <= {"0", "1"}
 
 
+@pytest.mark.parametrize("group, p_grid", [
+    ({"kind": "regular_tree", "param": 4}, [0.5, 0.9, 1.0]),  # the benchmark's pairs-small
+    ({"kind": "integer_lattice", "param": 2}, [0.0, 0.3, 0.3, 1.0]),
+], ids=["pairs-small", "z2"])
+def test_thin_sweep_csv_matches_reference_sweep(tmp_path, group, p_grid):
+    """thin_sweep.csv at 1 and 2 workers holds, byte for byte, the rows of
+    the per-p reference sweep run on each replicate's substream."""
+    cfg = {"experiment": "thin-sweep", "seed": 11, "group": group, "offspring1": [0.45, 0, 0.55],
+           "p_grid": p_grid, "depth": 6, "replicates": 250}  # three shards
+    mu = OffspringDistribution(cfg["offspring1"])
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(("p", "replicate", "intersection_size", "pair_count", "truncated"))
+    for idx in range(cfg["replicates"]):
+        rep = thinned_intersection_sweep_reference(
+            mu, mu, GroupSpec(**group), p_grid, 6, 1, substream(cfg["seed"], idx))[0]
+        writer.writerows((p, idx, len(rep.sets[p]), rep.pair_counts[p], int(rep.truncated))
+                         for p in sorted(rep.sets))
+    for workers in (1, 2):
+        status, out = run_cfg(tmp_path, cfg, f"w{workers}", workers=workers)
+        assert status == 0
+        assert (out / "thin_sweep.csv").read_text() == want.getvalue()
+
+
 def test_ends_run(tmp_path):
     cfg = {
         "experiment": "ends",
@@ -361,6 +388,16 @@ MALFORMED = [
     ("uniform_root", {"graph": {"shape": "cycle", "n": 5}}, None),
     ("uniform_root", {"sampler": "fixed_root", "root_index": 5}, None),
     ("uniform_root", {"out_dir": 5}, None),
+    # every sample would be uncertified: refused before any sampler is built
+    ("pullback", {"f": "adjacent", "depth": 1}, "brwlab.mtp.pullback_sampler"),
+    ("pullback", {"f": "within_two", "depth": 3}, "brwlab.mtp.pullback_sampler"),
+    ("pullback", {"f": "target_degree", "depth": 5, "a_rule": "trace"},
+     "brwlab.mtp.pullback_sampler"),
+    ("pushforward", {"f": "adjacent", "ball_radius": 1}, "brwlab.mtp.pushforward_trace_sampler"),
+    ("pushforward", {"f": "within_two", "ball_radius": 3},
+     "brwlab.mtp.pushforward_trace_sampler"),
+    ("pushforward", {"f": "target_degree", "ball_radius": 5},
+     "brwlab.mtp.pushforward_trace_sampler"),
     # over a cap: rejected while the config is parsed
     ("intersect", {"budget": 10**8}, "brwlab.intersections.sample_intersections"),
     ("pullback", {"a_rule": "ball", "ball_radius": 40}, "brwlab.mtp.pullback_sampler"),
@@ -396,6 +433,17 @@ def test_malformed_config_exits_1(tmp_path, capsys, monkeypatch, base, change, h
     err = capsys.readouterr().err
     assert status == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("f, radius", [("adjacent", 1), ("within_two", 2), ("target_degree", 3)])
+def test_mtp_runs_at_the_certified_radius(tmp_path, f, radius):
+    """depth = 2 * radius (pullback) and ball_radius = 2 * radius
+    (pushforward) certify every sample: the run is decided, not refused."""
+    for base, key in (("pullback", "depth"), ("pushforward", "ball_radius")):
+        cfg = dict(BASE[base], f=f, **{key: 2 * radius})
+        status, out = run_cfg(tmp_path, cfg, f"{base}-{f}")
+        assert status in (0, 2)
+        assert json.loads((out / "mtp_report.json").read_text())["inconclusive"] == 0
 
 
 def test_malformed_invocation_exits_1(tmp_path, capsys):

@@ -254,6 +254,27 @@ def test_unimodular_retry_cap():
         gw.sample_unimodular_gw(OffspringDistribution.delta(2), 10, rng, max_retries=0)
 
 
+def test_bulk_edge_labels_match_scalar_draws():
+    """One random(k) call gives the scalar loop's labels, in the same dict
+    order, and leaves the same next draw, also on a partly labelled tree;
+    a fully labelled tree draws nothing."""
+    mu = OffspringDistribution([0.2, 0.3, 0.5])
+    for seed in range(200):
+        tree = gw.sample_gw(mu, 200, np.random.default_rng(seed), max_depth=6)
+        children = [c for c, p in tree.parent.items() if p is not None]
+        for labelled in ([], children[::2], children[1:3], children):
+            t, ref = gw.MarkedTree(), gw.MarkedTree()
+            for x in (t, ref):
+                x.parent = tree.parent
+                x.edge_labels = {c: 0.25 for c in labelled} if labelled else None
+            rng, ref_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+            t.ensure_edge_labels(rng)
+            oracles.ensure_edge_labels_reference(ref, ref_rng)
+            assert list(t.edge_labels.items()) == list(ref.edge_labels.items())
+            assert len(t.edge_labels) == len(children)
+            assert rng.random() == ref_rng.random()
+
+
 def test_percolate_extremes_and_label_fixing():
     rng = np.random.default_rng(9)
     t = gw.sample_gw(OffspringDistribution.delta(2), 200, rng, max_depth=5)
@@ -328,3 +349,22 @@ def test_fuzz_tree_sampler_shapes():
         for v, p in t.parent.items():
             if p is not None:
                 assert v in t.children[p]
+
+
+def test_fuzz_tree_matches_reference_draws():
+    """Bulk per-vertex draws give the per-vertex sampler's trees and marks,
+    and the same next draw, for every kind and at one vertex."""
+    kinds = set()
+    for seed in range(1500):
+        size = (1, 2, 3, 60, 300)[seed % 5]
+        probe = np.random.default_rng(seed)  # the sampler's first three draws
+        hi = size if probe.random() < 0.2 else max(1, size // 4)
+        if probe.integers(1, hi + 1) > 2:
+            kinds.add(int(probe.integers(0, 5)))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        t = gw.sample_marked_fuzz_tree(rng, size)
+        ref = oracles.sample_marked_fuzz_tree_reference(ref_rng, size)
+        assert t.to_lines() == ref.to_lines()
+        assert t.children == ref.children and t.marks == ref.marks
+        assert rng.random() == ref_rng.random()
+    assert kinds == set(range(5))  # every kind, at three vertices or more

@@ -9,8 +9,9 @@ import pytest
 from brwlab import intersections as isec
 from brwlab.groups import GroupSpec
 from brwlab.gw import OffspringDistribution
+from brwlab.rng import substream
 
-from oracles import TransitionTable
+from oracles import TransitionTable, thinned_intersection_sweep_reference
 
 T4 = GroupSpec("regular_tree", 4)
 E = T4.identity()
@@ -159,6 +160,51 @@ def test_thinning_p1_recovers_plain_sample():
     reps = isec.thinned_intersection_sweep(MU11, MU11, T4, [1.0], 5, 50, rng)
     for rep in reps:
         assert rep.pair_counts[1.0] >= len(rep.sets[1.0]) > 0 or rep.sets[1.0] == frozenset()
+
+
+SWEEP_GRIDS = [
+    [0.5, 0.9, 1.0],
+    [0.0, 0.3, 0.3, 1.0],  # 0.0 and a repeat
+    [0.9, 0.1, 0.5, 0.25],  # unsorted, top below 1
+    [0.2],
+]
+SWEEP_CASES = [  # (group, law, depth, budget)
+    (T4, MU11, 6, 1_000_000),
+    (GroupSpec("integer_lattice", 2), MU11, 6, 1_000_000),
+    (GroupSpec("free_group", 2), MU11, 6, 1_000_000),
+    (T4, OffspringDistribution([0.6, 0.2, 0.2]), 8, 1_000_000),  # subcritical
+    (GroupSpec("integer_lattice", 2), OffspringDistribution([0.1, 0.3, 0.6]), 7, 1_000_000),
+    (GroupSpec("free_group", 2), OffspringDistribution([0.1, 0.3, 0.6]), 10, 40),  # budget cut
+]
+
+
+@pytest.mark.parametrize("case", range(len(SWEEP_CASES)))
+def test_sweep_matches_per_p_reference(case):
+    """The threshold pass gives the per-p rebuilds' sets, pair counts and
+    truncation flags, and leaves the stream where they leave it."""
+    g, mu, depth, budget = SWEEP_CASES[case]
+    truncated = 0
+    for j, grid in enumerate(SWEEP_GRIDS):
+        for i in range(60):
+            rng, ref_rng = substream(case, j, i), substream(case, j, i)
+            got = isec.thinned_intersection_sweep(mu, MU11, g, grid, depth, 3, rng, budget)
+            want = thinned_intersection_sweep_reference(mu, MU11, g, grid, depth, 3, ref_rng,
+                                                        budget)
+            for a, b in zip(got, want, strict=True):
+                assert (a.sets, a.pair_counts, a.truncated) == (b.sets, b.pair_counts, b.truncated)
+                truncated += a.truncated
+            assert rng.random() == ref_rng.random()
+    if budget < 1_000_000:
+        assert truncated > 0
+
+
+def test_sweep_empty_grid_gives_empty_maps():
+    """An empty grid still samples both trees and walks, and reports no p."""
+    rng, ref_rng = substream(0, 0), substream(0, 0)
+    reps = isec.thinned_intersection_sweep(MU11, MU11, T4, [], 6, 5, rng)
+    assert [(r.sets, r.pair_counts) for r in reps] == [({}, {})] * 5
+    thinned_intersection_sweep_reference(MU11, MU11, T4, [], 6, 5, ref_rng)
+    assert rng.random() == ref_rng.random()
 
 
 def test_trace_ends_depth_zero():
