@@ -2,10 +2,13 @@
 
 Vertices are normal-form words (trees, free groups) or coordinate tuples
 (lattices).  n-step transition probabilities of simple random walk are
-computed exactly: a radial birth-death recursion for the tree-like graphs,
-closed-form 1-d binomial laws combined per dimension for lattices.
-Long-horizon series are computed on the scale of the operator norm so that
-nothing under- or overflows.
+computed exactly: on the tree-like graphs, the return series (distance 0)
+is a positive tail sum from Kesten's closed-form generating function,
+truncated below 2^-64 relative, and distances >= 1 use a radial
+birth-death recursion on a sqrt(n)-wide window; on lattices, closed-form
+1-d binomial laws are combined per dimension.  Long-horizon series are
+computed on the scale of the operator norm so that nothing under- or
+overflows.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ MAX_LATTICE_DIM = 3
 MAX_LATTICE_CELLS = 2**24
 MAX_BALL_ELEMENTS = 10**6
 MAX_DEGREE = 64  # neighbors() builds every neighbour word of a vertex at each step
+# visits_series cuts the series at the first term above this
+VISITS_GUARD = 1e12
 
 
 class InvalidElementError(ValueError):
@@ -228,8 +233,77 @@ def as_adjacency(graph) -> dict:
     raise TypeError(f"cannot interpret {type(graph).__name__} as a graph")
 
 
+def _product_residual(a, b, p):
+    """a*b - p for p near a*b, exact up to one final rounding (Dekker's
+    two-product on Veltkamp halves of a and b)."""
+    def halves(x):
+        t = x * 134217729.0  # 2^27 + 1
+        hi = t - (t - x)
+        return hi, x - hi
+    ah, al = halves(a)
+    bh, bl = halves(b)
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+_COEFF_BLOCK = 4096  # _sqrt_coefficients works this many entries at a time
+
+
+def _sqrt_coefficients(count: int) -> np.ndarray:
+    """c[i] = |c_{i+1}| for i < count, the coefficients of
+    sqrt(1 - x) = 1 - sum_{k>=1} |c_k| x^k, |c_k| = C(2k,k)/((2k-1)4^k).
+
+    A cumulative product of the exact ratios |c_{k+1}| / |c_k| =
+    (2k-1)/(2k+2) from |c_1| = 1/2.  Each ratio and each product is
+    rounded once; their residuals (_product_residual), summed along the
+    product, correct it, so every entry is good to a few ulp instead of
+    drifting by sqrt(k) roundings.  Made _COEFF_BLOCK entries at a time,
+    each block continuing from the last corrected entry, so temporaries
+    stay small at any count.
+    """
+    c = np.empty(count)
+    c[0] = 0.5
+    for lo in range(1, count, _COEFF_BLOCK):
+        k = np.arange(lo, min(lo + _COEFF_BLOCK, count), dtype=float)
+        num, den = 2 * k - 1, 2 * k + 2
+        ratio = num / den
+        run = np.cumprod(np.concatenate(([c[lo - 1]], ratio)))
+        drift = (_product_residual(run[:-1], ratio, run[1:]) / run[1:]
+                 - _product_residual(ratio, den, num) / num)
+        c[lo:lo + len(k)] = run[1:] * (1.0 + np.cumsum(drift))
+    return c
+
+
+def _tree_return_series(d: int, n_max: int) -> np.ndarray:
+    """p_n(e, e) / ||P||^n on the d-regular tree, for n = 0..n_max.
+
+    Kesten's return generating function (Woess, Random Walks on Infinite
+    Graphs and Groups, 2000, Lemma 1.24) is, with w = z^2 and rho^2 =
+    4(d-1)/d^2,
+      sum_n p_2n w^n = (d sqrt(1 - rho^2 w) - (d-2)) / (2(1-w)).
+    Its numerator vanishes at w = 1, so with |c_k| the coefficients of
+    sqrt(1 - x) (_sqrt_coefficients)
+      p_2n / rho^2n = (d/2) sum_{j>=1} |c_{n+j}| rho^2j,
+    a sum of positive terms falling faster than rho^2 per term.  It stops
+    after J terms, with J the least such that the bound rho^2J / (1 - rho^2)
+    on the relative truncation error is <= 2^-64 (J = 396 at d = 3, 160
+    at d = 4, 16 at d = 64).  Odd entries are 0.0 and s[0] is 1.0 exactly
+    (the truncated sum can miss it by an ulp or two).  O(n_max J) time,
+    O(n_max) memory.
+    """
+    rho2 = 4.0 * (d - 1) / (d * d)
+    terms = math.ceil((64 * math.log(2.0) - math.log1p(-rho2)) / -math.log(rho2))
+    c = _sqrt_coefficients(n_max // 2 + terms)
+    tails = np.correlate(c, rho2 ** np.arange(1, terms + 1), "valid")
+    out = np.zeros(n_max + 1)
+    out[0] = 1.0
+    np.multiply(tails[1:], 0.5 * d, out=out[2::2])
+    return out
+
+
 def _tree_scaled_series(d: int, dist: int, n_max: int) -> np.ndarray:
     """p_n(x, y) / ||P||^n at a fixed distance, for n = 0..n_max.
+    scaled_p_series uses it at distances >= 1; at distance 0 the closed
+    form _tree_return_series replaces it, and it stays the reference.
 
     The radial law scaled by ||P||^-n and conjugated by (d-1)^(j/2) obeys
       v[j] <- (v[j-1] + v[j+1]) / 2        (j >= 2)
@@ -344,13 +418,19 @@ def scaled_p_series(g: GroupSpec, x, y, n_max: int):
     """(s, rho) with s[n] = p_n(x, y) / rho^n and rho the operator norm.
 
     This is the numerically safe form: s decays polynomially on tree-like
-    graphs (and equals p itself on lattices, where rho = 1).
+    graphs (and equals p itself on lattices, where rho = 1).  On tree-like
+    graphs x = y takes the closed-form tail sum _tree_return_series
+    (truncated below 2^-64 relative) and distances >= 1 the sqrt(n)-window
+    recursion _tree_scaled_series.
     """
     validate_elem(g, x)
     validate_elem(g, y)
     rho = g.spectral_radius_closed_form()
     if g.is_tree_like:
-        return _tree_scaled_series(g.degree, distance(g, x, y), n_max), rho
+        dist = distance(g, x, y)
+        if dist == 0:
+            return _tree_return_series(g.degree, n_max), rho
+        return _tree_scaled_series(g.degree, dist, n_max), rho
     delta = tuple(b - a for a, b in zip(x, y))
     return _lattice_vertex_series(g, delta, n_max), rho
 
@@ -383,21 +463,17 @@ class SpectralEstimate:
 
 
 def spectral_radius(g: GroupSpec, n_max: int) -> SpectralEstimate:
-    """Estimate the operator norm from p_{2n}(e,e)^(1/2n) at n = n_max.
+    """Estimate the operator norm from p_{2n}(e,e)^(1/2n) at n = n_max:
+    the last entry of spectral_radius_trajectory.
 
     The estimate approaches the closed form from below; the closed form is
-    checked against the DP trend in the test suite before being trusted.
+    checked against the trend of the exact series in the test suite before
+    being trusted.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    e = g.identity()
-    s, rho = scaled_p_series(g, e, e, 2 * n_max)
-    # p^(1/2n) = rho * s^(1/2n), evaluated in logs
-    return SpectralEstimate(
-        rho * math.exp(math.log(s[2 * n_max]) / (2 * n_max)),
-        g.spectral_radius_closed_form(),
-        n_max,
-    )
+    estimate = float(spectral_radius_trajectory(g, n_max)[-1])
+    return SpectralEstimate(estimate, g.spectral_radius_closed_form(), n_max)
 
 
 def spectral_radius_trajectory(g: GroupSpec, n_max: int) -> np.ndarray:
@@ -405,6 +481,7 @@ def spectral_radius_trajectory(g: GroupSpec, n_max: int) -> np.ndarray:
     e = g.identity()
     s, rho = scaled_p_series(g, e, e, 2 * n_max)
     ns = np.arange(1, n_max + 1)
+    # p^(1/2n) = rho * s^(1/2n), evaluated in logs
     return rho * np.exp(np.log(s[2 * ns]) / (2 * ns))
 
 
@@ -422,12 +499,12 @@ class VisitsSeries:
         return np.concatenate(([self.partial_sums[0]], out))
 
 
-def visits_series(g: GroupSpec, mean: float, n_max: int, guard: float = 1e12) -> VisitsSeries:
+def visits_series(g: GroupSpec, mean: float, n_max: int) -> VisitsSeries:
     """Partial sums S_N = sum_{n<=N} mean^n p_n(e,e) for N = 0..n_max.
 
     Terms are assembled in log space on the operator-norm scale and
-    accumulated with compensated summation; if a term exceeds the guard
-    magnitude the series is cut there and flagged as divergence-suspected
+    accumulated with compensated summation; if a term exceeds VISITS_GUARD
+    the series is cut there and flagged as divergence-suspected
     (remaining partial sums are frozen at the cut).
     """
     if mean < 0:
@@ -438,7 +515,7 @@ def visits_series(g: GroupSpec, mean: float, n_max: int, guard: float = 1e12) ->
     total = 0.0
     comp = 0.0
     log_scale = (math.log(mean) + math.log(rho)) if mean > 0 else None
-    log_guard = math.log(guard)
+    log_guard = math.log(VISITS_GUARD)
     guard_index = None
     for n in range(n_max + 1):
         if mean == 0.0:

@@ -19,6 +19,9 @@ references for `ensure_edge_labels` and `sample_marked_fuzz_tree` draw one
 scalar per vertex, as those functions did before they drew in bulk, and
 `thinned_intersection_sweep_reference` is the sweep as it was before its
 threshold pass: both root components rebuilt and recounted at every p.
+The tree return series has two references: `tree_return_counts`, the
+exact integer distance chain, and `tree_return_tail_decimal`, the
+closed-form tail sum carried to 40 digits in `decimal`.
 """
 
 import math
@@ -439,6 +442,53 @@ def z3_even_return_exact(k):
         for j in range(k - i + 1)
     )
     return Fraction(math.comb(2 * k, k) * total, 36**k)
+
+
+def tree_return_counts(d, steps):
+    """Closed walks from e on the d-regular tree: counts[n] = d^n p_n(e, e)
+    for n = 0..steps, from the integer distance chain (d ways out of 0,
+    d - 1 out and 1 in elsewhere)."""
+    paths = [1]  # paths[j]: n-step walks from e ending at distance j
+    counts = [1]
+    for _ in range(steps):
+        nxt = [0] * (len(paths) + 1)
+        for j, c in enumerate(paths):
+            nxt[j + 1] += c * (d if j == 0 else d - 1)
+            if j:
+                nxt[j - 1] += c
+        paths = nxt
+        counts.append(paths[0])
+    return counts
+
+
+def tree_return_tail_decimal(d, ns, digits=40):
+    """p_2n(e, e) / rho^2n on the d-regular tree for each n in ns, as
+    Decimals carried to the given digits: the tail sum
+    (d/2) sum_{j>=1} |c_{n+j}| rho^2j of Kesten's return generating
+    function, |c_k| = C(2k,k)/((2k-1)4^k), summed until a term falls
+    below 10^-digits of the sum.  The |c_k| are the ratio product
+    |c_{k+1}| = |c_k| (2k-1)/(2k+2) from |c_1| = 1/2."""
+    from decimal import Context, Decimal
+
+    ctx = Context(prec=digits + 5)
+    rho2 = ctx.divide(Decimal(4 * (d - 1)), Decimal(d * d))
+    tol = Decimal(10) ** -digits
+    c = [None, Decimal(1) / 2]
+    out = {}
+    for n in sorted(ns):
+        total, power, j = Decimal(0), Decimal(1), 1
+        while True:
+            while len(c) <= n + j:
+                k = len(c) - 1
+                c.append(ctx.divide(ctx.multiply(c[k], 2 * k - 1), 2 * k + 2))
+            power = ctx.multiply(power, rho2)
+            term = ctx.multiply(c[n + j], power)
+            total = ctx.add(total, term)
+            if term < tol * total:
+                break
+            j += 1
+        out[n] = ctx.multiply(total, Decimal(d) / 2)
+    return out
 
 
 def validate_elem_reference(g, x):

@@ -18,7 +18,11 @@ from brwlab import cli
 from brwlab.groups import GroupSpec
 from brwlab.gw import OffspringDistribution
 from brwlab.rng import substream
-from oracles import thinned_intersection_sweep_reference, z3_even_return_exact
+from oracles import (
+    thinned_intersection_sweep_reference,
+    tree_return_counts,
+    z3_even_return_exact,
+)
 
 
 def run_cfg(tmp_path, cfg, name, workers=1, seed=None):
@@ -128,6 +132,30 @@ def test_lattice_runs_at_the_caps_match_exact_values(tmp_path):
         total += z3_even_return_exact(k)  # the odd-n terms are 0
         for n in (2 * k, 2 * k + 1):
             assert float(rows[n][1]) == pytest.approx(float(total), rel=1e-12), n
+
+
+@pytest.mark.parametrize("group", [{"kind": "regular_tree", "param": 4},
+                                   {"kind": "free_group", "param": 2}])
+def test_tree_spectra_at_the_cap_match_exact_counts(tmp_path, group):
+    """Spectra on T4 and F_2 at n_max 60000, the cap: every row with
+    2n <= 600 against the exact integer distance chain, within 1e-12."""
+    cfg = {"experiment": "spectra", "seed": 7, "group": group, "n_max": 60_000}
+    status, out = run_cfg(tmp_path, cfg, "tree")
+    assert status == 0
+    rows = read_csv(out / "spectra.csv")[1:]
+    assert len(rows) == 2000
+    d = 4
+    counts = tree_return_counts(d, 600)
+    checked = 0
+    for steps, estimate in rows:
+        steps = int(steps)
+        if steps > 600:
+            break
+        # p_2n^(1/2n) with p_2n = counts[2n] / d^2n
+        want = math.exp((math.log(counts[steps]) - steps * math.log(d)) / steps)
+        assert float(estimate) == pytest.approx(want, rel=1e-12), steps
+        checked += 1
+    assert checked == 10
 
 
 def test_magic_fuzz_exit_semantics(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the base graphs and their exact transition kernels."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,8 @@ from oracles import (
     full_tree_scaled_series,
     neighbors_reference,
     tree_distance_law,
+    tree_return_counts,
+    tree_return_tail_decimal,
     validate_elem_reference,
     z3_even_return_exact,
 )
@@ -240,6 +243,18 @@ def test_spectral_estimate_monotone():
     assert np.all(np.diff(traj) >= -1e-12)
 
 
+def test_spectral_radius_is_the_trajectory_end():
+    """One estimate path: spectral_radius(g, n) is the trajectory's last
+    entry, p_2n(e, e)^(1/2n), here against exact values at n = 1 and 50."""
+    counts = tree_return_counts(4, 100)
+    for g, p_2n in [(T4, lambda n: counts[2 * n] / 4 ** (2 * n)),
+                    (Z1, lambda n: math.comb(2 * n, n) / 4**n)]:
+        for n in (1, 50):
+            est = groups.spectral_radius(g, n).estimate
+            assert est == groups.spectral_radius_trajectory(g, n)[-1]
+            assert est == pytest.approx(p_2n(n) ** (1 / (2 * n)), rel=1e-14), (g, n)
+
+
 def test_spectral_radius_lattice():
     est = groups.spectral_radius(Z1, 2000)
     assert est.closed_form == 1.0
@@ -273,11 +288,15 @@ def test_visits_series_monotone_and_critical_tail():
 
 
 def test_visits_series_divergence_guard():
-    vs = groups.visits_series(T4, 2.0, 4000, guard=1e9)
+    vs = groups.visits_series(T4, 2.0, 4000)
     assert vs.diverged
     assert vs.guard_index is not None
-    # partial sums frozen at the cut
-    assert vs.partial_sums[-1] == vs.partial_sums[vs.guard_index]
+    # partial sums frozen at the cut, which is the first term above the guard
+    n = vs.guard_index
+    assert n == 60
+    assert vs.partial_sums[-1] == vs.partial_sums[n]
+    assert np.all(vs.increments[:n] <= groups.VISITS_GUARD)
+    assert 2.0**n * groups.return_series(T4, n)[n] > groups.VISITS_GUARD
 
 
 def test_transition_table_matches_pointwise():
@@ -316,6 +335,51 @@ def test_tree_kernel_matches_full_array_oracle(d):
     for dist, n_max in cases + [(120, 200), (121, 200)]:
         got = groups._tree_scaled_series(d, dist, n_max)
         assert np.array_equal(got, full_tree_scaled_series(d, dist, n_max)), (dist, n_max)
+
+
+_TREE_LIKE = [GroupSpec("regular_tree", 3), T4, GroupSpec("regular_tree", 64), F2]
+
+
+@pytest.mark.parametrize("g", _TREE_LIKE, ids=lambda g: f"{g.kind}-{g.param}")
+def test_tree_return_series_against_decimal_tail_sum(g):
+    """The closed-form return series at every 499th n up to 120000 steps
+    (the spectra cap) against the same tail sum carried to 40 digits,
+    within 3e-15 relative.  The worst error seen is 1.0e-15; without the
+    rounding residuals the coefficient product drifts to 7.6e-15 (one of
+    the two residuals) and 1.1e-14 (neither).  At n = 0 the reference is
+    1 to 38 digits: the generating function's numerator vanishes at w = 1."""
+    e = g.identity()
+    s, _ = groups.scaled_p_series(g, e, e, 120_000)
+    ns = [0, 1, 2, 3, 10, 63, 64] + list(range(500, 60_000, 499)) + [60_000]
+    want = tree_return_tail_decimal(g.degree, ns)
+    assert abs(want[0] - 1) < Decimal("1e-38")
+    for n in ns:
+        assert abs(s[2 * n] - float(want[n])) <= 3e-15 * float(want[n]), n
+
+
+@pytest.mark.parametrize("g", _TREE_LIKE, ids=lambda g: f"{g.kind}-{g.param}")
+def test_tree_return_series_matches_recursion(g):
+    """scaled_p_series at distance 0 takes the closed form; the window
+    recursion at distance 0 is its reference, within 1e-13 relative, with
+    odd entries exactly 0.0 and s[0] exactly 1.0."""
+    e = g.identity()
+    for n_max in (0, 1, 2, 63, 64, 1000, 4001, 120_000):
+        s, _ = groups.scaled_p_series(g, e, e, n_max)
+        assert np.array_equal(s, groups._tree_return_series(g.degree, n_max)), n_max
+        want = groups._tree_scaled_series(g.degree, 0, n_max)
+        assert s.shape == (n_max + 1,) and s[0] == 1.0, n_max
+        assert np.all(s[1::2] == 0.0), n_max
+        assert np.all(np.abs(s - want) <= 1e-13 * want), n_max
+
+
+def test_tree_return_series_first_terms_at_every_degree():
+    """s[0] = 1 exactly and s[2] = p_2 / rho^2 = d / (4(d-1)) at every
+    degree the specs admit; the truncated sum alone misses 1 by an ulp or
+    two at d = 5, 8, 62 and others."""
+    for d in range(3, groups.MAX_DEGREE + 1):
+        s = groups._tree_return_series(d, 3)
+        assert s[0] == 1.0 and s[1] == s[3] == 0.0, d
+        assert s[2] == pytest.approx(d / (4 * (d - 1)), rel=1e-15), d
 
 
 _LATTICE_DELTAS = {
