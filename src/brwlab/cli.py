@@ -208,13 +208,11 @@ def _shard_mtp(v, seed, lo, hi):
 
 
 def _shard_intersect(v, seed, lo, hi):
-    e = v["group"].identity()
     rows = []
     for idx in range(lo, hi):
         rng = substream(seed, idx)
         rec = intersections.sample_intersections(
-            v["offspring1"], v["offspring2"], v["group"], e, e, v["depth"], v["depth"], rng,
-            v["budget"],
+            v["offspring1"], v["offspring2"], v["group"], v["depth"], v["depth"], rng, v["budget"]
         )
         rows.append((idx, rec.pair_count, len(rec.intersection), int(rec.truncated)))
     return rows, None
@@ -288,8 +286,8 @@ def _run_sharded(name, v, seed, n_units, workers):
 def _run_spectra(v, seed, workers, out_dir):
     g, n_max, stride = v["group"], v["n_max"], v["stride"]
     traj = groups.spectral_radius_trajectory(g, n_max)
-    picks = sorted(set(range(stride, n_max + 1, stride)) | {n_max})
-    rows = [(2 * n, float(traj[n - 1])) for n in picks]
+    picks = [*range(stride, n_max, stride), n_max]
+    rows = zip([2 * n for n in picks], traj[np.subtract(picks, 1)].tolist())
     _write_csv(os.path.join(out_dir, "spectra.csv"), ("n", "estimate"), rows)
     return 0, {"closed_form": g.spectral_radius_closed_form(), "estimate": float(traj[-1])}
 
@@ -297,8 +295,8 @@ def _run_spectra(v, seed, workers, out_dir):
 def _run_visits(v, seed, workers, out_dir):
     n_max, stride = v["n_max"], v["stride"]
     series = groups.visits_series(v["group"], v["mean"], n_max)
-    picks = sorted(set(range(0, n_max + 1, stride)) | {n_max})
-    rows = [(n, float(series.partial_sums[n])) for n in picks]
+    picks = [*range(0, n_max, stride), n_max]
+    rows = zip(picks, series.partial_sums[picks].tolist())
     _write_csv(os.path.join(out_dir, "visits.csv"), ("n", "partial_sum"), rows)
     return 0, {
         "diverged": series.diverged,

@@ -2,13 +2,12 @@
 
 Vertices are normal-form words (trees, free groups) or coordinate tuples
 (lattices).  n-step transition probabilities of simple random walk are
-computed exactly: on the tree-like graphs, the return series (distance 0)
-is a positive tail sum from Kesten's closed-form generating function,
-truncated below 2^-64 relative, and distances >= 1 use a radial
-birth-death recursion on a sqrt(n)-wide window; on lattices, closed-form
-1-d binomial laws are combined per dimension.  Long-horizon series are
-computed on the scale of the operator norm so that nothing under- or
-overflows.
+computed exactly.  Tree-like graphs have one kernel, the return series
+p_n(e, e): a positive tail sum from Kesten's closed-form generating
+function, truncated below 2^-64 relative; x != y is refused there.  On
+lattices, closed-form 1-d binomial laws are combined per dimension, at
+any displacement.  Long-horizon series are computed on the scale of the
+operator norm so that nothing under- or overflows.
 """
 
 from __future__ import annotations
@@ -300,58 +299,6 @@ def _tree_return_series(d: int, n_max: int) -> np.ndarray:
     return out
 
 
-def _tree_scaled_series(d: int, dist: int, n_max: int) -> np.ndarray:
-    """p_n(x, y) / ||P||^n at a fixed distance, for n = 0..n_max.
-    scaled_p_series uses it at distances >= 1; at distance 0 the closed
-    form _tree_return_series replaces it, and it stays the reference.
-
-    The radial law scaled by ||P||^-n and conjugated by (d-1)^(j/2) obeys
-      v[j] <- (v[j-1] + v[j+1]) / 2        (j >= 2)
-      v[1] <- d/(2(d-1)) v[0] + v[2] / 2
-      v[0] <- v[1] / 2
-    which keeps every entry in [0, 1]; no under- or overflow at any horizon.
-    The window sqrt-scales with n_max (boundary mass is diffusive); the
-    truncation error is below 1e-20 relative.
-
-    After n steps v[j] is zero unless j = n mod 2, so v is held as its even
-    entries ev = v[0::2] and odd entries od = v[1::2]; each step rewrites
-    the parity it makes live, in place, from the other one.
-    """
-    out = np.zeros(n_max + 1)
-    if dist > n_max:
-        return out
-    window = max(64, int(6.0 * math.sqrt(max(n_max, 1))) + 4, dist + 8)
-    ev = np.zeros(window // 2 + 1)
-    od = np.zeros((window + 1) // 2)
-    ev[0] = 1.0
-    ne, no = len(ev), len(od)
-    # interior rules: od[k] from ev[k], ev[k+1] and ev[k] from od[k-1], od[k]
-    od_mid, ev_lo, ev_hi = od[1:ne - 1], ev[1:ne - 1], ev[2:ne]
-    ev_mid, od_lo, od_hi = ev[1:no], od[:no - 1], od[1:no]
-    from_zero = d / (2.0 * (d - 1.0))
-    live = od if dist % 2 else ev
-    out[0] = float(dist == 0)
-    for n in range(1, n_max + 1):
-        if n % 2:
-            od[0] = from_zero * ev[0] + 0.5 * ev[1]
-            np.add(ev_lo, ev_hi, out=od_mid)
-            od_mid *= 0.5
-            if no == ne:  # odd window: its last entry is odd
-                od[-1] = 0.5 * ev[-1]
-        else:
-            ev[0] = 0.5 * od[0]
-            np.add(od_lo, od_hi, out=ev_mid)
-            ev_mid *= 0.5
-            if ne > no:  # even window: its last entry is even
-                ev[-1] = 0.5 * od[-1]
-        if n % 2 == dist % 2:
-            out[n] = live[dist // 2]
-    if dist:
-        # per-vertex conversion: p_n(x,y) = v[dist] * rho^n * (d-1)^(1-dist/2)/d
-        out *= (d - 1.0) ** (1.0 - dist / 2.0) / d
-    return out
-
-
 def check_lattice_box(g: GroupSpec, steps: int) -> None:
     """Raise ValueError when an exact lattice kernel over the given number
     of steps reaches a (2*steps+1)^dim box of cells above
@@ -418,25 +365,25 @@ def scaled_p_series(g: GroupSpec, x, y, n_max: int):
     """(s, rho) with s[n] = p_n(x, y) / rho^n and rho the operator norm.
 
     This is the numerically safe form: s decays polynomially on tree-like
-    graphs (and equals p itself on lattices, where rho = 1).  On tree-like
-    graphs x = y takes the closed-form tail sum _tree_return_series
-    (truncated below 2^-64 relative) and distances >= 1 the sqrt(n)-window
-    recursion _tree_scaled_series.
+    graphs (and equals p itself on lattices, where rho = 1).  Tree-like
+    graphs have one kernel, the closed-form return series
+    _tree_return_series (truncated below 2^-64 relative), and refuse
+    x != y with ValueError; lattices take any displacement.
     """
     validate_elem(g, x)
     validate_elem(g, y)
     rho = g.spectral_radius_closed_form()
     if g.is_tree_like:
-        dist = distance(g, x, y)
-        if dist == 0:
-            return _tree_return_series(g.degree, n_max), rho
-        return _tree_scaled_series(g.degree, dist, n_max), rho
+        if x != y:
+            raise ValueError("tree-like graphs have a kernel only at distance 0: x must equal y")
+        return _tree_return_series(g.degree, n_max), rho
     delta = tuple(b - a for a, b in zip(x, y))
     return _lattice_vertex_series(g, delta, n_max), rho
 
 
 def p_series(g: GroupSpec, x, y, n_max: int) -> np.ndarray:
-    """Exact p_n(x, y) for n = 0..n_max (underflows to 0 at extreme n)."""
+    """Exact p_n(x, y) for n = 0..n_max (underflows to 0 at extreme n).
+    On tree-like graphs x must equal y, as in scaled_p_series."""
     s, rho = scaled_p_series(g, x, y, n_max)
     if rho == 1.0:
         return s

@@ -164,20 +164,6 @@ class MarkedTree:
     def adjacency(self):
         return groups.adjacency(self.parent, self.edges())
 
-    def to_lines(self):
-        """Line format: id parent depth mark label (root parent = -1)."""
-        out = []
-        marks = self.marks or set()
-        for v in self.parent:
-            p = self.parent[v]
-            label = "-"
-            if self.edge_labels is not None and v in self.edge_labels:
-                label = repr(self.edge_labels[v])
-            out.append(
-                f"{v} {-1 if p is None else p} {self.depth[v]} {1 if v in marks else 0} {label}"
-            )
-        return out
-
 
 def _add_family(tree: MarkedTree, parent_id: int, family: range) -> None:
     """add_child for each id in family, in order, without the presence

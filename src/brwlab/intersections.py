@@ -77,8 +77,6 @@ class IntersectionRecord:
     """One realization of a pair of truncated walks and their overlap."""
 
     group: groups.GroupSpec
-    x: object
-    y: object
     depth1: int
     depth2: int
     tree1: MarkedTree
@@ -90,21 +88,23 @@ class IntersectionRecord:
 
 
 def sample_intersections(mu1: OffspringDistribution, mu2: OffspringDistribution,
-                         g: groups.GroupSpec, x, y, n1: int, n2: int, rng,
+                         g: groups.GroupSpec, n1: int, n2: int, rng,
                          budget: int = 1_000_000) -> IntersectionRecord:
-    """Sample two independent truncated walks and record the vertices of g
-    visited by both, the matching tree-1 preimage, and the pair count."""
+    """Sample two independent truncated walks, both started at the
+    identity, and record the vertices of g visited by both, the matching
+    tree-1 preimage, and the pair count."""
     tree1 = sample_gw(mu1, budget, rng, max_depth=n1)
     tree2 = sample_gw(mu2, budget, rng, max_depth=n2)
-    walk1 = run_walk(tree1, g, x, rng)
-    walk2 = run_walk(tree2, g, y, rng)
+    e = g.identity()
+    walk1 = run_walk(tree1, g, e, rng)
+    walk2 = run_walk(tree2, g, e, rng)
     counts1 = walk1.image_counts()
     counts2 = walk2.image_counts()
     common = set(counts1.keys()) & set(counts2.keys())
     pair_count = sum(counts1[z] * counts2[z] for z in common)
     pulled = frozenset(v for v, z in walk1.values.items() if z in counts2)
     return IntersectionRecord(
-        group=g, x=x, y=y, depth1=n1, depth2=n2,
+        group=g, depth1=n1, depth2=n2,
         tree1=tree1, walk1=walk1,
         intersection=frozenset(common),
         pulled_back=pulled,

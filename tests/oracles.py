@@ -6,22 +6,26 @@ code with the library implementations.  The one exception is
 `bfs_branch_values`, the per-vertex BFS that `branch_deficiency_values`
 ran before its rerooting pass, which reads the oriented tree's own
 adjacency and subtree mark counts.  `TransitionTable` (the double-sum
-oracle, built from the unscaled radial law `tree_distance_law`) and
-`auxiliary_tree` (residue-class contractions, which may have several top
-vertices) are references that no experiment needs.
-`full_tree_scaled_series` and `box_lattice_series` are the kernels
-`groups` used before its parity-split tree recursion and its closed-form
-lattice laws.  The references for `validate_elem`, `neighbors`,
-`run_walk` and the GW samplers are those functions as they were before
-each became a builtin-level or family-at-a-time step; the sampler
-references build their trees with `MarkedTree.add_child`.  The
-references for `ensure_edge_labels` and `sample_marked_fuzz_tree` draw one
+oracle, built from the unscaled radial law `tree_distance_law` on trees
+and from `box_lattice_series` on lattices) and `auxiliary_tree`
+(residue-class contractions, which may have several top vertices) are
+references that no experiment needs.
+`full_tree_scaled_series` is the recursion reference for the tree
+kernel: the conjugated radial recursion that `groups` ran before its
+closed-form return series, on the full window.  `box_lattice_series` is
+the lattice kernel `groups` used before its closed-form lattice laws.
+The references for `validate_elem`, `neighbors`, `run_walk` and the GW
+samplers are those functions as they were before each became a
+builtin-level or family-at-a-time step; the sampler references build
+their trees with `MarkedTree.add_child`.  The references for
+`ensure_edge_labels` and `sample_marked_fuzz_tree` draw one
 scalar per vertex, as those functions did before they drew in bulk, and
 `thinned_intersection_sweep_reference` is the sweep as it was before its
 threshold pass: both root components rebuilt and recounted at every p.
-The tree return series has two references: `tree_return_counts`, the
-exact integer distance chain, and `tree_return_tail_decimal`, the
-closed-form tail sum carried to 40 digits in `decimal`.
+Besides the recursion, the tree return series has two references:
+`tree_return_counts`, the exact integer distance chain, and
+`tree_return_tail_decimal`, the closed-form tail sum carried to 40
+digits in `decimal`.
 """
 
 import math
@@ -326,8 +330,8 @@ def tree_distance_law(d, n_max):
 
 class TransitionTable:
     """Table of p_n: per distance from `tree_distance_law` over the sphere
-    sizes on tree-like graphs, per displacement from the library's lattice
-    kernel on Z^d.  The double-sum oracle for the expected pair counts."""
+    sizes on tree-like graphs, per displacement from `box_lattice_series`
+    on Z^d.  The double-sum oracle for the expected pair counts."""
 
     def __init__(self, g, n_max):
         if n_max < 0:
@@ -353,12 +357,8 @@ class TransitionTable:
             return float(self._per_vertex[n, groups.distance(g, x, y)])
         delta = tuple(b - a for a, b in zip(x, y))
         if delta not in self._lattice_cache:
-            self._lattice_cache[delta] = groups._lattice_vertex_series(g, delta, self.n_max)
+            self._lattice_cache[delta] = box_lattice_series(g.param, delta, self.n_max)
         return float(self._lattice_cache[delta][n])
-
-    def p_dist(self, n, dist):
-        """Per-vertex probability at a given distance (tree-like only)."""
-        return float(self._per_vertex[n, dist])
 
     def distance_law(self, n):
         """The law of the distance after n steps (tree-like only)."""
@@ -384,9 +384,14 @@ def random_marked_tree(rng, max_vertices, mark_rate=None):
 
 def full_tree_scaled_series(d, dist, n_max):
     """p_n(x, y) / ||P||^n on the d-regular tree at distance dist, by the
-    conjugated radial recursion of `groups._tree_scaled_series` on the full
-    window, both parities, with a fresh array per step.  The same
-    arithmetic on every live entry, so equal to the library bit for bit."""
+    conjugated radial recursion on a window that grows like 6 sqrt(n_max),
+    both parities, with a fresh array per step.  The radial law scaled by
+    ||P||^-n and conjugated by (d-1)^(j/2) obeys
+      v[j] <- (v[j-1] + v[j+1]) / 2        (j >= 2)
+      v[1] <- d/(2(d-1)) v[0] + v[2] / 2
+      v[0] <- v[1] / 2
+    so every entry stays in [0, 1]; truncation error is below 1e-20
+    relative."""
     if dist > n_max:
         return np.zeros(n_max + 1)
     window = max(64, int(6.0 * math.sqrt(max(n_max, 1))) + 4, dist + 8)

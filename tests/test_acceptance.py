@@ -146,7 +146,7 @@ def test_criterion_05_intersection_formula_agreement():
     means 1.1/1.1 on the 4-regular tree) within 4 sigma of the exact sum."""
     counts = np.array(
         [
-            isec.sample_intersections(MU11, MU11, T4, E, E, 6, 6, substream(5, i)).pair_count
+            isec.sample_intersections(MU11, MU11, T4, 6, 6, substream(5, i)).pair_count
             for i in range(10_000)
         ],
         dtype=float,
@@ -241,15 +241,25 @@ def test_criterion_09_root_branching_probability():
 
 def test_criterion_10_thinning_coupling():
     """Shared edge labels: the overlap sets are nested along
-    p = 0.5, 0.9, 1.0 on every one of 10^3 replicates."""
+    p = 0.5, 0.9, 1.0 on every one of 10^3 replicates.  The sweep nests
+    them by construction, so each replicate is also checked against the
+    per-p reference (both root components rebuilt at every p) on the same
+    substream: the same sets, pair counts and truncation flag."""
+    grid = [0.5, 0.9, 1.0]
     bad = 0
+    mismatched = 0
     for i in range(1_000):
-        rep = isec.thinned_intersection_sweep(
-            MU11, MU11, T4, [0.5, 0.9, 1.0], 6, 1, substream(10, i)
+        rep = isec.thinned_intersection_sweep(MU11, MU11, T4, grid, 6, 1, substream(10, i))[0]
+        ref = oracles.thinned_intersection_sweep_reference(
+            MU11, MU11, T4, grid, 6, 1, substream(10, i)
         )[0]
         if not (rep.sets[0.5] <= rep.sets[0.9] <= rep.sets[1.0]):
             bad += 1
-    ok = _report(10, f"thinning inclusion violations: {bad}", bad == 0)
+        if rep != ref:  # dataclass equality: sets, pair counts and truncation flag
+            mismatched += 1
+    ok = _report(10, f"thinning inclusion violations: {bad}, "
+                     f"replicates unlike the per-p reference: {mismatched}",
+                 bad == 0 and mismatched == 0)
     assert ok
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brwlab import groups
+from brwlab import groups, intersections
 from brwlab.groups import GroupSpec, InvalidElementError
 
 from brwlab.gw import MarkedTree, OffspringDistribution, sample_gw, sample_marked_fuzz_tree
@@ -138,16 +138,18 @@ def test_return_probability_examples():
     assert groups.p_series(T4, e, e, 1)[1] == 0.0
     assert groups.p_series(Z1, (0,), (0,), 4)[4] == pytest.approx(6 / 16, abs=1e-14)
     assert groups.p_series(T4, e, e, 0)[0] == 1.0
-    assert groups.p_series(T4, e, (0,), 0)[0] == 0.0
+    assert groups.p_series(Z1, (0,), (1,), 0)[0] == 0.0
 
 
 @pytest.mark.parametrize("g,n_max", [(T3, 5), (T4, 4), (F2, 4), (Z1, 6), (Z2, 4)])
 def test_kernel_against_path_enumeration(g, n_max):
-    """Full fanout enumeration is the independent oracle for small n."""
+    """Full fanout enumeration is the independent oracle for small n: at
+    every reached endpoint on lattices, at the start on tree-like graphs."""
     x = g.identity()
-    law = {x: 1.0}
     for n in range(1, n_max + 1):
         law = enumerate_walk_endpoint_law(g, x, n)
+        if g.is_tree_like:
+            law = {x: law.get(x, 0.0)}
         for y, expected in law.items():
             assert groups.p_series(g, x, y, n)[n] == pytest.approx(expected, abs=1e-12)
 
@@ -159,31 +161,34 @@ def test_row_stochasticity_radial():
 
 
 def test_row_stochasticity_element_level():
-    for n in range(5):
-        total = sum(
-            groups.p_series(T3, (), z, n)[n]
-            for z in groups.elements_within(T3, (), n)
-        )
-        assert total == pytest.approx(1.0, abs=1e-10)
+    for g in (Z1, Z2, Z3):
+        e = g.identity()
+        for n in range(5):
+            total = sum(groups.p_series(g, e, z, n)[n] for z in groups.elements_within(g, e, n))
+            assert total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_symmetry_and_radial_consistency():
+    """Symmetric on Z^2 at random pairs; p_n(x, x) does not depend on x on
+    T4, nor p_n(x, y) on the pair at a fixed displacement on Z^2."""
     rng = np.random.default_rng(2)
+
+    def hop(g, x, steps):
+        for _ in range(steps):
+            x = groups.neighbors(g, x)[int(rng.integers(0, 4))]
+        return x
+
     for _ in range(20):
-        # random pair at distance <= 6
-        x = ()
-        for _ in range(int(rng.integers(0, 4))):
-            x = groups.neighbors(T4, x)[int(rng.integers(0, 4))]
-        y = x
-        for _ in range(int(rng.integers(0, 4))):
-            y = groups.neighbors(T4, y)[int(rng.integers(0, 4))]
+        x = hop(Z2, (0, 0), int(rng.integers(0, 4)))
+        y = hop(Z2, x, int(rng.integers(0, 4)))
+        t = hop(T4, (), int(rng.integers(0, 7)))
         for n in (2, 5, 8):
-            assert groups.p_series(T4, x, y, n)[n] == pytest.approx(
-                groups.p_series(T4, y, x, n)[n], abs=1e-15
+            assert groups.p_series(Z2, x, y, n)[n] == pytest.approx(
+                groups.p_series(Z2, y, x, n)[n], abs=1e-15
             )
-    # p_n(x, y) depends only on the distance
-    pairs_at_2 = [((), (0, 1)), ((1,), (1, 0, 1)[:3]), ((0,), (0, 1, 0)[:3])]
-    vals = {groups.p_series(T4, a, b, 6)[6] for a, b in pairs_at_2}
+            assert groups.p_series(T4, t, t, n)[n] == groups.p_series(T4, (), (), n)[n]
+    pairs_at_1_1 = [((0, 0), (1, 1)), ((-2, 3), (-1, 4)), ((5, 0), (6, 1))]
+    vals = {groups.p_series(Z2, a, b, 6)[6] for a, b in pairs_at_1_1}
     assert len(vals) == 1
 
 
@@ -220,8 +225,9 @@ def test_monte_carlo_agreement():
         end = run_walk(path, g, e, rng).values[n]
         hits_e += end == e
         hits_t += end == target
+    table = TransitionTable(g, n)
     for hits, y in ((hits_e, e), (hits_t, target)):
-        p = groups.p_series(g, e, y, n)[n]
+        p = table.p(n, e, y)
         sd = math.sqrt(p * (1 - p) / runs)
         assert abs(hits / runs - p) < 4 * sd
 
@@ -302,39 +308,50 @@ def test_visits_series_divergence_guard():
 def test_transition_table_matches_pointwise():
     table = TransitionTable(T3, 12)
     for n in (0, 3, 7, 12):
-        for y in [(), (0,), (0, 1), (0, 1, 2)]:
-            assert table.p(n, (), y) == pytest.approx(
-                groups.p_series(T3, (), y, n)[n], abs=1e-14
-            )
+        assert table.p(n, (), ()) == pytest.approx(groups.p_series(T3, (), (), n)[n], abs=1e-14)
     with pytest.raises(ValueError):
         table.p(13, (), ())
     lat = TransitionTable(Z2, 8)
     assert lat.p(2, (0, 0), (1, 1)) == pytest.approx(2 / 16, abs=1e-14)
 
 
+@pytest.mark.parametrize("g", [T4, F2], ids=lambda g: g.kind)
+def test_tree_like_kernels_refuse_distinct_points(g):
+    """Tree-like graphs have one kernel, the return series: every kernel
+    entry point refuses x != y, at every vertex at distance 1 or 2."""
+    e = g.identity()
+    for y in groups.elements_within(g, e, 2)[1:]:
+        for call in (lambda: groups.scaled_p_series(g, e, y, 4),
+                     lambda: groups.p_series(g, y, e, 4),
+                     lambda: intersections.expected_pairs_truncated(1.1, 1.1, g, e, y, 3)):
+            with pytest.raises(ValueError, match="x must equal y"):
+                call()
+
+
+def test_lattice_kernels_keep_their_displacement():
+    """The same calls at a nonzero Z^2 displacement, from two starts, give
+    the lattice values bit for bit: the exact dyadic p_n, and the pair
+    count pinned to its value before tree-like x != y was refused."""
+    want = np.zeros(10)
+    want[3::2] = [3 / 64, 25 / 512, 735 / 16384, 2646 / 65536]
+    for x, y in [((0, 0), (1, -2)), ((2, 1), (3, -1))]:
+        s, rho = groups.scaled_p_series(Z2, x, y, 9)
+        assert rho == 1.0 and np.array_equal(s, want)
+        assert np.array_equal(groups.p_series(Z2, x, y, 9), want)
+    pairs = intersections.expected_pairs_truncated(0.9, 1.2, Z2, (0, 0), (1, -1), 6)
+    assert pairs == 2.5065686328344996
+
+
 def test_series_for_unreachable_targets_is_zero():
-    far = (0, 1, 0, 1, 0, 1)
-    s = groups.p_series(T4, (), far, 3)
+    far = (3, -3)
+    s = groups.p_series(Z2, (0, 0), far, 3)
     assert np.all(s == 0.0)
-    assert groups.p_series(T4, (), far, 5)[5] == 0.0
+    assert groups.p_series(Z2, (0, 0), far, 5)[5] == 0.0
 
 
 # ---------------------------------------------------------------------------
 # the exact kernels: against the kernels they replaced, and against exact
 # values at the CLI caps
-
-
-@pytest.mark.parametrize("d", [3, 4, 5, 64])
-def test_tree_kernel_matches_full_array_oracle(d):
-    """The parity-split recursion does the full-array arithmetic on the live
-    entries only, so the series are equal bit for bit.  The window is even
-    (64) up to n_max 100 and odd (193, 383) at 1000 and 4001; at distance
-    120 and 121 it is dist + 8 (even and odd), and mass reflected at its
-    edge reaches the output."""
-    cases = [(dist, n_max) for dist in (0, 1, 2, 7) for n_max in (1, 63, 64, 65, 1000, 4001)]
-    for dist, n_max in cases + [(120, 200), (121, 200)]:
-        got = groups._tree_scaled_series(d, dist, n_max)
-        assert np.array_equal(got, full_tree_scaled_series(d, dist, n_max)), (dist, n_max)
 
 
 _TREE_LIKE = [GroupSpec("regular_tree", 3), T4, GroupSpec("regular_tree", 64), F2]
@@ -359,14 +376,14 @@ def test_tree_return_series_against_decimal_tail_sum(g):
 
 @pytest.mark.parametrize("g", _TREE_LIKE, ids=lambda g: f"{g.kind}-{g.param}")
 def test_tree_return_series_matches_recursion(g):
-    """scaled_p_series at distance 0 takes the closed form; the window
-    recursion at distance 0 is its reference, within 1e-13 relative, with
-    odd entries exactly 0.0 and s[0] exactly 1.0."""
+    """scaled_p_series takes the closed form; the radial recursion at
+    distance 0 (oracles.full_tree_scaled_series) is its reference, within
+    1e-13 relative, with odd entries exactly 0.0 and s[0] exactly 1.0."""
     e = g.identity()
     for n_max in (0, 1, 2, 63, 64, 1000, 4001, 120_000):
         s, _ = groups.scaled_p_series(g, e, e, n_max)
         assert np.array_equal(s, groups._tree_return_series(g.degree, n_max)), n_max
-        want = groups._tree_scaled_series(g.degree, 0, n_max)
+        want = full_tree_scaled_series(g.degree, 0, n_max)
         assert s.shape == (n_max + 1,) and s[0] == 1.0, n_max
         assert np.all(s[1::2] == 0.0), n_max
         assert np.all(np.abs(s - want) <= 1e-13 * want), n_max

@@ -14,27 +14,29 @@ from brwlab.rng import substream
 from oracles import TransitionTable, thinned_intersection_sweep_reference
 
 T4 = GroupSpec("regular_tree", 4)
+Z2 = GroupSpec("integer_lattice", 2)
 E = T4.identity()
 MU11 = OffspringDistribution([0.45, 0.0, 0.55])
 
 
 def test_expected_pairs_trivial_cases():
     assert isec.expected_pairs_truncated(1, 1, T4, E, E, 0) == pytest.approx(1.0)
-    assert isec.expected_pairs_truncated(1, 1, T4, E, (0,), 0) == 0.0
+    assert isec.expected_pairs_truncated(1, 1, Z2, (0, 0), (1, 0), 0) == 0.0
     assert isec.expected_pairs_truncated(1, 1, T4, E, E, 1) == pytest.approx(1.25)
 
 
 def test_expected_pairs_against_double_sum_oracle():
-    """Independent oracle: the raw double sum over the transition table."""
-    table = TransitionTable(T4, 12)
-    for m1, m2, dist in [(1.1, 1.1, 0), (1.1, 1.0, 0), (0.9, 1.2, 2)]:
-        y = E if dist == 0 else (0, 1)
+    """Independent oracle: the raw double sum over the transition table,
+    at distance 0 on T4 and at distance 2 on Z^2."""
+    for g, m1, m2, y in [(T4, 1.1, 1.1, E), (T4, 1.1, 1.0, E), (Z2, 0.9, 1.2, (1, -1))]:
+        table = TransitionTable(g, 12)
+        x = g.identity()
         direct = sum(
-            m1**n * m2**m * table.p_dist(n + m, dist)
+            m1**n * m2**m * table.p(n + m, x, y)
             for n in range(7)
             for m in range(7)
         )
-        assert isec.expected_pairs_truncated(m1, m2, T4, E, y, 6) == pytest.approx(
+        assert isec.expected_pairs_truncated(m1, m2, g, x, y, 6) == pytest.approx(
             direct, rel=1e-12
         )
 
@@ -69,13 +71,10 @@ def test_supercritical_profile_diverges():
 def test_sample_intersections_degenerate():
     rng = np.random.default_rng(0)
     d0 = OffspringDistribution.delta(0)
-    rec = isec.sample_intersections(d0, d0, T4, E, E, 3, 3, rng)
+    rec = isec.sample_intersections(d0, d0, T4, 3, 3, rng)
     assert rec.pair_count == 1
     assert rec.intersection == {E}
     assert rec.pulled_back == {0}
-    rec = isec.sample_intersections(d0, d0, T4, E, (0,), 3, 3, rng)
-    assert rec.pair_count == 0
-    assert rec.intersection == frozenset()
 
 
 def test_sample_intersections_matches_expectation():
@@ -83,7 +82,7 @@ def test_sample_intersections_matches_expectation():
     n = 4000
     counts = np.array(
         [
-            isec.sample_intersections(MU11, MU11, T4, E, E, 3, 3, rng).pair_count
+            isec.sample_intersections(MU11, MU11, T4, 3, 3, rng).pair_count
             for _ in range(n)
         ],
         dtype=float,
@@ -104,7 +103,7 @@ def test_mc_agreement_across_mean_pairs():
         n = 4000
         counts = np.array(
             [
-                isec.sample_intersections(mu_a, mu_b, T4, E, E, 6, 6, rng).pair_count
+                isec.sample_intersections(mu_a, mu_b, T4, 6, 6, rng).pair_count
                 for _ in range(n)
             ],
             dtype=float,
@@ -125,7 +124,7 @@ def test_diagnostic_root_branching_frequency_bounded():
     hits = {4: 0, 8: 0}
     used = 0
     while used < 1500:
-        rec = isec.sample_intersections(mu_crit, mu_crit, T4, E, E, 8, 8, rng)
+        rec = isec.sample_intersections(mu_crit, mu_crit, T4, 8, 8, rng)
         if not rec.pulled_back:
             continue
         used += 1

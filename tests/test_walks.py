@@ -168,7 +168,7 @@ def test_time_reversal_endpoint_law():
     x = ()
     y = (0, 1, 2)
     n = 20_000
-    p_exact = groups.p_series(T3, x, y, 3)[3]
+    p_exact = oracles.TransitionTable(T3, 3).p(3, x, y)
     fwd = sum(run_walk(t, T3, x, rng).values[3] == y for _ in range(n)) / n
     rev = sum(run_walk(t, T3, y, rng).values[3] == x for _ in range(n)) / n
     sd = math.sqrt(p_exact * (1 - p_exact) / n)
