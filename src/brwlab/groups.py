@@ -32,7 +32,9 @@ MAX_LATTICE_DIM = 3
 # cap keeps Z^d runs at the horizons they were tested at.
 MAX_LATTICE_CELLS = 2**24
 MAX_BALL_ELEMENTS = 10**6
-MAX_DEGREE = 64  # neighbors() builds every neighbour word of a vertex at each step
+# every walk step makes one validated neighbors() call, which builds all
+# deg(g) neighbour words of a vertex, so its cost grows with the degree
+MAX_DEGREE = 64
 # visits_series cuts the series at the first term above this
 VISITS_GUARD = 1e12
 
@@ -86,6 +88,22 @@ class GroupSpec:
         return tuple(tuple(sign if i == axis else 0 for i in range(self.param))
                      for axis in range(self.param) for sign in (1, -1))
 
+    # tree-like words: the letter set, the 1-letter words in generator
+    # order, and each last letter's back-step slot (that of its inverse)
+    @functools.cached_property
+    def _letters(self) -> frozenset:
+        return frozenset(self.generators)
+
+    @functools.cached_property
+    def _unit_words(self) -> tuple:
+        return tuple((s,) for s in self.generators)
+
+    @functools.cached_property
+    def _back_slot(self) -> dict:
+        gens = self.generators
+        inverse = gens if self.kind == REGULAR_TREE else [-s for s in gens]
+        return {a: i for i, a in enumerate(inverse)}
+
     def identity(self):
         if self.kind == INTEGER_LATTICE:
             return (0,) * self.param
@@ -102,7 +120,10 @@ class GroupSpec:
 
 def validate_elem(g: GroupSpec, x) -> None:
     """Raise InvalidElementError unless x is a vertex of g.  Every walk
-    step calls this, so each check is one builtin that loops in C."""
+    step calls this through neighbors(), so each check is one builtin that
+    loops in C: an int test of every entry, then, on tree-like graphs, one
+    superset test of the generator set for the letter range and one
+    adjacent-pair comparison for reducedness."""
     if not isinstance(x, tuple):
         raise InvalidElementError(f"element must be a tuple, got {type(x).__name__}")
     ints = all(map(isinstance, x, repeat(int)))
@@ -110,17 +131,12 @@ def validate_elem(g: GroupSpec, x) -> None:
         if len(x) != g.param or not ints:
             raise InvalidElementError(f"{x!r} is not a coordinate in Z^{g.param}")
         return
-    if g.kind == REGULAR_TREE:
-        d = g.param
-        if not ints or (x and (min(x) < 0 or max(x) >= d)):
-            raise InvalidElementError(f"{x!r} has letters outside 0..{d - 1}")
-        if any(map(eq, x, x[1:])):
-            raise InvalidElementError(f"{x!r} is not reduced")
-        return
-    k = g.param
-    if not ints or (x and (0 in x or min(x) < -k or max(x) > k)):
-        raise InvalidElementError(f"{x!r} has letters outside +-1..{k}")
-    if any(map(eq, x, map(neg, x[1:]))):
+    tree = g.kind == REGULAR_TREE
+    # ints first: the set lookup would accept 1.0 or np.int64(1) for 1
+    if not ints or not g._letters.issuperset(x):
+        span = f"0..{g.param - 1}" if tree else f"+-1..{g.param}"
+        raise InvalidElementError(f"{x!r} has letters outside {span}")
+    if any(map(eq, x, x[1:] if tree else map(neg, x[1:]))):
         raise InvalidElementError(f"{x!r} is not reduced")
 
 
@@ -138,13 +154,12 @@ def _apply_letter(g: GroupSpec, x, s):
 def neighbors(g: GroupSpec, x):
     """The deg(g) neighbours of x, in fixed generator order."""
     validate_elem(g, x)
-    gens = g.generators
     if g.kind == INTEGER_LATTICE:
-        return [tuple(map(add, x, step)) for step in gens]
-    # the one letter that cancels x's last letter steps back to x[:-1]
-    back = x[:-1]
-    undo = (x[-1] if g.kind == REGULAR_TREE else -x[-1]) if x else None
-    return [back if s == undo else x + (s,) for s in gens]
+        return [tuple(map(add, x, step)) for step in g.generators]
+    out = [x + s for s in g._unit_words]
+    if x:  # the one letter that cancels x's last letter steps back to x[:-1]
+        out[g._back_slot[x[-1]]] = x[:-1]
+    return out
 
 
 def mul(g: GroupSpec, x, y):

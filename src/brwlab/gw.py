@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 
-from . import groups
-
 
 class SamplingError(RuntimeError):
     """Raised when rejection sampling exhausts its retry budget."""
@@ -162,48 +160,46 @@ class MarkedTree:
         labels.update(zip(missing, rng.random(len(missing)).tolist()))
 
     def adjacency(self):
-        return groups.adjacency(self.parent, self.edges())
+        """groups.adjacency(parent, edges()): each vertex's parent, then its
+        children, in parent-map order."""
+        children = self.children
+        return {v: [*children[v]] if p is None else [p, *children[v]]
+                for v, p in self.parent.items()}
 
 
-def _add_family(tree: MarkedTree, parent_id: int, family: range) -> None:
-    """add_child for each id in family, in order, without the presence
-    check: the samplers hand out every id once."""
-    parent, children, depth = tree.parent, tree.children, tree.depth
-    d = depth[parent_id] + 1
-    for c in family:
-        parent[c] = parent_id
-        children[c] = []
-        depth[c] = d
-    children[parent_id].extend(family)
-
-
-def _grow(tree: MarkedTree, frontier: list, next_id: int, mu: OffspringDistribution,
+def _grow(tree: MarkedTree, frontier, next_id: int, mu: OffspringDistribution,
           budget: int, rng, max_depth: int | None) -> MarkedTree:
-    """Breadth-first GW(mu) growth below the frontier, giving new vertices
-    ids from next_id on; stops at the vertex budget or the depth cap.  A
-    family that crosses the budget keeps its children below it."""
+    """Breadth-first GW(mu) growth below the frontier, one generation at a
+    time, giving new vertices ids from next_id on; stops at the vertex
+    budget or the depth cap.  A family that crosses the budget keeps its
+    children below it.  Each family is written straight into the maps,
+    without add_child's presence check: every id is handed out once."""
+    parent, children, depth = tree.parent, tree.children, tree.depth
     while frontier:
-        if max_depth is not None and tree.depth[frontier[0]] >= max_depth:
+        d = depth[frontier[0]] + 1  # a frontier is one generation
+        if max_depth is not None and d > max_depth:
             # children beyond the depth cap are never generated
             if mu.sample(rng, size=len(frontier)).any():
                 tree.truncated = True
                 tree.truncation_reason = "depth"
             return tree
-        nxt = []
+        first = next_id
         for v, k in zip(frontier, mu.sample(rng, size=len(frontier)).tolist()):
             if not k:
                 continue
             stop = next_id + k
+            family = range(next_id, min(stop, budget))
+            for c in family:
+                parent[c] = v
+                children[c] = []
+                depth[c] = d
+            children[v].extend(family)
             if stop > budget:
-                _add_family(tree, v, range(next_id, budget))
                 tree.truncated = True
                 tree.truncation_reason = "budget"
                 return tree
-            family = range(next_id, stop)
-            _add_family(tree, v, family)
-            nxt.extend(family)
             next_id = stop
-        frontier = nxt
+        frontier = range(first, next_id)  # the new generation, in id order
     return tree
 
 
@@ -251,7 +247,8 @@ def sample_unimodular_gw(mu: OffspringDistribution, budget: int, rng,
     # the root's own children come first, then the co-root draws its own
     # offspring alongside them; everything below is GW(mu)
     own = range(2, 2 + min(k0, budget - 2))
-    _add_family(tree, 0, own)
+    for c in own:
+        tree.add_child(0, c)
     if len(own) < k0:
         tree.truncated = True
         tree.truncation_reason = "budget"
@@ -308,28 +305,32 @@ def percolate_root_component(tree: MarkedTree, p: float, rng=None) -> MarkedTree
 
     Labels are drawn lazily (then fixed on the input tree) so that the
     components are monotone-coupled in p.  The result keeps the original
-    vertex ids.
+    vertex ids.  One pass over the parent map, which lists every parent
+    before its children, keeps a vertex when its parent is kept and its
+    edge label is <= p; the result's maps, and its edge labels, follow
+    that order.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if tree.edge_labels is None or any(
-        c not in tree.edge_labels for c, q in tree.parent.items() if q is not None
-    ):
+    labels = tree.edge_labels
+    # every vertex but the root needs a label
+    if labels is None or not tree.parent.keys() - labels.keys() <= {tree.root}:
         if rng is None:
             raise ValueError("tree has unlabeled edges and no rng was given")
         tree.ensure_edge_labels(rng)
+        labels = tree.edge_labels
     out = MarkedTree(root=tree.root)
     out.truncated = tree.truncated
-    stack = [tree.root]
-    kept = {tree.root}
-    while stack:
-        v = stack.pop()
-        for c in tree.children[v]:
-            if tree.edge_labels[c] <= p:
-                out.add_child(v, c)
-                kept.add(c)
-                stack.append(c)
+    parent, children, depth = out.parent, out.children, out.depth
+    kept_labels = {}
+    for c, q in tree.parent.items():
+        if q in depth and labels[c] <= p:  # the root's q, None, is never kept
+            parent[c] = q
+            children[c] = []
+            children[q].append(c)
+            depth[c] = depth[q] + 1
+            kept_labels[c] = labels[c]
     if tree.marks is not None:
-        out.marks = {v for v in tree.marks if v in kept}
-    out.edge_labels = {c: tree.edge_labels[c] for c in kept if tree.parent[c] is not None}
+        out.marks = {v for v in tree.marks if v in parent}
+    out.edge_labels = kept_labels
     return out

@@ -61,9 +61,18 @@ class OrientedTree:
         bad = [v for v in marks if v not in tree.parent]
         if bad:
             raise ValueError(f"marks outside the tree: {bad[:3]}")
-        found = groups.bfs(tree.adjacency().__getitem__, anchor)
-        parent = {v: p for v, (_, p) in found.items()}
-        layer = {v: d for v, (d, _) in found.items()}
+        # flip the parent pointers on the anchor's path to the root; every
+        # other vertex keeps its parent, which the parent map lists first
+        parent = dict(tree.parent)
+        layer = {}
+        v, below = anchor, None
+        while v is not None:
+            parent[v] = below
+            layer[v] = len(layer)
+            v, below = tree.parent[v], v
+        for v, p in parent.items():
+            if v not in layer:
+                layer[v] = layer[p] + 1
         return cls(parent, layer, marks)
 
     @property

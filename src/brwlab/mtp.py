@@ -314,10 +314,9 @@ def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
             )
         else:
             tree2 = sample_unimodular_gw(mu2, budget, rng, max_depth=depth2)
-            walk2 = run_walk(tree2, g, start, rng)
-            image2 = set(walk2.values.values())
-            marks = frozenset(v for v, x in walk.values.items() if x in image2)
-            ingredient = 1.0 / walk2.visits_to(start)
+            counts2 = run_walk(tree2, g, start, rng).image_counts()
+            marks = frozenset(v for v, x in walk.values.items() if x in counts2)
+            ingredient = 1.0 / counts2[start]
         cert = _certified_radius(tree, depth)
         return MtpSample(tree.adjacency(), marks, tree.root, ingredient, cert)
 
@@ -338,11 +337,11 @@ def pushforward_trace_sampler(g: groups.GroupSpec, mu: OffspringDistribution,
 
     def sample(rng) -> MtpSample:
         tree = sample_unimodular_gw(mu, budget, rng, max_depth=depth)
-        walk = run_walk(tree, g, start, rng)
-        marks = frozenset(x for x in walk.values.values() if x in ball_set)
+        counts = run_walk(tree, g, start, rng).image_counts()
+        marks = frozenset(x for x in counts if x in ball_set)
         cert = ball_radius // 2
         if tree.truncation_reason == "budget":
             cert = -1
-        return MtpSample(adj, marks, start, 1.0 / walk.visits_to(start), cert)
+        return MtpSample(adj, marks, start, 1.0 / counts[start], cert)
 
     return sample

@@ -23,19 +23,18 @@ class TreeWalk:
         return self.values[self.tree.root]
 
     def image_counts(self) -> Counter:
+        """Visits per group element; the keys are the image."""
         return Counter(self.values.values())
-
-    def visits_to(self, x) -> int:
-        return sum(1 for v in self.values.values() if v == x)
 
 
 def run_walk(tree: MarkedTree, g: groups.GroupSpec, start, rng) -> TreeWalk:
     groups.validate_elem(g, start)
     values = {tree.root: start}
     picks = rng.integers(0, g.degree, size=tree.n_vertices)
+    neighbors = groups.neighbors  # looked up per walk, so a patched one counts
     for (v, p), k in zip(tree.parent.items(), picks.tolist()):
         if p is not None:  # one neighbors() step per non-root vertex
-            values[v] = groups.neighbors(g, values[p])[k]
+            values[v] = neighbors(g, values[p])[k]
     return TreeWalk(tree, g, values)
 
 

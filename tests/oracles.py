@@ -21,7 +21,12 @@ their trees with `MarkedTree.add_child`.  The references for
 `ensure_edge_labels` and `sample_marked_fuzz_tree` draw one
 scalar per vertex, as those functions did before they drew in bulk, and
 `thinned_intersection_sweep_reference` is the sweep as it was before its
-threshold pass: both root components rebuilt and recounted at every p.
+threshold pass: both root components rebuilt and recounted at every p,
+by `percolate_root_component_reference`, the depth-first build with one
+`add_child` per kept vertex that percolation ran before its one-pass
+build.  `oriented_tree_reference` orients a tree by a BFS from the
+anchor, as `OrientedTree.from_tree` did before it flipped the anchor's
+root path.
 Besides the recursion, the tree return series has two references:
 `tree_return_counts`, the exact integer distance chain, and
 `tree_return_tail_decimal`, the closed-form tail sum carried to 40
@@ -630,6 +635,57 @@ def ensure_edge_labels_reference(tree, rng):
             tree.edge_labels[c] = float(rng.random())
 
 
+def percolate_root_component_reference(tree, p, rng=None):
+    """`gw.percolate_root_component` before its one-pass build: an any()
+    scan for unlabelled edges, then a depth-first walk from the root with
+    one add_child per kept vertex."""
+    from brwlab.gw import MarkedTree
+
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    if tree.edge_labels is None or any(
+        c not in tree.edge_labels for c, q in tree.parent.items() if q is not None
+    ):
+        if rng is None:
+            raise ValueError("tree has unlabeled edges and no rng was given")
+        ensure_edge_labels_reference(tree, rng)
+    out = MarkedTree(root=tree.root)
+    out.truncated = tree.truncated
+    stack = [tree.root]
+    kept = {tree.root}
+    while stack:
+        v = stack.pop()
+        for c in tree.children[v]:
+            if tree.edge_labels[c] <= p:
+                out.add_child(v, c)
+                kept.add(c)
+                stack.append(c)
+    if tree.marks is not None:
+        out.marks = {v for v in tree.marks if v in kept}
+    out.edge_labels = {c: tree.edge_labels[c] for c in kept if tree.parent[c] is not None}
+    return out
+
+
+def oriented_tree_reference(tree, anchor):
+    """(parent, layer) of a tree oriented toward its anchor: the BFS
+    parent and distance of every vertex, by a BFS from the anchor over
+    adjacency lists built edge by edge."""
+    adj = {v: [] for v in tree.parent}
+    for c, p in tree.parent.items():
+        if p is not None:
+            adj[p].append(c)
+            adj[c].append(p)
+    parent, layer = {anchor: None}, {anchor: 0}
+    queue = deque([anchor])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in layer:
+                parent[w], layer[w] = v, layer[v] + 1
+                queue.append(w)
+    return parent, layer
+
+
 def thinned_intersection_sweep_reference(mu1, mu2, g, p_grid, depth, replicates, rng,
                                          budget=1_000_000):
     """`intersections.thinned_intersection_sweep` before its threshold
@@ -637,7 +693,7 @@ def thinned_intersection_sweep_reference(mu1, mu2, g, p_grid, depth, replicates,
     off two Counters of walk values."""
     from collections import Counter
 
-    from brwlab.gw import percolate_root_component, sample_gw
+    from brwlab.gw import sample_gw
     from brwlab.intersections import ThinSweepReplicate
     from brwlab.walks import run_walk
 
@@ -656,8 +712,8 @@ def thinned_intersection_sweep_reference(mu1, mu2, g, p_grid, depth, replicates,
         sets = {}
         pairs = {}
         for p in p_grid:
-            sub1 = percolate_root_component(tree1, p)
-            sub2 = percolate_root_component(tree2, p)
+            sub1 = percolate_root_component_reference(tree1, p)
+            sub2 = percolate_root_component_reference(tree2, p)
             counts2 = Counter(walk2.values[v] for v in sub2.parent)
             counts1 = Counter(walk1.values[v] for v in sub1.parent)
             sets[p] = frozenset(v for v in sub1.parent if walk1.values[v] in counts2)

@@ -90,17 +90,44 @@ def test_invalid_elements_rejected():
         groups.p_series(T3, (5,), (), 2)
 
 
+T64 = GroupSpec("regular_tree", 64)
+F32 = GroupSpec("free_group", 32)
 _INTS = st.lists(st.integers(-3, 4), max_size=7).map(tuple)
 _SMALL = st.lists(st.integers(0, 2) | st.integers(-2, 2), max_size=4).map(tuple)
 _ODD = st.one_of(st.booleans(), st.integers(-3, 4).map(np.int64), st.floats(allow_nan=True),
-                 st.none(), st.sampled_from([2**70, -(2**70), 2**63]))
+                 st.none(), st.sampled_from([2**70, -(2**70), 2**63]), st.just([1]))
 _MIXED = st.tuples(_INTS, _ODD, _INTS).map(lambda t: t[0] + (t[1],) + t[2])
 # adjacent equal and adjacent inverse letters: the two non-reduced forms
 _STUTTER = st.tuples(_SMALL, st.integers(-3, 3), st.booleans(), _SMALL).map(
     lambda t: t[0] + (t[1], t[1] if t[2] else -t[1]) + t[3])
 _NOT_A_TUPLE = st.one_of(st.lists(st.integers(0, 3), max_size=3), st.integers(),
                          st.text(max_size=3), st.none(), st.just(np.array([0, 1])))
-_SPECS = [T3, T4, F2, GroupSpec("free_group", 3), Z1, Z2, Z3]
+_SPECS = [T3, T4, F2, GroupSpec("free_group", 3), T64, F32, Z1, Z2, Z3]
+
+
+def _walk_word(g, picks):
+    """The value a walk from the identity reaches by taking neighbour
+    picks[i] % deg at step i: a vertex at distance <= len(picks)."""
+    x = g.identity()
+    for k in picks:
+        x = neighbors_reference(g, x)[k % g.degree]
+    return x
+
+
+@st.composite
+def _walk_words(draw, g):
+    """Walk values of up to 30 steps, as walks produce, and the same with
+    one entry inserted: a letter in or just outside the range, a repeat
+    or inverse of its neighbour, or an odd value."""
+    x = _walk_word(g, draw(st.lists(st.integers(0, 63), max_size=30)))
+    edit = draw(st.none() | st.tuples(st.integers(0, 30), st.integers(-65, 65) | _ODD))
+    if edit is None:
+        return x
+    i, s = edit
+    i %= len(x) + 1
+    if i and isinstance(s, bool):  # repeat or invert the letter before
+        s = x[i - 1] if s or g.kind != "free_group" else -x[i - 1]
+    return x[:i] + (s,) + x[i:]
 
 
 def _outcome(fn, g, x):
@@ -112,15 +139,27 @@ def _outcome(fn, g, x):
 
 
 @settings(max_examples=1000, deadline=None)
-@given(st.sampled_from(_SPECS), st.one_of(_INTS, _SMALL, _MIXED, _STUTTER, _NOT_A_TUPLE))
-def test_validate_elem_matches_reference(g, x):
+@given(st.data())
+def test_validate_elem_matches_reference(data):
     """Same accept/reject set and the same messages as the per-letter
     generator expressions, on ints, bools, numpy ints, floats, None, huge
-    ints, empty and non-reduced words, and non-tuples; accepted words get
-    the same neighbour list."""
+    ints, unhashable entries, empty and non-reduced words, walk values of
+    up to 30 letters on degrees up to 64, and non-tuples; accepted words
+    get the same neighbour list."""
+    g = data.draw(st.sampled_from(_SPECS))
+    x = data.draw(st.one_of(_INTS, _SMALL, _MIXED, _STUTTER, _NOT_A_TUPLE, _walk_words(g)))
     got = _outcome(groups.validate_elem, g, x)
     assert got == _outcome(validate_elem_reference, g, x)
     if got is None:
+        assert groups.neighbors(g, x) == neighbors_reference(g, x)
+
+
+@pytest.mark.parametrize("g", [T3, T64, F2, F32], ids=str)
+def test_neighbors_match_reference_on_balls(g):
+    """Every vertex of the radius-3 ball: the empty word, which has no back
+    step, and words ending in every letter, which put it at every slot."""
+    ball = groups.bfs(lambda v: neighbors_reference(g, v), g.identity(), 3)
+    for x in ball:
         assert groups.neighbors(g, x) == neighbors_reference(g, x)
 
 

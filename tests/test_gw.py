@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brwlab import gw
+from brwlab import groups, gw
 from brwlab.gw import OffspringDistribution
 
 import oracles
@@ -294,6 +294,15 @@ def test_percolate_extremes_and_label_fixing():
     assert t.edge_labels == labels  # labels fixed after first draw
     with pytest.raises(ValueError):
         gw.percolate_root_component(gw.sample_gw(OffspringDistribution.delta(2), 50, rng), 0.5)
+    # incomplete: one label missing, with as many labels as edges, or the
+    # root's alone
+    del t.edge_labels[max(t.parent)]
+    t.edge_labels[10**6] = 0.5
+    with pytest.raises(ValueError, match="no rng"):
+        gw.percolate_root_component(t, 0.5)
+    t.edge_labels = {t.root: 0.1}
+    with pytest.raises(ValueError, match="no rng"):
+        gw.percolate_root_component(t, 0.5)
 
 
 def test_percolate_monotone_coupling():
@@ -308,6 +317,62 @@ def test_percolate_monotone_coupling():
             if prev is not None:
                 assert prev <= cur
             prev = cur
+
+
+def _percolation_inputs(seed):
+    """Trees from every sampler, with no labels, all labels or about half
+    of them, those on a grid of twentieths that ties with p = 0.35 and 0.7;
+    fuzz trees carry marks."""
+    rng = np.random.default_rng(seed)
+    mu = OffspringDistribution([0.2, 0.3, 0.5])
+    trees = [gw.MarkedTree(0), gw.sample_gw(mu, 400, rng, max_depth=7),
+             gw.sample_gw(mu, 30, rng),  # cut at the budget
+             gw.sample_unimodular_gw(mu, 400, rng, max_depth=7),
+             gw.sample_marked_fuzz_tree(rng, 80), gw.sample_marked_fuzz_tree(rng, 80)]
+    for i, t in enumerate(trees):
+        if i % 3 == 1:
+            t.ensure_edge_labels(rng)
+        elif i % 3 == 2:
+            grid, keep = rng.integers(0, 21, t.n_vertices), rng.random(t.n_vertices) < 0.5
+            t.edge_labels = {c: int(k) / 20 for c, k, kept in zip(t.parent, grid, keep)
+                             if t.parent[c] is not None and kept}
+    return trees
+
+
+def test_percolation_matches_depth_first_reference():
+    """The one-pass component has the reference's parents, children in
+    order, depths, marks, labels and truncation flag; labels drawn for
+    unlabelled edges are the same doubles, leaving the generator in the
+    same state.  The component's maps list parents before children."""
+    for seed in range(40):
+        for t, ref_t in zip(_percolation_inputs(seed), _percolation_inputs(seed)):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for p in (0.0, 0.35, 0.7, 1.0):
+                sub = gw.percolate_root_component(t, p, rng)
+                ref = oracles.percolate_root_component_reference(ref_t, p, ref_rng)
+                assert sub.parent == ref.parent and sub.children == ref.children
+                assert sub.depth == ref.depth and sub.marks == ref.marks
+                assert sub.edge_labels == ref.edge_labels
+                assert sub.truncated == ref.truncated and sub.root == ref.root
+                assert list(sub.edge_labels) == [c for c in sub.parent if c != sub.root]
+                seen = set()
+                for v, u in sub.parent.items():
+                    assert u is None or u in seen
+                    seen.add(v)
+            assert list(t.edge_labels.items()) == list(ref_t.edge_labels.items())
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_adjacency_lists_parent_then_children_in_order():
+    """MarkedTree.adjacency() equals groups.adjacency(parent, edges()) with
+    the same keys and every list in the same order, on sampled, fuzz and
+    percolated trees."""
+    for seed in range(20):
+        for t in _percolation_inputs(seed):
+            sub = gw.percolate_root_component(t, 0.6, np.random.default_rng(seed))
+            for tree in (t, sub):
+                want = groups.adjacency(tree.parent, tree.edges())
+                assert list(tree.adjacency().items()) == list(want.items())
 
 
 def test_percolate_root_offspring_binomial():

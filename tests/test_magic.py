@@ -147,6 +147,20 @@ def test_supported_matches_brute_force():
 R_LISTS = ([1], [2], [3], [4], [1, 3], [2, 3], [1, 2, 3])
 
 
+def test_orientation_matches_bfs_at_every_anchor():
+    """from_tree gives the BFS orientation's parent and layer maps, and
+    children lists in the same order, at every anchor of 300 fuzz trees."""
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        t = sample_marked_fuzz_tree(rng, 60)
+        for anchor in t.parent:
+            T = OrientedTree.from_tree(t, anchor=anchor)
+            parent, layer = oracles.oriented_tree_reference(t, anchor)
+            assert T.parent == parent and T.layer == layer
+            assert T.children == OrientedTree(parent, layer, t.marks).children
+            assert T.tops() == [anchor] and T.marks == t.marks
+
+
 def test_rerooting_matches_bfs_oracle():
     """The all-roots pass against the per-vertex BFS it replaced, on fuzz
     trees oriented toward the root and toward random other anchors."""

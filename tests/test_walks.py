@@ -104,6 +104,39 @@ def test_run_walk_one_neighbors_call_per_step(monkeypatch):
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_experiments_make_one_neighbors_call_per_walk_step(monkeypatch):
+    """Over whole pull-back trace samples and thin sweeps on T4, F2 and
+    Z^2, groups.neighbors is called once per walk step and nowhere else:
+    the benchmark's traced runs count walks.steps against these calls."""
+    from brwlab import intersections, mtp
+
+    calls, steps = [0], [0]
+    real_neighbors = groups.neighbors
+
+    def counted(g, x):
+        calls[0] += 1
+        return real_neighbors(g, x)
+
+    def stepped(tree, g, start, rng):
+        walk = run_walk(tree, g, start, rng)
+        steps[0] += len(walk.values) - 1
+        return walk
+
+    monkeypatch.setattr(groups, "neighbors", counted)
+    monkeypatch.setattr(mtp, "run_walk", stepped)
+    monkeypatch.setattr(intersections, "run_walk", stepped)
+    mu = OffspringDistribution([0.45, 0, 0.55])
+    for g in (T4, F2, Z2):
+        rng = np.random.default_rng(7)
+        sampler = mtp.pullback_sampler(g, mu, 8, "trace", depth2=12)
+        for _ in range(30):
+            sampler(rng)
+        intersections.thinned_intersection_sweep(mu, mu, g, [0.5, 1.0], 8, 30, rng)
+        assert steps[0] > 1000
+        assert calls[0] == steps[0]
+        calls[0] = steps[0] = 0
+
+
 def test_walk_steps_are_edges():
     rng = np.random.default_rng(3)
     t = sample_gw(OffspringDistribution([0.2, 0.3, 0.5]), 400, rng, max_depth=8)
