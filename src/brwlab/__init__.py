@@ -33,15 +33,12 @@ from .gw import (
 )
 from .walks import TraceGraph, TreeWalk, run_walk, trace
 from .magic import (
-    BranchingReport,
     EndsProfile,
     OrientedTree,
     branch_deficiency_values,
-    branching_vertices,
+    counting_bound,
     ends_profile,
-    magic_bound_check,
     supported_gap_values,
-    supported_vertices,
 )
 from .mtp import (
     BUILTIN_TRANSPORT,

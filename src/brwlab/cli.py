@@ -170,13 +170,12 @@ def _write_csv(path, header, rows):
 
 # ---------------------------------------------------------------------------
 # sharded experiments: one worker call covers a block of replicate indices;
-# shards receive the typed config values
+# shards receive the typed config values and an (idx, rng) pair per index
 
 
-def _shard_magic_fuzz(v, seed, lo, hi):
+def _shard_magic_fuzz(v, streams):
     rows = []
-    for idx in range(lo, hi):
-        rng = substream(seed, idx)
+    for idx, rng in streams:
         tree = sample_marked_fuzz_tree(rng, v["max_vertices"])
         T = magic.OrientedTree.from_tree(tree)
         branch_vals = magic.branch_deficiency_values(T, v["r_grid"])
@@ -192,25 +191,16 @@ def _shard_magic_fuzz(v, seed, lo, hi):
     return rows, None
 
 
-def _shard_mtp(v, seed, lo, hi):
+def _shard_mtp(v, streams):
     sampler = MTP_SAMPLERS[v["sampler"]][0](v)
     F = mtp.BUILTIN_TRANSPORT[v["f"]]
     W = mtp.BUILTIN_WEIGHT[v["w"]]
-    rows = []  # (weighted difference, weight) of each certified sample
-    inconclusive = 0
-    for idx in range(lo, hi):
-        got = mtp.evaluate_sample(sampler(substream(seed, idx)), F, W)
-        if got is None:
-            inconclusive += 1
-        else:
-            rows.append(got)
-    return rows, inconclusive
+    return mtp.evaluate_samples(sampler, F, W, (rng for _, rng in streams))
 
 
-def _shard_intersect(v, seed, lo, hi):
+def _shard_intersect(v, streams):
     rows = []
-    for idx in range(lo, hi):
-        rng = substream(seed, idx)
+    for idx, rng in streams:
         rec = intersections.sample_intersections(
             v["offspring1"], v["offspring2"], v["group"], v["depth"], v["depth"], rng, v["budget"]
         )
@@ -218,15 +208,13 @@ def _shard_intersect(v, seed, lo, hi):
     return rows, None
 
 
-def _shard_thin_sweep(v, seed, lo, hi):
+def _shard_thin_sweep(v, streams):
     rows = []
     violations = 0
-    for idx in range(lo, hi):
-        rng = substream(seed, idx)
+    for idx, rng in streams:
         rep = intersections.thinned_intersection_sweep(
-            v["offspring1"], v["offspring2"], v["group"], v["p_grid"], v["depth"], 1, rng,
-            v["budget"],
-        )[0]
+            v["offspring1"], v["offspring2"], v["group"], v["p_grid"], v["depth"], rng, v["budget"]
+        )
         ps = sorted(rep.sets)
         for a, b in zip(ps, ps[1:]):
             if not rep.sets[a] <= rep.sets[b]:
@@ -236,16 +224,15 @@ def _shard_thin_sweep(v, seed, lo, hi):
     return rows, violations
 
 
-def _shard_ends(v, seed, lo, hi):
+def _shard_ends(v, streams):
     rows = []
-    for idx in range(lo, hi):
-        rng = substream(seed, idx)
+    for idx, rng in streams:
         res = intersections.trace_ends_experiment(
-            v["offspring"], v["group"], v["depth"], v["radius_grid"], v["m_threshold"], 1, rng,
+            v["offspring"], v["group"], v["depth"], v["radius_grid"], v["m_threshold"], rng,
             v["budget"],
         )
-        for j, radius in enumerate(res.radii):
-            rows.append((radius, idx, int(res.qualifying[0, j]), int(res.survived[0])))
+        for radius, q in res.qualifying.items():
+            rows.append((radius, idx, q, int(res.survived)))
     return rows, None
 
 
@@ -259,8 +246,10 @@ _SHARDS = {
 
 
 def _shard_worker(args):
+    """Run one shard on the substreams of its replicate indices: the one
+    place where a replicate index becomes a random stream."""
     name, v, seed, lo, hi = args
-    return _SHARDS[name][0](v, seed, lo, hi)
+    return _SHARDS[name][0](v, ((idx, substream(seed, idx)) for idx in range(lo, hi)))
 
 
 def _run_sharded(name, v, seed, n_units, workers):
@@ -317,10 +306,8 @@ def _run_magic_fuzz(v, seed, workers, out_dir):
 def _run_mtp_test(v, seed, workers, out_dir):
     n_samples = v["n_samples"]
     rows, extras = _run_sharded("mtp-test", v, seed, n_samples, workers)
-    deltas = [d for d, _ in rows]
-    weights = [w for _, w in rows]
     try:
-        report = mtp.aggregate_mtp_report(deltas, weights, sum(extras), n_samples, v["alpha"])
+        report = mtp.aggregate_mtp_report(rows, sum(extras), n_samples, v["alpha"])
     except mtp.TruncationError as exc:
         raise ConfigError(str(exc)) from exc
     with open(os.path.join(out_dir, "mtp_report.json"), "w") as fh:

@@ -14,7 +14,7 @@ import numpy as np
 from . import groups
 from .gw import MarkedTree, OffspringDistribution, percolate_root_component, sample_gw
 from .magic import ends_profile
-from .walks import TreeWalk, run_walk, trace
+from .walks import run_walk, trace
 
 # expected_pairs_profile freezes once a term or partial sum passes this
 PAIRS_GUARD = 1e30
@@ -76,11 +76,7 @@ def expected_pairs_truncated(mean1: float, mean2: float, g: groups.GroupSpec,
 class IntersectionRecord:
     """One realization of a pair of truncated walks and their overlap."""
 
-    group: groups.GroupSpec
-    depth1: int
-    depth2: int
     tree1: MarkedTree
-    walk1: TreeWalk
     intersection: frozenset
     pulled_back: frozenset
     pair_count: int
@@ -104,8 +100,7 @@ def sample_intersections(mu1: OffspringDistribution, mu2: OffspringDistribution,
     pair_count = sum(counts1[z] * counts2[z] for z in common)
     pulled = frozenset(v for v, z in walk1.values.items() if z in counts2)
     return IntersectionRecord(
-        group=g, depth1=n1, depth2=n2,
-        tree1=tree1, walk1=walk1,
+        tree1=tree1,
         intersection=frozenset(common),
         pulled_back=pulled,
         pair_count=pair_count,
@@ -139,9 +134,9 @@ def _thresholds(tree: MarkedTree, p: float) -> dict:
 
 
 def thinned_intersection_sweep(mu1: OffspringDistribution, mu2: OffspringDistribution,
-                               g: groups.GroupSpec, p_grid, depth: int,
-                               replicates: int, rng, budget: int = 1_000_000):
-    """For each replicate, thin both trees by their fixed edge labels at
+                               g: groups.GroupSpec, p_grid, depth: int, rng,
+                               budget: int = 1_000_000) -> ThinSweepReplicate:
+    """Sample one replicate: thin both trees by their fixed edge labels at
     every p in the grid and intersect the restricted walks.
 
     Each tree is percolated once, at the top of the grid, whose root
@@ -159,61 +154,53 @@ def thinned_intersection_sweep(mu1: OffspringDistribution, mu2: OffspringDistrib
     if any(not 0.0 <= p <= 1.0 for p in p_grid):
         raise ValueError("p_grid entries must lie in [0, 1]")
     e = g.identity()
-    out = []
-    for _ in range(replicates):
-        tree1 = sample_gw(mu1, budget, rng, max_depth=depth)
-        tree2 = sample_gw(mu2, budget, rng, max_depth=depth)
-        tree1.ensure_edge_labels(rng)
-        tree2.ensure_edge_labels(rng)
-        walk1 = run_walk(tree1, g, e, rng)
-        walk2 = run_walk(tree2, g, e, rng)
-        sets = {}
-        pairs = {}
-        if p_grid:
-            by_value = {}  # walk value -> sorted tree-2 thresholds
-            for v, t in _thresholds(tree2, p_grid[-1]).items():
-                by_value.setdefault(walk2.values[v], []).append(t)
-            for ts in by_value.values():
-                ts.sort()
-            hits = []  # (v, thr1(v), by_value entry) for the values both walks reach
-            for v, t in _thresholds(tree1, p_grid[-1]).items():
-                ts = by_value.get(walk1.values[v])
-                if ts is not None:
-                    hits.append((v, t, ts))
-            for p in p_grid:
-                sets[p] = frozenset(v for v, t, ts in hits if t <= p and ts[0] <= p)
-                pairs[p] = sum(bisect_right(ts, p) for _, t, ts in hits if t <= p)
-        out.append(
-            ThinSweepReplicate(sets, pairs, tree1.truncated or tree2.truncated)
-        )
-    return out
+    tree1 = sample_gw(mu1, budget, rng, max_depth=depth)
+    tree2 = sample_gw(mu2, budget, rng, max_depth=depth)
+    tree1.ensure_edge_labels(rng)
+    tree2.ensure_edge_labels(rng)
+    walk1 = run_walk(tree1, g, e, rng)
+    walk2 = run_walk(tree2, g, e, rng)
+    sets = {}
+    pairs = {}
+    if p_grid:
+        by_value = {}  # walk value -> sorted tree-2 thresholds
+        for v, t in _thresholds(tree2, p_grid[-1]).items():
+            by_value.setdefault(walk2.values[v], []).append(t)
+        for ts in by_value.values():
+            ts.sort()
+        hits = []  # (v, thr1(v), by_value entry) for the values both walks reach
+        for v, t in _thresholds(tree1, p_grid[-1]).items():
+            ts = by_value.get(walk1.values[v])
+            if ts is not None:
+                hits.append((v, t, ts))
+        for p in p_grid:
+            sets[p] = frozenset(v for v, t, ts in hits if t <= p and ts[0] <= p)
+            pairs[p] = sum(bisect_right(ts, p) for _, t, ts in hits if t <= p)
+    return ThinSweepReplicate(sets, pairs, tree1.truncated or tree2.truncated)
 
 
 @dataclass
 class TraceEndsResult:
-    radii: list
-    qualifying: np.ndarray  # replicates x radii
-    survived: np.ndarray
+    """One trace's qualifying-component counts by removal radius, in
+    ascending radius order, and whether its tree reached the depth."""
+
+    qualifying: dict  # radius -> count
+    survived: bool
 
 
 def trace_ends_experiment(mu: OffspringDistribution, g: groups.GroupSpec,
                           depth: int, radius_grid, m_threshold: int,
-                          replicates: int, rng, budget: int = 1_000_000) -> TraceEndsResult:
-    """Grow traces from the identity to a depth budget, carve out balls
+                          rng, budget: int = 1_000_000) -> TraceEndsResult:
+    """Grow one trace from the identity to a depth budget, carve out balls
     around it and count components still holding enough trace vertices."""
     if mu.mean <= 1.0:
         raise ValueError("trace ends experiment needs a supercritical mean")
     start = g.identity()
-    radii = sorted(set(int(r) for r in radius_grid))
-    quals = np.zeros((replicates, len(radii)), dtype=np.int64)
-    survived = np.zeros(replicates, dtype=bool)
-    for i in range(replicates):
-        tree = sample_gw(mu, budget, rng, max_depth=depth)
-        survived[i] = tree.max_depth() >= depth
-        walk = run_walk(tree, g, start, rng)
-        tr = trace(walk)
-        adj = tr.adjacency()
-        for j, radius in enumerate(radii):
-            profile = ends_profile(adj, tr.vertices, start, radius, m_threshold)
-            quals[i, j] = profile.qualifying
-    return TraceEndsResult(radii, quals, survived)
+    tree = sample_gw(mu, budget, rng, max_depth=depth)
+    tr = trace(run_walk(tree, g, start, rng))
+    adj = tr.adjacency()
+    qualifying = {
+        radius: ends_profile(adj, tr.vertices, start, radius, m_threshold).qualifying
+        for radius in sorted(set(int(r) for r in radius_grid))
+    }
+    return TraceEndsResult(qualifying, tree.max_depth() >= depth)

@@ -1,4 +1,4 @@
-"""Branching/supported vertex detection and the counting bound.
+"""Branching and supported values of marked trees, and the counting bound.
 
 All definitions are evaluated on the tree augmented by a virtual infinite
 ray at an anchor vertex, so every vertex has vertices at distance exactly
@@ -23,6 +23,7 @@ hub marked has m+1 (1,2)-branching vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import groups
 from .gw import MarkedTree
@@ -34,19 +35,14 @@ class OrientedTree:
     Every real vertex has a parent: a real vertex, or (for top vertices)
     a virtual ray vertex.  layer is depth relative to the anchor, anchor
     in layer 0.  One built from a parent map may have several top vertices.
+    The parent and layer maps are kept as given, not copied: nothing
+    mutates them.
     """
 
-    def __init__(self, parent: dict, layer: dict, marks, children=None):
-        self.parent = dict(parent)
-        self.layer = dict(layer)
+    def __init__(self, parent: dict, layer: dict, marks):
+        self.parent = parent
+        self.layer = layer
         self.marks = frozenset(marks) if marks is not None else frozenset()
-        if children is None:
-            children = {v: [] for v in self.parent}
-            for v, p in self.parent.items():
-                if p is not None:
-                    children[p].append(v)
-        self.children = children
-        self._sub = None
 
     @classmethod
     def from_tree(cls, tree: MarkedTree, anchor=None, marks=None) -> "OrientedTree":
@@ -83,6 +79,16 @@ class OrientedTree:
     def n_marks(self) -> int:
         return len(self.marks)
 
+    @cached_property
+    def children(self) -> dict:
+        """Children lists in parent-map order, built in one pass on first
+        read (the counting passes never read them)."""
+        children = {v: [] for v in self.parent}
+        for v, p in self.parent.items():
+            if p is not None:
+                children[p].append(v)
+        return children
+
     def tops(self):
         return [v for v, p in self.parent.items() if p is None]
 
@@ -90,17 +96,16 @@ class OrientedTree:
         return groups.adjacency(
             self.parent, ((v, p) for v, p in self.parent.items() if p is not None))
 
+    @cached_property
     def subtree_mark_counts(self) -> dict:
-        """Marks at or below each vertex (cached)."""
-        if self._sub is None:
-            order = sorted(self.parent, key=lambda v: self.layer[v], reverse=True)
-            sub = {v: (1 if v in self.marks else 0) for v in self.parent}
-            for v in order:
-                p = self.parent[v]
-                if p is not None:
-                    sub[p] += sub[v]
-            self._sub = sub
-        return self._sub
+        """Marks at or below each vertex, counted on first read."""
+        order = sorted(self.parent, key=lambda v: self.layer[v], reverse=True)
+        sub = {v: (1 if v in self.marks else 0) for v in self.parent}
+        for v in order:
+            p = self.parent[v]
+            if p is not None:
+                sub[p] += sub[v]
+        return sub
 
 
 def _require_marks(T: OrientedTree):
@@ -151,7 +156,7 @@ def branch_deficiency_values(T: OrientedTree, r_list) -> dict:
     if not wanted:
         return out
     index = {v: i for i, v in enumerate(verts)}
-    sub = T.subtree_mark_counts()
+    sub = T.subtree_mark_counts
     kids = {}
     for v, p in T.parent.items():
         if p is not None:
@@ -217,16 +222,6 @@ def branch_deficiency_values(T: OrientedTree, r_list) -> dict:
     return {r: out[r] for r in r_list}
 
 
-def branching_vertices(T, A, k: int, r: int, anchor=None) -> set:
-    """Vertices u with |A| - |A_{u,v} u A_{u,w}| >= k for every pair of
-    (real or virtual) vertices v, w at distance exactly r from u."""
-    T = _as_oriented(T, A, anchor)
-    if k < 1 or r < 1:
-        raise ValueError("k and r must be >= 1")
-    values = branch_deficiency_values(T, [r])[r]
-    return {u for u, val in values.items() if val >= k}
-
-
 def supported_gap_values(T: OrientedTree, r: int) -> dict:
     """For each vertex with at least one depth-r descendant, the worst-case
     mark gap |A_v| - max_w |A_w| over those descendants.
@@ -239,7 +234,7 @@ def supported_gap_values(T: OrientedTree, r: int) -> dict:
         raise ValueError("r must be >= 1")
     parent = T.parent
     marks = T.marks
-    sub = T.subtree_mark_counts()
+    sub = T.subtree_mark_counts
     best = {}
     for w in parent:
         a = w
@@ -255,67 +250,10 @@ def supported_gap_values(T: OrientedTree, r: int) -> dict:
     return {v: sub[v] - (v in marks) - worst for v, worst in best.items()}
 
 
-def supported_vertices(T, A, k: int, r: int, anchor=None) -> set:
-    """Vertices with at least one depth-r descendant and mark-count gap at
-    least k to every such descendant."""
-    T = _as_oriented(T, A, anchor)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    gaps = supported_gap_values(T, r)
-    return {v for v, gap in gaps.items() if gap >= k}
-
-
-def _as_oriented(T, A, anchor) -> OrientedTree:
-    if isinstance(T, OrientedTree):
-        if A is not None:
-            return OrientedTree(T.parent, T.layer, A, T.children)
-        return T
-    return OrientedTree.from_tree(T, anchor=anchor, marks=A)
-
-
-@dataclass(frozen=True)
-class BranchingReport:
-    k: int
-    r: int
-    n_vertices: int
-    n_marks: int
-    branching: frozenset
-    supported: frozenset
-    bound_value: float
-    passed: bool
-
-    @property
-    def branching_count(self) -> int:
-        return len(self.branching)
-
-    @property
-    def supported_count(self) -> int:
-        return len(self.supported)
-
-
 def counting_bound(n_marks: int, k: int, r: int) -> float:
     """r(2|A| - k)/k, the flow-counting bound on (k, r)-supported vertices
     (and on (k, 1)-branching ones); negative when k > 2|A|."""
     return r * (2.0 * n_marks - k) / k
-
-
-def magic_bound_check(T, A, k: int, r: int, anchor=None) -> BranchingReport:
-    """Count branching and supported vertices and compare the branching
-    count against r(2|A| - k)/k (clamped at 0 for k > 2|A|).
-
-    `passed` reports that comparison for the branching count, which the
-    bound is proven to cover only at r = 1; at r >= 2 a False is a fact
-    about the tree, not a fault (see the module docstring).  The supported
-    count is the one the bound covers at every r.
-    """
-    T = _as_oriented(T, A, anchor)
-    branching = frozenset(branching_vertices(T, None, k, r))
-    supported = frozenset(supported_vertices(T, None, k, r))
-    bound = counting_bound(T.n_marks, k, r)
-    passed = len(branching) <= max(bound, 0.0)
-    return BranchingReport(
-        k, r, T.n_vertices, T.n_marks, branching, supported, bound, passed
-    )
 
 
 @dataclass

@@ -11,6 +11,7 @@ excluded from the test and counted as inconclusive.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -175,25 +176,41 @@ def evaluate_sample(sample: MtpSample, F: TransportFunction, W: WeightFunction):
     return w * paired_difference(sample, F), w
 
 
-def aggregate_mtp_report(deltas, weights, inconclusive: int, n_samples: int,
+def evaluate_samples(sampler, F: TransportFunction, W: WeightFunction, rngs):
+    """Draw one sample from each stream of rngs and evaluate it: the
+    (weighted difference, weight) rows of the certified samples, and the
+    number of samples that could not certify the transport radius."""
+    rows = []
+    inconclusive = 0
+    for rng in rngs:
+        got = evaluate_sample(sampler(rng), F, W)
+        if got is None:
+            inconclusive += 1
+        else:
+            rows.append(got)
+    return rows, inconclusive
+
+
+def aggregate_mtp_report(rows, inconclusive: int, n_samples: int,
                          alpha: float) -> MtpTestReport:
-    """Normal-approximation CI on the paired differences; more than 10%
-    uncertified samples is a truncation error."""
+    """Normal-approximation CI on the paired differences of the
+    (weighted difference, weight) rows; more than 10% uncertified samples
+    is a truncation error."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if inconclusive > 0.1 * n_samples:
         raise TruncationError(
             f"{inconclusive}/{n_samples} samples could not certify the transport radius"
         )
-    deltas = np.asarray(deltas, dtype=float)
-    n = len(deltas)
+    n = len(rows)
     if n < 2:
         raise ValueError("need at least 2 usable samples")
+    deltas = np.array([d for d, _ in rows], dtype=float)
     mean = float(deltas.mean())
     sd = float(deltas.std(ddof=1))
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     half = z * sd / math.sqrt(n)
-    mean_w = float(np.mean(weights))
+    mean_w = float(np.mean([w for _, w in rows]))
     passed = (mean - half) <= 0.0 <= (mean + half)
     return MtpTestReport(
         estimate=mean / mean_w,
@@ -212,22 +229,12 @@ def mc_mtp_test(sampler, F: TransportFunction, W: WeightFunction,
     """Paired Monte Carlo test of the weighted mass-transport identity.
 
     H0: E[W * (outgoing - incoming)] = 0, tested with a normal CI on the
-    paired differences.  Samples that cannot certify the transport radius
-    are skipped; more than 10% of them is a truncation error.
+    paired differences of n_samples draws from the one stream rng.
+    Samples that cannot certify the transport radius are skipped; more
+    than 10% of them is a truncation error.
     """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    deltas = []
-    weights = []
-    inconclusive = 0
-    for _ in range(n_samples):
-        got = evaluate_sample(sampler(rng), F, W)
-        if got is None:
-            inconclusive += 1
-            continue
-        deltas.append(got[0])
-        weights.append(got[1])
-    return aggregate_mtp_report(deltas, weights, inconclusive, n_samples, alpha)
+    rows, inconclusive = evaluate_samples(sampler, F, W, itertools.repeat(rng, n_samples))
+    return aggregate_mtp_report(rows, inconclusive, n_samples, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +272,13 @@ A_RULE_BALL = "ball"
 A_RULE_TRACE = "trace"
 
 
-def _certified_radius(tree: MarkedTree, depth: int) -> int:
+def _certified_radius(tree: MarkedTree, reach: int) -> int:
+    """Half the reach a sample was built to (the tree depth of a
+    pull-back, the ball radius of a push-forward), or -1 when its tree was
+    cut at the budget."""
     if tree.truncation_reason == "budget":
         return -1
-    return depth // 2
+    return reach // 2
 
 
 def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
@@ -339,9 +349,7 @@ def pushforward_trace_sampler(g: groups.GroupSpec, mu: OffspringDistribution,
         tree = sample_unimodular_gw(mu, budget, rng, max_depth=depth)
         counts = run_walk(tree, g, start, rng).image_counts()
         marks = frozenset(x for x in counts if x in ball_set)
-        cert = ball_radius // 2
-        if tree.truncation_reason == "budget":
-            cert = -1
-        return MtpSample(adj, marks, start, 1.0 / counts[start], cert)
+        return MtpSample(adj, marks, start, 1.0 / counts[start],
+                         _certified_radius(tree, ball_radius))
 
     return sample

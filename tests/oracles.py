@@ -116,7 +116,7 @@ def bfs_branch_values(T, r_list):
     if any(r < 1 for r in r_list):
         raise ValueError("r must be >= 1")
     r_max = r_list[-1]
-    sub = T.subtree_mark_counts()
+    sub = T.subtree_mark_counts
     n_marks = T.n_marks
     adj = T.adjacency()
     parent = T.parent

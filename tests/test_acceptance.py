@@ -249,7 +249,7 @@ def test_criterion_10_thinning_coupling():
     bad = 0
     mismatched = 0
     for i in range(1_000):
-        rep = isec.thinned_intersection_sweep(MU11, MU11, T4, grid, 6, 1, substream(10, i))[0]
+        rep = isec.thinned_intersection_sweep(MU11, MU11, T4, grid, 6, substream(10, i))
         ref = oracles.thinned_intersection_sweep_reference(
             MU11, MU11, T4, grid, 6, 1, substream(10, i)
         )[0]

@@ -3,6 +3,7 @@ codes, and determinism."""
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -323,6 +324,55 @@ def test_determinism_same_seed_and_worker_counts(tmp_path):
     body1 = (out1 / "thin_sweep.csv").read_bytes()
     assert body1 == (out2 / "thin_sweep.csv").read_bytes()
     assert body1 == (out3 / "thin_sweep.csv").read_bytes()
+
+
+# (config, output body, sha256 of the body) for every sharded experiment, each
+# config several shards long: a refactor of the shard loop, the samplers or
+# the sweeps must leave these bytes unchanged at any worker count
+PINNED_BODIES = {
+    "magic-fuzz": ({"experiment": "magic-fuzz", "seed": 3, "n_trees": 150, "max_vertices": 40,
+                    "k_grid": [3, 1], "r_grid": [2, 1]}, "magic_fuzz.csv",
+                   "c5c048923c2398c3ce944a2f18051604c5cbd0401a55d0a09d123226adb9c835"),
+    "pullback-trace": ({"experiment": "mtp-test", "seed": 3, "sampler": "pullback",
+                        "group": {"kind": "regular_tree", "param": 4},
+                        "offspring": [0.45, 0, 0.55], "depth": 4, "a_rule": "trace",
+                        "f": "marked_neighbors", "w": "ingredient", "n_samples": 1000,
+                        "alpha": 0.01}, "mtp_report.json",
+                       "cf1b8a0007cb92dcf4d222a43f7310abceb7e68bae97f6e88159fd5c691c3323"),
+    "pushforward": ({"experiment": "mtp-test", "seed": 3, "sampler": "pushforward",
+                     "group": {"kind": "regular_tree", "param": 4},
+                     "offspring": [0.45, 0, 0.55], "depth": 4, "ball_radius": 4,
+                     "f": "marked_neighbors", "w": "ingredient", "n_samples": 1000,
+                     "alpha": 0.01}, "mtp_report.json",
+                    "beb0dccc0a286ebe849883c3a70d079aa5d494344e178a757838c0af51833464"),
+    "uniform_root": ({"experiment": "mtp-test", "seed": 3, "sampler": "uniform_root",
+                      "graph": {"shape": "path", "n": 6}, "f": "marked_neighbors",
+                      "w": "unit", "n_samples": 1000, "alpha": 0.01}, "mtp_report.json",
+                     "5ec19df1cc3ab1504f4778a7b5be430ed732a997c05e1a63ca4e5bd1c89f7a20"),
+    "intersect": ({"experiment": "intersect", "seed": 3,
+                   "group": {"kind": "regular_tree", "param": 4}, "offspring1": [0.45, 0, 0.55],
+                   "depth": 3, "replicates": 500}, "intersect.csv",
+                  "6b2cb49241d16a852aaa6aa01fc4d259e671313f87dbc6e9b981b4d4b3c25505"),
+    "thin-sweep": ({"experiment": "thin-sweep", "seed": 3,
+                    "group": {"kind": "free_group", "param": 2}, "offspring1": [0.45, 0, 0.55],
+                    "p_grid": [1.0, 0.3, 0.7, 0.3], "depth": 4, "replicates": 150},
+                   "thin_sweep.csv",
+                   "74fc4e5c84fe5b288de1ce224954dcb8ed87bb9a400b39bdf7abe8da282396e9"),
+    "ends": ({"experiment": "ends", "seed": 3, "group": {"kind": "integer_lattice", "param": 2},
+              "offspring": [0.3, 0.3, 0.4], "depth": 5, "radius_grid": [2, 0, 1, 2],
+              "m_threshold": 2, "replicates": 150}, "ends.csv",
+             "07098ff45f8681852582471a51f0f7a9ea65d1d07f1ddb4a0c7423e5eefa8b24"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_BODIES)
+def test_sharded_output_bodies_match_pinned_digests(tmp_path, name):
+    """Each sharded experiment writes the pinned bytes at 1 and 2 workers.
+    A change that moves sampled output must say so and re-pin here."""
+    cfg, body, digest = PINNED_BODIES[name]
+    for workers in (1, 2):
+        _, out = run_cfg(tmp_path, cfg, f"w{workers}", workers=workers)
+        assert hashlib.sha256((out / body).read_bytes()).hexdigest() == digest, workers
 
 
 def test_main_entrypoint(tmp_path):

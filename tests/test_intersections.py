@@ -143,9 +143,8 @@ def test_diagnostic_root_branching_frequency_bounded():
 
 def test_thinning_sweep_monotone_and_extremes():
     rng = np.random.default_rng(2)
-    reps = isec.thinned_intersection_sweep(
-        MU11, MU11, T4, [0.0, 0.5, 0.9, 1.0], 6, 300, rng
-    )
+    reps = [isec.thinned_intersection_sweep(MU11, MU11, T4, [0.0, 0.5, 0.9, 1.0], 6, rng)
+            for _ in range(300)]
     for rep in reps:
         assert rep.sets[0.0] <= rep.sets[0.5] <= rep.sets[0.9] <= rep.sets[1.0]
         assert rep.sets[0.0] <= {0}
@@ -156,7 +155,7 @@ def test_thinning_p1_recovers_plain_sample():
     """At p = 1 the sweep sees the full trees: its overlap equals the
     pulled-back set of an unthinned run with the same draws."""
     rng = np.random.default_rng(3)
-    reps = isec.thinned_intersection_sweep(MU11, MU11, T4, [1.0], 5, 50, rng)
+    reps = [isec.thinned_intersection_sweep(MU11, MU11, T4, [1.0], 5, rng) for _ in range(50)]
     for rep in reps:
         assert rep.pair_counts[1.0] >= len(rep.sets[1.0]) > 0 or rep.sets[1.0] == frozenset()
 
@@ -186,7 +185,8 @@ def test_sweep_matches_per_p_reference(case):
     for j, grid in enumerate(SWEEP_GRIDS):
         for i in range(60):
             rng, ref_rng = substream(case, j, i), substream(case, j, i)
-            got = isec.thinned_intersection_sweep(mu, MU11, g, grid, depth, 3, rng, budget)
+            got = [isec.thinned_intersection_sweep(mu, MU11, g, grid, depth, rng, budget)
+                   for _ in range(3)]
             want = thinned_intersection_sweep_reference(mu, MU11, g, grid, depth, 3, ref_rng,
                                                         budget)
             for a, b in zip(got, want, strict=True):
@@ -200,7 +200,7 @@ def test_sweep_matches_per_p_reference(case):
 def test_sweep_empty_grid_gives_empty_maps():
     """An empty grid still samples both trees and walks, and reports no p."""
     rng, ref_rng = substream(0, 0), substream(0, 0)
-    reps = isec.thinned_intersection_sweep(MU11, MU11, T4, [], 6, 5, rng)
+    reps = [isec.thinned_intersection_sweep(MU11, MU11, T4, [], 6, rng) for _ in range(5)]
     assert [(r.sets, r.pair_counts) for r in reps] == [({}, {})] * 5
     thinned_intersection_sweep_reference(MU11, MU11, T4, [], 6, 5, ref_rng)
     assert rng.random() == ref_rng.random()
@@ -209,23 +209,25 @@ def test_sweep_empty_grid_gives_empty_maps():
 def test_trace_ends_depth_zero():
     rng = np.random.default_rng(4)
     mu = OffspringDistribution([0.0, 0.0, 1.0])
-    res = isec.trace_ends_experiment(mu, T4, 0, [0], 1, 20, rng)
-    assert set(np.unique(res.qualifying)) <= {0, 1}
+    results = [isec.trace_ends_experiment(mu, T4, 0, [0], 1, rng) for _ in range(20)]
+    assert {q for res in results for q in res.qualifying.values()} <= {0, 1}
 
 
 def test_trace_ends_requires_supercritical():
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError):
-        isec.trace_ends_experiment(OffspringDistribution.delta(1), T4, 3, [1], 1, 5, rng)
+        isec.trace_ends_experiment(OffspringDistribution.delta(1), T4, 3, [1], 1, rng)
 
 
 def test_trace_ends_transient_counts_grow_with_radius():
     """At a transient supercritical mean the qualifying-component count
     climbs with the removal radius on surviving runs."""
     rng = np.random.default_rng(6)
-    res = isec.trace_ends_experiment(MU11, T4, 12, [1, 2, 3, 4], 2, 500, rng)
-    med = np.median(res.qualifying[res.survived], axis=0)
-    assert res.survived.sum() > 50
+    results = [isec.trace_ends_experiment(MU11, T4, 12, [1, 2, 3, 4], 2, rng)
+               for _ in range(500)]
+    survivors = [list(res.qualifying.values()) for res in results if res.survived]
+    med = np.median(survivors, axis=0)
+    assert len(survivors) > 50
     assert np.all(np.diff(med) >= 0)
     assert med[-1] >= med[0]
 
@@ -236,10 +238,10 @@ def test_trace_ends_regime_contrast():
     directions than the thin transient trace at the same radii."""
     rng = np.random.default_rng(7)
     mu2 = OffspringDistribution.delta(2)
-    rec = isec.trace_ends_experiment(mu2, T4, 9, [1, 2, 3], 2, 60, rng)
-    med_rec = np.median(rec.qualifying[rec.survived], axis=0)
+    rec = [isec.trace_ends_experiment(mu2, T4, 9, [1, 2, 3], 2, rng) for _ in range(60)]
+    med_rec = np.median([list(r.qualifying.values()) for r in rec if r.survived], axis=0)
     rng = np.random.default_rng(8)
-    thin = isec.trace_ends_experiment(MU11, T4, 9, [1, 2, 3], 2, 400, rng)
-    med_thin = np.median(thin.qualifying[thin.survived], axis=0)
+    thin = [isec.trace_ends_experiment(MU11, T4, 9, [1, 2, 3], 2, rng) for _ in range(400)]
+    med_thin = np.median([list(r.qualifying.values()) for r in thin if r.survived], axis=0)
     assert med_rec[-1] > med_rec[0]
     assert med_rec[-1] > 3 * med_thin[-1]

@@ -10,11 +10,9 @@ from brwlab.gw import MarkedTree, sample_marked_fuzz_tree
 from brwlab.magic import (
     OrientedTree,
     branch_deficiency_values,
-    branching_vertices,
+    counting_bound,
     ends_profile,
-    magic_bound_check,
     supported_gap_values,
-    supported_vertices,
 )
 
 import oracles
@@ -49,24 +47,32 @@ def binary_tree(depth):
     return t
 
 
+def at_least(values, k):
+    """The vertices of a branch-deficiency or supported-gap map whose
+    value is >= k: the (k, r)-branching or (k, r)-supported vertices."""
+    return {v for v, x in values.items() if x >= k}
+
+
 # --- branching examples ----------------------------------------------------
 
 
 def test_star_center_is_branching():
-    B = branching_vertices(star_tree(3), {1, 2, 3}, 1, 1)
-    assert 0 in B
+    T = OrientedTree.from_tree(star_tree(3), marks={1, 2, 3})
+    assert 0 in at_least(branch_deficiency_values(T, [1])[1], 1)
 
 
 def test_path_with_endpoint_marks_has_no_branching():
     for n in (4, 5, 8):
-        assert branching_vertices(path_tree(n), {0, n - 1}, 2, 1) == set()
+        T = OrientedTree.from_tree(path_tree(n), marks={0, n - 1})
+        assert at_least(branch_deficiency_values(T, [1])[1], 2) == set()
 
 
 def test_k_larger_than_marks_gives_empty_set():
     rng = np.random.default_rng(0)
     for _ in range(20):
         t = oracles.random_marked_tree(rng, 30)
-        assert branching_vertices(t, t.marks, len(t.marks) + 1, 1) == set()
+        vals = branch_deficiency_values(OrientedTree.from_tree(t), [1])[1]
+        assert at_least(vals, len(t.marks) + 1) == set()
 
 
 def test_single_mark_tree_has_at_most_one_branching_vertex():
@@ -74,7 +80,8 @@ def test_single_mark_tree_has_at_most_one_branching_vertex():
     for _ in range(50):
         t = oracles.random_marked_tree(rng, 40, mark_rate=0.0)
         assert len(t.marks) == 1
-        assert len(branching_vertices(t, t.marks, 1, 1)) <= 1
+        vals = branch_deficiency_values(OrientedTree.from_tree(t), [1])[1]
+        assert len(at_least(vals, 1)) <= 1
 
 
 def test_full_binary_tree_branching_count():
@@ -82,17 +89,18 @@ def test_full_binary_tree_branching_count():
     (4,1)-branching (the level gap 2^(6-j) must reach 4), 30 vertices."""
     t = binary_tree(6)
     A = set(t.parent)
-    B = branching_vertices(t, A, 4, 1)
+    B = at_least(branch_deficiency_values(OrientedTree.from_tree(t, marks=A), [1])[1], 4)
     assert len(B) == 30
     assert B == {v for v in t.parent if 1 <= t.depth[v] <= 4}
     assert B == oracles.brute_branching(t, A, 4, 1)
 
 
 def test_empty_marks_rejected():
+    T = OrientedTree.from_tree(path_tree(3), marks=set())
     with pytest.raises(ValueError):
-        branching_vertices(path_tree(3), set(), 1, 1)
+        branch_deficiency_values(T, [1])
     with pytest.raises(ValueError):
-        supported_vertices(path_tree(3), set(), 1, 1)
+        supported_gap_values(T, 1)
 
 
 # --- supported examples ------------------------------------------------------
@@ -100,7 +108,7 @@ def test_empty_marks_rejected():
 
 def test_supported_on_fully_marked_path():
     n = 7
-    S = supported_vertices(path_tree(n), set(range(n)), 1, 1)
+    S = at_least(supported_gap_values(OrientedTree.from_tree(path_tree(n), marks=range(n)), 1), 1)
     assert S == set(range(n - 1))
 
 
@@ -109,11 +117,11 @@ def test_leaves_never_supported():
     for _ in range(30):
         t = oracles.random_marked_tree(rng, 30)
         leaves = {v for v in t.parent if not t.children[v]}
-        assert not (supported_vertices(t, t.marks, 1, 1) & leaves)
+        assert not (at_least(supported_gap_values(OrientedTree.from_tree(t), 1), 1) & leaves)
 
 
 def test_star_center_supported_at_k3():
-    S = supported_vertices(star_tree(3), {1, 2, 3}, 3, 1)
+    S = at_least(supported_gap_values(OrientedTree.from_tree(star_tree(3), marks={1, 2, 3}), 1), 3)
     assert S == {0}
 
 
@@ -245,7 +253,8 @@ def test_anchor_choice_does_not_change_branching():
         t = oracles.random_marked_tree(rng, 24)
         anchors = list(t.parent)[:3]
         sets = [
-            branching_vertices(t, t.marks, 2, 2, anchor=a) for a in anchors
+            at_least(branch_deficiency_values(OrientedTree.from_tree(t, anchor=a), [2])[2], 2)
+            for a in anchors
         ]
         assert all(s == sets[0] for s in sets)
 
@@ -261,8 +270,8 @@ def test_relabeling_invariance(seed):
     for v in order:
         t2.add_child(perm[t.parent[v]], perm[v])
     t2.marks = {perm[v] for v in t.marks}
-    B1 = branching_vertices(t, t.marks, 2, 2)
-    B2 = branching_vertices(t2, t2.marks, 2, 2)
+    B1 = at_least(branch_deficiency_values(OrientedTree.from_tree(t), [2])[2], 2)
+    B2 = at_least(branch_deficiency_values(OrientedTree.from_tree(t2), [2])[2], 2)
     assert B2 == {perm[v] for v in B1}
 
 
@@ -309,7 +318,7 @@ def test_branching_bound_counterexamples_at_larger_radius():
     """
     t = path_tree(5)
     A = {2}
-    B = branching_vertices(t, A, 1, 2)
+    B = at_least(branch_deficiency_values(OrientedTree.from_tree(t, marks=A), [2])[2], 1)
     assert B == oracles.brute_branching(t, A, 1, 2) == {1, 2, 3}
     assert len(B) == 3 > 2 * (2 * len(A) - 1) / 1
 
@@ -317,34 +326,31 @@ def test_branching_bound_counterexamples_at_larger_radius():
     for v, p in ((10, 1), (11, 10), (12, 11)):
         hub.add_child(p, v)
     A = set(range(2, 8))  # six marked leaves
-    B = branching_vertices(hub, A, 4, 2)
+    B = at_least(branch_deficiency_values(OrientedTree.from_tree(hub, marks=A), [2])[2], 4)
     assert B == oracles.brute_branching(hub, A, 4, 2)
     assert len(B) > 2 * (2 * len(A) - 4) / 4
 
     for m in (3, 10, 50):
         star = star_tree(m)
         A = {0}
-        B = branching_vertices(star, A, 1, 2)
+        B = at_least(branch_deficiency_values(OrientedTree.from_tree(star, marks=A), [2])[2], 1)
         assert B == oracles.brute_branching(star, A, 1, 2) == set(star.parent)
         assert len(B) == m + 1 > 2 * (2 * len(A) - 1) / 1
 
 
 def test_magic_bound_check_report():
-    rep = magic_bound_check(binary_tree(5), set(range(2**6 - 1)), 4, 2)
-    assert rep.bound_value == pytest.approx(2 * (2 * 63 - 4) / 4)
-    assert rep.branching_count == len(rep.branching)
-    assert rep.passed == (rep.branching_count <= rep.bound_value)
-    # k > 2|A| clamps the pass threshold at zero
-    rep = magic_bound_check(path_tree(3), {0}, 3, 1)
-    assert rep.bound_value < 0
-    assert rep.branching_count == 0
-    assert rep.passed
+    """counting_bound on a depth-5 binary tree with all 63 vertices
+    marked, and below zero at k > 2|A|, where no vertex is branching."""
+    assert counting_bound(63, 4, 2) == pytest.approx(2 * (2 * 63 - 4) / 4)
+    assert counting_bound(1, 3, 1) < 0
+    T = OrientedTree.from_tree(path_tree(3), marks={0})
+    assert at_least(branch_deficiency_values(T, [1])[1], 3) == set()
 
 
 def test_bound_formula_example():
-    rep = magic_bound_check(star_tree(10), set(range(1, 11)), 4, 2)
-    assert rep.bound_value == pytest.approx(2 * (20 - 4) / 4)
-    assert rep.bound_value == pytest.approx(8.0)
+    """A star with ten marked leaves at (k, r) = (4, 2)."""
+    assert counting_bound(10, 4, 2) == pytest.approx(2 * (20 - 4) / 4)
+    assert counting_bound(10, 4, 2) == pytest.approx(8.0)
 
 
 # --- relation between branching and supported ---------------------------------

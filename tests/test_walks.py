@@ -131,7 +131,8 @@ def test_experiments_make_one_neighbors_call_per_walk_step(monkeypatch):
         sampler = mtp.pullback_sampler(g, mu, 8, "trace", depth2=12)
         for _ in range(30):
             sampler(rng)
-        intersections.thinned_intersection_sweep(mu, mu, g, [0.5, 1.0], 8, 30, rng)
+        for _ in range(30):
+            intersections.thinned_intersection_sweep(mu, mu, g, [0.5, 1.0], 8, rng)
         assert steps[0] > 1000
         assert calls[0] == steps[0]
         calls[0] = steps[0] = 0
