@@ -35,6 +35,7 @@ from .walks import TraceGraph, TreeWalk, run_walk, trace
 from .magic import (
     EndsProfile,
     OrientedTree,
+    TreeBatch,
     branch_deficiency_values,
     counting_bound,
     ends_profile,

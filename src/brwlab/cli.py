@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from bisect import bisect_left
+from itertools import chain, cycle, repeat
 from multiprocessing import Pool
 from typing import Callable, NamedTuple
 
@@ -174,21 +174,43 @@ def _write_csv(path, header, rows):
 
 
 def _shard_magic_fuzz(v, streams):
-    rows = []
-    for idx, rng in streams:
-        tree = sample_marked_fuzz_tree(rng, v["max_vertices"])
-        T = magic.OrientedTree.from_tree(tree)
-        branch_vals = magic.branch_deficiency_values(T, v["r_grid"])
-        for r in v["r_grid"]:
-            vals = sorted(branch_vals[r].values())
-            gap_vals = sorted(magic.supported_gap_values(T, r).values())
-            for k in v["k_grid"]:
-                bcount = len(vals) - bisect_left(vals, k)
-                scount = len(gap_vals) - bisect_left(gap_vals, k)
-                bound = magic.counting_bound(T.n_marks, k, r)
-                ok = bcount <= max(bound, 0.0)
-                rows.append((idx, T.n_vertices, T.n_marks, k, r, bcount, scount, bound, int(ok)))
-    return rows, None
+    """Every tree of the shard in one batch, each folded in as it is
+    sampled, and one kernel call per value and radius; rows run (tree, r,
+    k) in grid order."""
+    k_grid, r_grid = v["k_grid"], v["r_grid"]
+    ids = []
+
+    def sampled():
+        for idx, rng in streams:
+            ids.append(idx)
+            tree = sample_marked_fuzz_tree(rng, v["max_vertices"])
+            yield tree.parent, tree.marks
+
+    batch = magic.TreeBatch.fold(sampled())
+    branch = magic.branch_deficiency_values(batch, r_grid)
+    gaps = {r: magic.supported_gap_values(batch, r) for r in dict.fromkeys(r_grid)}
+    # (tree, r, k) tables
+    bcount = np.stack([batch.count_at_least(branch[r], k_grid) for r in r_grid], axis=1)
+    scount = np.stack([batch.count_at_least(gaps[r], k_grid) for r in r_grid], axis=1)
+    bound = magic.counting_bound(batch.n_marks[:, None, None], np.array(k_grid, dtype=float),
+                                 np.array(r_grid, dtype=float)[:, None])
+    ok = bcount <= np.maximum(bound, 0.0)
+    cells = len(r_grid) * len(k_grid)
+
+    def per_cell(values):  # one int object per tree, as in the rows it heads
+        return chain.from_iterable(repeat(x, cells) for x in values)
+
+    return list(zip(
+        per_cell(ids),
+        per_cell(batch.sizes.tolist()),
+        per_cell(batch.n_marks.tolist()),
+        cycle(k_grid),
+        cycle([r for r in r_grid for _ in k_grid]),
+        bcount.ravel().tolist(),
+        scount.ravel().tolist(),
+        bound.ravel().tolist(),
+        ok.ravel().astype(int).tolist(),
+    )), None
 
 
 def _shard_mtp(v, streams):
@@ -252,13 +274,21 @@ def _shard_worker(args):
     return _SHARDS[name][0](v, ((idx, substream(seed, idx)) for idx in range(lo, hi)))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, where the
+    platform has one), which can be fewer than the machine has."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_sharded(name, v, seed, n_units, workers):
     block = _SHARDS[name][1]
     tasks = [
         (name, v, seed, lo, min(lo + block, n_units))
         for lo in range(0, n_units, block)
     ]
-    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    processes = min(workers, len(tasks), _usable_cpus())
     if processes > 1:
         with Pool(processes=processes) as pool:
             parts = pool.map(_shard_worker, tasks)

@@ -272,26 +272,33 @@ def sample_marked_fuzz_tree(rng, max_vertices: int) -> MarkedTree:
     # in the same state
     sizes = np.arange(1, n)
     if kind == 0:  # uniform attachment
-        for v, p in enumerate(rng.integers(0, sizes).tolist(), 1):
-            tree.add_child(p, v)
+        parents = rng.integers(0, sizes).tolist()
     elif kind == 1:  # path
-        for v in range(1, n):
-            tree.add_child(v - 1, v)
+        parents = range(n - 1)
     elif kind == 2:  # star
-        for v in range(1, n):
-            tree.add_child(0, v)
+        parents = [0] * (n - 1)
     elif kind == 3:  # preferential attachment (size-biased parents)
+        parents = []
         ends = [0]  # 2v - 1 entries when vertex v attaches
         for v, i in enumerate(rng.integers(0, 2 * sizes - 1).tolist(), 1):
             p = ends[i]
-            tree.add_child(p, v)
+            parents.append(p)
             ends.extend((p, v))
-    else:  # caterpillar
+    else:  # caterpillar: each vertex hangs from the last spine vertex
+        parents = []
         spine = 0
         for v, step in enumerate((rng.random(n - 1) < 0.5).tolist(), 1):
-            tree.add_child(spine, v)
+            parents.append(spine)
             if step:
                 spine = v
+    # vertex v = 1, 2, ... attaches below parents[v - 1] < v, so every
+    # parent's entries exist: the maps add_child would build, in its order
+    parent, children, depth = tree.parent, tree.children, tree.depth
+    for v, p in enumerate(parents, 1):
+        parent[v] = p
+        children[v] = []
+        children[p].append(v)
+        depth[v] = depth[p] + 1
     rate = float(rng.uniform(0.02, 1.0))
     marks = set(np.flatnonzero(rng.random(n) < rate).tolist())
     if not marks:

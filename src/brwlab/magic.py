@@ -18,12 +18,22 @@ by r(2|A| - k)/k at every r, and the number of (k,1)-branching vertices by
 the same expression at r = 1.  For r >= 2 the branching count has no bound
 in |A|, k and r under this definition: a star with m leaves and only its
 hub marked has m+1 (1,2)-branching vertices.
+
+Both values have one kernel: whole-array numpy passes over a `TreeBatch`,
+a flat forest of oriented trees held as int32 parent indices, marks and a
+tree id per vertex, so a batch of many trees costs a few array operations
+per row rather than Python work per vertex.  `TreeBatch.count_at_least`
+turns the values into per-tree counts.  On an `OrientedTree`, the same
+functions run the kernel on a batch of one and map the values back to
+vertex ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from . import groups
 from .gw import MarkedTree
@@ -82,7 +92,7 @@ class OrientedTree:
     @cached_property
     def children(self) -> dict:
         """Children lists in parent-map order, built in one pass on first
-        read (the counting passes never read them)."""
+        read (the counting kernel never reads them)."""
         children = {v: [] for v in self.parent}
         for v, p in self.parent.items():
             if p is not None:
@@ -97,25 +107,231 @@ class OrientedTree:
             self.parent, ((v, p) for v, p in self.parent.items() if p is not None))
 
     @cached_property
-    def subtree_mark_counts(self) -> dict:
-        """Marks at or below each vertex, counted on first read."""
-        order = sorted(self.parent, key=lambda v: self.layer[v], reverse=True)
-        sub = {v: (1 if v in self.marks else 0) for v in self.parent}
-        for v in order:
-            p = self.parent[v]
-            if p is not None:
-                sub[p] += sub[v]
-        return sub
+    def batch(self) -> "TreeBatch":
+        """This tree as a batch of one, vertices indexed in parent-map
+        order."""
+        return TreeBatch.fold([(self.parent, self.marks)])
 
 
-def _require_marks(T: OrientedTree):
-    if not T.marks:
+class TreeBatch:
+    """A flat forest of oriented trees: the counting kernel's input.
+
+    Vertices are indices 0..n-1, each tree a consecutive block of them.
+    parent[v] is the index of v's parent, or -1 at a top (a vertex whose
+    parent is a virtual ray vertex); tree[v] is the id of v's tree, 0 to
+    n_trees - 1; marked[v] says whether v is marked.  parent and tree are
+    int32 arrays.  Nothing mutates them once built.
+    """
+
+    def __init__(self, parent, tree, marked, n_trees: int):
+        self.parent = parent
+        self.tree = tree
+        self.marked = marked
+        self.n_trees = n_trees
+
+    @classmethod
+    def fold(cls, trees) -> "TreeBatch":
+        """One batch from an iterable of (parent map, marks) pairs, read
+        one pair at a time, so no tree has to outlive its fold.  A parent
+        map sends each vertex id to its parent's id (None at a top); a
+        tree's vertices get consecutive indices in parent-map order."""
+        parents, marked, sizes = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], []
+        n = 0
+        for tree_parent, marks in trees:
+            index = dict(zip(tree_parent, range(n, n + len(tree_parent))))
+            index[None] = -1
+            parents.append(np.fromiter(map(index.__getitem__, tree_parent.values()), np.int32,
+                                       len(tree_parent)))
+            marked.append(np.fromiter(map(index.__getitem__, marks), np.int32, len(marks)))
+            sizes.append(len(tree_parent))
+            n += len(tree_parent)
+        flags = np.zeros(n, dtype=bool)
+        flags[np.concatenate(marked)] = True
+        tree = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        return cls(np.concatenate(parents), tree, flags, len(sizes))
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.parent)
+
+    @cached_property
+    def sizes(self):
+        """Vertices per tree."""
+        return np.bincount(self.tree, minlength=self.n_trees)
+
+    @cached_property
+    def n_marks(self):
+        """Marks per tree."""
+        return np.bincount(self.tree[self.marked], minlength=self.n_trees)
+
+    def _links(self):
+        """parent with one more entry, -1, at index n: indexing with -1
+        reads that entry, so a chain of links stays at -1 past a top."""
+        return np.append(self.parent, np.int32(-1))
+
+    @cached_property
+    def _climb(self):
+        """(height, sub): the largest distance of a vertex to its top, and
+        the marks at or below each vertex.  Pointer doubling: while hop
+        holds each vertex's 2^i-th ancestor (-1: none), depth is
+        min(depth, 2^i) and sub covers the descendants fewer than 2^i
+        levels below, so O(log height) whole-batch steps give both.  Slot
+        n of depth and add is the one that index -1 reads or writes."""
+        n = self.n_vertices
+        hop = self._links()
+        depth = (hop >= 0).astype(np.int32)
+        sub = self.marked.astype(np.int32)
+        while n and hop[:n].max() >= 0:
+            add = np.zeros(n + 1, dtype=np.int32)
+            np.add.at(add, hop[:n], sub)
+            sub += add[:n]
+            depth += depth[hop]
+            hop = hop[hop]
+        return int(depth.max()), sub
+
+    def count_at_least(self, values, k_grid):
+        """Per tree, the number of vertices whose value is >= k, for each
+        k of k_grid: an (n_trees, len(k_grid)) array, one bincount over
+        the tree ids of those vertices per k."""
+        return np.stack([np.bincount(self.tree[values >= k], minlength=self.n_trees)
+                         for k in k_grid], axis=1)
+
+
+def _require_marks(batch: TreeBatch):
+    if not batch.n_marks.all():
         raise ValueError("the marked set must be nonempty")
 
 
-def branch_deficiency_values(T: OrientedTree, r_list) -> dict:
-    """For each r in r_list, a map u -> |A| - (largest + second largest
-    direction count over the distance-r sphere of u).
+def _require_radius(r):
+    if r < 1:
+        raise ValueError("r must be >= 1")
+
+
+# the rerooting rows run over consecutive whole trees of about this many
+# vertices at a time, so their working memory is bounded by a run rather
+# than by the batch
+_RUN = 1 << 15
+
+
+def _zeros(size):
+    return np.zeros(size, dtype=np.int32)
+
+
+def _branch_rows(batch: TreeBatch, r_list) -> dict:
+    """The kernel of branch_deficiency_values: {r: int32 array of every
+    vertex's value}, r in ascending order."""
+    _require_marks(batch)
+    tops = np.bincount(batch.tree[batch.parent < 0], minlength=batch.n_trees)
+    if (tops != 1).any():
+        raise ValueError("branching needs a single-anchor orientation")
+    r_list = sorted(set(int(r) for r in r_list))
+    for r in r_list:
+        _require_radius(r)
+    height, sub = batch._climb
+    marks = batch.n_marks.astype(np.int32)[batch.tree]  # |A| of each vertex's tree
+    out = {r: marks.copy() if r > 2 * height else np.empty_like(marks) for r in r_list}
+    wanted = [r for r in r_list if r <= 2 * height]
+    bounds = [0, batch.n_vertices] if wanted else []
+    if wanted and batch.n_vertices > _RUN:
+        offsets = np.r_[0, np.cumsum(batch.sizes)]
+        first = np.flatnonzero(np.diff(offsets[:-1] // _RUN, prepend=-1))  # trees opening a run
+        bounds = offsets[np.r_[first, batch.n_trees]].tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        parent = batch.parent[lo:hi] - lo
+        parent[parent < 0] = -1
+        for j, top_two in _rerooting(parent, sub[lo:hi], marks[lo:hi], wanted[-1]):
+            if j in wanted:
+                np.subtract(marks[lo:hi], top_two, out=out[j][lo:hi])
+    return out
+
+
+def _rerooting(parent, sub, marks, last: int):
+    """Rows 1..last of the rerooting pass over a forest of single-top
+    trees (parent: int32 indices, -1 at a top; sub and marks per vertex):
+    yields (j, the sum of the top two cones on each vertex's distance-j
+    sphere)."""
+    n = len(parent)
+    # the children, grouped by parent (tops sort first): a block of slots
+    # per parent with children; a slot's key holds its child's down1 in
+    # the high 32 bits and the slot's own index in the low ones
+    kid = np.argsort(parent, kind="stable")[int((parent < 0).sum()):].astype(np.int32)
+    par = parent[kid]
+    start = np.flatnonzero(np.diff(par, prepend=-1)).astype(np.int32)
+    size = np.diff(start, append=np.int32(len(kid)))
+    owner = par[start]
+    del par
+
+    def best(key):
+        """Each block's largest down1 (ties go to the later slot; which
+        one does not change a value) and the vertex holding it; its key is
+        then knocked out, so the next call gives the runner-up.  A block
+        with no key left gives 0 and no vertex (has is False)."""
+        k = np.maximum.reduceat(key, start)
+        has = k >= 0
+        slot = k[has] & 0xFFFFFFFF
+        key[slot] = -1
+        return np.maximum(k >> 32, 0).astype(np.int32), has, kid[slot]
+
+    def step():
+        """Row j from row j - 1, in place."""
+        # each vertex's up row: the top two of its parent's up row and its
+        # excl, (max(p1, x1), max(min(p1, x1), p2, x2))
+        pu1, pu2 = up1[parent], up2[parent]
+        np.maximum(pu1, ex1, out=up1[:n])
+        np.minimum(pu1, ex1, out=pu1)
+        np.maximum(pu2, ex2, out=pu2)
+        np.maximum(pu1, pu2, out=up2[:n])
+        del pu1, pu2
+        # each parent's best child's pair (a1, b1), the runner-up's
+        # (a2, b2) and the third-best a3
+        key = down1[kid].astype(np.int64)
+        key <<= 32
+        key |= np.arange(len(kid), dtype=np.int32)
+        a1, _, c1 = best(key)
+        a2, has2, c2 = best(key)
+        a3, _, _ = best(key)
+        del key
+        b1 = down2[c1]
+        b2 = np.zeros_like(a2)
+        b2[has2] = down2[c2]
+        down1.fill(0)
+        down1[owner] = a1
+        down2.fill(0)
+        down2[owner] = np.maximum(b1, a2)
+        # the parent's down row without each child's branch: dropping the
+        # best child promotes the runner-up, dropping the runner-up the third
+        ex1[kid] = np.repeat(a1, size)
+        ex1[c1] = a2
+        ex2[kid] = np.repeat(down2[owner], size)
+        ex2[c1] = np.maximum(b2, a3)
+        ex2[c2] = np.maximum(b1[has2], a3[has2])
+
+    # row 0: a child's own cone below its parent, and the parent's cone
+    # (everything outside the child's subtree) seen from the child; up
+    # rows have a slot n, the ray above every top (a top's parent -1 reads
+    # it), which stays 0 as the ray carries no marks, and the tops' excl
+    # stays 0 (sub = |A| there)
+    down1, down2 = sub.copy(), _zeros(n)
+    up1, up2 = _zeros(n + 1), _zeros(n + 1)
+    ex1, ex2 = marks - sub, _zeros(n)
+    for j in range(1, last + 1):
+        step()
+        # the top two of (down1, down2) and (up1, up2)
+        top_two = np.maximum(down1, up1[:n])
+        low = np.minimum(down1, up1[:n])
+        np.maximum(low, down2, out=low)
+        np.maximum(low, up2[:n], out=low)
+        top_two += low
+        del low
+        yield j, top_two
+
+
+def branch_deficiency_values(T, r_list) -> dict:
+    """For each r in r_list, every vertex's |A| - (largest + second
+    largest direction count over its distance-r sphere), |A| counting the
+    marks of the vertex's own tree.  On a TreeBatch: {r: int32 array over
+    the batch's vertices}; on an OrientedTree: {r: {vertex: value}}; r in
+    ascending order either way.
 
     u is (k,r)-branching iff this value is >= k.  Distinct sphere vertices
     carry disjoint mark sets, so the worst pair is always the top two (or
@@ -134,120 +350,60 @@ def branch_deficiency_values(T: OrientedTree, r_list) -> dict:
                   and excl_0(u) = (|A| - sub[u], 0) is p itself.
 
     Dropping u's branch can drop both of p's top two, so each fold also
-    keeps the runner-up child's pair and the third-best child's top cone.
-    Each row reads only the previous one, so the cost is O(n * r_max)
-    time and O(n) memory.  No two vertices are farther apart than twice
-    the height, and every r beyond that gives |A| without a row.
+    keeps the runner-up child's pair and the third-best child's top cone:
+    three np.maximum.reduceat passes over the children, grouped by parent
+    once by a stable argsort.  Each row is a few dozen whole-array
+    operations that read only the previous row, so the cost is
+    O(n log n + n * r_max) time.  The rows run over consecutive whole trees
+    of about _RUN vertices at a time, so the memory beyond the returned
+    rows is bounded by a run.  No two vertices are farther apart than
+    twice the height, and every r beyond that gives |A| without a row.
+    Every tree must have one top and at least one mark.
     """
-    _require_marks(T)
-    tops = T.tops()
-    if len(tops) != 1:
-        raise ValueError("branching needs a single-anchor orientation")
-    r_list = sorted(set(int(r) for r in r_list))
-    if any(r < 1 for r in r_list):
-        raise ValueError("r must be >= 1")
-    n_marks = T.n_marks
-    verts = list(T.parent)
-    n = len(verts)
-    layer = T.layer
-    reach = 2 * (max(layer.values()) - layer[tops[0]])
-    out = {r: dict.fromkeys(verts, n_marks) for r in r_list if r > reach}
-    wanted = [r for r in r_list if r <= reach]
-    if not wanted:
-        return out
-    index = {v: i for i, v in enumerate(verts)}
-    sub = T.subtree_mark_counts
-    kids = {}
-    for v, p in T.parent.items():
-        if p is not None:
-            kids.setdefault(index[p], []).append(index[v])
-    kids = list(kids.items())
-    # row 0: a child's own cone below its parent, and the parent's cone
-    # (everything outside the child's subtree) seen from the child; the
-    # top's up rows stay 0, since its ray carries no marks
-    down1 = [sub[v] for v in verts]
-    down2 = [0] * n
-    up1 = [0] * n
-    up2 = [0] * n
-    ex1 = [n_marks - s for s in down1]
-    ex2 = [0] * n
-    for j in range(1, wanted[-1] + 1):
-        nd1, nd2, nu1, nu2, nx1, nx2 = ([0] * n for _ in range(6))
-        for p, cs in kids:
-            # one pass over p's children: each child's up row, and the fold
-            # of their down rows into p's, keeping the best child's pair
-            # (a1, b1), the runner-up's (a2, b2) and the third-best a3
-            pu1 = up1[p]
-            pu2 = up2[p]
-            a1 = b1 = a2 = b2 = a3 = 0
-            c1 = c2 = -1
-            for c in cs:
-                x1 = ex1[c]
-                if pu1 >= x1:
-                    nu1[c] = pu1
-                    nu2[c] = pu2 if pu2 > x1 else x1
-                else:
-                    nu1[c] = x1
-                    x2 = ex2[c]
-                    nu2[c] = pu1 if pu1 > x2 else x2
-                x1 = down1[c]
-                if x1 > a1:
-                    a3 = a2
-                    a2, b2, c2 = a1, b1, c1
-                    a1, b1, c1 = x1, down2[c], c
-                elif x1 > a2:
-                    a3 = a2
-                    a2, b2, c2 = x1, down2[c], c
-                elif x1 > a3:
-                    a3 = x1
-            top2 = b1 if b1 > a2 else a2
-            nd1[p] = a1
-            nd2[p] = top2
-            # p's down row without each child's branch
-            for c in cs:
-                nx1[c] = a1
-                nx2[c] = top2
-            if c1 >= 0:
-                nx1[c1] = a2
-                nx2[c1] = b2 if b2 > a3 else a3
-            if c2 >= 0:
-                nx2[c2] = b1 if b1 > a3 else a3
-        down1, down2, up1, up2, ex1, ex2 = nd1, nd2, nu1, nu2, nx1, nx2
-        if j in wanted:
-            out[j] = {
-                v: n_marks - (d1 + (d2 if d2 > u1 else u1) if d1 >= u1
-                              else u1 + (d1 if d1 > u2 else u2))
-                for v, d1, d2, u1, u2 in zip(verts, down1, down2, up1, up2)
-            }
-    return {r: out[r] for r in r_list}
+    if isinstance(T, OrientedTree):
+        rows = _branch_rows(T.batch, r_list)
+        return {r: dict(zip(T.parent, row.tolist())) for r, row in rows.items()}
+    return _branch_rows(T, r_list)
 
 
-def supported_gap_values(T: OrientedTree, r: int) -> dict:
+def _supported_gaps(batch: TreeBatch, r: int):
+    """The kernel of supported_gap_values: an int32 array of every
+    vertex's gap, -1 where the vertex has no depth-r descendant."""
+    _require_marks(batch)
+    _require_radius(r)
+    n = batch.n_vertices
+    height, sub = batch._climb
+    gaps = np.full(n, -1, dtype=np.int32)
+    if r > height:
+        return gaps
+    strict = sub - batch.marked  # |A_w|: marks strictly below w
+    links = batch._links()
+    ancestor = links[:n]
+    for _ in range(r - 1):
+        ancestor = links[ancestor]
+    best = np.full(n + 1, -1, dtype=np.int32)  # slot n (index -1): no r-th ancestor
+    np.maximum.at(best, ancestor, strict)
+    del ancestor, links
+    has = best[:n] >= 0
+    gaps[has] = strict[has] - best[:n][has]
+    return gaps
+
+
+def supported_gap_values(T, r: int):
     """For each vertex with at least one depth-r descendant, the worst-case
-    mark gap |A_v| - max_w |A_w| over those descendants.
+    mark gap |A_v| - max_w |A_w| over those descendants.  On a TreeBatch:
+    an int32 array over the batch's vertices, -1 at the vertices without
+    one; on an OrientedTree: {vertex: gap} over the vertices with one.
 
     A vertex is (k, r)-supported iff its gap is >= k.  One subtree-count
-    pass plus the sigma^r links, grouped implicitly by layer residue class.
+    pass, then r whole-batch gathers of the parent index give every
+    vertex's r-th ancestor, and one np.maximum.at keeps each ancestor's
+    largest |A_w|.  Tops may be several per tree.
     """
-    _require_marks(T)
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    parent = T.parent
-    marks = T.marks
-    sub = T.subtree_mark_counts
-    best = {}
-    for w in parent:
-        a = w
-        for _ in range(r):
-            a = parent[a]
-            if a is None:
-                break
-        if a is None:
-            continue
-        gap_w = sub[w] - (w in marks)  # |A_w|: marks strictly below w
-        if a not in best or gap_w > best[a]:
-            best[a] = gap_w
-    return {v: sub[v] - (v in marks) - worst for v, worst in best.items()}
+    if isinstance(T, OrientedTree):
+        gaps = _supported_gaps(T.batch, r).tolist()
+        return {v: g for v, g in zip(T.parent, gaps) if g >= 0}
+    return _supported_gaps(T, r)
 
 
 def counting_bound(n_marks: int, k: int, r: int) -> float:

@@ -231,8 +231,11 @@ def mc_mtp_test(sampler, F: TransportFunction, W: WeightFunction,
     H0: E[W * (outgoing - incoming)] = 0, tested with a normal CI on the
     paired differences of n_samples draws from the one stream rng.
     Samples that cannot certify the transport radius are skipped; more
-    than 10% of them is a truncation error.
+    than 10% of them is a truncation error.  alpha is checked before the
+    first sample is drawn.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     rows, inconclusive = evaluate_samples(sampler, F, W, itertools.repeat(rng, n_samples))
     return aggregate_mtp_report(rows, inconclusive, n_samples, alpha)
 

@@ -5,7 +5,10 @@ virtual ray materialized, using all-pairs BFS distances; they share no
 code with the library implementations.  The one exception is
 `bfs_branch_values`, the per-vertex BFS that `branch_deficiency_values`
 ran before its rerooting pass, which reads the oriented tree's own
-adjacency and subtree mark counts.  `TransitionTable` (the double-sum
+adjacency.  `branch_deficiency_values_reference` and
+`supported_gap_values_reference` are the dict passes, one tree at a
+time, that `magic` ran before its array kernel over a flat batch of
+trees; `subtree_mark_counts` is their subtree count.  `TransitionTable` (the double-sum
 oracle, built from the unscaled radial law `tree_distance_law` on trees
 and from `box_lattice_series` on lattices) and `auxiliary_tree`
 (residue-class contractions, which may have several top vertices) are
@@ -116,7 +119,7 @@ def bfs_branch_values(T, r_list):
     if any(r < 1 for r in r_list):
         raise ValueError("r must be >= 1")
     r_max = r_list[-1]
-    sub = T.subtree_mark_counts
+    sub = subtree_mark_counts(T)
     n_marks = T.n_marks
     adj = T.adjacency()
     parent = T.parent
@@ -162,6 +165,161 @@ def bfs_branch_values(T, r_list):
                         out[rr][u] = n_marks
                 break
     return out
+
+
+def subtree_mark_counts(T):
+    """Marks at or below each vertex of an oriented tree, summed up the
+    parent links from the deepest layer."""
+    order = sorted(T.parent, key=lambda v: T.layer[v], reverse=True)
+    sub = {v: (1 if v in T.marks else 0) for v in T.parent}
+    for v in order:
+        p = T.parent[v]
+        if p is not None:
+            sub[p] += sub[v]
+    return sub
+
+
+def _require_marks(T):
+    if not T.marks:
+        raise ValueError("the marked set must be nonempty")
+
+
+def branch_deficiency_values_reference(T, r_list):
+    """`magic.branch_deficiency_values` before its array kernel: the
+    rerooting pass over dicts, one tree at a time.
+
+    For each r in r_list, a map u -> |A| - (largest + second largest
+    direction count over the distance-r sphere of u).
+
+    u is (k,r)-branching iff this value is >= k.  Distinct sphere vertices
+    carry disjoint mark sets, so the worst pair is always the top two (or
+    the single direction doubled when the sphere has one vertex).  A cone
+    of 0 never changes that sum, so absent or virtual (ray) sphere
+    vertices are padding zeros and a sphere of one vertex needs no rule.
+
+    All roots at once, by rerooting: row j holds, for every vertex u, the
+    top two cones on the distance-j sphere of u, split into the part
+    below u (down) and the part reached through u's parent (up):
+
+      down_j(u) = merge of down_{j-1}(c) over the children c of u,
+                  starting from down_0(c) = (sub[c], 0);
+      up_j(u)   = merge of up_{j-1}(p) and excl_{j-1}(u), p = parent of u,
+                  where excl_{j-1}(u) is down_{j-1}(p) without u's branch
+                  and excl_0(u) = (|A| - sub[u], 0) is p itself.
+
+    Dropping u's branch can drop both of p's top two, so each fold also
+    keeps the runner-up child's pair and the third-best child's top cone.
+    Each row reads only the previous one, so the cost is O(n * r_max)
+    time and O(n) memory.  No two vertices are farther apart than twice
+    the height, and every r beyond that gives |A| without a row.
+    """
+    _require_marks(T)
+    tops = T.tops()
+    if len(tops) != 1:
+        raise ValueError("branching needs a single-anchor orientation")
+    r_list = sorted(set(int(r) for r in r_list))
+    if any(r < 1 for r in r_list):
+        raise ValueError("r must be >= 1")
+    n_marks = T.n_marks
+    verts = list(T.parent)
+    n = len(verts)
+    layer = T.layer
+    reach = 2 * (max(layer.values()) - layer[tops[0]])
+    out = {r: dict.fromkeys(verts, n_marks) for r in r_list if r > reach}
+    wanted = [r for r in r_list if r <= reach]
+    if not wanted:
+        return out
+    index = {v: i for i, v in enumerate(verts)}
+    sub = subtree_mark_counts(T)
+    kids = {}
+    for v, p in T.parent.items():
+        if p is not None:
+            kids.setdefault(index[p], []).append(index[v])
+    kids = list(kids.items())
+    # row 0: a child's own cone below its parent, and the parent's cone
+    # (everything outside the child's subtree) seen from the child; the
+    # top's up rows stay 0, since its ray carries no marks
+    down1 = [sub[v] for v in verts]
+    down2 = [0] * n
+    up1 = [0] * n
+    up2 = [0] * n
+    ex1 = [n_marks - s for s in down1]
+    ex2 = [0] * n
+    for j in range(1, wanted[-1] + 1):
+        nd1, nd2, nu1, nu2, nx1, nx2 = ([0] * n for _ in range(6))
+        for p, cs in kids:
+            # one pass over p's children: each child's up row, and the fold
+            # of their down rows into p's, keeping the best child's pair
+            # (a1, b1), the runner-up's (a2, b2) and the third-best a3
+            pu1 = up1[p]
+            pu2 = up2[p]
+            a1 = b1 = a2 = b2 = a3 = 0
+            c1 = c2 = -1
+            for c in cs:
+                x1 = ex1[c]
+                if pu1 >= x1:
+                    nu1[c] = pu1
+                    nu2[c] = pu2 if pu2 > x1 else x1
+                else:
+                    nu1[c] = x1
+                    x2 = ex2[c]
+                    nu2[c] = pu1 if pu1 > x2 else x2
+                x1 = down1[c]
+                if x1 > a1:
+                    a3 = a2
+                    a2, b2, c2 = a1, b1, c1
+                    a1, b1, c1 = x1, down2[c], c
+                elif x1 > a2:
+                    a3 = a2
+                    a2, b2, c2 = x1, down2[c], c
+                elif x1 > a3:
+                    a3 = x1
+            top2 = b1 if b1 > a2 else a2
+            nd1[p] = a1
+            nd2[p] = top2
+            # p's down row without each child's branch
+            for c in cs:
+                nx1[c] = a1
+                nx2[c] = top2
+            if c1 >= 0:
+                nx1[c1] = a2
+                nx2[c1] = b2 if b2 > a3 else a3
+            if c2 >= 0:
+                nx2[c2] = b1 if b1 > a3 else a3
+        down1, down2, up1, up2, ex1, ex2 = nd1, nd2, nu1, nu2, nx1, nx2
+        if j in wanted:
+            out[j] = {
+                v: n_marks - (d1 + (d2 if d2 > u1 else u1) if d1 >= u1
+                              else u1 + (d1 if d1 > u2 else u2))
+                for v, d1, d2, u1, u2 in zip(verts, down1, down2, up1, up2)
+            }
+    return {r: out[r] for r in r_list}
+
+
+def supported_gap_values_reference(T, r):
+    """`magic.supported_gap_values` before its array kernel: for each
+    vertex with at least one depth-r descendant, the worst-case mark gap
+    |A_v| - max_w |A_w| over those descendants, by a walk of r parent
+    links up from every vertex."""
+    _require_marks(T)
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    parent = T.parent
+    marks = T.marks
+    sub = subtree_mark_counts(T)
+    best = {}
+    for w in parent:
+        a = w
+        for _ in range(r):
+            a = parent[a]
+            if a is None:
+                break
+        if a is None:
+            continue
+        gap_w = sub[w] - (w in marks)  # |A_w|: marks strictly below w
+        if a not in best or gap_w > best[a]:
+            best[a] = gap_w
+    return {v: sub[v] - (v in marks) - worst for v, worst in best.items()}
 
 
 def brute_branching(tree, A, k, r, anchor=None):

@@ -33,37 +33,60 @@ def _report(num, desc, ok):
     return ok
 
 
+def _fuzz_batches(seed, n_trees, max_vertices, draw=None, per_batch=1_000):
+    """The fuzz trees of substreams (seed, 0..n_trees-1), folded into
+    batches of per_batch trees as the CLI's magic-fuzz shards fold theirs:
+    (first tree index, batch, tree start offsets, draws) per batch, where
+    draws holds draw(tree, rng) for each tree, made on the tree's stream
+    right after the tree is sampled."""
+    for lo in range(0, n_trees, per_batch):
+        draws = []
+
+        def sampled():
+            for idx in range(lo, min(lo + per_batch, n_trees)):
+                rng = substream(seed, idx)
+                tree = sample_marked_fuzz_tree(rng, max_vertices)
+                if draw is not None:
+                    draws.append(draw(tree, rng))
+                yield tree.parent, tree.marks
+
+        batch = magic.TreeBatch.fold(sampled())
+        yield lo, batch, np.r_[0, np.cumsum(batch.sizes)].tolist(), draws
+
+
 def test_criterion_01_branching_count_bound():
     """10^4 random trees (<= 500 vertices), all k <= 8, r <= 3: the
     r = 1 branching count and the supported count at every r never exceed
     r(2|A|-k)/k.  The r >= 2 branching excess is reported, and its first
-    three witnesses must agree with the brute-force oracle."""
+    three witnesses must agree with the brute-force oracle.  The trees are
+    counted in batches of 10^3, by the kernel the CLI runs."""
     branching_r1 = 0
     supported = 0
     excess = {2: 0, 3: 0}
     witnesses = []
-    for idx in range(10_000):
-        rng = substream(2024, idx)
-        tree = sample_marked_fuzz_tree(rng, 500)
-        T = magic.OrientedTree.from_tree(tree)
-        vals = magic.branch_deficiency_values(T, [1, 2, 3])
-        n_marks = T.n_marks
-        for r in (1, 2, 3):
-            counts = list(vals[r].values())
-            gaps = list(magic.supported_gap_values(T, r).values())
-            for k in range(1, 9):
-                bound = max(r * (2.0 * n_marks - k) / k, 0.0)
-                if sum(1 for g in gaps if g >= k) > bound:
-                    supported += 1
-                count = sum(1 for v in counts if v >= k)
-                if count <= bound:
-                    continue
-                if r == 1:
-                    branching_r1 += 1
-                else:
-                    excess[r] += 1
-                    if len(witnesses) < 3:
-                        witnesses.append((idx, k, r, tree, vals[r]))
+    ks = range(1, 9)
+    for lo, batch, offsets, _ in _fuzz_batches(2024, 10_000, 500):
+        vals = magic.branch_deficiency_values(batch, [1, 2, 3])
+        counts = {r: batch.count_at_least(vals[r], ks).tolist() for r in (1, 2, 3)}
+        gaps = {r: batch.count_at_least(magic.supported_gap_values(batch, r), ks).tolist()
+                for r in (1, 2, 3)}
+        for t, n_marks in enumerate(batch.n_marks.tolist()):
+            for r in (1, 2, 3):
+                for k in ks:
+                    bound = max(r * (2.0 * n_marks - k) / k, 0.0)
+                    if gaps[r][t][k - 1] > bound:
+                        supported += 1
+                    if counts[r][t][k - 1] <= bound:
+                        continue
+                    if r == 1:
+                        branching_r1 += 1
+                    else:
+                        excess[r] += 1
+                        if len(witnesses) < 3:
+                            # the same tree again, from its substream
+                            tree = sample_marked_fuzz_tree(substream(2024, lo + t), 500)
+                            fast = vals[r][offsets[t]:offsets[t + 1]].tolist()
+                            witnesses.append((lo + t, k, r, tree, dict(zip(tree.parent, fast))))
     disagreeing = [
         (idx, k, r)
         for idx, k, r, tree, fast in witnesses
@@ -212,20 +235,23 @@ def test_criterion_08_trace_weighted_pullback():
 
 def test_criterion_09_root_branching_probability():
     """With the root uniform on the marks, the branching frequency stays
-    below 2r/k + 4 sigma at (4,1), (8,1), (8,2) over 10^4 samples."""
+    below 2r/k + 4 sigma at (4,1), (8,1), (8,2) over 10^4 samples.  The
+    trees are evaluated in batches of 10^3, by the kernel the CLI runs."""
     pairs = ((4, 1), (8, 1), (8, 2))
     hits = {pair: 0 for pair in pairs}
     n = 10_000
-    for i in range(n):
-        rng = substream(99, i)
-        tree = sample_marked_fuzz_tree(rng, 200)
+
+    def draw_root(tree, rng):
         marks = sorted(tree.marks)
-        root = marks[int(rng.integers(0, len(marks)))]
-        T = magic.OrientedTree.from_tree(tree)
-        vals = magic.branch_deficiency_values(T, [1, 2])
+        return marks[int(rng.integers(0, len(marks)))]
+
+    for _, batch, offsets, roots in _fuzz_batches(99, n, 200, draw_root):
+        vals = magic.branch_deficiency_values(batch, [1, 2])
+        # a fuzz tree's vertex ids are 0..n-1 in parent-map order, so
+        # root v of tree t sits at batch index offsets[t] + v
+        at = np.add(offsets[:-1], roots)
         for k, r in pairs:
-            if vals[r][root] >= k:
-                hits[(k, r)] += 1
+            hits[(k, r)] += int((vals[r][at] >= k).sum())
     ok = True
     details = []
     for (k, r), h in hits.items():

@@ -333,6 +333,12 @@ PINNED_BODIES = {
     "magic-fuzz": ({"experiment": "magic-fuzz", "seed": 3, "n_trees": 150, "max_vertices": 40,
                     "k_grid": [3, 1], "r_grid": [2, 1]}, "magic_fuzz.csv",
                    "c5c048923c2398c3ce944a2f18051604c5cbd0401a55d0a09d123226adb9c835"),
+    # unsorted and repeated grids, and a radius past every tree: no row is
+    # built for it, and every vertex counts at k <= |A|
+    "magic-fuzz-grids": ({"experiment": "magic-fuzz", "seed": 3, "n_trees": 150,
+                          "max_vertices": 500, "k_grid": [8, 1, 9, 1],
+                          "r_grid": [3, 1000000000, 1]}, "magic_fuzz.csv",
+                         "f6d296dc161b24a469c6ca6f7427a53b5a7e57bf1e867b411792a879411d44bc"),
     "pullback-trace": ({"experiment": "mtp-test", "seed": 3, "sampler": "pullback",
                         "group": {"kind": "regular_tree", "param": 4},
                         "offspring": [0.45, 0, 0.55], "depth": 4, "a_rule": "trace",
@@ -563,14 +569,29 @@ def test_worker_pool_clamped(tmp_path, monkeypatch):
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(cli, "Pool", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     cfg = dict(BASE["thin-sweep"], replicates=250)  # three shards
     status, out = run_cfg(tmp_path, cfg, "wide", workers=10**6)
     assert status == 0 and started == [3]
     assert json.loads((out / "manifest.json").read_text())["workers"] == 10**6
+    # without an affinity mask the CPU count decides
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     _, out1 = run_cfg(tmp_path, cfg, "one", workers=10**6)
     assert started == [3]  # one CPU known: no pool at all
+    assert (out / "thin_sweep.csv").read_bytes() == (out1 / "thin_sweep.csv").read_bytes()
+
+
+def test_pool_sized_by_cpu_affinity(tmp_path, monkeypatch):
+    """A process allowed one CPU runs its shards in-process, however many
+    CPUs the machine has, and writes the same bytes."""
+    cfg = dict(BASE["thin-sweep"], replicates=250)  # three shards
+    _, out1 = run_cfg(tmp_path, cfg, "w1")
+    monkeypatch.setattr(cli, "Pool", _unreachable)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    status, out = run_cfg(tmp_path, cfg, "pinned", workers=4)
+    assert status == 0
     assert (out / "thin_sweep.csv").read_bytes() == (out1 / "thin_sweep.csv").read_bytes()
 
 

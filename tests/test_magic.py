@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brwlab import magic
 from brwlab.gw import MarkedTree, sample_marked_fuzz_tree
 from brwlab.magic import (
     OrientedTree,
+    TreeBatch,
     branch_deficiency_values,
     counting_bound,
     ends_profile,
@@ -244,6 +246,167 @@ def test_branch_values_argument_checks():
         branch_deficiency_values(T, [0, 1])
     with pytest.raises(ValueError, match="nonempty"):
         branch_deficiency_values(OrientedTree.from_tree(path_tree(3), marks=set()), [1])
+
+# --- the batch kernel -----------------------------------------------------------
+
+
+def mixed_forest(rng):
+    """Oriented trees of every shape the kernel must handle in one batch:
+    single vertices, 500-vertex paths and stars (marked at the hub, at a
+    leaf, or everywhere), and fuzz trees anchored at the root or elsewhere."""
+    trees = [OrientedTree.from_tree(path_tree(1), marks={0})]
+    for marks in ({0}, {499}, set(range(500))):
+        trees.append(OrientedTree.from_tree(path_tree(500), marks=marks))
+        trees.append(OrientedTree.from_tree(star_tree(499), marks=marks))
+    trees.append(OrientedTree.from_tree(path_tree(500), anchor=250, marks={3, 499}))
+    trees.append(OrientedTree.from_tree(star_tree(499), anchor=7, marks={0, 7, 8}))
+    for i in range(40):
+        t = sample_marked_fuzz_tree(rng, 80)
+        anchor = int(rng.integers(0, t.n_vertices)) if i % 2 else None
+        trees.append(OrientedTree.from_tree(t, anchor=anchor))
+        if i % 10 == 0:
+            trees.append(OrientedTree.from_tree(path_tree(1), marks={0}))
+    rng.shuffle(trees)
+    return trees
+
+
+def per_tree(trees, values):
+    """Split a batch array into one {vertex: value} map per tree."""
+    out, lo = [], 0
+    for T in trees:
+        block = values[lo:lo + T.n_vertices].tolist()
+        out.append(dict(zip(T.parent, block)))
+        lo += T.n_vertices
+    return out
+
+
+R_GRID = [3, 1, 10**9, 1, 2]  # unsorted, repeated, and past every tree
+
+
+def test_batch_matches_the_dict_pass_and_the_bfs():
+    """One kernel call over a mixed batch gives, tree by tree, the dict
+    rerooting pass it replaced and the per-vertex BFS; the per-tree maps
+    on each OrientedTree (a batch of one) agree too."""
+    trees = mixed_forest(np.random.default_rng(15))
+    batch = TreeBatch.fold((T.parent, T.marks) for T in trees)
+    assert batch.n_vertices == sum(T.n_vertices for T in trees)
+    assert batch.sizes.tolist() == [T.n_vertices for T in trees]
+    assert batch.n_marks.tolist() == [T.n_marks for T in trees]
+    vals = branch_deficiency_values(batch, R_GRID)
+    assert list(vals) == [1, 2, 3, 10**9]
+    assert all(v.dtype == np.int32 and len(v) == batch.n_vertices for v in vals.values())
+    split = {r: per_tree(trees, v) for r, v in vals.items()}
+    for i, T in enumerate(trees):
+        ref = oracles.branch_deficiency_values_reference(T, R_GRID)
+        assert ref == oracles.bfs_branch_values(T, R_GRID)
+        assert {r: split[r][i] for r in split} == ref
+        assert branch_deficiency_values(T, R_GRID) == ref
+
+
+def test_batch_supported_gaps_match_the_references():
+    """Every tree's gaps in a mixed batch, against the dict pass and the
+    ancestor-walk brute force, -1 exactly where a vertex has no depth-r
+    descendant; r = 10**9 takes no parent walk at all."""
+    trees = mixed_forest(np.random.default_rng(16))
+    batch = TreeBatch.fold((T.parent, T.marks) for T in trees)
+    for r in (1, 2, 3, 10**9):
+        gaps = supported_gap_values(batch, r)
+        assert gaps.dtype == np.int32
+        for T, got in zip(trees, per_tree(trees, gaps)):
+            ref = oracles.supported_gap_values_reference(T, r)
+            assert {v: g for v, g in got.items() if g >= 0} == ref
+            assert all(g == -1 for v, g in got.items() if v not in ref)
+            assert supported_gap_values(T, r) == ref
+            if T.n_vertices <= 80 and r <= 3:
+                anchor = T.tops()[0]
+                tree = MarkedTree(anchor)
+                for v in sorted(T.parent, key=T.layer.__getitem__):
+                    if T.parent[v] is not None:
+                        tree.add_child(T.parent[v], v)
+                assert ref == oracles.brute_supported_gaps(tree, T.marks, r)
+
+
+def test_batch_counts_per_tree():
+    """count_at_least counts, per tree and k, the vertices at or above k,
+    for unsorted and repeated k grids and k past every value."""
+    trees = mixed_forest(np.random.default_rng(17))
+    batch = TreeBatch.fold((T.parent, T.marks) for T in trees)
+    k_grid = [8, 1, 9, 1, 10**12, 500]
+    for values in (*branch_deficiency_values(batch, [1, 2]).values(),
+                   supported_gap_values(batch, 2)):
+        counts = batch.count_at_least(values, k_grid)
+        assert counts.shape == (len(trees), len(k_grid))
+        for row, vals in zip(counts.tolist(), per_tree(trees, values)):
+            assert row == [sum(1 for x in vals.values() if x >= k) for k in k_grid]
+
+
+def test_kernel_runs_cover_the_batch(monkeypatch):
+    """The rerooting rows work through the batch a run of whole trees at
+    a time; any run size, including runs smaller than one tree, gives the
+    values of one pass over the whole batch."""
+    trees = mixed_forest(np.random.default_rng(18))
+    batch = TreeBatch.fold((T.parent, T.marks) for T in trees)
+    whole = branch_deficiency_values(batch, [1, 2, 3])
+    for run in (1, 37, 600):
+        monkeypatch.setattr(magic, "_RUN", run)
+        split = branch_deficiency_values(batch, [1, 2, 3])
+        assert all(np.array_equal(split[r], whole[r]) for r in whole)
+
+
+def test_rows_stop_at_twice_the_height(monkeypatch):
+    """No rerooting row is built beyond twice the batch's height, so
+    r = 10**9 costs no row, and an all-single-vertex batch none at all."""
+    lasts = []
+    rerooting = magic._rerooting
+
+    def counted(parent, sub, marks, last):
+        lasts.append(last)
+        return rerooting(parent, sub, marks, last)
+
+    monkeypatch.setattr(magic, "_rerooting", counted)
+    batch = TreeBatch.fold([(path_tree(4).parent, {0}), (star_tree(3).parent, {1})])
+    assert branch_deficiency_values(batch, [10**9])[10**9].tolist() == [1] * 8
+    assert lasts == []
+    branch_deficiency_values(batch, [2, 10**9, 1])
+    assert lasts == [2]
+    single = TreeBatch.fold([({0: None}, {0}), ({"a": None}, {"a"})])
+    assert branch_deficiency_values(single, [1, 3])[1].tolist() == [1, 1]
+    assert supported_gap_values(single, 1).tolist() == [-1, -1]
+    assert lasts == [2]
+
+
+def test_batch_refusals():
+    """A tree without marks, a tree with several tops (branching only) and
+    r < 1 are refused for the whole batch."""
+    good = (path_tree(3).parent, {0})
+    unmarked = TreeBatch.fold([good, (path_tree(3).parent, set())])
+    with pytest.raises(ValueError, match="nonempty"):
+        branch_deficiency_values(unmarked, [1])
+    with pytest.raises(ValueError, match="nonempty"):
+        supported_gap_values(unmarked, 1)
+    two_tops = TreeBatch.fold([good, ({0: None, 1: None, 2: 0}, {2})])
+    with pytest.raises(ValueError, match="single-anchor"):
+        branch_deficiency_values(two_tops, [1])
+    assert supported_gap_values(two_tops, 1).tolist() == [0, 0, -1, 1, -1, -1]
+    batch = TreeBatch.fold([good])
+    with pytest.raises(ValueError, match="r must be"):
+        branch_deficiency_values(batch, [1, 0])
+    with pytest.raises(ValueError, match="r must be"):
+        supported_gap_values(batch, 0)
+
+
+def test_dict_pass_reference_at_every_anchor():
+    """The one-tree maps against the moved dict pass, on fuzz trees
+    oriented toward every vertex in turn."""
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        t = sample_marked_fuzz_tree(rng, 40)
+        for anchor in t.parent:
+            T = OrientedTree.from_tree(t, anchor=anchor)
+            assert branch_deficiency_values(T, [2, 1, 3]) == \
+                oracles.branch_deficiency_values_reference(T, [1, 2, 3])
+            assert supported_gap_values(T, 2) == oracles.supported_gap_values_reference(T, 2)
+
 
 def test_anchor_choice_does_not_change_branching():
     """Branching is orientation-free; the virtual ray only guarantees a

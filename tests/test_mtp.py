@@ -285,3 +285,19 @@ def test_argument_validation():
     bad_w = mtp.WeightFunction("bad", lambda s: 0.0)
     with pytest.raises(ValueError):
         mtp.mc_mtp_test(sampler, F, bad_w, 100, 0.05, rng)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
+def test_invalid_alpha_refused_before_any_sample(alpha):
+    """mc_mtp_test refuses alpha outside (0, 1) before it draws a sample."""
+    inner = mtp.uniform_root_sampler(PATH3, {0, 1, 2})
+    calls = []
+
+    def sampler(rng):
+        calls.append(rng)
+        return inner(rng)
+
+    with pytest.raises(ValueError, match="alpha"):
+        mtp.mc_mtp_test(sampler, mtp.BUILTIN_TRANSPORT["adjacent"], mtp.BUILTIN_WEIGHT["unit"],
+                        100, alpha, np.random.default_rng(11))
+    assert calls == []
