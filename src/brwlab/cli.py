@@ -283,15 +283,20 @@ def _usable_cpus() -> int:
 
 
 def _run_sharded(name, v, seed, n_units, workers):
+    """Split the replicate indices into near-equal tasks of at most the
+    experiment's block and run them, in one process or on a pool.  The
+    task count is a multiple of the processes and a pool hands the tasks
+    out one at a time, so no worker gets a task more than the others.
+    Each index has its own stream, so the cuts never change the rows."""
     block = _SHARDS[name][1]
-    tasks = [
-        (name, v, seed, lo, min(lo + block, n_units))
-        for lo in range(0, n_units, block)
-    ]
-    processes = min(workers, len(tasks), _usable_cpus())
+    n_tasks = -(-n_units // block)
+    processes = min(workers, n_tasks, _usable_cpus())
+    n_tasks = -(-n_tasks // processes) * processes
+    cuts = [i * n_units // n_tasks for i in range(n_tasks + 1)]  # sizes differ by 1 at most
+    tasks = [(name, v, seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     if processes > 1:
         with Pool(processes=processes) as pool:
-            parts = pool.map(_shard_worker, tasks)
+            parts = pool.map(_shard_worker, tasks, chunksize=1)
     else:
         parts = [_shard_worker(t) for t in tasks]
     # both paths keep the task order, so rows come in replicate order

@@ -1,12 +1,16 @@
 """Galton-Watson trees: sampling, degree-biased variants, thinning.
 
-Trees are finite rooted structures over integer vertex ids.  Samplers take
-an explicit numpy Generator; there is no hidden global state.
+Trees are flat: the vertices are the ids 0..n-1, root 0, held as one list
+of parent ids (-1 at the root, parent[v] < v elsewhere) with edge labels
+and walk values in lists indexed by the same ids.  Samplers take an
+explicit numpy Generator; there is no hidden global state.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -111,95 +115,104 @@ def extinction_probability(mu: OffspringDistribution) -> float:
 
 
 class MarkedTree:
-    """Finite rooted tree with optional marks and uniform edge labels.
+    """Finite rooted tree over the vertex ids 0..n-1, with optional marks
+    and uniform edge labels.
 
-    parent maps every vertex id to its parent (root to None); children and
-    depth are kept consistent.  edge_labels is keyed by the child endpoint.
-    truncated records that a sampling budget (vertex count or depth) cut
-    the tree short.
+    parent is a list of ints: parent[0] == -1 at the root, vertex 0, and
+    parent[v] < v for every other vertex, so a pass in id order meets each
+    parent before its children (the GW samplers hand out ids in
+    breadth-first order).  children and depth, lists indexed by id, are
+    computed on first read; parent is not changed after that.
+    edge_labels[v] is the label of the edge from v to its parent, with
+    edge_labels[0] = 0.0 at the root.  On a root component, ids[v] is v's
+    id in the tree it was cut from.  truncated records that a sampling
+    budget (vertex count or depth) cut the tree short.
     """
 
-    def __init__(self, root: int = 0):
-        self.root = root
-        self.parent = {root: None}
-        self.children = {root: []}
-        self.depth = {root: 0}
+    root = 0
+
+    def __init__(self, parent=None):
+        self.parent = [-1] if parent is None else parent
         self.marks: set | None = None
-        self.edge_labels: dict | None = None
+        self.edge_labels: list | None = None
+        self.ids: list | None = None
         self.truncated = False
         self.truncation_reason: str | None = None  # "budget" | "depth"
-
-    def add_child(self, parent_id: int, child_id: int):
-        if child_id in self.parent:
-            raise ValueError(f"vertex {child_id} already present")
-        self.parent[child_id] = parent_id
-        self.children[child_id] = []
-        self.children[parent_id].append(child_id)
-        self.depth[child_id] = self.depth[parent_id] + 1
 
     @property
     def n_vertices(self) -> int:
         return len(self.parent)
 
+    @cached_property
+    def children(self) -> list:
+        children = [[] for _ in self.parent]
+        for v, p in enumerate(islice(self.parent, 1, None), 1):
+            children[p].append(v)
+        return children
+
+    @cached_property
+    def depth(self) -> list:
+        depth = [0]
+        for p in islice(self.parent, 1, None):
+            depth.append(depth[p] + 1)
+        return depth
+
     def edges(self):
-        """(parent, child) pairs, keyed by child insertion order."""
-        return [(p, c) for c, p in self.parent.items() if p is not None]
+        """(parent, child) pairs, in child id order."""
+        return list(zip(islice(self.parent, 1, None), range(1, self.n_vertices)))
 
     def max_depth(self) -> int:
-        return max(self.depth.values())
+        return max(self.depth)
 
     def ensure_edge_labels(self, rng):
-        """Draw uniform labels for any edges that lack one, then keep them
-        fixed so percolation is monotone-coupled across p.  One
-        rng.random(k) call gives the k missing labels, in parent-map order:
-        the same doubles, and the same later stream, as k scalar draws."""
+        """Draw uniform labels for the edges that lack one, then keep them
+        fixed so percolation is monotone-coupled across p.  The labels are
+        a prefix of the ids; one rng.random(k) call gives the k missing
+        ones, in id order: the same doubles, and the same later stream, as
+        k scalar draws."""
         if self.edge_labels is None:
-            self.edge_labels = {}
-        labels = self.edge_labels
-        missing = [c for c, p in self.parent.items() if p is not None and c not in labels]
-        labels.update(zip(missing, rng.random(len(missing)).tolist()))
+            self.edge_labels = [0.0]
+        self.edge_labels += rng.random(self.n_vertices - len(self.edge_labels)).tolist()
 
     def adjacency(self):
-        """groups.adjacency(parent, edges()): each vertex's parent, then its
-        children, in parent-map order."""
-        children = self.children
-        return {v: [*children[v]] if p is None else [p, *children[v]]
-                for v, p in self.parent.items()}
+        """groups.adjacency(range(n), edges()): each vertex's parent, then
+        its children, in id order."""
+        adj = {v: [p] for v, p in enumerate(self.parent)}
+        adj[0] = []
+        for v, p in enumerate(islice(self.parent, 1, None), 1):
+            adj[p].append(v)
+        return adj
 
 
-def _grow(tree: MarkedTree, frontier, next_id: int, mu: OffspringDistribution,
+def _grow(tree: MarkedTree, frontier, depth: int, mu: OffspringDistribution,
           budget: int, rng, max_depth: int | None) -> MarkedTree:
-    """Breadth-first GW(mu) growth below the frontier, one generation at a
-    time, giving new vertices ids from next_id on; stops at the vertex
-    budget or the depth cap.  A family that crosses the budget keeps its
-    children below it.  Each family is written straight into the maps,
-    without add_child's presence check: every id is handed out once."""
-    parent, children, depth = tree.parent, tree.children, tree.depth
+    """Breadth-first GW(mu) growth below the frontier, one generation (at
+    the given depth, holding the tree's newest ids) at a time, giving new
+    vertices the next ids; stops at the vertex budget or the depth cap.  A
+    family that crosses the budget keeps its children below it.  Each
+    family is one extend of the parent list."""
+    parent = tree.parent
     while frontier:
-        d = depth[frontier[0]] + 1  # a frontier is one generation
-        if max_depth is not None and d > max_depth:
-            # children beyond the depth cap are never generated
-            if mu.sample(rng, size=len(frontier)).any():
+        if max_depth is not None and depth >= max_depth:
+            # children beyond the depth cap are never generated (the
+            # builtin any() of a short list is cheaper than the array's)
+            if any(mu.sample(rng, size=len(frontier)).tolist()):
                 tree.truncated = True
                 tree.truncation_reason = "depth"
             return tree
-        first = next_id
+        first = len(parent)
         for v, k in zip(frontier, mu.sample(rng, size=len(frontier)).tolist()):
             if not k:
                 continue
-            stop = next_id + k
-            family = range(next_id, min(stop, budget))
-            for c in family:
-                parent[c] = v
-                children[c] = []
-                depth[c] = d
-            children[v].extend(family)
-            if stop > budget:
+            room = budget - len(parent)
+            if k > room:
+                parent.extend(repeat(v, room))
                 tree.truncated = True
                 tree.truncation_reason = "budget"
                 return tree
-            next_id = stop
-        frontier = range(first, next_id)  # the new generation, in id order
+            parent.extend(repeat(v, k))
+        frontier = range(first, len(parent))  # the new generation, in id order
+        depth += 1
     return tree
 
 
@@ -208,7 +221,7 @@ def sample_gw(mu: OffspringDistribution, budget: int, rng, max_depth: int | None
     (and optionally at a depth cap)."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    return _grow(MarkedTree(root=0), [0], 1, mu, budget, rng, max_depth)
+    return _grow(MarkedTree(), [0], 0, mu, budget, rng, max_depth)
 
 
 AUGMENTED = "augmented"
@@ -242,18 +255,14 @@ def sample_unimodular_gw(mu: OffspringDistribution, budget: int, rng,
                 break
         if k0 is None:
             raise SamplingError(f"root-degree rejection failed {max_retries} times")
-    tree = MarkedTree(root=0)
-    tree.add_child(0, 1)
     # the root's own children come first, then the co-root draws its own
     # offspring alongside them; everything below is GW(mu)
-    own = range(2, 2 + min(k0, budget - 2))
-    for c in own:
-        tree.add_child(0, c)
-    if len(own) < k0:
+    tree = MarkedTree([-1, 0, *repeat(0, min(k0, budget - 2))])
+    if tree.n_vertices - 2 < k0:
         tree.truncated = True
         tree.truncation_reason = "budget"
         return tree
-    return _grow(tree, [*own, 1], 2 + len(own), mu, budget, rng, max_depth)
+    return _grow(tree, [*range(2, 2 + k0), 1], 1, mu, budget, rng, max_depth)
 
 
 def sample_marked_fuzz_tree(rng, max_vertices: int) -> MarkedTree:
@@ -266,39 +275,31 @@ def sample_marked_fuzz_tree(rng, max_vertices: int) -> MarkedTree:
     hi = max_vertices if rng.random() < 0.2 else max(1, max_vertices // 4)
     n = int(rng.integers(1, hi + 1))
     kind = int(rng.integers(0, 5))
-    tree = MarkedTree(root=0)
     # per-vertex draws are made in bulk: broadcast integers and random(k)
     # give the values of one scalar draw per vertex, and leave the stream
-    # in the same state
+    # in the same state; vertex v = 1, 2, ... attaches below parent[v] < v
     sizes = np.arange(1, n)
     if kind == 0:  # uniform attachment
-        parents = rng.integers(0, sizes).tolist()
+        parent = [-1, *rng.integers(0, sizes).tolist()]
     elif kind == 1:  # path
-        parents = range(n - 1)
+        parent = [-1, *range(n - 1)]
     elif kind == 2:  # star
-        parents = [0] * (n - 1)
+        parent = [-1, *repeat(0, n - 1)]
     elif kind == 3:  # preferential attachment (size-biased parents)
-        parents = []
+        parent = [-1]
         ends = [0]  # 2v - 1 entries when vertex v attaches
         for v, i in enumerate(rng.integers(0, 2 * sizes - 1).tolist(), 1):
             p = ends[i]
-            parents.append(p)
+            parent.append(p)
             ends.extend((p, v))
     else:  # caterpillar: each vertex hangs from the last spine vertex
-        parents = []
+        parent = [-1]
         spine = 0
         for v, step in enumerate((rng.random(n - 1) < 0.5).tolist(), 1):
-            parents.append(spine)
+            parent.append(spine)
             if step:
                 spine = v
-    # vertex v = 1, 2, ... attaches below parents[v - 1] < v, so every
-    # parent's entries exist: the maps add_child would build, in its order
-    parent, children, depth = tree.parent, tree.children, tree.depth
-    for v, p in enumerate(parents, 1):
-        parent[v] = p
-        children[v] = []
-        children[p].append(v)
-        depth[v] = depth[p] + 1
+    tree = MarkedTree(parent)
     rate = float(rng.uniform(0.02, 1.0))
     marks = set(np.flatnonzero(rng.random(n) < rate).tolist())
     if not marks:
@@ -308,36 +309,37 @@ def sample_marked_fuzz_tree(rng, max_vertices: int) -> MarkedTree:
 
 
 def percolate_root_component(tree: MarkedTree, p: float, rng=None) -> MarkedTree:
-    """Root component of the edges with label <= p.
+    """Root component of the edges with label <= p, as a flat tree whose
+    ids[i] is the original id of its vertex i.
 
     Labels are drawn lazily (then fixed on the input tree) so that the
-    components are monotone-coupled in p.  The result keeps the original
-    vertex ids.  One pass over the parent map, which lists every parent
-    before its children, keeps a vertex when its parent is kept and its
-    edge label is <= p; the result's maps, and its edge labels, follow
-    that order.
+    components are monotone-coupled in p.  One pass in id order keeps a
+    vertex when its parent is kept and its edge label is <= p; the kept
+    vertices get the ids 0, 1, ... in that order, and keep their labels
+    and marks.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    n = tree.n_vertices
     labels = tree.edge_labels
-    # every vertex but the root needs a label
-    if labels is None or not tree.parent.keys() - labels.keys() <= {tree.root}:
+    if labels is None or len(labels) < n:
         if rng is None:
             raise ValueError("tree has unlabeled edges and no rng was given")
         tree.ensure_edge_labels(rng)
         labels = tree.edge_labels
-    out = MarkedTree(root=tree.root)
+    new = [-1] * n  # each vertex's id in the component, -1 when cut off
+    new[0] = 0
+    ids, parent, kept = [0], [-1], [0.0]
+    for v, q, label in zip(range(1, n), islice(tree.parent, 1, None), islice(labels, 1, None)):
+        if label <= p and new[q] >= 0:
+            new[v] = len(ids)
+            ids.append(v)
+            parent.append(new[q])
+            kept.append(label)
+    out = MarkedTree(parent)
+    out.ids = ids
+    out.edge_labels = kept
     out.truncated = tree.truncated
-    parent, children, depth = out.parent, out.children, out.depth
-    kept_labels = {}
-    for c, q in tree.parent.items():
-        if q in depth and labels[c] <= p:  # the root's q, None, is never kept
-            parent[c] = q
-            children[c] = []
-            children[q].append(c)
-            depth[c] = depth[q] + 1
-            kept_labels[c] = labels[c]
     if tree.marks is not None:
-        out.marks = {v for v in tree.marks if v in parent}
-    out.edge_labels = kept_labels
+        out.marks = {new[v] for v in tree.marks if new[v] >= 0}
     return out

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -98,7 +99,7 @@ def sample_intersections(mu1: OffspringDistribution, mu2: OffspringDistribution,
     counts2 = walk2.image_counts()
     common = set(counts1.keys()) & set(counts2.keys())
     pair_count = sum(counts1[z] * counts2[z] for z in common)
-    pulled = frozenset(v for v, z in walk1.values.items() if z in counts2)
+    pulled = frozenset(v for v, z in enumerate(walk1.values) if z in counts2)
     return IntersectionRecord(
         tree1=tree1,
         intersection=frozenset(common),
@@ -117,20 +118,18 @@ class ThinSweepReplicate:
     truncated: bool
 
 
-def _thresholds(tree: MarkedTree, p: float) -> dict:
-    """thr(v) for each v in the root component at p: the largest edge
-    label on v's root path, 0.0 at the root.  The component's parent map
-    lists every parent before its children, so one pass fills it."""
+def _thresholds(tree: MarkedTree, p: float):
+    """The root component at p, as (ids, thr): the tree ids of its
+    vertices, and each one's thr, the largest edge label on its root path
+    (0.0 at the root).  The component lists every parent before its
+    children, so one pass fills thr."""
     comp = percolate_root_component(tree, p)
-    labels = tree.edge_labels
-    thr = {}
-    for v, u in comp.parent.items():
-        if u is None:
-            thr[v] = 0.0
-        else:
-            t, label = thr[u], labels[v]
-            thr[v] = label if label > t else t
-    return thr
+    thr = [0.0]
+    append = thr.append
+    for u, label in zip(islice(comp.parent, 1, None), islice(comp.edge_labels, 1, None)):
+        t = thr[u]
+        append(label if label > t else t)
+    return comp.ids, thr
 
 
 def thinned_intersection_sweep(mu1: OffspringDistribution, mu2: OffspringDistribution,
@@ -148,7 +147,8 @@ def thinned_intersection_sweep(mu1: OffspringDistribution, mu2: OffspringDistrib
     overlap set at p iff thr(v) <= p and the smallest tree-2 threshold
     of z is <= p, and it adds bisect_right(thresholds of z, p) to the
     pair count.  The overlap sets are therefore nested along the grid by
-    construction.  Both walks start at the identity.
+    construction: sorted by the p at which they join, they are prefixes of
+    one list.  Both walks start at the identity.
     """
     p_grid = sorted(set(float(p) for p in p_grid))
     if any(not 0.0 <= p <= 1.0 for p in p_grid):
@@ -164,18 +164,25 @@ def thinned_intersection_sweep(mu1: OffspringDistribution, mu2: OffspringDistrib
     pairs = {}
     if p_grid:
         by_value = {}  # walk value -> sorted tree-2 thresholds
-        for v, t in _thresholds(tree2, p_grid[-1]).items():
-            by_value.setdefault(walk2.values[v], []).append(t)
+        values = walk2.values
+        for v, t in zip(*_thresholds(tree2, p_grid[-1])):
+            by_value.setdefault(values[v], []).append(t)
         for ts in by_value.values():
             ts.sort()
-        hits = []  # (v, thr1(v), by_value entry) for the values both walks reach
-        for v, t in _thresholds(tree1, p_grid[-1]).items():
-            ts = by_value.get(walk1.values[v])
+        # (entry, v, by_value entry) for the values both walks reach, where
+        # v joins the overlap at p = entry; both roots have the identity and
+        # threshold 0.0, so there is at least one
+        hits = []
+        values = walk1.values
+        for v, t in zip(*_thresholds(tree1, p_grid[-1])):
+            ts = by_value.get(values[v])
             if ts is not None:
-                hits.append((v, t, ts))
+                hits.append((t if t > ts[0] else ts[0], v, ts))
+        entries, vs, tss = zip(*sorted(hits))
         for p in p_grid:
-            sets[p] = frozenset(v for v, t, ts in hits if t <= p and ts[0] <= p)
-            pairs[p] = sum(bisect_right(ts, p) for _, t, ts in hits if t <= p)
+            k = bisect_right(entries, p)  # the overlap at p is a prefix
+            sets[p] = frozenset(vs[:k])
+            pairs[p] = sum(map(bisect_right, tss[:k], repeat(p)))
     return ThinSweepReplicate(sets, pairs, tree1.truncated or tree2.truncated)
 
 

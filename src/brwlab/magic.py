@@ -58,24 +58,27 @@ class OrientedTree:
     def from_tree(cls, tree: MarkedTree, anchor=None, marks=None) -> "OrientedTree":
         """Orient a MarkedTree toward a ray attached at the anchor
         (default: the tree's root)."""
+        n = tree.n_vertices
         if anchor is None:
             anchor = tree.root
-        if anchor not in tree.parent:
+        if anchor not in range(n):
             raise ValueError(f"anchor {anchor} not in tree")
         if marks is None:
             marks = tree.marks or set()
-        bad = [v for v in marks if v not in tree.parent]
+        bad = [v for v in marks if v not in range(n)]
         if bad:
             raise ValueError(f"marks outside the tree: {bad[:3]}")
-        # flip the parent pointers on the anchor's path to the root; every
-        # other vertex keeps its parent, which the parent map lists first
-        parent = dict(tree.parent)
+        # flip the parent pointers on the anchor's path to the root (the
+        # root's -1 is overwritten there); every other vertex keeps its
+        # parent, which has a smaller id
+        tree_parent = tree.parent
+        parent = dict(enumerate(tree_parent))
         layer = {}
         v, below = anchor, None
-        while v is not None:
+        while v >= 0:
             parent[v] = below
             layer[v] = len(layer)
-            v, below = tree.parent[v], v
+            v, below = tree_parent[v], v
         for v, p in parent.items():
             if v not in layer:
                 layer[v] = layer[p] + 1
@@ -106,11 +109,19 @@ class OrientedTree:
         return groups.adjacency(
             self.parent, ((v, p) for v, p in self.parent.items() if p is not None))
 
+    def indexed(self):
+        """(parent list, mark list) with the vertices renumbered 0..n-1 in
+        parent-map order and -1 at the tops: the pair TreeBatch.fold
+        reads."""
+        index = dict(zip(self.parent, range(self.n_vertices)))
+        index[None] = -1
+        return [index[p] for p in self.parent.values()], [index[v] for v in self.marks]
+
     @cached_property
     def batch(self) -> "TreeBatch":
         """This tree as a batch of one, vertices indexed in parent-map
         order."""
-        return TreeBatch.fold([(self.parent, self.marks)])
+        return TreeBatch.fold([self.indexed()])
 
 
 class TreeBatch:
@@ -131,24 +142,35 @@ class TreeBatch:
 
     @classmethod
     def fold(cls, trees) -> "TreeBatch":
-        """One batch from an iterable of (parent map, marks) pairs, read
-        one pair at a time, so no tree has to outlive its fold.  A parent
-        map sends each vertex id to its parent's id (None at a top); a
-        tree's vertices get consecutive indices in parent-map order."""
-        parents, marked, sizes = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], []
-        n = 0
-        for tree_parent, marks in trees:
-            index = dict(zip(tree_parent, range(n, n + len(tree_parent))))
-            index[None] = -1
-            parents.append(np.fromiter(map(index.__getitem__, tree_parent.values()), np.int32,
-                                       len(tree_parent)))
-            marked.append(np.fromiter(map(index.__getitem__, marks), np.int32, len(marks)))
-            sizes.append(len(tree_parent))
-            n += len(tree_parent)
-        flags = np.zeros(n, dtype=bool)
-        flags[np.concatenate(marked)] = True
-        tree = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-        return cls(np.concatenate(parents), tree, flags, len(sizes))
+        """One batch from an iterable of (parent list, marks) pairs, each
+        read into int32 arrays as it comes, so no tree's lists have to
+        outlive its fold.  A parent list gives each vertex's parent as an
+        index into the same list, -1 at a top, and marks are indices too
+        (MarkedTree.parent and .marks are such a pair).  Each tree's
+        indices are offset past the trees before it, once, over the whole
+        batch; an index outside its own tree is refused."""
+        parent, marks = [], []
+        for tree_parent, tree_marks in trees:
+            parent.append(np.array(tree_parent, dtype=np.int32))
+            marks.append(np.fromiter(tree_marks, dtype=np.int32, count=len(tree_marks)))
+        ids = np.arange(len(parent), dtype=np.int32)
+        sizes = np.array([len(p) for p in parent], dtype=np.int32)
+        offsets = np.cumsum(sizes, dtype=np.int32) - sizes
+        tree = np.repeat(ids, sizes)
+        mark_tree = np.repeat(ids, [len(m) for m in marks])
+        parent = np.concatenate(parent or [tree[:0]])
+        marks = np.concatenate(marks or [tree[:0]])
+        outside = np.concatenate([tree[(parent < -1) | (parent >= sizes[tree])],
+                                  mark_tree[(marks < 0) | (marks >= sizes[mark_tree])]])
+        if len(outside):
+            raise ValueError(f"tree {outside.min()}: a parent or mark index lies outside "
+                             "the tree")
+        top = parent < 0
+        parent += offsets[tree]
+        parent[top] = -1
+        flags = np.zeros(len(parent), dtype=bool)
+        flags[marks + offsets[mark_tree]] = True
+        return cls(parent, tree, flags, len(sizes))
 
     @property
     def n_vertices(self) -> int:

@@ -312,23 +312,23 @@ def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
 
     def sample(rng) -> MtpSample:
         tree = sample_unimodular_gw(mu, budget, rng, max_depth=depth)
-        walk = run_walk(tree, g, start, rng)
+        values = run_walk(tree, g, start, rng).values
         ingredient = 1.0
         if a_rule == A_RULE_ORIGIN:
-            marks = frozenset(v for v, x in walk.values.items() if x == start)
+            marks = frozenset(v for v, x in enumerate(values) if x == start)
         elif a_rule == A_RULE_BALL:
             # center shifted so the start sits uniformly inside the ball
             w = shift_pool[int(rng.integers(0, len(shift_pool)))]
             center = groups.mul(g, start, groups.inv(g, w))
             marks = frozenset(
                 v
-                for v, x in walk.values.items()
+                for v, x in enumerate(values)
                 if groups.distance(g, center, x) <= ball_radius
             )
         else:
             tree2 = sample_unimodular_gw(mu2, budget, rng, max_depth=depth2)
             counts2 = run_walk(tree2, g, start, rng).image_counts()
-            marks = frozenset(v for v, x in walk.values.items() if x in counts2)
+            marks = frozenset(v for v, x in enumerate(values) if x in counts2)
             ingredient = 1.0 / counts2[start]
         cert = _certified_radius(tree, depth)
         return MtpSample(tree.adjacency(), marks, tree.root, ingredient, cert)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 
 from . import groups
 from .gw import MarkedTree
@@ -11,30 +12,31 @@ from .gw import MarkedTree
 class TreeWalk:
     """Assignment of group elements to tree vertices: the root gets the
     start value, every child an independent uniform neighbour of its
-    parent's value."""
+    parent's value.  values[v] is vertex v's value."""
 
-    def __init__(self, tree: MarkedTree, group: groups.GroupSpec, values: dict):
+    def __init__(self, tree: MarkedTree, group: groups.GroupSpec, values: list):
         self.tree = tree
         self.group = group
         self.values = values
 
     @property
     def start(self):
-        return self.values[self.tree.root]
+        return self.values[0]
 
     def image_counts(self) -> Counter:
         """Visits per group element; the keys are the image."""
-        return Counter(self.values.values())
+        return Counter(self.values)
 
 
 def run_walk(tree: MarkedTree, g: groups.GroupSpec, start, rng) -> TreeWalk:
     groups.validate_elem(g, start)
-    values = {tree.root: start}
+    # one pick per vertex, the root's unused
     picks = rng.integers(0, g.degree, size=tree.n_vertices)
     neighbors = groups.neighbors  # looked up per walk, so a patched one counts
-    for (v, p), k in zip(tree.parent.items(), picks.tolist()):
-        if p is not None:  # one neighbors() step per non-root vertex
-            values[v] = neighbors(g, values[p])[k]
+    values = [start]
+    append = values.append
+    for p, k in zip(islice(tree.parent, 1, None), picks[1:].tolist()):
+        append(neighbors(g, values[p])[k])  # one neighbors() step per non-root vertex
     return TreeWalk(tree, g, values)
 
 
@@ -59,10 +61,8 @@ class TraceGraph:
 def trace(walk: TreeWalk) -> TraceGraph:
     values = walk.values
     edge_mult = Counter()
-    for c, p in walk.tree.parent.items():
-        if p is None:
-            continue
-        a, b = values[p], values[c]
+    for p, b in zip(islice(walk.tree.parent, 1, None), islice(values, 1, None)):
+        a = values[p]
         key = (a, b) if a <= b else (b, a)
         edge_mult[key] += 1
     visits = walk.image_counts()

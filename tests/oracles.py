@@ -20,14 +20,16 @@ the lattice kernel `groups` used before its closed-form lattice laws.
 The references for `validate_elem`, `neighbors`, `run_walk` and the GW
 samplers are those functions as they were before each became a
 builtin-level or family-at-a-time step; the sampler references build
-their trees with `MarkedTree.add_child`.  The references for
+`DictTree`s, the dict trees `gw.MarkedTree` held before it became a flat
+parent list, one `add_child` per vertex.  The references for
 `ensure_edge_labels` and `sample_marked_fuzz_tree` draw one
 scalar per vertex, as those functions did before they drew in bulk, and
 `thinned_intersection_sweep_reference` is the sweep as it was before its
-threshold pass: both root components rebuilt and recounted at every p,
-by `percolate_root_component_reference`, the depth-first build with one
-`add_child` per kept vertex that percolation ran before its one-pass
-build.  `oriented_tree_reference` orients a tree by a BFS from the
+threshold pass, on those references: both root components rebuilt and
+recounted at every p, by `percolate_root_component_reference`, the
+depth-first build with one `add_child` per kept vertex that percolation
+ran before its one-pass build.  `tree_fields` compares a flat tree with
+a `DictTree`.  `oriented_tree_reference` orients a tree by a BFS from the
 anchor, as `OrientedTree.from_tree` did before it flipped the anchor's
 root path.
 Besides the recursion, the tree return series has two references:
@@ -95,7 +97,7 @@ def brute_branch_values(tree, A, r, anchor=None):
     nodes, index, D = _distance_matrix(adj)
     mark_idx = np.array([index[a] for a in A])
     out = {}
-    for u in tree.parent:
+    for u in tree.adjacency():
         iu = index[u]
         sphere = [i for i in range(len(nodes)) if D[iu, i] == r]
         if not sphere:
@@ -354,9 +356,9 @@ def brute_supported_gaps(tree, A, r, anchor=None):
                 x = par[x]
         return total
 
-    desc = {v: strict_desc_marks(v) for v in tree.parent}
+    desc = {v: strict_desc_marks(v) for v in adj}
     out = {}
-    for w in tree.parent:
+    for w in adj:
         x = w
         ok = True
         for _ in range(r):
@@ -533,9 +535,7 @@ def random_marked_tree(rng, max_vertices, mark_rate=None):
     from brwlab.gw import MarkedTree
 
     n = int(rng.integers(1, max_vertices + 1))
-    tree = MarkedTree(root=0)
-    for v in range(1, n):
-        tree.add_child(int(rng.integers(0, v)), v)
+    tree = MarkedTree([-1, *(int(rng.integers(0, v)) for v in range(1, n))])
     if mark_rate is None:
         mark_rate = float(rng.uniform(0.05, 1.0))
     marks = {v for v in range(n) if rng.random() < mark_rate}
@@ -707,18 +707,14 @@ def neighbors_reference(g, x):
 
 def run_walk_values_reference(tree, g, start, rng):
     """`walks.run_walk` values by the loop it used before zipping the
-    parent map with the picks: one pick per vertex in tree order, the
+    parent list with the picks: one pick per vertex in id order, the
     root's unused, and a fresh neighbour list per step."""
     validate_elem_reference(g, start)
-    values = {tree.root: start}
-    order = list(tree.parent)
-    picks = rng.integers(0, g.degree, size=len(order))
-    for i, v in enumerate(order):
-        p = tree.parent[v]
-        if p is None:
-            continue
-        values[v] = neighbors_reference(g, values[p])[picks[i]]
-    return values
+    values = {0: start}
+    picks = rng.integers(0, g.degree, size=tree.n_vertices)
+    for v in range(1, tree.n_vertices):
+        values[v] = neighbors_reference(g, values[tree.parent[v]])[picks[v]]
+    return [values[v] for v in range(tree.n_vertices)]
 
 
 def offspring_sample_reference(mu, rng, size=None):
@@ -726,6 +722,74 @@ def offspring_sample_reference(mu, rng, size=None):
     inf: the plain cumulative sum, searched, then clipped to the support."""
     u = rng.random(size)
     return np.searchsorted(np.cumsum(mu.pmf), u, side="right").clip(0, mu.max_children)
+
+
+class DictTree:
+    """A rooted tree as dicts over arbitrary vertex ids: the representation
+    `gw.MarkedTree` had before it became flat.  parent maps every vertex
+    to its parent (the root to None); children and depth are kept
+    consistent; edge_labels is keyed by the child endpoint."""
+
+    def __init__(self, root=0):
+        self.root = root
+        self.parent = {root: None}
+        self.children = {root: []}
+        self.depth = {root: 0}
+        self.marks = None
+        self.edge_labels = None
+        self.truncated = False
+        self.truncation_reason = None
+
+    def add_child(self, parent_id, child_id):
+        if child_id in self.parent:
+            raise ValueError(f"vertex {child_id} already present")
+        self.parent[child_id] = parent_id
+        self.children[child_id] = []
+        self.children[parent_id].append(child_id)
+        self.depth[child_id] = self.depth[parent_id] + 1
+
+    @property
+    def n_vertices(self):
+        return len(self.parent)
+
+    def adjacency(self):
+        return {v: ([] if p is None else [p]) + self.children[v] for v, p in self.parent.items()}
+
+
+def to_dict_tree(tree):
+    """A flat `MarkedTree` as a DictTree over the same ids, with its marks,
+    labels and truncation."""
+    out = DictTree(0)
+    for v in range(1, tree.n_vertices):
+        out.add_child(tree.parent[v], v)
+    out.marks = None if tree.marks is None else set(tree.marks)
+    if tree.edge_labels is not None:
+        out.edge_labels = dict(enumerate(tree.edge_labels))
+        del out.edge_labels[0]
+    out.truncated, out.truncation_reason = tree.truncated, tree.truncation_reason
+    return out
+
+
+def tree_fields(tree):
+    """(parent, depth, children, marks, edge labels, truncated, reason) of
+    a flat `MarkedTree`, or of a DictTree renumbered 0, 1, ... in id order,
+    so that trees of the two kinds compare draw for draw."""
+    if not isinstance(tree, DictTree):
+        return (tree.parent, tree.depth, tree.children, tree.marks, tree.edge_labels,
+                tree.truncated, tree.truncation_reason)
+    ids = sorted(tree.parent)
+    new = {v: i for i, v in enumerate(ids)}
+    new[None] = -1
+    labels = tree.edge_labels
+    return ([new[tree.parent[v]] for v in ids], [tree.depth[v] for v in ids],
+            [[new[c] for c in tree.children[v]] for v in ids],
+            None if tree.marks is None else {new[v] for v in tree.marks},
+            None if labels is None else [0.0] + [labels[v] for v in ids[1:]],
+            tree.truncated, tree.truncation_reason)
+
+
+# the per-vertex references: one add_child and one scalar draw at a
+# time
 
 
 def _grow_reference(tree, frontier, next_id, mu, budget, rng, max_depth):
@@ -754,15 +818,13 @@ def _grow_reference(tree, frontier, next_id, mu, budget, rng, max_depth):
 
 def sample_gw_reference(mu, budget, rng, max_depth=None):
     """`gw.sample_gw` over `_grow_reference`."""
-    from brwlab.gw import MarkedTree
-
-    return _grow_reference(MarkedTree(root=0), [0], 1, mu, budget, rng, max_depth)
+    return _grow_reference(DictTree(0), [0], 1, mu, budget, rng, max_depth)
 
 
 def sample_unimodular_gw_reference(mu, budget, rng, variant, max_depth=None):
     """`gw.sample_unimodular_gw` over `_grow_reference`, with one
     add_child per root child."""
-    from brwlab.gw import AUGMENTED, MarkedTree
+    from brwlab.gw import AUGMENTED
 
     if variant == AUGMENTED:
         k0 = int(offspring_sample_reference(mu, rng))
@@ -771,7 +833,7 @@ def sample_unimodular_gw_reference(mu, budget, rng, variant, max_depth=None):
             k0 = int(offspring_sample_reference(mu, rng))
             if rng.random() < 1.0 / (k0 + 1):
                 break
-    tree = MarkedTree(root=0)
+    tree = DictTree(0)
     tree.add_child(0, 1)
     own = list(range(2, 2 + min(k0, budget - 2)))
     for v in own:
@@ -797,8 +859,6 @@ def percolate_root_component_reference(tree, p, rng=None):
     """`gw.percolate_root_component` before its one-pass build: an any()
     scan for unlabelled edges, then a depth-first walk from the root with
     one add_child per kept vertex."""
-    from brwlab.gw import MarkedTree
-
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if tree.edge_labels is None or any(
@@ -807,7 +867,7 @@ def percolate_root_component_reference(tree, p, rng=None):
         if rng is None:
             raise ValueError("tree has unlabeled edges and no rng was given")
         ensure_edge_labels_reference(tree, rng)
-    out = MarkedTree(root=tree.root)
+    out = DictTree(tree.root)
     out.truncated = tree.truncated
     stack = [tree.root]
     kept = {tree.root}
@@ -828,11 +888,10 @@ def oriented_tree_reference(tree, anchor):
     """(parent, layer) of a tree oriented toward its anchor: the BFS
     parent and distance of every vertex, by a BFS from the anchor over
     adjacency lists built edge by edge."""
-    adj = {v: [] for v in tree.parent}
-    for c, p in tree.parent.items():
-        if p is not None:
-            adj[p].append(c)
-            adj[c].append(p)
+    adj = {v: [] for v in range(tree.n_vertices)}
+    for p, c in tree.edges():
+        adj[p].append(c)
+        adj[c].append(p)
     parent, layer = {anchor: None}, {anchor: 0}
     queue = deque([anchor])
     while queue:
@@ -847,13 +906,12 @@ def oriented_tree_reference(tree, anchor):
 def thinned_intersection_sweep_reference(mu1, mu2, g, p_grid, depth, replicates, rng,
                                          budget=1_000_000):
     """`intersections.thinned_intersection_sweep` before its threshold
-    pass: both root components rebuilt at every p, and the overlap read
-    off two Counters of walk values."""
+    pass, on the per-vertex references of its samplers and walks: both
+    root components rebuilt at every p, and the overlap read off two
+    Counters of walk values."""
     from collections import Counter
 
-    from brwlab.gw import sample_gw
     from brwlab.intersections import ThinSweepReplicate
-    from brwlab.walks import run_walk
 
     p_grid = sorted(set(float(p) for p in p_grid))
     if any(not 0.0 <= p <= 1.0 for p in p_grid):
@@ -861,20 +919,20 @@ def thinned_intersection_sweep_reference(mu1, mu2, g, p_grid, depth, replicates,
     e = g.identity()
     out = []
     for _ in range(replicates):
-        tree1 = sample_gw(mu1, budget, rng, max_depth=depth)
-        tree2 = sample_gw(mu2, budget, rng, max_depth=depth)
+        tree1 = sample_gw_reference(mu1, budget, rng, max_depth=depth)
+        tree2 = sample_gw_reference(mu2, budget, rng, max_depth=depth)
         ensure_edge_labels_reference(tree1, rng)
         ensure_edge_labels_reference(tree2, rng)
-        walk1 = run_walk(tree1, g, e, rng)
-        walk2 = run_walk(tree2, g, e, rng)
+        values1 = run_walk_values_reference(tree1, g, e, rng)
+        values2 = run_walk_values_reference(tree2, g, e, rng)
         sets = {}
         pairs = {}
         for p in p_grid:
             sub1 = percolate_root_component_reference(tree1, p)
             sub2 = percolate_root_component_reference(tree2, p)
-            counts2 = Counter(walk2.values[v] for v in sub2.parent)
-            counts1 = Counter(walk1.values[v] for v in sub1.parent)
-            sets[p] = frozenset(v for v in sub1.parent if walk1.values[v] in counts2)
+            counts2 = Counter(values2[v] for v in sub2.parent)
+            counts1 = Counter(values1[v] for v in sub1.parent)
+            sets[p] = frozenset(v for v in sub1.parent if values1[v] in counts2)
             pairs[p] = sum(c * counts2[z] for z, c in counts1.items() if z in counts2)
         out.append(ThinSweepReplicate(sets, pairs, tree1.truncated or tree2.truncated))
     return out
@@ -883,12 +941,10 @@ def thinned_intersection_sweep_reference(mu1, mu2, g, p_grid, depth, replicates,
 def sample_marked_fuzz_tree_reference(rng, max_vertices):
     """`gw.sample_marked_fuzz_tree` before it drew its per-vertex values
     in bulk: one scalar draw per attachment, caterpillar step and mark."""
-    from brwlab.gw import MarkedTree
-
     hi = max_vertices if rng.random() < 0.2 else max(1, max_vertices // 4)
     n = int(rng.integers(1, hi + 1))
     kind = int(rng.integers(0, 5))
-    tree = MarkedTree(root=0)
+    tree = DictTree(0)
     if kind == 0:
         for v in range(1, n):
             tree.add_child(int(rng.integers(0, v)), v)

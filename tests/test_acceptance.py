@@ -86,7 +86,7 @@ def test_criterion_01_branching_count_bound():
                             # the same tree again, from its substream
                             tree = sample_marked_fuzz_tree(substream(2024, lo + t), 500)
                             fast = vals[r][offsets[t]:offsets[t + 1]].tolist()
-                            witnesses.append((lo + t, k, r, tree, dict(zip(tree.parent, fast))))
+                            witnesses.append((lo + t, k, r, tree, dict(enumerate(fast))))
     disagreeing = [
         (idx, k, r)
         for idx, k, r, tree, fast in witnesses

@@ -364,6 +364,18 @@ PINNED_BODIES = {
                     "p_grid": [1.0, 0.3, 0.7, 0.3], "depth": 4, "replicates": 150},
                    "thin_sweep.csv",
                    "74fc4e5c84fe5b288de1ce224954dcb8ed87bb9a400b39bdf7abe8da282396e9"),
+    # a budget of 12 cuts a family short in about 40% of these trees, a
+    # further 15% stop at the depth, the rest die out
+    "intersect-budget": ({"experiment": "intersect", "seed": 3,
+                          "group": {"kind": "regular_tree", "param": 4},
+                          "offspring1": [0.3, 0, 0.7], "depth": 4, "budget": 12,
+                          "replicates": 300}, "intersect.csv",
+                         "4f759fe405c499e6d6c879d6e76e2a2b03762cb2bef155192200fdfd709234ab"),
+    "thin-sweep-budget": ({"experiment": "thin-sweep", "seed": 3,
+                           "group": {"kind": "free_group", "param": 2},
+                           "offspring1": [0.3, 0, 0.7], "p_grid": [1.0, 0.5], "depth": 4,
+                           "budget": 12, "replicates": 150}, "thin_sweep.csv",
+                          "4a6ce57983e36a9e3fc10a203be8f34aab3384bea44c11b05fca980efba0c428"),
     "ends": ({"experiment": "ends", "seed": 3, "group": {"kind": "integer_lattice", "param": 2},
               "offspring": [0.3, 0.3, 0.4], "depth": 5, "radius_grid": [2, 0, 1, 2],
               "m_threshold": 2, "replicates": 150}, "ends.csv",
@@ -550,36 +562,66 @@ def test_malformed_invocation_exits_1(tmp_path, capsys):
     assert exc.value.code == 0
 
 
+class FakePool:
+    """Stands in for multiprocessing.Pool: runs the tasks in order in this
+    process and records the pool size, the tasks' index ranges and the
+    chunksize of each map."""
+
+    started = []
+
+    def __init__(self, processes):
+        self.started.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=None):
+        self.started.append(([t[3:] for t in tasks], chunksize))
+        return [fn(t) for t in tasks]
+
+
 def test_worker_pool_clamped(tmp_path, monkeypatch):
     """The pool never exceeds the shard count or the CPU count; the
     manifest keeps the requested worker count."""
     started = []
-
-    class FakePool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
+    monkeypatch.setattr(FakePool, "started", started)
     monkeypatch.setattr(cli, "Pool", FakePool)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     cfg = dict(BASE["thin-sweep"], replicates=250)  # three shards
     status, out = run_cfg(tmp_path, cfg, "wide", workers=10**6)
-    assert status == 0 and started == [3]
+    assert status == 0 and started == [3, ([(0, 83), (83, 166), (166, 250)], 1)]
+    started.clear()
     assert json.loads((out / "manifest.json").read_text())["workers"] == 10**6
     # without an affinity mask the CPU count decides
     monkeypatch.delattr(cli.os, "sched_getaffinity")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     _, out1 = run_cfg(tmp_path, cfg, "one", workers=10**6)
-    assert started == [3]  # one CPU known: no pool at all
+    assert started == []  # one CPU known: no pool at all
     assert (out / "thin_sweep.csv").read_bytes() == (out1 / "thin_sweep.csv").read_bytes()
+
+
+def test_pool_schedule_is_balanced(tmp_path, monkeypatch):
+    """The task count is a multiple of the processes, each task at most
+    the experiment's block, and a pool hands them out one at a time; the
+    bytes are those of the in-process run."""
+    started = []
+    monkeypatch.setattr(FakePool, "started", started)
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for replicates, want in [
+        (250, [(0, 62), (62, 125), (125, 187), (187, 250)]),  # three blocks of 100 made four
+        (1000, [(i * 100, i * 100 + 100) for i in range(10)]),  # already a multiple of two
+        (101, [(0, 50), (50, 101)]),
+    ]:
+        cfg = dict(BASE["thin-sweep"], replicates=replicates)
+        _, out1 = run_cfg(tmp_path, cfg, f"w1-{replicates}")  # no pool
+        _, out2 = run_cfg(tmp_path, cfg, f"w2-{replicates}", workers=2)
+        assert started == [2, (want, 1)]
+        started.clear()
+        assert (out1 / "thin_sweep.csv").read_bytes() == (out2 / "thin_sweep.csv").read_bytes()
 
 
 def test_pool_sized_by_cpu_affinity(tmp_path, monkeypatch):

@@ -253,9 +253,7 @@ def test_monte_carlo_agreement():
     rng = np.random.default_rng(7)
     g = T3
     n, runs = 4, 100_000
-    path = MarkedTree(0)
-    for v in range(1, n + 1):
-        path.add_child(v - 1, v)
+    path = MarkedTree([-1, *range(n)])
     e = ()
     hits_e = 0
     target = (0, 1)
@@ -560,8 +558,9 @@ def test_bfs_parents_on_a_rooted_tree():
     for _ in range(20):
         t = sample_marked_fuzz_tree(rng, 80)
         found = groups.bfs(t.adjacency().__getitem__, t.root)
-        assert {v: p for v, (_, p) in found.items()} == t.parent
-        assert {v: d for v, (d, _) in found.items()} == t.depth
+        assert sorted(found) == list(range(t.n_vertices))
+        assert [found[v][1] for v in range(t.n_vertices)] == [None, *t.parent[1:]]
+        assert [found[v][0] for v in range(t.n_vertices)] == t.depth
 
 
 def test_elements_within_order():
@@ -580,9 +579,7 @@ def test_adjacency_builder():
     adj = groups.adjacency([0, 1, 2, 3], [(0, 1), (1, 2), (3, 1)])
     assert adj == {0: [1], 1: [0, 2, 3], 2: [1], 3: [1]}
     assert groups.adjacency(["a"], []) == {"a": []}
-    t = MarkedTree(root=0)
-    for c, p in [(1, 0), (2, 0), (3, 1)]:
-        t.add_child(p, c)
+    t = MarkedTree([-1, 0, 0, 1])
     assert t.adjacency() == {0: [1, 2], 1: [0, 3], 2: [0], 3: [1]}
     for adj, _ in _sample_graphs():
         for v, ns in adj.items():
@@ -593,8 +590,6 @@ def test_adjacency_builder():
 def test_as_adjacency():
     adj = {0: [1], 1: [0]}
     assert groups.as_adjacency(adj) is adj
-    t = MarkedTree(root=0)
-    t.add_child(0, 1)
-    assert groups.as_adjacency(t) == adj
+    assert groups.as_adjacency(MarkedTree([-1, 0])) == adj
     with pytest.raises(TypeError):
         groups.as_adjacency([(0, 1)])

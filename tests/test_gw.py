@@ -112,7 +112,7 @@ def test_generation_sizes_match_mean_powers():
     gen_counts = np.zeros((reps, depth + 1))
     for i in range(reps):
         t = gw.sample_gw(mu, 1_000_000, rng, max_depth=depth)
-        for v, d in t.depth.items():
+        for d in t.depth:
             gen_counts[i, d] += 1
     for n in range(depth + 1):
         mean = gen_counts[:, n].mean()
@@ -209,14 +209,15 @@ def test_offspring_sample_matches_clipped_search():
 
 
 def _assert_same_tree(t, ref):
-    """Same vertices in the same order, parents, depths, marks and the
-    exact label doubles."""
-    assert list(t.parent.items()) == list(ref.parent.items())
-    assert t.depth == ref.depth and t.marks == ref.marks
-    assert t.edge_labels == ref.edge_labels
+    """The flat tree t is the dict tree ref with ids 0..n-1: the same
+    parents, depths, children in order, marks, exact label doubles and
+    truncation."""
+    assert oracles.tree_fields(t) == oracles.tree_fields(ref)
 
 
 def _sample_both(variant, mu, budget, depth, seed):
+    """(tree, reference tree, rng, reference rng) after one draw of each
+    from the same seed; the trees and generator states agree."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     if variant is None:
         tree = gw.sample_gw(mu, budget, rng, max_depth=depth)
@@ -225,17 +226,22 @@ def _sample_both(variant, mu, budget, depth, seed):
         tree = gw.sample_unimodular_gw(mu, budget, rng, variant=variant, max_depth=depth)
         ref = oracles.sample_unimodular_gw_reference(mu, budget, ref_rng, variant, depth)
     _assert_same_tree(tree, ref)
-    assert tree.children == ref.children
-    assert (tree.truncated, tree.truncation_reason) == (ref.truncated, ref.truncation_reason)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    return tree
+    return tree, ref, rng, ref_rng
 
 
 def test_samplers_match_reference_draws():
     """Family-at-a-time growth gives the per-vertex trees and leaves the
-    generator in the same state, under budget cuts and depth caps."""
+    generator in the same state, under budget cuts and depth caps: a few
+    large settings, then budgets 2 to 30 under depth caps 0 to 5 and none,
+    including the unimodular root's own family cut at budget 2.  On the
+    small trees, labels are drawn and a component is cut at a p tied with
+    a label, every third vertex marked, against the references; and _grow
+    runs below a frontier."""
     settings_ = [(1, None), (2, None), (3, None), (4, None), (5, None), (8, None), (40, None),
                  (10**6, 0), (10**6, 1), (10**6, 4), (25, 3)]
+    grid = [(budget, depth) for budget in range(2, 31) for depth in (None, 0, 1, 2, 3, 5)]
+    reasons = set()
     for law, mu in enumerate(DRAW_LAWS):
         for budget, depth in settings_:
             for variant in (None, gw.AUGMENTED, gw.UNIMODULAR):
@@ -243,15 +249,42 @@ def test_samplers_match_reference_draws():
                     continue
                 for seed in range(25):
                     _sample_both(variant, mu, budget, depth, [law, budget, seed])
+        for budget, depth in grid:
+            for variant in (None, gw.AUGMENTED, gw.UNIMODULAR):
+                for seed in range(3):
+                    t, ref, rng, ref_rng = _sample_both(variant, mu, budget, depth,
+                                                        [law, budget, seed])
+                    reasons.add((variant is None, t.truncation_reason, t.n_vertices == 2))
+                    t.ensure_edge_labels(rng)
+                    oracles.ensure_edge_labels_reference(ref, ref_rng)
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+                    p = t.edge_labels[seed * 7 % t.n_vertices]  # 0.0 at the root
+                    t.marks = ref.marks = set(range(0, t.n_vertices, 3))
+                    sub = gw.percolate_root_component(t, p)
+                    sub_ref = oracles.percolate_root_component_reference(ref, p)
+                    _assert_same_tree(sub, sub_ref)
+                    assert sub.ids == sorted(sub_ref.parent)
+                    _assert_same_tree(t, ref)
+    # every cut happened: at the budget, at the depth cap, and the
+    # unimodular root's family at budget 2
+    assert {(True, "budget", False), (True, "depth", False), (False, "depth", False),
+            (False, "budget", True)} <= reasons
+    for budget in range(3, 31):
+        rng, ref_rng = np.random.default_rng(budget), np.random.default_rng(budget)
+        t = gw._grow(gw.MarkedTree([-1, 0, 0]), [1, 2], 1, DRAW_LAWS[0], budget, rng, 6)
+        ref = oracles.to_dict_tree(gw.MarkedTree([-1, 0, 0]))
+        oracles._grow_reference(ref, [1, 2], 3, DRAW_LAWS[0], budget, ref_rng, 6)
+        _assert_same_tree(t, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
     mu3 = OffspringDistribution.delta(3)
     # the root family fills the budget exactly; the next family is cut at once
-    t = _sample_both(None, mu3, 4, None, 0)
+    t = _sample_both(None, mu3, 4, None, 0)[0]
     assert t.children[0] == [1, 2, 3] and t.n_vertices == 4 and t.truncated
     # a family cut inside: two of the root's three children fit
-    t = _sample_both(None, mu3, 3, None, 0)
+    t = _sample_both(None, mu3, 3, None, 0)[0]
     assert t.children[0] == [1, 2] and t.truncation_reason == "budget"
     # double tree: the root's own family ends at 5, the next one (vertex 2's) at 8
-    t = _sample_both(gw.AUGMENTED, mu3, 8, None, 0)
+    t = _sample_both(gw.AUGMENTED, mu3, 8, None, 0)[0]
     assert t.children[0] == [1, 2, 3, 4] and t.children[2] == [5, 6, 7]
     assert t.n_vertices == 8 and t.truncation_reason == "budget"
 
@@ -263,23 +296,22 @@ def test_unimodular_retry_cap():
 
 
 def test_bulk_edge_labels_match_scalar_draws():
-    """One random(k) call gives the scalar loop's labels, in the same dict
-    order, and leaves the same next draw, also on a partly labelled tree;
-    a fully labelled tree draws nothing."""
+    """One random(k) call gives the scalar loop's labels, in id order, and
+    leaves the same next draw, also on a tree labelled up to some id; a
+    fully labelled tree draws nothing."""
     mu = OffspringDistribution([0.2, 0.3, 0.5])
     for seed in range(200):
         tree = gw.sample_gw(mu, 200, np.random.default_rng(seed), max_depth=6)
-        children = [c for c, p in tree.parent.items() if p is not None]
-        for labelled in ([], children[::2], children[1:3], children):
-            t, ref = gw.MarkedTree(), gw.MarkedTree()
-            for x in (t, ref):
-                x.parent = tree.parent
-                x.edge_labels = {c: 0.25 for c in labelled} if labelled else None
+        n = tree.n_vertices
+        for labelled in sorted({0, 1, n // 2, n}):
+            t = gw.MarkedTree(tree.parent)
+            t.edge_labels = [0.0, *[0.25] * (labelled - 1)] if labelled else None
+            ref = oracles.to_dict_tree(t)
             rng, ref_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
             t.ensure_edge_labels(rng)
             oracles.ensure_edge_labels_reference(ref, ref_rng)
-            assert list(t.edge_labels.items()) == list(ref.edge_labels.items())
-            assert len(t.edge_labels) == len(children)
+            _assert_same_tree(t, ref)
+            assert len(t.edge_labels) == n
             assert rng.random() == ref_rng.random()
 
 
@@ -287,20 +319,18 @@ def test_percolate_extremes_and_label_fixing():
     rng = np.random.default_rng(9)
     t = gw.sample_gw(OffspringDistribution.delta(2), 200, rng, max_depth=5)
     sub0 = gw.percolate_root_component(t, 0.0, rng)
-    assert sub0.n_vertices == 1
-    labels = dict(t.edge_labels)
+    assert sub0.n_vertices == 1 and sub0.ids == [0]
+    labels = list(t.edge_labels)
     sub1 = gw.percolate_root_component(t, 1.0)
-    assert set(sub1.parent) == set(t.parent)
+    assert sub1.ids == list(range(t.n_vertices)) and sub1.parent == t.parent
     assert t.edge_labels == labels  # labels fixed after first draw
     with pytest.raises(ValueError):
         gw.percolate_root_component(gw.sample_gw(OffspringDistribution.delta(2), 50, rng), 0.5)
-    # incomplete: one label missing, with as many labels as edges, or the
-    # root's alone
-    del t.edge_labels[max(t.parent)]
-    t.edge_labels[10**6] = 0.5
+    # incomplete: the last label missing, or all but the root's
+    del t.edge_labels[-1]
     with pytest.raises(ValueError, match="no rng"):
         gw.percolate_root_component(t, 0.5)
-    t.edge_labels = {t.root: 0.1}
+    t.edge_labels = [0.0]
     with pytest.raises(ValueError, match="no rng"):
         gw.percolate_root_component(t, 0.5)
 
@@ -313,19 +343,19 @@ def test_percolate_monotone_coupling():
         t.ensure_edge_labels(rng)
         prev = None
         for p in (0.3, 0.6, 0.9, 1.0):
-            cur = set(gw.percolate_root_component(t, p).parent)
+            cur = set(gw.percolate_root_component(t, p).ids)
             if prev is not None:
                 assert prev <= cur
             prev = cur
 
 
 def _percolation_inputs(seed):
-    """Trees from every sampler, with no labels, all labels or about half
-    of them, those on a grid of twentieths that ties with p = 0.35 and 0.7;
-    fuzz trees carry marks."""
+    """Trees from every sampler, with no labels, all labels or labels up
+    to about half of the ids, those on a grid of twentieths that ties with
+    p = 0.35 and 0.7; fuzz trees carry marks."""
     rng = np.random.default_rng(seed)
     mu = OffspringDistribution([0.2, 0.3, 0.5])
-    trees = [gw.MarkedTree(0), gw.sample_gw(mu, 400, rng, max_depth=7),
+    trees = [gw.MarkedTree(), gw.sample_gw(mu, 400, rng, max_depth=7),
              gw.sample_gw(mu, 30, rng),  # cut at the budget
              gw.sample_unimodular_gw(mu, 400, rng, max_depth=7),
              gw.sample_marked_fuzz_tree(rng, 80), gw.sample_marked_fuzz_tree(rng, 80)]
@@ -333,45 +363,41 @@ def _percolation_inputs(seed):
         if i % 3 == 1:
             t.ensure_edge_labels(rng)
         elif i % 3 == 2:
-            grid, keep = rng.integers(0, 21, t.n_vertices), rng.random(t.n_vertices) < 0.5
-            t.edge_labels = {c: int(k) / 20 for c, k, kept in zip(t.parent, grid, keep)
-                             if t.parent[c] is not None and kept}
+            grid = (rng.integers(0, 21, t.n_vertices) / 20).tolist()
+            t.edge_labels = [0.0, *grid[1:int(rng.integers(1, t.n_vertices + 1))]]
     return trees
 
 
 def test_percolation_matches_depth_first_reference():
-    """The one-pass component has the reference's parents, children in
-    order, depths, marks, labels and truncation flag; labels drawn for
-    unlabelled edges are the same doubles, leaving the generator in the
-    same state.  The component's maps list parents before children."""
+    """The one-pass flat component is the depth-first reference's
+    component, renumbered in id order: parents, children in order, depths,
+    marks, labels and truncation flag, with ids the kept original ids.
+    Labels drawn for unlabelled edges are the same doubles, leaving the
+    generator in the same state.  The component's parents come before
+    their children."""
     for seed in range(40):
-        for t, ref_t in zip(_percolation_inputs(seed), _percolation_inputs(seed)):
+        for t in _percolation_inputs(seed):
+            ref_t = oracles.to_dict_tree(t)
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for p in (0.0, 0.35, 0.7, 1.0):
                 sub = gw.percolate_root_component(t, p, rng)
                 ref = oracles.percolate_root_component_reference(ref_t, p, ref_rng)
-                assert sub.parent == ref.parent and sub.children == ref.children
-                assert sub.depth == ref.depth and sub.marks == ref.marks
-                assert sub.edge_labels == ref.edge_labels
-                assert sub.truncated == ref.truncated and sub.root == ref.root
-                assert list(sub.edge_labels) == [c for c in sub.parent if c != sub.root]
-                seen = set()
-                for v, u in sub.parent.items():
-                    assert u is None or u in seen
-                    seen.add(v)
-            assert list(t.edge_labels.items()) == list(ref_t.edge_labels.items())
+                _assert_same_tree(sub, ref)
+                assert sub.ids == sorted(ref.parent)
+                assert all(u < v for v, u in enumerate(sub.parent))
+            _assert_same_tree(t, ref_t)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_adjacency_lists_parent_then_children_in_order():
-    """MarkedTree.adjacency() equals groups.adjacency(parent, edges()) with
+    """MarkedTree.adjacency() equals groups.adjacency(ids, edges()) with
     the same keys and every list in the same order, on sampled, fuzz and
     percolated trees."""
     for seed in range(20):
         for t in _percolation_inputs(seed):
             sub = gw.percolate_root_component(t, 0.6, np.random.default_rng(seed))
             for tree in (t, sub):
-                want = groups.adjacency(tree.parent, tree.edges())
+                want = groups.adjacency(range(tree.n_vertices), tree.edges())
                 assert list(tree.adjacency().items()) == list(want.items())
 
 
@@ -418,10 +444,10 @@ def test_fuzz_tree_sampler_shapes():
         t = gw.sample_marked_fuzz_tree(rng, 60)
         assert 1 <= t.n_vertices <= 60
         assert t.marks
-        # parent map is consistent
-        for v, p in t.parent.items():
-            if p is not None:
-                assert v in t.children[p]
+        # the parent list is consistent, parents before children
+        assert t.parent[0] == -1
+        for v, p in enumerate(t.parent[1:], 1):
+            assert 0 <= p < v and v in t.children[p]
 
 
 def test_fuzz_tree_matches_reference_draws():
@@ -429,7 +455,7 @@ def test_fuzz_tree_matches_reference_draws():
     and the same next draw, for every kind and at one vertex."""
     kinds = set()
     for seed in range(1500):
-        size = (1, 2, 3, 60, 300)[seed % 5]
+        size = (1, 2, 3, 5, 40, 60, 300)[seed % 7]
         probe = np.random.default_rng(seed)  # the sampler's first three draws
         hi = size if probe.random() < 0.2 else max(1, size // 4)
         if probe.integers(1, hi + 1) > 2:
@@ -438,6 +464,5 @@ def test_fuzz_tree_matches_reference_draws():
         t = gw.sample_marked_fuzz_tree(rng, size)
         ref = oracles.sample_marked_fuzz_tree_reference(ref_rng, size)
         _assert_same_tree(t, ref)
-        assert t.children == ref.children
         assert rng.random() == ref_rng.random()
     assert kinds == set(range(5))  # every kind, at three vertices or more

@@ -21,32 +21,17 @@ import oracles
 
 
 def path_tree(n):
-    t = MarkedTree(0)
-    for v in range(1, n):
-        t.add_child(v - 1, v)
-    return t
+    return MarkedTree([-1, *range(n - 1)])
 
 
 def star_tree(m):
-    t = MarkedTree(0)
-    for v in range(1, m + 1):
-        t.add_child(0, v)
-    return t
+    return MarkedTree([-1, *[0] * m])
 
 
 def binary_tree(depth):
-    t = MarkedTree(0)
-    nid = 1
-    frontier = [0]
-    for _ in range(depth):
-        nxt = []
-        for v in frontier:
-            for _ in range(2):
-                t.add_child(v, nid)
-                nxt.append(nid)
-                nid += 1
-        frontier = nxt
-    return t
+    """The complete binary tree in breadth-first ids: v's children are
+    2v + 1 and 2v + 2."""
+    return MarkedTree([-1, *((v - 1) // 2 for v in range(1, 2 ** (depth + 1) - 1))])
 
 
 def at_least(values, k):
@@ -90,10 +75,10 @@ def test_full_binary_tree_branching_count():
     """Depth-6 binary tree with every vertex marked: levels 1..4 are
     (4,1)-branching (the level gap 2^(6-j) must reach 4), 30 vertices."""
     t = binary_tree(6)
-    A = set(t.parent)
+    A = set(range(t.n_vertices))
     B = at_least(branch_deficiency_values(OrientedTree.from_tree(t, marks=A), [1])[1], 4)
     assert len(B) == 30
-    assert B == {v for v in t.parent if 1 <= t.depth[v] <= 4}
+    assert B == {v for v in A if 1 <= t.depth[v] <= 4}
     assert B == oracles.brute_branching(t, A, 4, 1)
 
 
@@ -118,7 +103,7 @@ def test_leaves_never_supported():
     rng = np.random.default_rng(2)
     for _ in range(30):
         t = oracles.random_marked_tree(rng, 30)
-        leaves = {v for v in t.parent if not t.children[v]}
+        leaves = {v for v in range(t.n_vertices) if not t.children[v]}
         assert not (at_least(supported_gap_values(OrientedTree.from_tree(t), 1), 1) & leaves)
 
 
@@ -163,7 +148,7 @@ def test_orientation_matches_bfs_at_every_anchor():
     rng = np.random.default_rng(12)
     for _ in range(300):
         t = sample_marked_fuzz_tree(rng, 60)
-        for anchor in t.parent:
+        for anchor in range(t.n_vertices):
             T = OrientedTree.from_tree(t, anchor=anchor)
             parent, layer = oracles.oriented_tree_reference(t, anchor)
             assert T.parent == parent and T.layer == layer
@@ -184,13 +169,13 @@ def test_rerooting_matches_bfs_oracle():
 
 
 def caterpillar_tree(n, rng):
-    t = MarkedTree(0)
+    parent = [-1]
     spine = 0
     for v in range(1, n):
-        t.add_child(spine, v)
+        parent.append(spine)
         if rng.random() < 0.5:
             spine = v
-    return t
+    return MarkedTree(parent)
 
 
 def test_rerooting_matches_bfs_oracle_at_vertex_cap():
@@ -198,7 +183,7 @@ def test_rerooting_matches_bfs_oracle_at_vertex_cap():
     anchored at the root and in the middle."""
     rng = np.random.default_rng(14)
     for t in (path_tree(5000), caterpillar_tree(5000, rng)):
-        for marks in ({0, 2500}, {v for v in t.parent if rng.random() < 0.3}):
+        for marks in ({0, 2500}, {v for v in range(t.n_vertices) if rng.random() < 0.3}):
             for anchor in (0, 2500):
                 T = OrientedTree.from_tree(t, anchor=anchor, marks=marks)
                 assert branch_deficiency_values(T, [1, 2, 3]) == oracles.bfs_branch_values(
@@ -212,14 +197,14 @@ def test_rerooting_on_a_large_star():
     the leaves and a leaf sees the hub's cone |A| - [leaf marked]; at
     r = 2 a leaf sees the other leaves and the hub sees only the ray."""
     t = star_tree(4999)
-    marks = {0} | {v for v in t.parent if v % 3 == 0}
+    marks = {0} | {v for v in range(5000) if v % 3 == 0}
     n_marks = len(marks)
     L = n_marks - 1
     vals = branch_deficiency_values(OrientedTree.from_tree(t, marks=marks), [1, 2, 3])
     leaves = range(1, 5000)
     assert vals[1] == {0: n_marks - 2, **{v: int(v in marks) for v in leaves}}
     assert vals[2] == {0: n_marks, **{v: n_marks - min(2, L - (v in marks)) for v in leaves}}
-    assert vals[3] == dict.fromkeys(t.parent, n_marks)
+    assert vals[3] == dict.fromkeys(range(5000), n_marks)
 
 
 def test_radius_beyond_the_tree_gives_all_marks():
@@ -229,7 +214,7 @@ def test_radius_beyond_the_tree_gives_all_marks():
     marks = set(range(0, 5000, 7))
     T = OrientedTree.from_tree(t, marks=marks)
     vals = branch_deficiency_values(T, [1, 10**9])
-    assert vals[10**9] == dict.fromkeys(t.parent, len(marks))
+    assert vals[10**9] == dict.fromkeys(range(5000), len(marks))
     assert vals[1] == oracles.bfs_branch_values(T, [1])[1]
 
 
@@ -288,7 +273,7 @@ def test_batch_matches_the_dict_pass_and_the_bfs():
     rerooting pass it replaced and the per-vertex BFS; the per-tree maps
     on each OrientedTree (a batch of one) agree too."""
     trees = mixed_forest(np.random.default_rng(15))
-    batch = TreeBatch.fold((T.parent, T.marks) for T in trees)
+    batch = TreeBatch.fold(T.indexed() for T in trees)
     assert batch.n_vertices == sum(T.n_vertices for T in trees)
     assert batch.sizes.tolist() == [T.n_vertices for T in trees]
     assert batch.n_marks.tolist() == [T.n_marks for T in trees]
@@ -308,7 +293,7 @@ def test_batch_supported_gaps_match_the_references():
     ancestor-walk brute force, -1 exactly where a vertex has no depth-r
     descendant; r = 10**9 takes no parent walk at all."""
     trees = mixed_forest(np.random.default_rng(16))
-    batch = TreeBatch.fold((T.parent, T.marks) for T in trees)
+    batch = TreeBatch.fold(T.indexed() for T in trees)
     for r in (1, 2, 3, 10**9):
         gaps = supported_gap_values(batch, r)
         assert gaps.dtype == np.int32
@@ -319,7 +304,7 @@ def test_batch_supported_gaps_match_the_references():
             assert supported_gap_values(T, r) == ref
             if T.n_vertices <= 80 and r <= 3:
                 anchor = T.tops()[0]
-                tree = MarkedTree(anchor)
+                tree = oracles.DictTree(anchor)
                 for v in sorted(T.parent, key=T.layer.__getitem__):
                     if T.parent[v] is not None:
                         tree.add_child(T.parent[v], v)
@@ -330,7 +315,7 @@ def test_batch_counts_per_tree():
     """count_at_least counts, per tree and k, the vertices at or above k,
     for unsorted and repeated k grids and k past every value."""
     trees = mixed_forest(np.random.default_rng(17))
-    batch = TreeBatch.fold((T.parent, T.marks) for T in trees)
+    batch = TreeBatch.fold(T.indexed() for T in trees)
     k_grid = [8, 1, 9, 1, 10**12, 500]
     for values in (*branch_deficiency_values(batch, [1, 2]).values(),
                    supported_gap_values(batch, 2)):
@@ -345,7 +330,7 @@ def test_kernel_runs_cover_the_batch(monkeypatch):
     a time; any run size, including runs smaller than one tree, gives the
     values of one pass over the whole batch."""
     trees = mixed_forest(np.random.default_rng(18))
-    batch = TreeBatch.fold((T.parent, T.marks) for T in trees)
+    batch = TreeBatch.fold(T.indexed() for T in trees)
     whole = branch_deficiency_values(batch, [1, 2, 3])
     for run in (1, 37, 600):
         monkeypatch.setattr(magic, "_RUN", run)
@@ -369,7 +354,7 @@ def test_rows_stop_at_twice_the_height(monkeypatch):
     assert lasts == []
     branch_deficiency_values(batch, [2, 10**9, 1])
     assert lasts == [2]
-    single = TreeBatch.fold([({0: None}, {0}), ({"a": None}, {"a"})])
+    single = TreeBatch.fold([([-1], {0}), ([-1], [0])])
     assert branch_deficiency_values(single, [1, 3])[1].tolist() == [1, 1]
     assert supported_gap_values(single, 1).tolist() == [-1, -1]
     assert lasts == [2]
@@ -377,14 +362,18 @@ def test_rows_stop_at_twice_the_height(monkeypatch):
 
 def test_batch_refusals():
     """A tree without marks, a tree with several tops (branching only) and
-    r < 1 are refused for the whole batch."""
+    r < 1 are refused for the whole batch; a parent or mark index outside
+    its own tree is refused by fold."""
     good = (path_tree(3).parent, {0})
+    for bad in [([-1, 0, 3], {0}), ([-1, 0, -2], {0}), ([-1, 0, 0], {3}), ([-1, 0, 0], {-1})]:
+        with pytest.raises(ValueError, match="tree 1: a parent or mark index"):
+            TreeBatch.fold([good, bad, good])
     unmarked = TreeBatch.fold([good, (path_tree(3).parent, set())])
     with pytest.raises(ValueError, match="nonempty"):
         branch_deficiency_values(unmarked, [1])
     with pytest.raises(ValueError, match="nonempty"):
         supported_gap_values(unmarked, 1)
-    two_tops = TreeBatch.fold([good, ({0: None, 1: None, 2: 0}, {2})])
+    two_tops = TreeBatch.fold([good, ([-1, -1, 0], {2})])
     with pytest.raises(ValueError, match="single-anchor"):
         branch_deficiency_values(two_tops, [1])
     assert supported_gap_values(two_tops, 1).tolist() == [0, 0, -1, 1, -1, -1]
@@ -401,7 +390,7 @@ def test_dict_pass_reference_at_every_anchor():
     rng = np.random.default_rng(19)
     for _ in range(60):
         t = sample_marked_fuzz_tree(rng, 40)
-        for anchor in t.parent:
+        for anchor in range(t.n_vertices):
             T = OrientedTree.from_tree(t, anchor=anchor)
             assert branch_deficiency_values(T, [2, 1, 3]) == \
                 oracles.branch_deficiency_values_reference(T, [1, 2, 3])
@@ -414,7 +403,7 @@ def test_anchor_choice_does_not_change_branching():
     rng = np.random.default_rng(5)
     for _ in range(40):
         t = oracles.random_marked_tree(rng, 24)
-        anchors = list(t.parent)[:3]
+        anchors = range(min(3, t.n_vertices))
         sets = [
             at_least(branch_deficiency_values(OrientedTree.from_tree(t, anchor=a), [2])[2], 2)
             for a in anchors
@@ -427,11 +416,11 @@ def test_anchor_choice_does_not_change_branching():
 def test_relabeling_invariance(seed):
     rng = np.random.default_rng(seed)
     t = oracles.random_marked_tree(rng, 20)
-    perm = {v: v + 1000 for v in t.parent}
-    t2 = MarkedTree(root=perm[t.root])
-    order = [v for v in t.parent if t.parent[v] is not None]
-    for v in order:
-        t2.add_child(perm[t.parent[v]], perm[v])
+    # new ids in order of depth, shuffled within each depth: parents still
+    # come first
+    order = sorted(range(t.n_vertices), key=lambda v: (t.depth[v], rng.random()))
+    perm = {v: i for i, v in enumerate(order)}
+    t2 = MarkedTree([-1, *(perm[t.parent[v]] for v in order[1:])])
     t2.marks = {perm[v] for v in t.marks}
     B1 = at_least(branch_deficiency_values(OrientedTree.from_tree(t), [2])[2], 2)
     B2 = at_least(branch_deficiency_values(OrientedTree.from_tree(t2), [2])[2], 2)
@@ -485,9 +474,7 @@ def test_branching_bound_counterexamples_at_larger_radius():
     assert B == oracles.brute_branching(t, A, 1, 2) == {1, 2, 3}
     assert len(B) == 3 > 2 * (2 * len(A) - 1) / 1
 
-    hub = star_tree(9)
-    for v, p in ((10, 1), (11, 10), (12, 11)):
-        hub.add_child(p, v)
+    hub = MarkedTree([-1, *[0] * 9, 1, 10, 11])  # a limb 1-10-11-12
     A = set(range(2, 8))  # six marked leaves
     B = at_least(branch_deficiency_values(OrientedTree.from_tree(hub, marks=A), [2])[2], 4)
     assert B == oracles.brute_branching(hub, A, 4, 2)
@@ -497,7 +484,7 @@ def test_branching_bound_counterexamples_at_larger_radius():
         star = star_tree(m)
         A = {0}
         B = at_least(branch_deficiency_values(OrientedTree.from_tree(star, marks=A), [2])[2], 1)
-        assert B == oracles.brute_branching(star, A, 1, 2) == set(star.parent)
+        assert B == oracles.brute_branching(star, A, 1, 2) == set(range(m + 1))
         assert len(B) == m + 1 > 2 * (2 * len(A) - 1) / 1
 
 
@@ -581,7 +568,7 @@ def test_auxiliary_tree_binary_example():
     T = OrientedTree.from_tree(t, marks={0})
     Tm = oracles.auxiliary_tree(T, 1, 2)
     internal = {v for v in Tm.parent if Tm.children[v]}
-    assert internal == {v for v in t.parent if t.depth[v] in (1, 3)}
+    assert internal == {v for v in range(t.n_vertices) if t.depth[v] in (1, 3)}
     assert Tm.n_vertices == t.n_vertices
 
 
@@ -619,7 +606,7 @@ def test_ends_profile_path_and_star():
 
 def test_ends_profile_binary_tree():
     t = binary_tree(6)
-    leaves = {v for v in t.parent if not t.children[v]}
+    leaves = {v for v in range(t.n_vertices) if not t.children[v]}
     prof0 = ends_profile(t, leaves, 0, 0, 4)
     assert prof0.qualifying == 2
     assert prof0.census[0] == (63, 32)
@@ -640,7 +627,7 @@ def test_ends_profile_against_networkx():
         radius = int(rng.integers(0, 3))
         prof = ends_profile(t, t.marks, center, radius, 1)
         G = nx.Graph()
-        G.add_nodes_from(t.parent)
+        G.add_nodes_from(range(t.n_vertices))
         G.add_edges_from(t.edges())
         ball = {
             v

@@ -1,6 +1,9 @@
 """Tests for the exact and Monte Carlo mass-transport checks."""
 
+import importlib.util
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -200,7 +203,7 @@ def test_level_of_the_test():
     independent runs stays near its nominal level."""
     rng = np.random.default_rng(4)
     tree = oracles.random_marked_tree(rng, 12, mark_rate=1.0)
-    sampler = mtp.uniform_root_sampler(tree, set(tree.parent))
+    sampler = mtp.uniform_root_sampler(tree, set(range(tree.n_vertices)))
     F = mtp.BUILTIN_TRANSPORT["marked_neighbors"]
     rejects = 0
     for _ in range(200):
@@ -301,3 +304,35 @@ def test_invalid_alpha_refused_before_any_sample(alpha):
         mtp.mc_mtp_test(sampler, mtp.BUILTIN_TRANSPORT["adjacent"], mtp.BUILTIN_WEIGHT["unit"],
                         100, alpha, np.random.default_rng(11))
     assert calls == []
+
+
+def test_traced_pullback_trace_run(tmp_path, monkeypatch):
+    """The benchmark's tracer around a small pull-back trace run: self
+    times sum to the root span, every groups.neighbors call is a walk step
+    and the traced samplers count their vertices."""
+    from brwlab import cli, gw, intersections, magic
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module in (cli, groups, gw, gw.MarkedTree, intersections, magic,
+                   magic.OrientedTree, mtp):
+        for attr, value in list(vars(module).items()):
+            if callable(value) or isinstance(value, classmethod):
+                monkeypatch.setattr(module, attr, value)  # restored after the test
+    tracer = tracing.Tracer()
+    main = tracing.install(tracer)
+    cfg = {"experiment": "mtp-test", "seed": 5, "sampler": "pullback", "a_rule": "trace",
+           "group": {"kind": "regular_tree", "param": 4}, "offspring": [0.45, 0, 0.55],
+           "depth": 6, "f": "target_degree", "w": "ingredient", "alpha": 0.01,
+           "n_samples": 1000}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    dump = tracer.dump()
+    assert math.isclose(sum(tracing.self_times(dump["spans"])),
+                        tracing.root_time(dump["spans"]), rel_tol=1e-9)
+    metrics = tracing.layer_metrics([dump], 1)
+    assert metrics["walks.steps"][0] == dump["counters"]["groups.neighbors"][0] > 0
+    assert metrics["gw.vertices"][0] > 0

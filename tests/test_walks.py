@@ -27,23 +27,17 @@ F2 = GroupSpec("free_group", 2)
 
 
 def path_tree(n):
-    t = MarkedTree(0)
-    for v in range(1, n):
-        t.add_child(v - 1, v)
-    return t
+    return MarkedTree([-1, *range(n - 1)])
 
 
 def star_tree(m):
-    t = MarkedTree(0)
-    for v in range(1, m + 1):
-        t.add_child(0, v)
-    return t
+    return MarkedTree([-1, *[0] * m])
 
 
 def test_single_vertex_walk():
     rng = np.random.default_rng(0)
-    w = run_walk(MarkedTree(0), T4, (), rng)
-    assert w.values == {0: ()}
+    w = run_walk(MarkedTree(), T4, (), rng)
+    assert w.values == [()]
     assert w.start == ()
 
 
@@ -86,7 +80,7 @@ def test_run_walk_one_neighbors_call_per_step(monkeypatch):
             rng = np.random.default_rng(seed)
             tree = sample_gw(mu, 300, rng, max_depth=8)
             trees = [
-                MarkedTree(0),
+                MarkedTree(),
                 tree,
                 sample_unimodular_gw(mu, 300, rng, variant="augmented", max_depth=8),
                 sample_unimodular_gw(mu, 300, rng, max_depth=8),
@@ -100,7 +94,7 @@ def test_run_walk_one_neighbors_call_per_step(monkeypatch):
                 walk = run_walk(t, g, start, rng)
                 assert calls[0] == t.n_vertices - 1
                 ref = oracles.run_walk_values_reference(t, g, start, ref_rng)
-                assert list(walk.values.items()) == list(ref.items())
+                assert walk.values == ref
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -142,13 +136,12 @@ def test_walk_steps_are_edges():
     rng = np.random.default_rng(3)
     t = sample_gw(OffspringDistribution([0.2, 0.3, 0.5]), 400, rng, max_depth=8)
     w = run_walk(t, T3, (), rng)
-    for c, p in t.parent.items():
-        if p is not None:
-            assert groups.distance(T3, w.values[p], w.values[c]) == 1
+    for c, p in enumerate(t.parent[1:], 1):
+        assert groups.distance(T3, w.values[p], w.values[c]) == 1
 
 
 def test_trace_single_edge():
-    w = TreeWalk(path_tree(2), Z1, {0: (0,), 1: (1,)})
+    w = TreeWalk(path_tree(2), Z1, [(0,), (1,)])
     tr = trace(w)
     assert tr.n_vertices == 2
     assert tr.edge_mult == {((0,), (1,)): 1}
@@ -157,14 +150,14 @@ def test_trace_single_edge():
 
 def test_trace_merged_edge_multiplicity():
     # both children step to the same neighbour: one edge crossed twice
-    w = TreeWalk(star_tree(2), T4, {0: (), 1: (0,), 2: (0,)})
+    w = TreeWalk(star_tree(2), T4, [(), (0,), (0,)])
     tr = trace(w)
     assert list(tr.edge_mult.values()) == [2]
     assert tr.visits[(0,)] == 2
 
 
 def test_trace_backtracking_path():
-    w = TreeWalk(path_tree(3), T4, {0: (), 1: (2,), 2: ()})
+    w = TreeWalk(path_tree(3), T4, [(), (2,), ()])
     tr = trace(w)
     assert len(tr.edge_mult) == 1
     assert tr.visits[()] == 2
@@ -251,7 +244,7 @@ def test_origin_visits_match_visit_series():
     for i in range(reps):
         tree = sample_gw(mu, budget=10_000_000, rng=rng, max_depth=depth)
         walk = run_walk(tree, T4, (), rng)
-        for v, x in walk.values.items():
+        for v, x in enumerate(walk.values):
             if x == ():
                 counts[i, tree.depth[v]] += 1
     counts = np.cumsum(counts, axis=1)
