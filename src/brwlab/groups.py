@@ -237,16 +237,6 @@ def adjacency(vertices, edges) -> dict:
     return adj
 
 
-def as_adjacency(graph) -> dict:
-    """An adjacency dict passes through; a graph object (MarkedTree,
-    OrientedTree, TraceGraph) gives its .adjacency()."""
-    if isinstance(graph, dict):
-        return graph
-    if hasattr(graph, "adjacency"):
-        return graph.adjacency()
-    raise TypeError(f"cannot interpret {type(graph).__name__} as a graph")
-
-
 def _product_residual(a, b, p):
     """a*b - p for p near a*b, exact up to one final rounding (Dekker's
     two-product on Veltkamp halves of a and b)."""

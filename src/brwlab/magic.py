@@ -23,9 +23,9 @@ Both values have one kernel: whole-array numpy passes over a `TreeBatch`,
 a flat forest of oriented trees held as int32 parent indices, marks and a
 tree id per vertex, so a batch of many trees costs a few array operations
 per row rather than Python work per vertex.  `TreeBatch.count_at_least`
-turns the values into per-tree counts.  On an `OrientedTree`, the same
-functions run the kernel on a batch of one and map the values back to
-vertex ids.
+turns the values into per-tree counts.  `OrientedTree.from_tree` orients
+one MarkedTree toward an anchor as a batch of one, so its values are
+indexed by the tree's own vertex ids.
 """
 
 from __future__ import annotations
@@ -37,91 +37,6 @@ import numpy as np
 
 from . import groups
 from .gw import MarkedTree
-
-
-class OrientedTree:
-    """Rooted orientation of a finite tree toward a virtual end.
-
-    Every real vertex has a parent: a real vertex, or (for top vertices)
-    a virtual ray vertex.  layer is depth relative to the anchor, anchor
-    in layer 0.  One built from a parent map may have several top vertices.
-    The parent and layer maps are kept as given, not copied: nothing
-    mutates them.
-    """
-
-    def __init__(self, parent: dict, layer: dict, marks):
-        self.parent = parent
-        self.layer = layer
-        self.marks = frozenset(marks) if marks is not None else frozenset()
-
-    @classmethod
-    def from_tree(cls, tree: MarkedTree, anchor=None, marks=None) -> "OrientedTree":
-        """Orient a MarkedTree toward a ray attached at the anchor
-        (default: the tree's root)."""
-        n = tree.n_vertices
-        if anchor is None:
-            anchor = tree.root
-        if anchor not in range(n):
-            raise ValueError(f"anchor {anchor} not in tree")
-        if marks is None:
-            marks = tree.marks or set()
-        bad = [v for v in marks if v not in range(n)]
-        if bad:
-            raise ValueError(f"marks outside the tree: {bad[:3]}")
-        # flip the parent pointers on the anchor's path to the root (the
-        # root's -1 is overwritten there); every other vertex keeps its
-        # parent, which has a smaller id
-        tree_parent = tree.parent
-        parent = dict(enumerate(tree_parent))
-        layer = {}
-        v, below = anchor, None
-        while v >= 0:
-            parent[v] = below
-            layer[v] = len(layer)
-            v, below = tree_parent[v], v
-        for v, p in parent.items():
-            if v not in layer:
-                layer[v] = layer[p] + 1
-        return cls(parent, layer, marks)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.parent)
-
-    @property
-    def n_marks(self) -> int:
-        return len(self.marks)
-
-    @cached_property
-    def children(self) -> dict:
-        """Children lists in parent-map order, built in one pass on first
-        read (the counting kernel never reads them)."""
-        children = {v: [] for v in self.parent}
-        for v, p in self.parent.items():
-            if p is not None:
-                children[p].append(v)
-        return children
-
-    def tops(self):
-        return [v for v, p in self.parent.items() if p is None]
-
-    def adjacency(self):
-        return groups.adjacency(
-            self.parent, ((v, p) for v, p in self.parent.items() if p is not None))
-
-    def indexed(self):
-        """(parent list, mark list) with the vertices renumbered 0..n-1 in
-        parent-map order and -1 at the tops: the pair TreeBatch.fold
-        reads."""
-        index = dict(zip(self.parent, range(self.n_vertices)))
-        index[None] = -1
-        return [index[p] for p in self.parent.values()], [index[v] for v in self.marks]
-
-    @cached_property
-    def batch(self) -> "TreeBatch":
-        """This tree as a batch of one, vertices indexed in parent-map
-        order."""
-        return TreeBatch.fold([self.indexed()])
 
 
 class TreeBatch:
@@ -198,17 +113,25 @@ class TreeBatch:
         holds each vertex's 2^i-th ancestor (-1: none), depth is
         min(depth, 2^i) and sub covers the descendants fewer than 2^i
         levels below, so O(log height) whole-batch steps give both.  Slot
-        n of depth and add is the one that index -1 reads or writes."""
+        n of depth and add is the one that index -1 reads or writes.  No
+        vertex is more than n - 1 links below its top, so a hop that is
+        not -1 after n.bit_length() doublings leads into a cycle, which is
+        refused."""
         n = self.n_vertices
         hop = self._links()
         depth = (hop >= 0).astype(np.int32)
         sub = self.marked.astype(np.int32)
-        while n and hop[:n].max() >= 0:
+        for _ in range(n.bit_length() + 1):
+            if not n or hop[:n].max() < 0:
+                break
             add = np.zeros(n + 1, dtype=np.int32)
             np.add.at(add, hop[:n], sub)
             sub += add[:n]
             depth += depth[hop]
             hop = hop[hop]
+        else:
+            cyclic = self.tree[hop[:n] >= 0]
+            raise ValueError(f"tree {cyclic.min()}: the parent links form a cycle")
         return int(depth.max()), sub
 
     def count_at_least(self, values, k_grid):
@@ -217,6 +140,32 @@ class TreeBatch:
         the tree ids of those vertices per k."""
         return np.stack([np.bincount(self.tree[values >= k], minlength=self.n_trees)
                          for k in k_grid], axis=1)
+
+
+class OrientedTree(TreeBatch):
+    """A MarkedTree oriented toward a virtual ray at an anchor: a batch of
+    one, indexed by the tree's own ids, with -1 at the anchor."""
+
+    @classmethod
+    def from_tree(cls, tree: MarkedTree, anchor=None, marks=None) -> "OrientedTree":
+        """Orient a MarkedTree toward a ray attached at the anchor
+        (default: the tree's root), marked at the given ids (default: the
+        tree's marks)."""
+        if anchor is None:
+            anchor = tree.root
+        if anchor not in range(tree.n_vertices):
+            raise ValueError(f"anchor {anchor} not in tree")
+        if marks is None:
+            marks = tree.marks or ()
+        # flip the parent pointers on the anchor's path to the root; every
+        # other vertex keeps its parent
+        parent = list(tree.parent)
+        v, below = anchor, -1
+        while v >= 0:
+            up = parent[v]
+            parent[v] = below
+            v, below = up, v
+        return cls.fold([(parent, marks)])
 
 
 def _require_marks(batch: TreeBatch):
@@ -237,34 +186,6 @@ _RUN = 1 << 15
 
 def _zeros(size):
     return np.zeros(size, dtype=np.int32)
-
-
-def _branch_rows(batch: TreeBatch, r_list) -> dict:
-    """The kernel of branch_deficiency_values: {r: int32 array of every
-    vertex's value}, r in ascending order."""
-    _require_marks(batch)
-    tops = np.bincount(batch.tree[batch.parent < 0], minlength=batch.n_trees)
-    if (tops != 1).any():
-        raise ValueError("branching needs a single-anchor orientation")
-    r_list = sorted(set(int(r) for r in r_list))
-    for r in r_list:
-        _require_radius(r)
-    height, sub = batch._climb
-    marks = batch.n_marks.astype(np.int32)[batch.tree]  # |A| of each vertex's tree
-    out = {r: marks.copy() if r > 2 * height else np.empty_like(marks) for r in r_list}
-    wanted = [r for r in r_list if r <= 2 * height]
-    bounds = [0, batch.n_vertices] if wanted else []
-    if wanted and batch.n_vertices > _RUN:
-        offsets = np.r_[0, np.cumsum(batch.sizes)]
-        first = np.flatnonzero(np.diff(offsets[:-1] // _RUN, prepend=-1))  # trees opening a run
-        bounds = offsets[np.r_[first, batch.n_trees]].tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        parent = batch.parent[lo:hi] - lo
-        parent[parent < 0] = -1
-        for j, top_two in _rerooting(parent, sub[lo:hi], marks[lo:hi], wanted[-1]):
-            if j in wanted:
-                np.subtract(marks[lo:hi], top_two, out=out[j][lo:hi])
-    return out
 
 
 def _rerooting(parent, sub, marks, last: int):
@@ -348,12 +269,11 @@ def _rerooting(parent, sub, marks, last: int):
         yield j, top_two
 
 
-def branch_deficiency_values(T, r_list) -> dict:
+def branch_deficiency_values(batch: TreeBatch, r_list) -> dict:
     """For each r in r_list, every vertex's |A| - (largest + second
     largest direction count over its distance-r sphere), |A| counting the
-    marks of the vertex's own tree.  On a TreeBatch: {r: int32 array over
-    the batch's vertices}; on an OrientedTree: {r: {vertex: value}}; r in
-    ascending order either way.
+    marks of the vertex's own tree: {r: int32 array over the batch's
+    vertices}, r in ascending order.
 
     u is (k,r)-branching iff this value is >= k.  Distinct sphere vertices
     carry disjoint mark sets, so the worst pair is always the top two (or
@@ -382,15 +302,41 @@ def branch_deficiency_values(T, r_list) -> dict:
     twice the height, and every r beyond that gives |A| without a row.
     Every tree must have one top and at least one mark.
     """
-    if isinstance(T, OrientedTree):
-        rows = _branch_rows(T.batch, r_list)
-        return {r: dict(zip(T.parent, row.tolist())) for r, row in rows.items()}
-    return _branch_rows(T, r_list)
+    _require_marks(batch)
+    tops = np.bincount(batch.tree[batch.parent < 0], minlength=batch.n_trees)
+    if (tops != 1).any():
+        raise ValueError("branching needs a single-anchor orientation")
+    r_list = sorted(set(int(r) for r in r_list))
+    for r in r_list:
+        _require_radius(r)
+    height, sub = batch._climb
+    marks = batch.n_marks.astype(np.int32)[batch.tree]  # |A| of each vertex's tree
+    out = {r: marks.copy() if r > 2 * height else np.empty_like(marks) for r in r_list}
+    wanted = [r for r in r_list if r <= 2 * height]
+    bounds = [0, batch.n_vertices] if wanted else []
+    if wanted and batch.n_vertices > _RUN:
+        offsets = np.r_[0, np.cumsum(batch.sizes)]
+        first = np.flatnonzero(np.diff(offsets[:-1] // _RUN, prepend=-1))  # trees opening a run
+        bounds = offsets[np.r_[first, batch.n_trees]].tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        parent = batch.parent[lo:hi] - lo
+        parent[parent < 0] = -1
+        for j, top_two in _rerooting(parent, sub[lo:hi], marks[lo:hi], wanted[-1]):
+            if j in wanted:
+                np.subtract(marks[lo:hi], top_two, out=out[j][lo:hi])
+    return out
 
 
-def _supported_gaps(batch: TreeBatch, r: int):
-    """The kernel of supported_gap_values: an int32 array of every
-    vertex's gap, -1 where the vertex has no depth-r descendant."""
+def supported_gap_values(batch: TreeBatch, r: int):
+    """For each vertex with at least one depth-r descendant, the worst-case
+    mark gap |A_v| - max_w |A_w| over those descendants: an int32 array
+    over the batch's vertices, -1 at the vertices without one.
+
+    A vertex is (k, r)-supported iff its gap is >= k.  One subtree-count
+    pass, then r whole-batch gathers of the parent index give every
+    vertex's r-th ancestor, and one np.maximum.at keeps each ancestor's
+    largest |A_w|.  Tops may be several per tree.
+    """
     _require_marks(batch)
     _require_radius(r)
     n = batch.n_vertices
@@ -411,23 +357,6 @@ def _supported_gaps(batch: TreeBatch, r: int):
     return gaps
 
 
-def supported_gap_values(T, r: int):
-    """For each vertex with at least one depth-r descendant, the worst-case
-    mark gap |A_v| - max_w |A_w| over those descendants.  On a TreeBatch:
-    an int32 array over the batch's vertices, -1 at the vertices without
-    one; on an OrientedTree: {vertex: gap} over the vertices with one.
-
-    A vertex is (k, r)-supported iff its gap is >= k.  One subtree-count
-    pass, then r whole-batch gathers of the parent index give every
-    vertex's r-th ancestor, and one np.maximum.at keeps each ancestor's
-    largest |A_w|.  Tops may be several per tree.
-    """
-    if isinstance(T, OrientedTree):
-        gaps = _supported_gaps(T.batch, r).tolist()
-        return {v: g for v, g in zip(T.parent, gaps) if g >= 0}
-    return _supported_gaps(T, r)
-
-
 def counting_bound(n_marks: int, k: int, r: int) -> float:
     """r(2|A| - k)/k, the flow-counting bound on (k, r)-supported vertices
     (and on (k, 1)-branching ones); negative when k > 2|A|."""
@@ -445,14 +374,13 @@ class EndsProfile:
     removed: int
 
 
-def ends_profile(graph, A, center, radius: int, m_threshold: int) -> EndsProfile:
-    """Remove the closed ball around the center and census the remaining
-    components by size and mark count."""
+def ends_profile(adj: dict, A, center, radius: int, m_threshold: int) -> EndsProfile:
+    """Remove the closed ball around the center of a graph (adjacency
+    lists) and census the remaining components by size and mark count."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if m_threshold < 1:
         raise ValueError("m_threshold must be >= 1")
-    adj = groups.as_adjacency(graph)
     if center not in adj:
         raise ValueError("center not in graph")
     A = set(A)

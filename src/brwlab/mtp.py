@@ -104,13 +104,14 @@ class MtpSample:
     certified_radius: int = UNBOUNDED
 
 
-def exact_mtp_check(graph, A, F: TransportFunction):
-    """Uniform-root mass transport on a finite marked graph: compares
-    |A|^-1 sum_{u,v in A} F(u, v) with its transpose.  The two sides are
-    the same finite sum, so agreement to 1e-12 is an exact harness check.
+def exact_mtp_check(adj: dict, A, F: TransportFunction):
+    """Uniform-root mass transport on a finite marked graph (adjacency
+    lists): compares |A|^-1 sum_{u,v in A} F(u, v) with its transpose.
+    The two sides are the same finite sum, so agreement to 1e-12 is an
+    exact harness check.
     One radius ball per marked u gives every d(u, v) that F can see.
     """
-    adj, marks = groups.as_adjacency(graph), frozenset(A)
+    marks = frozenset(A)
     if not marks:
         raise ValueError("the marked set must be nonempty")
     if any(a not in adj for a in marks):
@@ -244,10 +245,10 @@ def mc_mtp_test(sampler, F: TransportFunction, W: WeightFunction,
 # samplers
 
 
-def uniform_root_sampler(graph, A):
+def uniform_root_sampler(adj: dict, A):
     """Root uniform on the marked set of a fixed finite graph: locally
     unimodular by construction."""
-    adj, marks = groups.as_adjacency(graph), frozenset(A)
+    marks = frozenset(A)
     order = sorted(marks, key=repr)
 
     def sample(rng) -> MtpSample:
@@ -257,10 +258,10 @@ def uniform_root_sampler(graph, A):
     return sample
 
 
-def fixed_root_sampler(graph, A, root):
+def fixed_root_sampler(adj: dict, A, root):
     """Deterministic root: a deliberately non-unimodular sampler used as a
     negative control."""
-    adj, marks = groups.as_adjacency(graph), frozenset(A)
+    marks = frozenset(A)
     if root not in adj:
         raise ValueError("root not in graph")
 

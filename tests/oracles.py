@@ -4,15 +4,18 @@ These follow the definitions directly on an explicit graph with the
 virtual ray materialized, using all-pairs BFS distances; they share no
 code with the library implementations.  The one exception is
 `bfs_branch_values`, the per-vertex BFS that `branch_deficiency_values`
-ran before its rerooting pass, which reads the oriented tree's own
-adjacency.  `branch_deficiency_values_reference` and
+ran before its rerooting pass.  `branch_deficiency_values_reference` and
 `supported_gap_values_reference` are the dict passes, one tree at a
 time, that `magic` ran before its array kernel over a flat batch of
-trees; `subtree_mark_counts` is their subtree count.  `TransitionTable` (the double-sum
-oracle, built from the unscaled radial law `tree_distance_law` on trees
-and from `box_lattice_series` on lattices) and `auxiliary_tree`
-(residue-class contractions, which may have several top vertices) are
-references that no experiment needs.
+trees; `subtree_mark_counts` is their subtree count.  These four read a
+`DictOrientedTree`: the dict parent and layer maps that
+`magic.OrientedTree` held before it became a batch of one, here oriented
+by `oriented_tree_reference`, a BFS from the anchor over adjacency lists
+built edge by edge, so no orientation code is shared with `magic`.
+`TransitionTable` (the double-sum oracle, built from the unscaled radial
+law `tree_distance_law` on trees and from `box_lattice_series` on
+lattices) and `auxiliary_tree` (residue-class contractions, which may
+have several top vertices) are references that no experiment needs.
 `full_tree_scaled_series` is the recursion reference for the tree
 kernel: the conjugated radial recursion that `groups` ran before its
 closed-form return series, on the full window.  `box_lattice_series` is
@@ -29,9 +32,7 @@ threshold pass, on those references: both root components rebuilt and
 recounted at every p, by `percolate_root_component_reference`, the
 depth-first build with one `add_child` per kept vertex that percolation
 ran before its one-pass build.  `tree_fields` compares a flat tree with
-a `DictTree`.  `oriented_tree_reference` orients a tree by a BFS from the
-anchor, as `OrientedTree.from_tree` did before it flipped the anchor's
-root path.
+a `DictTree`.
 Besides the recursion, the tree return series has two references:
 `tree_return_counts`, the exact integer distance chain, and
 `tree_return_tail_decimal`, the closed-form tail sum carried to 40
@@ -109,6 +110,70 @@ def brute_branch_values(tree, A, r, anchor=None):
         union = counts[:, None] + counts[None, :] - inter
         out[u] = int(len(A) - union.max())
     return out
+
+
+def oriented_tree_reference(tree, anchor):
+    """(parent, layer) of a tree oriented toward its anchor: the BFS
+    parent and distance of every vertex, by a BFS from the anchor over
+    adjacency lists built edge by edge."""
+    adj = {v: [] for v in range(tree.n_vertices)}
+    for p, c in tree.edges():
+        adj[p].append(c)
+        adj[c].append(p)
+    parent, layer = {anchor: None}, {anchor: 0}
+    queue = deque([anchor])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in layer:
+                parent[w], layer[w] = v, layer[v] + 1
+                queue.append(w)
+    return parent, layer
+
+
+class DictOrientedTree:
+    """A tree oriented toward a virtual ray at its anchor, as the dict
+    oracles read it: parent maps each vertex id to its parent (None at a
+    top), layer gives the depth below the anchor, which is in layer 0.  A
+    residue-class contraction (`auxiliary_tree`) may have several tops."""
+
+    def __init__(self, parent, layer, marks):
+        self.parent = parent
+        self.layer = layer
+        self.marks = frozenset(marks)
+
+    @classmethod
+    def of(cls, tree, anchor=None, marks=None):
+        """A MarkedTree oriented by `oriented_tree_reference` toward the
+        anchor (default: the root), with the given marks (default: the
+        tree's)."""
+        parent, layer = oriented_tree_reference(tree, tree.root if anchor is None else anchor)
+        return cls(parent, layer, (tree.marks or ()) if marks is None else marks)
+
+    @property
+    def n_vertices(self):
+        return len(self.parent)
+
+    @property
+    def n_marks(self):
+        return len(self.marks)
+
+    def tops(self):
+        return [v for v, p in self.parent.items() if p is None]
+
+    def adjacency(self):
+        adj = {v: [] for v in self.parent}
+        for v, p in self.parent.items():
+            if p is not None:
+                adj[v].append(p)
+                adj[p].append(v)
+        return adj
+
+    def flat(self):
+        """(parent list by id, -1 at a top; marks): the pair
+        `magic.TreeBatch.fold` reads, for ids 0..n-1."""
+        parent = [self.parent[v] for v in range(self.n_vertices)]
+        return [-1 if p is None else p for p in parent], self.marks
 
 
 def bfs_branch_values(T, r_list):
@@ -418,7 +483,7 @@ def implication_slack_marks(tree, A, u, r, anchor=None):
 
 
 def auxiliary_tree(T, m, r):
-    """Residue-class contraction of an `OrientedTree`: every vertex is
+    """Residue-class contraction of a `DictOrientedTree`: every vertex is
     re-parented to its nearest strict ancestor in the layer class m mod r.
 
     Vertices of the class keep their depth-r descendants as children; all
@@ -426,8 +491,6 @@ def auxiliary_tree(T, m, r):
     virtual become top vertices.  Vertex set, marks, and layers are
     preserved.
     """
-    from brwlab.magic import OrientedTree
-
     if r < 1:
         raise ValueError("r must be >= 1")
     if not 1 <= m <= r:
@@ -443,7 +506,7 @@ def auxiliary_tree(T, m, r):
             if a is None:
                 break
         parent[v] = a
-    return OrientedTree(parent, T.layer, T.marks)
+    return DictOrientedTree(parent, T.layer, T.marks)
 
 
 def enumerate_walk_endpoint_law(g, x, n):
@@ -882,25 +945,6 @@ def percolate_root_component_reference(tree, p, rng=None):
         out.marks = {v for v in tree.marks if v in kept}
     out.edge_labels = {c: tree.edge_labels[c] for c in kept if tree.parent[c] is not None}
     return out
-
-
-def oriented_tree_reference(tree, anchor):
-    """(parent, layer) of a tree oriented toward its anchor: the BFS
-    parent and distance of every vertex, by a BFS from the anchor over
-    adjacency lists built edge by edge."""
-    adj = {v: [] for v in range(tree.n_vertices)}
-    for p, c in tree.edges():
-        adj[p].append(c)
-        adj[c].append(p)
-    parent, layer = {anchor: None}, {anchor: 0}
-    queue = deque([anchor])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in layer:
-                parent[w], layer[w] = v, layer[v] + 1
-                queue.append(w)
-    return parent, layer
 
 
 def thinned_intersection_sweep_reference(mu1, mu2, g, p_grid, depth, replicates, rng,

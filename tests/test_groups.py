@@ -581,15 +581,8 @@ def test_adjacency_builder():
     assert groups.adjacency(["a"], []) == {"a": []}
     t = MarkedTree([-1, 0, 0, 1])
     assert t.adjacency() == {0: [1, 2], 1: [0, 3], 2: [0], 3: [1]}
+    assert MarkedTree([-1, 0]).adjacency() == {0: [1], 1: [0]}
     for adj, _ in _sample_graphs():
         for v, ns in adj.items():
             assert len(set(ns)) == len(ns)
             assert all(v in adj[w] for w in ns)
-
-
-def test_as_adjacency():
-    adj = {0: [1], 1: [0]}
-    assert groups.as_adjacency(adj) is adj
-    assert groups.as_adjacency(MarkedTree([-1, 0])) == adj
-    with pytest.raises(TypeError):
-        groups.as_adjacency([(0, 1)])

@@ -35,9 +35,19 @@ def binary_tree(depth):
 
 
 def at_least(values, k):
-    """The vertices of a branch-deficiency or supported-gap map whose
-    value is >= k: the (k, r)-branching or (k, r)-supported vertices."""
-    return {v for v, x in values.items() if x >= k}
+    """The vertex ids whose branch deficiency or supported gap is >= k:
+    the (k, r)-branching or (k, r)-supported vertices."""
+    return set(np.flatnonzero(values >= k).tolist())
+
+
+def as_map(values):
+    """A kernel's values in the dict oracles' form: an array becomes
+    {vertex id: value} without the -1 entries (a supported gap's "no
+    depth-r descendant"; branch deficiencies are never negative), and a
+    {r: array} dict one such map per r."""
+    if isinstance(values, dict):
+        return {r: as_map(row) for r, row in values.items()}
+    return {v: x for v, x in enumerate(values.tolist()) if x >= 0}
 
 
 # --- branching examples ----------------------------------------------------
@@ -121,11 +131,7 @@ def test_branching_matches_brute_force():
         t = oracles.random_marked_tree(rng, 32)
         for r in (1, 2, 3):
             vals = branch_deficiency_values(OrientedTree.from_tree(t), [r])[r]
-            brute = oracles.brute_branch_values(t, t.marks, r)
-            assert set(vals) == set(brute)
-            for u in vals:
-                # values agree whenever either side is in the tested k range
-                assert vals[u] == brute[u]
+            assert as_map(vals) == oracles.brute_branch_values(t, t.marks, r)
 
 
 def test_supported_matches_brute_force():
@@ -134,7 +140,7 @@ def test_supported_matches_brute_force():
         t = oracles.random_marked_tree(rng, 32)
         T = OrientedTree.from_tree(t)
         for r in (1, 2, 3):
-            assert supported_gap_values(T, r) == oracles.brute_supported_gaps(
+            assert as_map(supported_gap_values(T, r)) == oracles.brute_supported_gaps(
                 t, t.marks, r
             )
 
@@ -143,17 +149,29 @@ R_LISTS = ([1], [2], [3], [4], [1, 3], [2, 3], [1, 2, 3])
 
 
 def test_orientation_matches_bfs_at_every_anchor():
-    """from_tree gives the BFS orientation's parent and layer maps, and
-    children lists in the same order, at every anchor of 300 fuzz trees."""
+    """from_tree gives, by the tree's own ids, the BFS orientation's
+    parents with -1 at the anchor, a batch of one with every mark on its
+    own id, at every anchor of 300 fuzz trees; an anchor or a mark outside
+    the tree is refused."""
     rng = np.random.default_rng(12)
     for _ in range(300):
         t = sample_marked_fuzz_tree(rng, 60)
-        for anchor in range(t.n_vertices):
+        n = t.n_vertices
+        marks = {v for v in range(n) if rng.random() < 0.2}
+        for anchor in range(n):
             T = OrientedTree.from_tree(t, anchor=anchor)
-            parent, layer = oracles.oriented_tree_reference(t, anchor)
-            assert T.parent == parent and T.layer == layer
-            assert T.children == OrientedTree(parent, layer, t.marks).children
-            assert T.tops() == [anchor] and T.marks == t.marks
+            parent, _ = oracles.oriented_tree_reference(t, anchor)
+            assert T.parent.tolist() == [-1 if parent[v] is None else parent[v]
+                                         for v in range(n)]
+            assert T.parent[anchor] == -1 and T.tree.tolist() == [0] * n
+            assert np.flatnonzero(T.marked).tolist() == sorted(t.marks)
+            T = OrientedTree.from_tree(t, anchor=anchor, marks=marks)
+            assert np.flatnonzero(T.marked).tolist() == sorted(marks)
+        for anchor in (-1, n):
+            with pytest.raises(ValueError, match="not in tree"):
+                OrientedTree.from_tree(t, anchor=anchor)
+        with pytest.raises(ValueError, match="tree 0: a parent or mark index"):
+            OrientedTree.from_tree(t, marks={n})
 
 
 def test_rerooting_matches_bfs_oracle():
@@ -164,8 +182,10 @@ def test_rerooting_matches_bfs_oracle():
         t = sample_marked_fuzz_tree(rng, 200)
         anchor = int(rng.integers(0, t.n_vertices)) if i % 2 else None
         T = OrientedTree.from_tree(t, anchor=anchor)
+        R = oracles.DictOrientedTree.of(t, anchor)
         for r_list in R_LISTS:
-            assert branch_deficiency_values(T, r_list) == oracles.bfs_branch_values(T, r_list)
+            assert as_map(branch_deficiency_values(T, r_list)) == \
+                oracles.bfs_branch_values(R, r_list)
 
 
 def caterpillar_tree(n, rng):
@@ -186,8 +206,9 @@ def test_rerooting_matches_bfs_oracle_at_vertex_cap():
         for marks in ({0, 2500}, {v for v in range(t.n_vertices) if rng.random() < 0.3}):
             for anchor in (0, 2500):
                 T = OrientedTree.from_tree(t, anchor=anchor, marks=marks)
-                assert branch_deficiency_values(T, [1, 2, 3]) == oracles.bfs_branch_values(
-                    T, [1, 2, 3])
+                R = oracles.DictOrientedTree.of(t, anchor, marks)
+                assert as_map(branch_deficiency_values(T, [1, 2, 3])) == \
+                    oracles.bfs_branch_values(R, [1, 2, 3])
 
 
 def test_rerooting_on_a_large_star():
@@ -200,7 +221,7 @@ def test_rerooting_on_a_large_star():
     marks = {0} | {v for v in range(5000) if v % 3 == 0}
     n_marks = len(marks)
     L = n_marks - 1
-    vals = branch_deficiency_values(OrientedTree.from_tree(t, marks=marks), [1, 2, 3])
+    vals = as_map(branch_deficiency_values(OrientedTree.from_tree(t, marks=marks), [1, 2, 3]))
     leaves = range(1, 5000)
     assert vals[1] == {0: n_marks - 2, **{v: int(v in marks) for v in leaves}}
     assert vals[2] == {0: n_marks, **{v: n_marks - min(2, L - (v in marks)) for v in leaves}}
@@ -212,20 +233,18 @@ def test_radius_beyond_the_tree_gives_all_marks():
     no row of that depth is built."""
     t = path_tree(5000)
     marks = set(range(0, 5000, 7))
-    T = OrientedTree.from_tree(t, marks=marks)
-    vals = branch_deficiency_values(T, [1, 10**9])
+    vals = as_map(branch_deficiency_values(OrientedTree.from_tree(t, marks=marks), [1, 10**9]))
     assert vals[10**9] == dict.fromkeys(range(5000), len(marks))
-    assert vals[1] == oracles.bfs_branch_values(T, [1])[1]
+    assert vals[1] == oracles.bfs_branch_values(oracles.DictOrientedTree.of(t, 0, marks), [1])[1]
 
 
 def test_branch_values_argument_checks():
-    T = OrientedTree({0: None, 1: None, 2: 0}, {0: 0, 1: 0, 2: 1}, {2})
     with pytest.raises(ValueError, match="single-anchor"):
-        branch_deficiency_values(T, [1])
-    two_tops = oracles.auxiliary_tree(OrientedTree.from_tree(path_tree(6), marks={5}), 1, 2)
+        branch_deficiency_values(TreeBatch.fold([([-1, -1, 0], {2})]), [1])
+    two_tops = oracles.auxiliary_tree(oracles.DictOrientedTree.of(path_tree(6), 0, {5}), 1, 2)
     assert len(two_tops.tops()) == 2
     with pytest.raises(ValueError, match="single-anchor"):
-        branch_deficiency_values(two_tops, [1, 2])
+        branch_deficiency_values(TreeBatch.fold([two_tops.flat()]), [1, 2])
     T = OrientedTree.from_tree(path_tree(3), marks={0})
     with pytest.raises(ValueError, match="r must be"):
         branch_deficiency_values(T, [0, 1])
@@ -236,33 +255,35 @@ def test_branch_values_argument_checks():
 
 
 def mixed_forest(rng):
-    """Oriented trees of every shape the kernel must handle in one batch:
-    single vertices, 500-vertex paths and stars (marked at the hub, at a
-    leaf, or everywhere), and fuzz trees anchored at the root or elsewhere."""
-    trees = [OrientedTree.from_tree(path_tree(1), marks={0})]
+    """(tree, anchor, marks) of every shape the kernel must handle in one
+    batch: single vertices, 500-vertex paths and stars (marked at the hub,
+    at a leaf, or everywhere), and fuzz trees anchored at the root or
+    elsewhere; anchor None is the root and marks None the tree's own."""
+    forest = [(path_tree(1), None, {0})]
     for marks in ({0}, {499}, set(range(500))):
-        trees.append(OrientedTree.from_tree(path_tree(500), marks=marks))
-        trees.append(OrientedTree.from_tree(star_tree(499), marks=marks))
-    trees.append(OrientedTree.from_tree(path_tree(500), anchor=250, marks={3, 499}))
-    trees.append(OrientedTree.from_tree(star_tree(499), anchor=7, marks={0, 7, 8}))
+        forest.append((path_tree(500), None, marks))
+        forest.append((star_tree(499), None, marks))
+    forest.append((path_tree(500), 250, {3, 499}))
+    forest.append((star_tree(499), 7, {0, 7, 8}))
     for i in range(40):
         t = sample_marked_fuzz_tree(rng, 80)
-        anchor = int(rng.integers(0, t.n_vertices)) if i % 2 else None
-        trees.append(OrientedTree.from_tree(t, anchor=anchor))
+        forest.append((t, int(rng.integers(0, t.n_vertices)) if i % 2 else None, None))
         if i % 10 == 0:
-            trees.append(OrientedTree.from_tree(path_tree(1), marks={0}))
-    rng.shuffle(trees)
-    return trees
+            forest.append((path_tree(1), None, {0}))
+    rng.shuffle(forest)
+    return forest
 
 
-def per_tree(trees, values):
-    """Split a batch array into one {vertex: value} map per tree."""
-    out, lo = [], 0
-    for T in trees:
-        block = values[lo:lo + T.n_vertices].tolist()
-        out.append(dict(zip(T.parent, block)))
-        lo += T.n_vertices
-    return out
+def reference_batch(forest):
+    """The forest oriented by the dict oracles, and those orientations
+    folded into one batch."""
+    refs = [oracles.DictOrientedTree.of(*spec) for spec in forest]
+    return refs, TreeBatch.fold(R.flat() for R in refs)
+
+
+def per_tree(batch, values):
+    """Split a batch array into one array per tree."""
+    return np.split(values, np.cumsum(batch.sizes)[:-1])
 
 
 R_GRID = [3, 1, 10**9, 1, 2]  # unsorted, repeated, and past every tree
@@ -270,67 +291,61 @@ R_GRID = [3, 1, 10**9, 1, 2]  # unsorted, repeated, and past every tree
 
 def test_batch_matches_the_dict_pass_and_the_bfs():
     """One kernel call over a mixed batch gives, tree by tree, the dict
-    rerooting pass it replaced and the per-vertex BFS; the per-tree maps
-    on each OrientedTree (a batch of one) agree too."""
-    trees = mixed_forest(np.random.default_rng(15))
-    batch = TreeBatch.fold(T.indexed() for T in trees)
-    assert batch.n_vertices == sum(T.n_vertices for T in trees)
-    assert batch.sizes.tolist() == [T.n_vertices for T in trees]
-    assert batch.n_marks.tolist() == [T.n_marks for T in trees]
+    rerooting pass it replaced and the per-vertex BFS; each tree oriented
+    by from_tree (a batch of one) gives them too."""
+    forest = mixed_forest(np.random.default_rng(15))
+    refs, batch = reference_batch(forest)
+    assert batch.n_vertices == sum(R.n_vertices for R in refs)
+    assert batch.sizes.tolist() == [R.n_vertices for R in refs]
+    assert batch.n_marks.tolist() == [R.n_marks for R in refs]
     vals = branch_deficiency_values(batch, R_GRID)
     assert list(vals) == [1, 2, 3, 10**9]
     assert all(v.dtype == np.int32 and len(v) == batch.n_vertices for v in vals.values())
-    split = {r: per_tree(trees, v) for r, v in vals.items()}
-    for i, T in enumerate(trees):
-        ref = oracles.branch_deficiency_values_reference(T, R_GRID)
-        assert ref == oracles.bfs_branch_values(T, R_GRID)
-        assert {r: split[r][i] for r in split} == ref
-        assert branch_deficiency_values(T, R_GRID) == ref
+    split = {r: per_tree(batch, v) for r, v in vals.items()}
+    for i, (spec, R) in enumerate(zip(forest, refs)):
+        ref = oracles.branch_deficiency_values_reference(R, R_GRID)
+        assert ref == oracles.bfs_branch_values(R, R_GRID)
+        assert {r: as_map(split[r][i]) for r in split} == ref
+        assert as_map(branch_deficiency_values(OrientedTree.from_tree(*spec), R_GRID)) == ref
 
 
 def test_batch_supported_gaps_match_the_references():
     """Every tree's gaps in a mixed batch, against the dict pass and the
     ancestor-walk brute force, -1 exactly where a vertex has no depth-r
     descendant; r = 10**9 takes no parent walk at all."""
-    trees = mixed_forest(np.random.default_rng(16))
-    batch = TreeBatch.fold(T.indexed() for T in trees)
+    forest = mixed_forest(np.random.default_rng(16))
+    refs, batch = reference_batch(forest)
     for r in (1, 2, 3, 10**9):
         gaps = supported_gap_values(batch, r)
-        assert gaps.dtype == np.int32
-        for T, got in zip(trees, per_tree(trees, gaps)):
-            ref = oracles.supported_gap_values_reference(T, r)
-            assert {v: g for v, g in got.items() if g >= 0} == ref
-            assert all(g == -1 for v, g in got.items() if v not in ref)
-            assert supported_gap_values(T, r) == ref
-            if T.n_vertices <= 80 and r <= 3:
-                anchor = T.tops()[0]
-                tree = oracles.DictTree(anchor)
-                for v in sorted(T.parent, key=T.layer.__getitem__):
-                    if T.parent[v] is not None:
-                        tree.add_child(T.parent[v], v)
-                assert ref == oracles.brute_supported_gaps(tree, T.marks, r)
+        assert gaps.dtype == np.int32 and gaps.min() >= -1
+        for (t, anchor, _), R, got in zip(forest, refs, per_tree(batch, gaps)):
+            ref = oracles.supported_gap_values_reference(R, r)
+            assert as_map(got) == ref
+            assert as_map(supported_gap_values(OrientedTree.from_tree(t, anchor, R.marks), r)) \
+                == ref
+            if R.n_vertices <= 80 and r <= 3:
+                assert ref == oracles.brute_supported_gaps(t, R.marks, r, anchor)
 
 
 def test_batch_counts_per_tree():
     """count_at_least counts, per tree and k, the vertices at or above k,
     for unsorted and repeated k grids and k past every value."""
-    trees = mixed_forest(np.random.default_rng(17))
-    batch = TreeBatch.fold(T.indexed() for T in trees)
+    forest = mixed_forest(np.random.default_rng(17))
+    _, batch = reference_batch(forest)
     k_grid = [8, 1, 9, 1, 10**12, 500]
     for values in (*branch_deficiency_values(batch, [1, 2]).values(),
                    supported_gap_values(batch, 2)):
         counts = batch.count_at_least(values, k_grid)
-        assert counts.shape == (len(trees), len(k_grid))
-        for row, vals in zip(counts.tolist(), per_tree(trees, values)):
-            assert row == [sum(1 for x in vals.values() if x >= k) for k in k_grid]
+        assert counts.shape == (len(forest), len(k_grid))
+        for row, vals in zip(counts.tolist(), per_tree(batch, values)):
+            assert row == [int((vals >= k).sum()) for k in k_grid]
 
 
 def test_kernel_runs_cover_the_batch(monkeypatch):
     """The rerooting rows work through the batch a run of whole trees at
     a time; any run size, including runs smaller than one tree, gives the
     values of one pass over the whole batch."""
-    trees = mixed_forest(np.random.default_rng(18))
-    batch = TreeBatch.fold(T.indexed() for T in trees)
+    _, batch = reference_batch(mixed_forest(np.random.default_rng(18)))
     whole = branch_deficiency_values(batch, [1, 2, 3])
     for run in (1, 37, 600):
         monkeypatch.setattr(magic, "_RUN", run)
@@ -361,9 +376,10 @@ def test_rows_stop_at_twice_the_height(monkeypatch):
 
 
 def test_batch_refusals():
-    """A tree without marks, a tree with several tops (branching only) and
-    r < 1 are refused for the whole batch; a parent or mark index outside
-    its own tree is refused by fold."""
+    """A tree without marks, a tree with several tops (branching only), a
+    tree whose parent links form a cycle and r < 1 are refused for the
+    whole batch; a parent or mark index outside its own tree is refused
+    by fold."""
     good = (path_tree(3).parent, {0})
     for bad in [([-1, 0, 3], {0}), ([-1, 0, -2], {0}), ([-1, 0, 0], {3}), ([-1, 0, 0], {-1})]:
         with pytest.raises(ValueError, match="tree 1: a parent or mark index"):
@@ -377,11 +393,55 @@ def test_batch_refusals():
     with pytest.raises(ValueError, match="single-anchor"):
         branch_deficiency_values(two_tops, [1])
     assert supported_gap_values(two_tops, 1).tolist() == [0, 0, -1, 1, -1, -1]
+    for cyclic in ([1, 0], [0], [-1, 2, 1]):
+        batch = TreeBatch.fold([good, (cyclic, {0})])
+        with pytest.raises(ValueError, match="tree 1: the parent links form a cycle"):
+            supported_gap_values(batch, 1)
+        # a parent list without a top is refused before its links are followed
+        with pytest.raises(ValueError, match="cycle" if -1 in cyclic else "single-anchor"):
+            branch_deficiency_values(batch, [1])
     batch = TreeBatch.fold([good])
     with pytest.raises(ValueError, match="r must be"):
         branch_deficiency_values(batch, [1, 0])
     with pytest.raises(ValueError, match="r must be"):
         supported_gap_values(batch, 0)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_climb_matches_a_walk_up_the_parents(seed):
+    """On a parent list with shuffled ids and several tops, the batch's
+    height and subtree mark counts match a walk up the parents from every
+    vertex; the same list with one vertex re-parented to itself or to a
+    vertex below it (a cycle) is refused."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    order = rng.permutation(n).tolist()  # each parent comes earlier in order
+    parent = [-1] * n
+    for i in range(1, n):
+        if rng.random() < 0.8:
+            parent[order[i]] = order[int(rng.integers(0, i))]
+    marks = {v for v in range(n) if rng.random() < 0.4}
+
+    def up(v):
+        """v and its ancestors, up to its top."""
+        path = [v]
+        while parent[path[-1]] >= 0:
+            path.append(parent[path[-1]])
+        return path
+
+    height, sub = TreeBatch.fold([(parent, marks)])._climb
+    walk_sub = [0] * n
+    for v in marks:
+        for a in up(v):
+            walk_sub[a] += 1
+    assert height == max(len(up(v)) - 1 for v in range(n))
+    assert sub.tolist() == walk_sub
+    u = int(rng.integers(0, n))
+    path = up(u)
+    parent[path[int(rng.integers(0, len(path)))]] = u
+    with pytest.raises(ValueError, match="tree 0: the parent links form a cycle"):
+        TreeBatch.fold([(parent, marks)])._climb
 
 
 def test_dict_pass_reference_at_every_anchor():
@@ -392,9 +452,11 @@ def test_dict_pass_reference_at_every_anchor():
         t = sample_marked_fuzz_tree(rng, 40)
         for anchor in range(t.n_vertices):
             T = OrientedTree.from_tree(t, anchor=anchor)
-            assert branch_deficiency_values(T, [2, 1, 3]) == \
-                oracles.branch_deficiency_values_reference(T, [1, 2, 3])
-            assert supported_gap_values(T, 2) == oracles.supported_gap_values_reference(T, 2)
+            R = oracles.DictOrientedTree.of(t, anchor)
+            assert as_map(branch_deficiency_values(T, [2, 1, 3])) == \
+                oracles.branch_deficiency_values_reference(R, [1, 2, 3])
+            assert as_map(supported_gap_values(T, 2)) == \
+                oracles.supported_gap_values_reference(R, 2)
 
 
 def test_anchor_choice_does_not_change_branching():
@@ -437,11 +499,10 @@ def test_supported_bound_holds_universally():
     for _ in range(1500):
         t = sample_marked_fuzz_tree(rng, 150)
         T = OrientedTree.from_tree(t)
-        nA = T.n_marks
+        nA = len(t.marks)
         for r in (1, 2, 3):
-            gaps = supported_gap_values(T, r)
-            for k in range(1, 9):
-                count = sum(1 for gp in gaps.values() if gp >= k)
+            counts = T.count_at_least(supported_gap_values(T, r), range(1, 9))[0]
+            for k, count in zip(range(1, 9), counts.tolist()):
                 assert count <= max(r * (2 * nA - k) / k, 0.0)
 
 
@@ -450,10 +511,9 @@ def test_branching_bound_holds_at_radius_one():
     for _ in range(1500):
         t = sample_marked_fuzz_tree(rng, 150)
         T = OrientedTree.from_tree(t)
-        vals = branch_deficiency_values(T, [1])[1]
-        nA = T.n_marks
-        for k in range(1, 9):
-            count = sum(1 for v in vals.values() if v >= k)
+        counts = T.count_at_least(branch_deficiency_values(T, [1])[1], range(1, 9))[0]
+        nA = len(t.marks)
+        for k, count in zip(range(1, 9), counts.tolist()):
             assert count <= max((2 * nA - k) / k, 0.0)
 
 
@@ -515,8 +575,8 @@ def test_unmarked_branching_implies_supported_at_radius_one():
         t = oracles.random_marked_tree(rng, 28)
         T = OrientedTree.from_tree(t)
         vals = branch_deficiency_values(T, [1])[1]
-        gaps = supported_gap_values(T, 1)
-        for u, val in vals.items():
+        gaps = as_map(supported_gap_values(T, 1))
+        for u, val in enumerate(vals.tolist()):
             if u not in gaps or u in t.marks:
                 continue
             for k in range(1, 9):
@@ -536,7 +596,7 @@ def test_branching_supported_slack_identity():
         T = OrientedTree.from_tree(t)
         for r in (1, 2, 3):
             vals = branch_deficiency_values(T, [r])[r]
-            gaps = supported_gap_values(T, r)
+            gaps = as_map(supported_gap_values(T, r))
             for u, gap in gaps.items():
                 slack = len(oracles.implication_slack_marks(t, t.marks, u, r))
                 assert gap >= vals[u] - slack
@@ -548,26 +608,26 @@ def test_branching_supported_slack_identity():
 def test_auxiliary_tree_r1_is_identity():
     rng = np.random.default_rng(10)
     t = oracles.random_marked_tree(rng, 25)
-    T = OrientedTree.from_tree(t)
+    T = oracles.DictOrientedTree.of(t)
     T1 = oracles.auxiliary_tree(T, 1, 1)
     assert T1.parent == T.parent
     assert T1.layer == T.layer
 
 
 def test_auxiliary_tree_path_alternates():
-    T = OrientedTree.from_tree(path_tree(5), marks={0})
+    T = oracles.DictOrientedTree.of(path_tree(5), marks={0})
     Tm = oracles.auxiliary_tree(T, 2, 2)
     # layers 0..4; class m=2 mod 2 = {0, 2, 4}: those keep descendants
-    internal = {v for v in Tm.parent if Tm.children[v]}
+    internal = set(Tm.parent.values()) - {None}
     assert internal == {0, 2}
     assert set(Tm.parent) == set(T.parent)
 
 
 def test_auxiliary_tree_binary_example():
     t = binary_tree(4)
-    T = OrientedTree.from_tree(t, marks={0})
+    T = oracles.DictOrientedTree.of(t, marks={0})
     Tm = oracles.auxiliary_tree(T, 1, 2)
-    internal = {v for v in Tm.parent if Tm.children[v]}
+    internal = set(Tm.parent.values()) - {None}
     assert internal == {v for v in range(t.n_vertices) if t.depth[v] in (1, 3)}
     assert Tm.n_vertices == t.n_vertices
 
@@ -579,13 +639,14 @@ def test_residue_class_supported_implication():
     for _ in range(200):
         t = oracles.random_marked_tree(rng, 30)
         T = OrientedTree.from_tree(t)
+        R = oracles.DictOrientedTree.of(t)
         for r in (2, 3):
-            gaps_r = supported_gap_values(T, r)
+            gaps_r = as_map(supported_gap_values(T, r))
             for m in range(1, r + 1):
-                Tm = oracles.auxiliary_tree(T, m, r)
-                gaps_m = supported_gap_values(Tm, 1)
+                Tm = oracles.auxiliary_tree(R, m, r)
+                gaps_m = as_map(supported_gap_values(TreeBatch.fold([Tm.flat()]), 1))
                 for v, gap in gaps_r.items():
-                    if T.layer[v] % r != m % r:
+                    if R.layer[v] % r != m % r:
                         continue
                     for k in range(1, 9):
                         if gap >= k:
@@ -597,9 +658,9 @@ def test_residue_class_supported_implication():
 
 def test_ends_profile_path_and_star():
     t = path_tree(5)
-    prof = ends_profile(t, {0, 4}, 2, 0, 1)
+    prof = ends_profile(t.adjacency(), {0, 4}, 2, 0, 1)
     assert prof.qualifying == 2
-    prof = ends_profile(star_tree(3), {1, 2, 3}, 0, 0, 1)
+    prof = ends_profile(star_tree(3).adjacency(), {1, 2, 3}, 0, 0, 1)
     assert prof.qualifying == 3
     assert prof.census == [(1, 1), (1, 1), (1, 1)]
 
@@ -607,11 +668,11 @@ def test_ends_profile_path_and_star():
 def test_ends_profile_binary_tree():
     t = binary_tree(6)
     leaves = {v for v in range(t.n_vertices) if not t.children[v]}
-    prof0 = ends_profile(t, leaves, 0, 0, 4)
+    prof0 = ends_profile(t.adjacency(), leaves, 0, 0, 4)
     assert prof0.qualifying == 2
     assert prof0.census[0] == (63, 32)
     # the closed radius-1 ball removes the root and both children
-    prof1 = ends_profile(t, leaves, 0, 1, 4)
+    prof1 = ends_profile(t.adjacency(), leaves, 0, 1, 4)
     assert prof1.removed == 3
     assert prof1.qualifying == 4
     assert prof1.census[0] == (31, 16)
@@ -625,7 +686,7 @@ def test_ends_profile_against_networkx():
         t = oracles.random_marked_tree(rng, 40)
         center = int(rng.integers(0, t.n_vertices))
         radius = int(rng.integers(0, 3))
-        prof = ends_profile(t, t.marks, center, radius, 1)
+        prof = ends_profile(t.adjacency(), t.marks, center, radius, 1)
         G = nx.Graph()
         G.add_nodes_from(range(t.n_vertices))
         G.add_edges_from(t.edges())
@@ -648,8 +709,8 @@ def test_ends_profile_against_networkx():
 
 def test_ends_profile_errors():
     with pytest.raises(ValueError):
-        ends_profile(path_tree(3), {0}, 99, 1, 1)
+        ends_profile(path_tree(3).adjacency(), {0}, 99, 1, 1)
     with pytest.raises(ValueError):
-        ends_profile(path_tree(3), {0}, 0, -1, 1)
+        ends_profile(path_tree(3).adjacency(), {0}, 0, -1, 1)
     with pytest.raises(ValueError):
-        ends_profile(path_tree(3), {0}, 0, 1, 0)
+        ends_profile(path_tree(3).adjacency(), {0}, 0, 1, 0)
