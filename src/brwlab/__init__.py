@@ -23,7 +23,6 @@ from .groups import (
 from .gw import (
     MarkedTree,
     OffspringDistribution,
-    SamplingError,
     extinction_probability,
     percolate_root_component,
     sample_gw,
@@ -48,7 +47,6 @@ from .mtp import (
     MtpTestReport,
     TransportFunction,
     TruncationError,
-    WeightFunction,
     exact_mtp_check,
     fixed_root_sampler,
     mc_mtp_test,

@@ -176,7 +176,7 @@ def _write_csv(path, header, rows):
 def _shard_magic_fuzz(v, streams):
     """Every tree of the shard in one batch, each folded in as it is
     sampled, and one kernel call per value and radius; rows run (tree, r,
-    k) in grid order."""
+    k) in grid order, and the extra is the count of failed cells."""
     k_grid, r_grid = v["k_grid"], v["r_grid"]
     ids = []
 
@@ -210,7 +210,7 @@ def _shard_magic_fuzz(v, streams):
         scount.ravel().tolist(),
         bound.ravel().tolist(),
         ok.ravel().astype(int).tolist(),
-    )), None
+    )), int(np.count_nonzero(~ok))
 
 
 def _shard_mtp(v, streams):
@@ -258,20 +258,11 @@ def _shard_ends(v, streams):
     return rows, None
 
 
-_SHARDS = {
-    "magic-fuzz": (_shard_magic_fuzz, 100),
-    "mtp-test": (_shard_mtp, 200),
-    "intersect": (_shard_intersect, 400),
-    "thin-sweep": (_shard_thin_sweep, 100),
-    "ends": (_shard_ends, 100),
-}
-
-
 def _shard_worker(args):
     """Run one shard on the substreams of its replicate indices: the one
     place where a replicate index becomes a random stream."""
-    name, v, seed, lo, hi = args
-    return _SHARDS[name][0](v, ((idx, substream(seed, idx)) for idx in range(lo, hi)))
+    shard, v, seed, lo, hi = args
+    return shard(v, ((idx, substream(seed, idx)) for idx in range(lo, hi)))
 
 
 def _usable_cpus() -> int:
@@ -282,18 +273,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_sharded(name, v, seed, n_units, workers):
-    """Split the replicate indices into near-equal tasks of at most the
-    experiment's block and run them, in one process or on a pool.  The
+def _run_sharded(shard, block, v, seed, n_units, workers):
+    """Split the replicate indices into near-equal tasks of at most block
+    indices and run shard on each, in one process or on a pool.  The
     task count is a multiple of the processes and a pool hands the tasks
     out one at a time, so no worker gets a task more than the others.
     Each index has its own stream, so the cuts never change the rows."""
-    block = _SHARDS[name][1]
     n_tasks = -(-n_units // block)
     processes = min(workers, n_tasks, _usable_cpus())
     n_tasks = -(-n_tasks // processes) * processes
     cuts = [i * n_units // n_tasks for i in range(n_tasks + 1)]  # sizes differ by 1 at most
-    tasks = [(name, v, seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    tasks = [(shard, v, seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     if processes > 1:
         with Pool(processes=processes) as pool:
             parts = pool.map(_shard_worker, tasks, chunksize=1)
@@ -330,8 +320,8 @@ def _run_visits(v, seed, workers, out_dir):
 
 
 def _run_magic_fuzz(v, seed, workers, out_dir):
-    rows, _ = _run_sharded("magic-fuzz", v, seed, v["n_trees"], workers)
-    violations = sum(1 for row in rows if not row[-1])
+    rows, extras = _run_sharded(_shard_magic_fuzz, 100, v, seed, v["n_trees"], workers)
+    violations = sum(extras)
     _write_csv(os.path.join(out_dir, "magic_fuzz.csv"),
                ("tree_id", "n_vertices", "n_marks", "k", "r", "branching_count",
                 "supported_count", "bound", "pass"), rows)
@@ -340,7 +330,7 @@ def _run_magic_fuzz(v, seed, workers, out_dir):
 
 def _run_mtp_test(v, seed, workers, out_dir):
     n_samples = v["n_samples"]
-    rows, extras = _run_sharded("mtp-test", v, seed, n_samples, workers)
+    rows, extras = _run_sharded(_shard_mtp, 200, v, seed, n_samples, workers)
     try:
         report = mtp.aggregate_mtp_report(rows, sum(extras), n_samples, v["alpha"])
     except mtp.TruncationError as exc:
@@ -352,7 +342,7 @@ def _run_mtp_test(v, seed, workers, out_dir):
 
 
 def _run_intersect(v, seed, workers, out_dir):
-    rows, _ = _run_sharded("intersect", v, seed, v["replicates"], workers)
+    rows, _ = _run_sharded(_shard_intersect, 400, v, seed, v["replicates"], workers)
     _write_csv(os.path.join(out_dir, "intersect.csv"),
                ("replicate", "pair_count", "intersection_size", "truncated"), rows)
     g = v["group"]
@@ -373,7 +363,7 @@ def _run_intersect(v, seed, workers, out_dir):
 
 
 def _run_thin_sweep(v, seed, workers, out_dir):
-    rows, extras = _run_sharded("thin-sweep", v, seed, v["replicates"], workers)
+    rows, extras = _run_sharded(_shard_thin_sweep, 100, v, seed, v["replicates"], workers)
     violations = sum(extras)
     _write_csv(os.path.join(out_dir, "thin_sweep.csv"),
                ("p", "replicate", "intersection_size", "pair_count", "truncated"), rows)
@@ -381,7 +371,7 @@ def _run_thin_sweep(v, seed, workers, out_dir):
 
 
 def _run_ends(v, seed, workers, out_dir):
-    rows, _ = _run_sharded("ends", v, seed, v["replicates"], workers)
+    rows, _ = _run_sharded(_shard_ends, 100, v, seed, v["replicates"], workers)
     _write_csv(os.path.join(out_dir, "ends.csv"),
                ("radius", "replicate", "qualifying_components", "survived"), rows)
     survivors = [r for r in rows if r[3]]

@@ -89,7 +89,9 @@ class GroupSpec:
                      for axis in range(self.param) for sign in (1, -1))
 
     # tree-like words: the letter set, the 1-letter words in generator
-    # order, and each last letter's back-step slot (that of its inverse)
+    # order, each letter's inverse (itself on regular trees, its negation
+    # on free groups), and each last letter's back-step slot (that of its
+    # inverse)
     @functools.cached_property
     def _letters(self) -> frozenset:
         return frozenset(self.generators)
@@ -99,10 +101,13 @@ class GroupSpec:
         return tuple((s,) for s in self.generators)
 
     @functools.cached_property
-    def _back_slot(self) -> dict:
+    def _inverse(self) -> dict:
         gens = self.generators
-        inverse = gens if self.kind == REGULAR_TREE else [-s for s in gens]
-        return {a: i for i, a in enumerate(inverse)}
+        return dict(zip(gens, gens if self.kind == REGULAR_TREE else map(neg, gens)))
+
+    @functools.cached_property
+    def _back_slot(self) -> dict:
+        return {self._inverse[s]: i for i, s in enumerate(self.generators)}
 
     def identity(self):
         if self.kind == INTEGER_LATTICE:
@@ -140,17 +145,6 @@ def validate_elem(g: GroupSpec, x) -> None:
         raise InvalidElementError(f"{x!r} is not reduced")
 
 
-def _apply_letter(g: GroupSpec, x, s):
-    """Right-multiply word x by one generator, reducing at the seam."""
-    if g.kind == REGULAR_TREE:
-        if x and x[-1] == s:
-            return x[:-1]
-        return x + (s,)
-    if x and x[-1] == -s:
-        return x[:-1]
-    return x + (s,)
-
-
 def neighbors(g: GroupSpec, x):
     """The deg(g) neighbours of x, in fixed generator order."""
     validate_elem(g, x)
@@ -163,28 +157,34 @@ def neighbors(g: GroupSpec, x):
 
 
 def mul(g: GroupSpec, x, y):
-    """Group product (lattice: vector sum), with word reduction."""
+    """Group product (lattice: vector sum): x's tail cancels against y's
+    head while their letters are inverses."""
+    validate_elem(g, x)
+    validate_elem(g, y)
     if g.kind == INTEGER_LATTICE:
-        return tuple(a + b for a, b in zip(x, y))
-    out = x
-    for s in y:
-        out = _apply_letter(g, out, s)
-    return out
+        return tuple(map(add, x, y))
+    k = 0
+    while k < min(len(x), len(y)) and g._inverse[x[-1 - k]] == y[k]:
+        k += 1
+    return x[:len(x) - k] + y[k:]
 
 
 def inv(g: GroupSpec, x):
+    validate_elem(g, x)
     if g.kind == INTEGER_LATTICE:
-        return tuple(-c for c in x)
-    if g.kind == REGULAR_TREE:
-        return tuple(reversed(x))
-    return tuple(-s for s in reversed(x))
+        return tuple(map(neg, x))
+    return tuple(map(g._inverse.__getitem__, reversed(x)))
 
 
 def distance(g: GroupSpec, x, y) -> int:
-    """Graph distance: word length of x^-1 y, or L1 on the lattice."""
+    """Graph distance: |x| + |y| - 2 (common prefix) on tree-like graphs,
+    the word length of x^-1 y; L1 on the lattice."""
+    validate_elem(g, x)
+    validate_elem(g, y)
     if g.kind == INTEGER_LATTICE:
         return sum(abs(a - b) for a, b in zip(x, y))
-    return len(mul(g, inv(g, x), y))
+    common = next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), min(len(x), len(y)))
+    return len(x) + len(y) - 2 * common
 
 
 def check_ball(g: GroupSpec, radius: int) -> None:
@@ -210,9 +210,8 @@ def elements_within(g: GroupSpec, x, radius: int):
 def bfs(nbrs, root, radius=None) -> dict:
     """Breadth-first search from root over nbrs(v), an iterable of the
     neighbours of v: every vertex within radius of root (every reachable
-    one when radius is None), in BFS order, mapped to (distance, parent).
-    The root's parent is None."""
-    out = {root: (0, None)}
+    one when radius is None), in BFS order, mapped to its distance."""
+    out = {root: 0}
     frontier = [root]
     d = 0
     while frontier and (radius is None or d < radius):
@@ -221,7 +220,7 @@ def bfs(nbrs, root, radius=None) -> dict:
         for v in frontier:
             for w in nbrs(v):
                 if w not in out:
-                    out[w] = (d, v)
+                    out[w] = d
                     nxt.append(w)
         frontier = nxt
     return out
@@ -442,13 +441,15 @@ class VisitsSeries:
     """Partial sums of sum_n mean^n p_n(e, e), with an overflow guard."""
 
     partial_sums: np.ndarray
-    diverged: bool
-    guard_index: int | None
+    guard_index: int | None  # the first term above VISITS_GUARD, if any
+
+    @property
+    def diverged(self) -> bool:
+        return self.guard_index is not None
 
     @property
     def increments(self) -> np.ndarray:
-        out = np.diff(self.partial_sums)
-        return np.concatenate(([self.partial_sums[0]], out))
+        return np.diff(self.partial_sums, prepend=0.0)
 
 
 def visits_series(g: GroupSpec, mean: float, n_max: int) -> VisitsSeries:
@@ -487,4 +488,4 @@ def visits_series(g: GroupSpec, mean: float, n_max: int) -> VisitsSeries:
         comp = (t - total) - y
         total = t
         sums[n] = total
-    return VisitsSeries(sums, guard_index is not None, guard_index)
+    return VisitsSeries(sums, guard_index)

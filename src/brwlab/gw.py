@@ -15,10 +15,6 @@ from itertools import islice, repeat
 import numpy as np
 
 
-class SamplingError(RuntimeError):
-    """Raised when rejection sampling exhausts its retry budget."""
-
-
 MAX_OFFSPRING = 64
 
 
@@ -125,8 +121,8 @@ class MarkedTree:
     computed on first read; parent is not changed after that.
     edge_labels[v] is the label of the edge from v to its parent, with
     edge_labels[0] = 0.0 at the root.  On a root component, ids[v] is v's
-    id in the tree it was cut from.  truncated records that a sampling
-    budget (vertex count or depth) cut the tree short.
+    id in the tree it was cut from.  truncation_reason is "budget" or
+    "depth" when that sampling budget cut the tree short, else None.
     """
 
     root = 0
@@ -136,8 +132,11 @@ class MarkedTree:
         self.marks: set | None = None
         self.edge_labels: list | None = None
         self.ids: list | None = None
-        self.truncated = False
-        self.truncation_reason: str | None = None  # "budget" | "depth"
+        self.truncation_reason: str | None = None
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncation_reason is not None
 
     @property
     def n_vertices(self) -> int:
@@ -197,7 +196,6 @@ def _grow(tree: MarkedTree, frontier, depth: int, mu: OffspringDistribution,
             # children beyond the depth cap are never generated (the
             # builtin any() of a short list is cheaper than the array's)
             if any(mu.sample(rng, size=len(frontier)).tolist()):
-                tree.truncated = True
                 tree.truncation_reason = "depth"
             return tree
         first = len(parent)
@@ -207,7 +205,6 @@ def _grow(tree: MarkedTree, frontier, depth: int, mu: OffspringDistribution,
             room = budget - len(parent)
             if k > room:
                 parent.extend(repeat(v, room))
-                tree.truncated = True
                 tree.truncation_reason = "budget"
                 return tree
             parent.extend(repeat(v, k))
@@ -229,8 +226,7 @@ UNIMODULAR = "unimodular"
 
 
 def sample_unimodular_gw(mu: OffspringDistribution, budget: int, rng,
-                         variant: str = UNIMODULAR, max_depth: int | None = None,
-                         max_retries: int = 100_000) -> MarkedTree:
+                         variant: str = UNIMODULAR, max_depth: int | None = None) -> MarkedTree:
     """Two GW(mu) trees joined by a root edge; vertex 0 is the root, vertex
     1 the co-root.
 
@@ -238,28 +234,19 @@ def sample_unimodular_gw(mu: OffspringDistribution, budget: int, rng,
     unimodular: the augmented law biased by 1/deg(root).  Realized by
         rejection on the root offspring draw alone (deg(root) = offspring+1
         is decided before anything else, so the bias commutes with
-        truncation).
+        truncation); a try accepts with probability E[1/(k+1)] >= 1/65.
     """
     if budget < 2:
         raise ValueError("budget must be >= 2")
     if variant not in (AUGMENTED, UNIMODULAR):
         raise ValueError(f"unknown variant {variant!r}")
-    k0 = None
-    if variant == AUGMENTED:
+    k0 = int(mu.sample(rng))
+    while variant == UNIMODULAR and rng.random() >= 1.0 / (k0 + 1):
         k0 = int(mu.sample(rng))
-    else:
-        for _ in range(max_retries):
-            k = int(mu.sample(rng))
-            if rng.random() < 1.0 / (k + 1):
-                k0 = k
-                break
-        if k0 is None:
-            raise SamplingError(f"root-degree rejection failed {max_retries} times")
     # the root's own children come first, then the co-root draws its own
     # offspring alongside them; everything below is GW(mu)
     tree = MarkedTree([-1, 0, *repeat(0, min(k0, budget - 2))])
     if tree.n_vertices - 2 < k0:
-        tree.truncated = True
         tree.truncation_reason = "budget"
         return tree
     return _grow(tree, [*range(2, 2 + k0), 1], 1, mu, budget, rng, max_depth)
@@ -308,25 +295,22 @@ def sample_marked_fuzz_tree(rng, max_vertices: int) -> MarkedTree:
     return tree
 
 
-def percolate_root_component(tree: MarkedTree, p: float, rng=None) -> MarkedTree:
+def percolate_root_component(tree: MarkedTree, p: float) -> MarkedTree:
     """Root component of the edges with label <= p, as a flat tree whose
     ids[i] is the original id of its vertex i.
 
-    Labels are drawn lazily (then fixed on the input tree) so that the
-    components are monotone-coupled in p.  One pass in id order keeps a
-    vertex when its parent is kept and its edge label is <= p; the kept
-    vertices get the ids 0, 1, ... in that order, and keep their labels
-    and marks.
+    Every edge must carry its label (MarkedTree.ensure_edge_labels), so
+    the components of one tree are monotone-coupled in p.  One pass in id
+    order keeps a vertex when its parent is kept and its edge label is
+    <= p; the kept vertices get the ids 0, 1, ... in that order, and keep
+    their labels and marks, and the tree's truncation reason.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     n = tree.n_vertices
     labels = tree.edge_labels
     if labels is None or len(labels) < n:
-        if rng is None:
-            raise ValueError("tree has unlabeled edges and no rng was given")
-        tree.ensure_edge_labels(rng)
-        labels = tree.edge_labels
+        raise ValueError("tree has unlabeled edges")
     new = [-1] * n  # each vertex's id in the component, -1 when cut off
     new[0] = 0
     ids, parent, kept = [0], [-1], [0.0]
@@ -339,7 +323,7 @@ def percolate_root_component(tree: MarkedTree, p: float, rng=None) -> MarkedTree
     out = MarkedTree(parent)
     out.ids = ids
     out.edge_labels = kept
-    out.truncated = tree.truncated
+    out.truncation_reason = tree.truncation_reason
     if tree.marks is not None:
         out.marks = {new[v] for v in tree.marks if new[v] >= 0}
     return out

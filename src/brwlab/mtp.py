@@ -66,6 +66,10 @@ def _f_target_degree(adj, marks, v, d):
     return float(min(len(adj[v]), 8))
 
 
+# adjacent and within_two read only d, so F(u, v) = F(v, u): their paired
+# difference is identically 0 and their exact check balances by symmetry,
+# so neither can reject a sampler.  They are the radius-1 and radius-2
+# fixtures of the CLI's certification refusals.
 BUILTIN_TRANSPORT = {
     "adjacent": TransportFunction("adjacent", 1, _f_adjacent),
     "within_two": TransportFunction("within_two", 2, _f_within_two),
@@ -75,22 +79,9 @@ BUILTIN_TRANSPORT = {
 }
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Positive reweighting of a rooted sample; 'ingredient' reads the
-    sampler-provided quantity (normalized empirically inside the test)."""
-
-    name: str
-    fn: object  # callable (MtpSample) -> float
-
-    def __call__(self, sample) -> float:
-        return self.fn(sample)
-
-
-BUILTIN_WEIGHT = {
-    "unit": WeightFunction("unit", lambda s: 1.0),
-    "ingredient": WeightFunction("ingredient", lambda s: s.weight_ingredient),
-}
+# weights: positive reweightings of a rooted sample; 'ingredient' reads the
+# sampler-provided quantity (normalized empirically inside the test)
+BUILTIN_WEIGHT = {"unit": lambda s: 1.0, "ingredient": lambda s: s.weight_ingredient}
 
 
 @dataclass
@@ -104,12 +95,22 @@ class MtpSample:
     certified_radius: int = UNBOUNDED
 
 
+def _ball_masses(adj: dict, marks, u, F: TransportFunction):
+    """(F(u, v), F(v, u)) for every mark v in the radius ball of u, in
+    mark order: one BFS gives each d(u, v) = d(v, u) that F can see."""
+    dist = groups.bfs(adj.__getitem__, u, F.radius)
+    fn = F.fn
+    for v in marks:
+        if v in dist:
+            d = dist[v]
+            yield fn(adj, marks, v, d), fn(adj, marks, u, d)
+
+
 def exact_mtp_check(adj: dict, A, F: TransportFunction):
     """Uniform-root mass transport on a finite marked graph (adjacency
     lists): compares |A|^-1 sum_{u,v in A} F(u, v) with its transpose.
     The two sides are the same finite sum, so agreement to 1e-12 is an
     exact harness check.
-    One radius ball per marked u gives every d(u, v) that F can see.
     """
     marks = frozenset(A)
     if not marks:
@@ -117,15 +118,11 @@ def exact_mtp_check(adj: dict, A, F: TransportFunction):
     if any(a not in adj for a in marks):
         raise ValueError("marked set contains vertices outside the graph")
     inv = 1.0 / len(marks)
-    lhs = 0.0
-    rhs = 0.0
+    lhs = rhs = 0.0
     for u in marks:
-        ball = groups.bfs(adj.__getitem__, u, F.radius)
-        for v in marks:
-            if v in ball:
-                d = ball[v][0]
-                lhs += F.fn(adj, marks, v, d) * inv
-                rhs += F.fn(adj, marks, u, d) * inv
+        for out, into in _ball_masses(adj, marks, u, F):
+            lhs += out * inv
+            rhs += into * inv
     return lhs, rhs, abs(lhs - rhs) < 1e-12
 
 
@@ -154,19 +151,15 @@ class MtpTestReport:
 
 def paired_difference(sample: MtpSample, F: TransportFunction) -> float:
     """sum_{v in A} F(root, v) - F(v, root) over the marks in the root's
-    radius ball, which gives d(root, v) = d(v, root)."""
-    adj, marks, root = sample.adj, sample.marks, sample.root
-    ball = groups.bfs(adj.__getitem__, root, F.radius)
-    out = 0.0
-    for v in marks:
-        if v in ball:
-            d = ball[v][0]
-            out += F.fn(adj, marks, v, d)
-            out -= F.fn(adj, marks, root, d)
-    return out
+    radius ball."""
+    total = 0.0
+    for out, into in _ball_masses(sample.adj, sample.marks, sample.root, F):
+        total += out
+        total -= into
+    return total
 
 
-def evaluate_sample(sample: MtpSample, F: TransportFunction, W: WeightFunction):
+def evaluate_sample(sample: MtpSample, F: TransportFunction, W):
     """(weighted difference, weight) for one sample, or None when the
     sample cannot certify the transport radius."""
     if sample.certified_radius < F.radius:
@@ -177,7 +170,7 @@ def evaluate_sample(sample: MtpSample, F: TransportFunction, W: WeightFunction):
     return w * paired_difference(sample, F), w
 
 
-def evaluate_samples(sampler, F: TransportFunction, W: WeightFunction, rngs):
+def evaluate_samples(sampler, F: TransportFunction, W, rngs):
     """Draw one sample from each stream of rngs and evaluate it: the
     (weighted difference, weight) rows of the certified samples, and the
     number of samples that could not certify the transport radius."""
@@ -225,7 +218,7 @@ def aggregate_mtp_report(rows, inconclusive: int, n_samples: int,
     )
 
 
-def mc_mtp_test(sampler, F: TransportFunction, W: WeightFunction,
+def mc_mtp_test(sampler, F: TransportFunction, W,
                 n_samples: int, alpha: float, rng) -> MtpTestReport:
     """Paired Monte Carlo test of the weighted mass-transport identity.
 
@@ -321,11 +314,9 @@ def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
             # center shifted so the start sits uniformly inside the ball
             w = shift_pool[int(rng.integers(0, len(shift_pool)))]
             center = groups.mul(g, start, groups.inv(g, w))
-            marks = frozenset(
-                v
-                for v, x in enumerate(values)
-                if groups.distance(g, center, x) <= ball_radius
-            )
+            # the ball around center is center times the ball around e
+            ball = {groups.mul(g, center, u) for u in shift_pool}
+            marks = frozenset(v for v, x in enumerate(values) if x in ball)
         else:
             tree2 = sample_unimodular_gw(mu2, budget, rng, max_depth=depth2)
             counts2 = run_walk(tree2, g, start, rng).image_counts()

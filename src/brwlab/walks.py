@@ -14,9 +14,8 @@ class TreeWalk:
     start value, every child an independent uniform neighbour of its
     parent's value.  values[v] is vertex v's value."""
 
-    def __init__(self, tree: MarkedTree, group: groups.GroupSpec, values: list):
+    def __init__(self, tree: MarkedTree, values: list):
         self.tree = tree
-        self.group = group
         self.values = values
 
     @property
@@ -37,7 +36,7 @@ def run_walk(tree: MarkedTree, g: groups.GroupSpec, start, rng) -> TreeWalk:
     append = values.append
     for p, k in zip(islice(tree.parent, 1, None), picks[1:].tolist()):
         append(neighbors(g, values[p])[k])  # one neighbors() step per non-root vertex
-    return TreeWalk(tree, g, values)
+    return TreeWalk(tree, values)
 
 
 class TraceGraph:

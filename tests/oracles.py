@@ -24,15 +24,18 @@ The references for `validate_elem`, `neighbors`, `run_walk` and the GW
 samplers are those functions as they were before each became a
 builtin-level or family-at-a-time step; the sampler references build
 `DictTree`s, the dict trees `gw.MarkedTree` held before it became a flat
-parent list, one `add_child` per vertex.  The references for
-`ensure_edge_labels` and `sample_marked_fuzz_tree` draw one
-scalar per vertex, as those functions did before they drew in bulk, and
-`thinned_intersection_sweep_reference` is the sweep as it was before its
-threshold pass, on those references: both root components rebuilt and
-recounted at every p, by `percolate_root_component_reference`, the
+parent list, one `add_child` per vertex.  `mul_reference` is the
+letter-by-letter word product (`apply_letter_reference`) that `groups`
+ran before it cancelled one word's tail against the other's head, and
+`inv_reference` and `distance_reference` are built on it.  The
+references for `ensure_edge_labels` and `sample_marked_fuzz_tree` draw
+one scalar per vertex, as those functions did before they drew in bulk,
+and `thinned_intersection_sweep_reference` is the sweep as it was before
+its threshold pass, on those references: both root components rebuilt
+and recounted at every p, by `percolate_root_component_reference`, the
 depth-first build with one `add_child` per kept vertex that percolation
-ran before its one-pass build.  `tree_fields` compares a flat tree with
-a `DictTree`.
+ran before its one-pass build; its component keeps the tree's truncation
+reason.  `tree_fields` compares a flat tree with a `DictTree`.
 Besides the recursion, the tree return series has two references:
 `tree_return_counts`, the exact integer distance chain, and
 `tree_return_tail_decimal`, the closed-form tail sum carried to 40
@@ -768,6 +771,36 @@ def neighbors_reference(g, x):
     return [x[:-1] if x and x[-1] == c else x + (s,) for s, c in zip(letters, cancels)]
 
 
+def apply_letter_reference(g, x, s):
+    """Right-multiply the word x by one generator s, reducing at the seam:
+    the step `groups.mul` took once per letter of its second factor before
+    it cancelled one word's tail against the other's head."""
+    from brwlab.groups import REGULAR_TREE
+
+    if x and x[-1] == (s if g.kind == REGULAR_TREE else -s):
+        return x[:-1]
+    return x + (s,)
+
+
+def mul_reference(g, x, y):
+    """The product of tree-like words, one letter of y at a time."""
+    for s in y:
+        x = apply_letter_reference(g, x, s)
+    return x
+
+
+def inv_reference(g, x):
+    """The inverse of a tree-like word: reversed, each letter inverted."""
+    from brwlab.groups import REGULAR_TREE
+
+    return tuple(s if g.kind == REGULAR_TREE else -s for s in reversed(x))
+
+
+def distance_reference(g, x, y):
+    """The word length of x^-1 y, by the letter-by-letter product."""
+    return len(mul_reference(g, inv_reference(g, x), y))
+
+
 def run_walk_values_reference(tree, g, start, rng):
     """`walks.run_walk` values by the loop it used before zipping the
     parent list with the picks: one pick per vertex in id order, the
@@ -918,20 +951,15 @@ def ensure_edge_labels_reference(tree, rng):
             tree.edge_labels[c] = float(rng.random())
 
 
-def percolate_root_component_reference(tree, p, rng=None):
-    """`gw.percolate_root_component` before its one-pass build: an any()
-    scan for unlabelled edges, then a depth-first walk from the root with
-    one add_child per kept vertex."""
+def percolate_root_component_reference(tree, p):
+    """`gw.percolate_root_component` before its one-pass build: a
+    depth-first walk from the root with one add_child per kept vertex, on
+    a fully labelled tree.  The component keeps the tree's truncation
+    flag and reason."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if tree.edge_labels is None or any(
-        c not in tree.edge_labels for c, q in tree.parent.items() if q is not None
-    ):
-        if rng is None:
-            raise ValueError("tree has unlabeled edges and no rng was given")
-        ensure_edge_labels_reference(tree, rng)
     out = DictTree(tree.root)
-    out.truncated = tree.truncated
+    out.truncated, out.truncation_reason = tree.truncated, tree.truncation_reason
     stack = [tree.root]
     kept = {tree.root}
     while stack:

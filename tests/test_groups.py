@@ -19,8 +19,11 @@ from oracles import (
     TransitionTable,
     bfs_distances,
     box_lattice_series,
+    distance_reference,
     enumerate_walk_endpoint_law,
     full_tree_scaled_series,
+    inv_reference,
+    mul_reference,
     neighbors_reference,
     tree_distance_law,
     tree_return_counts,
@@ -169,6 +172,37 @@ def test_word_arithmetic():
     assert groups.mul(T3, (0, 1), (1, 0)) == ()
     assert groups.distance(T3, (0, 1, 2), (0, 2)) == 3
     assert groups.distance(Z2, (0, 0), (2, -3)) == 5
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_word_arithmetic_matches_letter_by_letter_reference(data):
+    """mul, inv and distance equal the letter-by-letter references on
+    walk values, with y independent of x, sharing a prefix with it, or
+    starting with x's inverse (so the product cancels), and satisfy
+    d(x, y) = d(y, x) = |x^-1 y| and x x^-1 = e.  A word that fails
+    validate_elem_reference is refused by all three."""
+    g = data.draw(st.sampled_from([T3, T4, F2, F32]))
+    x = data.draw(_walk_words(g))
+    y = data.draw(_walk_words(g))
+    valid = [_outcome(validate_elem_reference, g, w) is None for w in (x, y)]
+    if valid[0] and valid[1]:
+        y = data.draw(st.sampled_from(
+            [y, mul_reference(g, x, y), mul_reference(g, inv_reference(g, x), y)]))
+        assert groups.mul(g, x, y) == mul_reference(g, x, y)
+        assert groups.inv(g, x) == inv_reference(g, x)
+        d = groups.distance(g, x, y)
+        assert d == distance_reference(g, x, y) == groups.distance(g, y, x)
+        assert d == len(groups.mul(g, groups.inv(g, x), y))
+        assert groups.mul(g, x, groups.inv(g, x)) == ()
+    for w, other, ok in ((x, y, valid[0]), (y, x, valid[1])):
+        if ok:
+            continue
+        for call in (lambda: groups.mul(g, w, other), lambda: groups.mul(g, other, w),
+                     lambda: groups.inv(g, w), lambda: groups.distance(g, w, other),
+                     lambda: groups.distance(g, other, w)):
+            with pytest.raises(InvalidElementError):
+                call()
 
 
 def test_return_probability_examples():
@@ -538,29 +572,26 @@ def _sample_graphs():
 
 def test_bfs_matches_oracle_distances():
     for adj, root in _sample_graphs():
-        want = bfs_distances(adj, root)
         found = groups.bfs(adj.__getitem__, root)
-        assert {v: d for v, (d, _) in found.items()} == want
-        assert list(found)[0] == root and found[root] == (0, None)
-        dists = [d for d, _ in found.values()]
+        assert found == bfs_distances(adj, root)
+        assert list(found)[0] == root and found[root] == 0
+        dists = list(found.values())
         assert dists == sorted(dists)  # BFS order
-        for v, (d, p) in found.items():
-            if v != root:
-                assert found[p][0] == d - 1 and v in adj[p]
         for radius in (0, 1, 2, 5):
             cut = groups.bfs(adj.__getitem__, root, radius)
-            assert cut == {v: found[v] for v in found if found[v][0] <= radius}
-            assert list(cut) == [v for v in found if found[v][0] <= radius]
+            assert list(cut.items()) == [(v, d) for v, d in found.items() if d <= radius]
 
 
 def test_bfs_parents_on_a_rooted_tree():
+    """From the root, BFS distances are the depths, so every parent is
+    one step closer than its child."""
     rng = np.random.default_rng(32)
     for _ in range(20):
         t = sample_marked_fuzz_tree(rng, 80)
         found = groups.bfs(t.adjacency().__getitem__, t.root)
         assert sorted(found) == list(range(t.n_vertices))
-        assert [found[v][1] for v in range(t.n_vertices)] == [None, *t.parent[1:]]
-        assert [found[v][0] for v in range(t.n_vertices)] == t.depth
+        assert [found[v] for v in range(t.n_vertices)] == t.depth
+        assert all(found[p] == found[v] - 1 for v, p in enumerate(t.parent[1:], 1))
 
 
 def test_elements_within_order():

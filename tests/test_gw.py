@@ -289,12 +289,6 @@ def test_samplers_match_reference_draws():
     assert t.n_vertices == 8 and t.truncation_reason == "budget"
 
 
-def test_unimodular_retry_cap():
-    rng = np.random.default_rng(0)
-    with pytest.raises(gw.SamplingError):
-        gw.sample_unimodular_gw(OffspringDistribution.delta(2), 10, rng, max_retries=0)
-
-
 def test_bulk_edge_labels_match_scalar_draws():
     """One random(k) call gives the scalar loop's labels, in id order, and
     leaves the same next draw, also on a tree labelled up to some id; a
@@ -318,21 +312,43 @@ def test_bulk_edge_labels_match_scalar_draws():
 def test_percolate_extremes_and_label_fixing():
     rng = np.random.default_rng(9)
     t = gw.sample_gw(OffspringDistribution.delta(2), 200, rng, max_depth=5)
-    sub0 = gw.percolate_root_component(t, 0.0, rng)
-    assert sub0.n_vertices == 1 and sub0.ids == [0]
+    t.ensure_edge_labels(rng)
     labels = list(t.edge_labels)
+    sub0 = gw.percolate_root_component(t, 0.0)
+    assert sub0.n_vertices == 1 and sub0.ids == [0]
     sub1 = gw.percolate_root_component(t, 1.0)
     assert sub1.ids == list(range(t.n_vertices)) and sub1.parent == t.parent
-    assert t.edge_labels == labels  # labels fixed after first draw
-    with pytest.raises(ValueError):
+    assert t.edge_labels == labels  # percolation leaves the labels as they were
+    t.ensure_edge_labels(rng)
+    assert t.edge_labels == labels  # a fully labelled tree draws nothing
+    # unlabelled, the last label missing, or all but the root's
+    with pytest.raises(ValueError, match="unlabeled"):
         gw.percolate_root_component(gw.sample_gw(OffspringDistribution.delta(2), 50, rng), 0.5)
-    # incomplete: the last label missing, or all but the root's
     del t.edge_labels[-1]
-    with pytest.raises(ValueError, match="no rng"):
+    with pytest.raises(ValueError, match="unlabeled"):
         gw.percolate_root_component(t, 0.5)
     t.edge_labels = [0.0]
-    with pytest.raises(ValueError, match="no rng"):
+    with pytest.raises(ValueError, match="unlabeled"):
         gw.percolate_root_component(t, 0.5)
+
+
+def test_percolation_keeps_the_truncation_reason():
+    """A component keeps the reason its tree was cut: trees cut at the
+    budget and at the depth cap, percolated at p = 1 and p = 0.5."""
+    mu = OffspringDistribution([0.3, 0, 0.7])
+    reasons = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        for t in (gw.sample_gw(mu, 12, rng), gw.sample_gw(mu, 10**6, rng, max_depth=3),
+                  gw.sample_unimodular_gw(mu, 12, rng),
+                  gw.sample_unimodular_gw(mu, 10**6, rng, max_depth=3)):
+            t.ensure_edge_labels(rng)
+            for p in (1.0, 0.5):
+                sub = gw.percolate_root_component(t, p)
+                assert sub.truncation_reason == t.truncation_reason
+                assert sub.truncated == t.truncated
+            reasons.add(t.truncation_reason)
+    assert reasons == {None, "budget", "depth"}
 
 
 def test_percolate_monotone_coupling():
@@ -352,7 +368,8 @@ def test_percolate_monotone_coupling():
 def _percolation_inputs(seed):
     """Trees from every sampler, with no labels, all labels or labels up
     to about half of the ids, those on a grid of twentieths that ties with
-    p = 0.35 and 0.7; fuzz trees carry marks."""
+    p = 0.35 and 0.7; fuzz trees carry marks.  Percolation needs the rest
+    drawn by ensure_edge_labels."""
     rng = np.random.default_rng(seed)
     mu = OffspringDistribution([0.2, 0.3, 0.5])
     trees = [gw.MarkedTree(), gw.sample_gw(mu, 400, rng, max_depth=7),
@@ -371,17 +388,19 @@ def _percolation_inputs(seed):
 def test_percolation_matches_depth_first_reference():
     """The one-pass flat component is the depth-first reference's
     component, renumbered in id order: parents, children in order, depths,
-    marks, labels and truncation flag, with ids the kept original ids.
-    Labels drawn for unlabelled edges are the same doubles, leaving the
-    generator in the same state.  The component's parents come before
-    their children."""
+    marks, labels and truncation flag and reason, with ids the kept
+    original ids.  Labels drawn for unlabelled edges are the same doubles,
+    leaving the generator in the same state.  The component's parents come
+    before their children."""
     for seed in range(40):
         for t in _percolation_inputs(seed):
             ref_t = oracles.to_dict_tree(t)
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            t.ensure_edge_labels(rng)
+            oracles.ensure_edge_labels_reference(ref_t, ref_rng)
             for p in (0.0, 0.35, 0.7, 1.0):
-                sub = gw.percolate_root_component(t, p, rng)
-                ref = oracles.percolate_root_component_reference(ref_t, p, ref_rng)
+                sub = gw.percolate_root_component(t, p)
+                ref = oracles.percolate_root_component_reference(ref_t, p)
                 _assert_same_tree(sub, ref)
                 assert sub.ids == sorted(ref.parent)
                 assert all(u < v for v, u in enumerate(sub.parent))
@@ -395,7 +414,8 @@ def test_adjacency_lists_parent_then_children_in_order():
     percolated trees."""
     for seed in range(20):
         for t in _percolation_inputs(seed):
-            sub = gw.percolate_root_component(t, 0.6, np.random.default_rng(seed))
+            t.ensure_edge_labels(np.random.default_rng(seed))
+            sub = gw.percolate_root_component(t, 0.6)
             for tree in (t, sub):
                 want = groups.adjacency(range(tree.n_vertices), tree.edges())
                 assert list(tree.adjacency().items()) == list(want.items())
@@ -407,7 +427,8 @@ def test_percolate_root_offspring_binomial():
     counts = np.zeros(3)
     for _ in range(n):
         t = gw.sample_gw(OffspringDistribution.delta(2), 50, rng, max_depth=2)
-        sub = gw.percolate_root_component(t, 0.5, rng)
+        t.ensure_edge_labels(rng)
+        sub = gw.percolate_root_component(t, 0.5)
         counts[len(sub.children[sub.root])] += 1
     expected = np.array([0.25, 0.5, 0.25])
     for k in range(3):

@@ -79,12 +79,13 @@ def test_run_walk_one_neighbors_call_per_step(monkeypatch):
         for seed in range(15):
             rng = np.random.default_rng(seed)
             tree = sample_gw(mu, 300, rng, max_depth=8)
+            tree.ensure_edge_labels(rng)
             trees = [
                 MarkedTree(),
                 tree,
                 sample_unimodular_gw(mu, 300, rng, variant="augmented", max_depth=8),
                 sample_unimodular_gw(mu, 300, rng, max_depth=8),
-                percolate_root_component(tree, 0.7, rng),
+                percolate_root_component(tree, 0.7),
                 sample_marked_fuzz_tree(rng, 60),
             ]
             for t in trees:
@@ -141,7 +142,7 @@ def test_walk_steps_are_edges():
 
 
 def test_trace_single_edge():
-    w = TreeWalk(path_tree(2), Z1, [(0,), (1,)])
+    w = TreeWalk(path_tree(2), [(0,), (1,)])
     tr = trace(w)
     assert tr.n_vertices == 2
     assert tr.edge_mult == {((0,), (1,)): 1}
@@ -150,14 +151,14 @@ def test_trace_single_edge():
 
 def test_trace_merged_edge_multiplicity():
     # both children step to the same neighbour: one edge crossed twice
-    w = TreeWalk(star_tree(2), T4, [(), (0,), (0,)])
+    w = TreeWalk(star_tree(2), [(), (0,), (0,)])
     tr = trace(w)
     assert list(tr.edge_mult.values()) == [2]
     assert tr.visits[(0,)] == 2
 
 
 def test_trace_backtracking_path():
-    w = TreeWalk(path_tree(3), T4, [(), (2,), ()])
+    w = TreeWalk(path_tree(3), [(), (2,), ()])
     tr = trace(w)
     assert len(tr.edge_mult) == 1
     assert tr.visits[()] == 2
