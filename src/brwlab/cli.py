@@ -3,20 +3,25 @@
 Usage: brwlab --config cfg.json [--seed N] [--workers N] [--out DIR]
 
 Each run writes a fixed-name CSV (or JSON report) plus manifest.json into
-the output directory.  Replicate work is sharded over counter-based
-substreams keyed by (seed, replicate index) only, so CSV bodies are byte
-identical for any worker count.  Exit status: 0 pass, 2 failed assertion,
+the output directory; the manifest comes last and marks a complete run.
+Replicate work is sharded over counter-based substreams keyed by (seed,
+replicate index) only, so CSV bodies are byte identical for any worker
+count, and the CSV is written shard by shard as the shards finish.
+Exit status: 0 pass, 2 failed assertion,
 1 usage error (a malformed flag or config, one "error:" line).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import sys
 import time
+from collections import Counter
 from itertools import chain, cycle, repeat
 from multiprocessing import Pool
 from typing import Callable, NamedTuple
@@ -24,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, groups, intersections, magic, mtp
-from .gw import OffspringDistribution, sample_marked_fuzz_tree
+from .gw import MAX_OFFSPRING, OffspringDistribution, sample_marked_fuzz_tree
 from .rng import substream
 
 CAPS = {
@@ -36,6 +41,7 @@ CAPS = {
     "budget": 10_000_000,
     "max_vertices": 5_000,
     "ball_radius": 16,
+    "grid": 64,
 }
 
 _RNG_NOTE = "philox counter-based; substream(i) = Philox(SeedSequence((seed, i)))"
@@ -121,9 +127,10 @@ def _one_of(*options):
     return _is(f"one of: {', '.join(options)}", lambda x: type(x) is str and x in options)
 
 
-def _grid(entry):
-    nonempty = _is("a nonempty list", lambda x: type(x) is list and len(x) > 0)
-    return lambda raw: [entry(x) for x in nonempty(raw)]
+def _grid(entry, most=CAPS["grid"]):
+    listed = _is(f"a nonempty list of at most {most} entries",
+                 lambda x: type(x) is list and 0 < len(x) <= most)
+    return lambda raw: [entry(x) for x in listed(raw)]
 
 
 def _require(ok, message):
@@ -132,7 +139,7 @@ def _require(ok, message):
 
 
 def _offspring(raw) -> OffspringDistribution:
-    return OffspringDistribution(_grid(_float)(raw))
+    return OffspringDistribution(_grid(_float, MAX_OFFSPRING + 1)(raw))
 
 
 def _group(raw) -> groups.GroupSpec:
@@ -159,18 +166,49 @@ def _graph(raw):
     return adj, {v for v, ns in adj.items() if len(ns) == 1}
 
 
-def _write_csv(path, header, rows):
-    """csv writes floats by repr, so every float round-trips; the shards
-    build flags as 0/1 ints."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file on a sibling temporary that takes path's name when the
+    block completes: a block that raises leaves no file under path."""
+    part = f"{path}.part"
+    try:
+        with open(part, "w", newline="") as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
+
+
+def _csv_text(rows) -> str:
+    """The CSV lines of rows.  csv writes floats by repr, so every float
+    round-trips; the shards build flags as 0/1 ints."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@contextlib.contextmanager
+def _csv_file(path, header):
+    """A text file that starts with the header line and reaches path only
+    when the block completes."""
+    with _replacing(path) as fh:
+        fh.write(_csv_text([header]))
+        yield fh
+
+
+def _write_json(path, obj):
+    with _replacing(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
 # sharded experiments: one worker call covers a block of replicate indices;
-# shards receive the typed config values and an (idx, rng) pair per index
+# shards receive the typed config values and an (idx, rng) pair per index,
+# and return their rows as CSV text, formatted in the worker, with an extra
+# that holds what the manifest needs
 
 
 def _shard_magic_fuzz(v, streams):
@@ -200,7 +238,7 @@ def _shard_magic_fuzz(v, streams):
     def per_cell(values):  # one int object per tree, as in the rows it heads
         return chain.from_iterable(repeat(x, cells) for x in values)
 
-    return list(zip(
+    return _csv_text(zip(
         per_cell(ids),
         per_cell(batch.sizes.tolist()),
         per_cell(batch.n_marks.tolist()),
@@ -227,7 +265,7 @@ def _shard_intersect(v, streams):
             v["offspring1"], v["offspring2"], v["group"], v["depth"], v["depth"], rng, v["budget"]
         )
         rows.append((idx, rec.pair_count, len(rec.intersection), int(rec.truncated)))
-    return rows, None
+    return _csv_text(rows), np.array([row[1] for row in rows], dtype=float)
 
 
 def _shard_thin_sweep(v, streams):
@@ -243,19 +281,26 @@ def _shard_thin_sweep(v, streams):
                 violations += 1
         for p in ps:
             rows.append((p, idx, len(rep.sets[p]), rep.pair_counts[p], int(rep.truncated)))
-    return rows, violations
+    return _csv_text(rows), violations
 
 
 def _shard_ends(v, streams):
+    """The extra is the survivor count and, per radius, how many
+    survivors had each count of qualifying components."""
     rows = []
+    survivors = 0
+    by_radius = {}
     for idx, rng in streams:
         res = intersections.trace_ends_experiment(
             v["offspring"], v["group"], v["depth"], v["radius_grid"], v["m_threshold"], rng,
             v["budget"],
         )
+        survivors += res.survived
         for radius, q in res.qualifying.items():
             rows.append((radius, idx, q, int(res.survived)))
-    return rows, None
+            if res.survived:
+                by_radius.setdefault(radius, Counter())[q] += 1
+    return _csv_text(rows), (survivors, by_radius)
 
 
 def _shard_worker(args):
@@ -275,10 +320,12 @@ def _usable_cpus() -> int:
 
 def _run_sharded(shard, block, v, seed, n_units, workers):
     """Split the replicate indices into near-equal tasks of at most block
-    indices and run shard on each, in one process or on a pool.  The
-    task count is a multiple of the processes and a pool hands the tasks
-    out one at a time, so no worker gets a task more than the others.
-    Each index has its own stream, so the cuts never change the rows."""
+    indices, run shard on each, in one process or on a pool, and yield
+    each task's (rows, extra) in task order, so rows come in replicate
+    order whichever task finishes first.  The task count is a multiple of the processes and a pool
+    hands the tasks out one at a time, so no worker gets a task more than
+    the others.  Each index has its own stream, so the cuts never change
+    the rows."""
     n_tasks = -(-n_units // block)
     processes = min(workers, n_tasks, _usable_cpus())
     n_tasks = -(-n_tasks // processes) * processes
@@ -286,11 +333,19 @@ def _run_sharded(shard, block, v, seed, n_units, workers):
     tasks = [(shard, v, seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     if processes > 1:
         with Pool(processes=processes) as pool:
-            parts = pool.map(_shard_worker, tasks, chunksize=1)
+            yield from pool.imap(_shard_worker, tasks, chunksize=1)
     else:
-        parts = [_shard_worker(t) for t in tasks]
-    # both paths keep the task order, so rows come in replicate order
-    return [row for rows, _ in parts for row in rows], [extra for _, extra in parts]
+        yield from map(_shard_worker, tasks)
+
+
+def _median(counts) -> float:
+    """np.median of the multiset {value: count}: the middle value, or the
+    mean of the two middle values."""
+    values = sorted(counts)
+    ends = np.cumsum([counts[x] for x in values])
+    n = int(ends[-1])
+    lo, hi = (values[np.searchsorted(ends, i, side="right")] for i in ((n - 1) // 2, n // 2))
+    return (lo + hi) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +356,8 @@ def _run_spectra(v, seed, workers, out_dir):
     g, n_max, stride = v["group"], v["n_max"], v["stride"]
     traj = groups.spectral_radius_trajectory(g, n_max)
     picks = [*range(stride, n_max, stride), n_max]
-    rows = zip([2 * n for n in picks], traj[np.subtract(picks, 1)].tolist())
-    _write_csv(os.path.join(out_dir, "spectra.csv"), ("n", "estimate"), rows)
+    with _csv_file(os.path.join(out_dir, "spectra.csv"), ("n", "estimate")) as out:
+        out.write(_csv_text(zip([2 * n for n in picks], traj[np.subtract(picks, 1)].tolist())))
     return 0, {"closed_form": g.spectral_radius_closed_form(), "estimate": float(traj[-1])}
 
 
@@ -310,8 +365,8 @@ def _run_visits(v, seed, workers, out_dir):
     n_max, stride = v["n_max"], v["stride"]
     series = groups.visits_series(v["group"], v["mean"], n_max)
     picks = [*range(0, n_max, stride), n_max]
-    rows = zip(picks, series.partial_sums[picks].tolist())
-    _write_csv(os.path.join(out_dir, "visits.csv"), ("n", "partial_sum"), rows)
+    with _csv_file(os.path.join(out_dir, "visits.csv"), ("n", "partial_sum")) as out:
+        out.write(_csv_text(zip(picks, series.partial_sums[picks].tolist())))
     return 0, {
         "diverged": series.diverged,
         "guard_index": series.guard_index,
@@ -319,38 +374,51 @@ def _run_visits(v, seed, workers, out_dir):
     }
 
 
+# the sharded drivers write each shard's text as it arrives and keep only
+# what their manifest needs
+
+
 def _run_magic_fuzz(v, seed, workers, out_dir):
-    rows, extras = _run_sharded(_shard_magic_fuzz, 100, v, seed, v["n_trees"], workers)
-    violations = sum(extras)
-    _write_csv(os.path.join(out_dir, "magic_fuzz.csv"),
-               ("tree_id", "n_vertices", "n_marks", "k", "r", "branching_count",
-                "supported_count", "bound", "pass"), rows)
+    violations = 0
+    with _csv_file(os.path.join(out_dir, "magic_fuzz.csv"),
+                   ("tree_id", "n_vertices", "n_marks", "k", "r", "branching_count",
+                    "supported_count", "bound", "pass")) as out:
+        for text, failed in _run_sharded(_shard_magic_fuzz, 100, v, seed, v["n_trees"], workers):
+            out.write(text)
+            violations += failed
     return (0 if violations == 0 else 2), {"bound_violations": violations}
 
 
 def _run_mtp_test(v, seed, workers, out_dir):
     n_samples = v["n_samples"]
-    rows, extras = _run_sharded(_shard_mtp, 200, v, seed, n_samples, workers)
+    rows = np.empty((n_samples, 2))  # the (weighted difference, weight) of each certified sample
+    n = inconclusive = 0
+    for part, skipped in _run_sharded(_shard_mtp, 200, v, seed, n_samples, workers):
+        rows[n:n + len(part)] = part
+        n += len(part)
+        inconclusive += skipped
     try:
-        report = mtp.aggregate_mtp_report(rows, sum(extras), n_samples, v["alpha"])
+        report = mtp.aggregate_mtp_report(rows[:n], inconclusive, n_samples, v["alpha"])
     except mtp.TruncationError as exc:
         raise ConfigError(str(exc)) from exc
-    with open(os.path.join(out_dir, "mtp_report.json"), "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "mtp_report.json"), report.to_json_dict())
     return (0 if report.passed else 2), {"report": report.to_json_dict()}
 
 
 def _run_intersect(v, seed, workers, out_dir):
-    rows, _ = _run_sharded(_shard_intersect, 400, v, seed, v["replicates"], workers)
-    _write_csv(os.path.join(out_dir, "intersect.csv"),
-               ("replicate", "pair_count", "intersection_size", "truncated"), rows)
+    counts = np.empty(v["replicates"])  # the pair counts
+    n = 0
+    with _csv_file(os.path.join(out_dir, "intersect.csv"),
+                   ("replicate", "pair_count", "intersection_size", "truncated")) as out:
+        for text, pairs in _run_sharded(_shard_intersect, 400, v, seed, v["replicates"], workers):
+            out.write(text)
+            counts[n:n + len(pairs)] = pairs
+            n += len(pairs)
     g = v["group"]
     e = g.identity()
     exact = intersections.expected_pairs_truncated(
         v["offspring1"].mean, v["offspring2"].mean, g, e, e, v["depth"]
     )
-    counts = np.array([r[1] for r in rows], dtype=float)
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     z = (counts.mean() - exact) / se if se > 0 else 0.0
     status = 0 if abs(z) <= 4.0 else 2
@@ -363,23 +431,29 @@ def _run_intersect(v, seed, workers, out_dir):
 
 
 def _run_thin_sweep(v, seed, workers, out_dir):
-    rows, extras = _run_sharded(_shard_thin_sweep, 100, v, seed, v["replicates"], workers)
-    violations = sum(extras)
-    _write_csv(os.path.join(out_dir, "thin_sweep.csv"),
-               ("p", "replicate", "intersection_size", "pair_count", "truncated"), rows)
+    violations = 0
+    with _csv_file(os.path.join(out_dir, "thin_sweep.csv"),
+                   ("p", "replicate", "intersection_size", "pair_count", "truncated")) as out:
+        for text, failed in _run_sharded(_shard_thin_sweep, 100, v, seed, v["replicates"],
+                                         workers):
+            out.write(text)
+            violations += failed
     return (0 if violations == 0 else 2), {"monotonicity_violations": violations}
 
 
 def _run_ends(v, seed, workers, out_dir):
-    rows, _ = _run_sharded(_shard_ends, 100, v, seed, v["replicates"], workers)
-    _write_csv(os.path.join(out_dir, "ends.csv"),
-               ("radius", "replicate", "qualifying_components", "survived"), rows)
-    survivors = [r for r in rows if r[3]]
+    survivors = 0
     by_radius = {}
-    for radius, _, q, _ in survivors:
-        by_radius.setdefault(radius, []).append(q)
-    medians = {str(rad): float(np.median(qs)) for rad, qs in sorted(by_radius.items())}
-    return 0, {"median_qualifying_by_radius": medians, "n_survivors": len(survivors) // max(len(by_radius), 1)}
+    with _csv_file(os.path.join(out_dir, "ends.csv"),
+                   ("radius", "replicate", "qualifying_components", "survived")) as out:
+        for text, (n, tallies) in _run_sharded(_shard_ends, 100, v, seed, v["replicates"],
+                                               workers):
+            out.write(text)
+            survivors += n
+            for radius, tally in tallies.items():
+                by_radius.setdefault(radius, Counter()).update(tally)
+    medians = {str(rad): _median(tally) for rad, tally in sorted(by_radius.items())}
+    return 0, {"median_qualifying_by_radius": medians, "n_survivors": survivors}
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +589,10 @@ def run(config: dict, out_dir: str, workers: int = 1, seed_override=None) -> int
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from exc
+    # the manifest is written last and marks a complete run: a stale one goes first
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(manifest_path)
     started = time.time()
     status, extra = driver(values, seed, workers, out_dir)
     manifest = {
@@ -528,9 +606,7 @@ def run(config: dict, out_dir: str, workers: int = 1, seed_override=None) -> int
         "status": status,
     }
     manifest.update(extra)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    _write_json(manifest_path, manifest)
     return status
 
 

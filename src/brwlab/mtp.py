@@ -172,8 +172,9 @@ def evaluate_sample(sample: MtpSample, F: TransportFunction, W):
 
 def evaluate_samples(sampler, F: TransportFunction, W, rngs):
     """Draw one sample from each stream of rngs and evaluate it: the
-    (weighted difference, weight) rows of the certified samples, and the
-    number of samples that could not certify the transport radius."""
+    (weighted difference, weight) rows of the certified samples as an
+    (n, 2) float64 array, and the number of samples that could not
+    certify the transport radius."""
     rows = []
     inconclusive = 0
     for rng in rngs:
@@ -182,14 +183,14 @@ def evaluate_samples(sampler, F: TransportFunction, W, rngs):
             inconclusive += 1
         else:
             rows.append(got)
-    return rows, inconclusive
+    return np.array(rows, dtype=float).reshape(-1, 2), inconclusive
 
 
 def aggregate_mtp_report(rows, inconclusive: int, n_samples: int,
                          alpha: float) -> MtpTestReport:
     """Normal-approximation CI on the paired differences of the
-    (weighted difference, weight) rows; more than 10% uncertified samples
-    is a truncation error."""
+    (weighted difference, weight) rows, an (n, 2) float array; more than
+    10% uncertified samples is a truncation error."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if inconclusive > 0.1 * n_samples:
@@ -199,12 +200,12 @@ def aggregate_mtp_report(rows, inconclusive: int, n_samples: int,
     n = len(rows)
     if n < 2:
         raise ValueError("need at least 2 usable samples")
-    deltas = np.array([d for d, _ in rows], dtype=float)
+    deltas, weights = rows[:, 0], rows[:, 1]
     mean = float(deltas.mean())
     sd = float(deltas.std(ddof=1))
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     half = z * sd / math.sqrt(n)
-    mean_w = float(np.mean([w for _, w in rows]))
+    mean_w = float(weights.mean())
     passed = (mean - half) <= 0.0 <= (mean + half)
     return MtpTestReport(
         estimate=mean / mean_w,

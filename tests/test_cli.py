@@ -9,8 +9,11 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -505,6 +508,11 @@ MALFORMED = [
     ("intersect", {"group": Z3, "depth": 64}, "brwlab.intersections.sample_intersections"),
     ("uniform_root", {"graph": {"shape": "star", "n": 10**9}}, "brwlab.mtp.uniform_root_sampler"),
     ("magic-fuzz", {"n_trees": 10**7}, "brwlab.cli.Pool"),
+    # a grid longer than CAPS["grid"] (the first key over its cap is named)
+    ("magic-fuzz", {"r_grid": list(range(1, 66))}, "brwlab.cli._run_sharded"),
+    ("magic-fuzz", {"k_grid": [1] * 65, "r_grid": [1] * 65}, "brwlab.cli._run_sharded"),
+    ("thin-sweep", {"p_grid": [0.5] * 65}, "brwlab.cli._run_sharded"),
+    ("ends", {"radius_grid": [1] * 65, "replicates": 10**6}, "brwlab.cli._run_sharded"),
     ("pullback", {"group": {"kind": "free_group", "param": 10**8}}, "brwlab.groups.neighbors"),
 ]
 
@@ -565,7 +573,7 @@ def test_malformed_invocation_exits_1(tmp_path, capsys):
 class FakePool:
     """Stands in for multiprocessing.Pool: runs the tasks in order in this
     process and records the pool size, the tasks' index ranges and the
-    chunksize of each map."""
+    chunksize of each imap."""
 
     started = []
 
@@ -578,9 +586,9 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks, chunksize=None):
+    def imap(self, fn, tasks, chunksize=1):
         self.started.append(([t[3:] for t in tasks], chunksize))
-        return [fn(t) for t in tasks]
+        return map(fn, tasks)
 
 
 def test_worker_pool_clamped(tmp_path, monkeypatch):
@@ -635,6 +643,68 @@ def test_pool_sized_by_cpu_affinity(tmp_path, monkeypatch):
     status, out = run_cfg(tmp_path, cfg, "pinned", workers=4)
     assert status == 0
     assert (out / "thin_sweep.csv").read_bytes() == (out1 / "thin_sweep.csv").read_bytes()
+
+
+# (config, the key that counts its units, units at 1x, bytes kept per unit):
+# intersect keeps each pair count as a double and mtp-test each (difference,
+# weight) row as two, and np.std adds one double per unit for the deviations
+STREAMED = {
+    "magic-fuzz": (dict(BASE["magic-fuzz"], max_vertices=40, k_grid=list(range(1, 9)),
+                        r_grid=[1, 2, 3]), "n_trees", 400, 0),
+    "thin-sweep": (dict(BASE["thin-sweep"], p_grid=[0.5, 0.9, 1.0], depth=6), "replicates", 200, 0),
+    "intersect": (dict(BASE["intersect"], depth=4), "replicates", 400, 16),
+    "ends": (dict(BASE["ends"], depth=4, radius_grid=[1, 2], m_threshold=2), "replicates", 100, 0),
+    "mtp-test": (dict(BASE["uniform_root"], f="marked_neighbors"), "n_samples", 1000, 24),
+}
+
+
+def _traced_peak(cfg, out):
+    tracemalloc.start()
+    try:
+        assert cli.run(cfg, str(out)) in (0, 2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", STREAMED)
+def test_sharded_run_memory_does_not_grow_with_its_units(tmp_path, name):
+    """Rows reach the file shard by shard: ten times the units peak within
+    1.5 times the traced peak of one time the units, plus what the
+    manifest keeps per unit."""
+    cfg, key, units, kept = STREAMED[name]
+    run_cfg(tmp_path, dict(cfg, **{key: 10 * units}), "warm")  # fill the caches first
+    one = _traced_peak(dict(cfg, **{key: units}), tmp_path / "one")
+    ten = _traced_peak(dict(cfg, **{key: 10 * units}), tmp_path / "ten")
+    assert ten <= 1.5 * one + kept * 10 * units, (one, ten)
+
+
+@pytest.mark.parametrize("name", STREAMED)
+def test_failed_run_leaves_no_output(tmp_path, monkeypatch, name):
+    """A shard that raises on its third task leaves neither the output
+    nor a partial file, and the manifest of an earlier run is gone."""
+    cfg, key, units, _ = STREAMED[name]
+    calls = []
+
+    def third_fails(task):
+        calls.append(task)
+        if len(calls) == 3:
+            raise RuntimeError("shard failed")
+        return worker(task)
+
+    worker = cli._shard_worker
+    monkeypatch.setattr(cli, "_shard_worker", third_fails)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("{}")
+    with pytest.raises(RuntimeError, match="shard failed"):
+        cli.run(dict(cfg, **{key: 10 * units}), str(out))
+    assert len(calls) == 3 and os.listdir(out) == []
+
+
+@given(st.lists(st.integers(0, 20), min_size=1, max_size=40))
+def test_median_of_counts_matches_numpy(values):
+    assert cli._median(Counter(values)) == np.median(values)
 
 
 _BAD_VALUES = [True, False, -1, 0, 2.5, NAN, float("inf"), [], [NAN, 1.0], "x", None, {},
