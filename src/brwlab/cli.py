@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import os
 import sys
@@ -181,12 +179,13 @@ def _replacing(path):
         raise
 
 
-def _csv_text(rows) -> str:
-    """The CSV lines of rows.  csv writes floats by repr, so every float
-    round-trips; the shards build flags as 0/1 ints."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+def _csv_text(*columns) -> str:
+    """The CSV lines whose fields are the entries of the columns, as
+    csv.writer would write them: ints by str, floats by repr, so every
+    float round-trips (the shards build flags as 0/1 ints).  No field of
+    the CLI's outputs needs quoting."""
+    line = ",".join(["{}"] * len(columns)) + "\n"
+    return "".join(map(line.format, *columns))
 
 
 @contextlib.contextmanager
@@ -194,7 +193,7 @@ def _csv_file(path, header):
     """A text file that starts with the header line and reaches path only
     when the block completes."""
     with _replacing(path) as fh:
-        fh.write(_csv_text([header]))
+        fh.write(_csv_text(*zip(header)))
         yield fh
 
 
@@ -230,25 +229,24 @@ def _shard_magic_fuzz(v, streams):
     # (tree, r, k) tables
     bcount = np.stack([batch.count_at_least(branch[r], k_grid) for r in r_grid], axis=1)
     scount = np.stack([batch.count_at_least(gaps[r], k_grid) for r in r_grid], axis=1)
+    n_marks = batch.n_marks.tolist()
     bound = magic.counting_bound(batch.n_marks[:, None, None], np.array(k_grid, dtype=float),
                                  np.array(r_grid, dtype=float)[:, None])
     ok = bcount <= np.maximum(bound, 0.0)
     cells = len(r_grid) * len(k_grid)
-
-    def per_cell(values):  # one int object per tree, as in the rows it heads
-        return chain.from_iterable(repeat(x, cells) for x in values)
-
-    return _csv_text(zip(
-        per_cell(ids),
-        per_cell(batch.sizes.tolist()),
-        per_cell(batch.n_marks.tolist()),
-        cycle(k_grid),
-        cycle([r for r in r_grid for _ in k_grid]),
+    # the bound depends on a tree only through |A|, so the text of its
+    # cells is formatted once per |A| in the shard
+    by_marks = dict(zip(n_marks, bound.reshape(-1, cells)))
+    bound_text = {a: list(map(repr, row.tolist())) for a, row in by_marks.items()}
+    heads = map("{},{},{}".format, ids, batch.sizes.tolist(), n_marks)
+    return _csv_text(
+        chain.from_iterable(map(repeat, heads, repeat(cells))),
+        cycle([f"{k},{r}" for r in r_grid for k in k_grid]),
         bcount.ravel().tolist(),
         scount.ravel().tolist(),
-        bound.ravel().tolist(),
+        chain.from_iterable(map(bound_text.__getitem__, n_marks)),
         ok.ravel().astype(int).tolist(),
-    )), int(np.count_nonzero(~ok))
+    ), int(np.count_nonzero(~ok))
 
 
 def _shard_mtp(v, streams):
@@ -265,7 +263,7 @@ def _shard_intersect(v, streams):
             v["offspring1"], v["offspring2"], v["group"], v["depth"], v["depth"], rng, v["budget"]
         )
         rows.append((idx, rec.pair_count, len(rec.intersection), int(rec.truncated)))
-    return _csv_text(rows), np.array([row[1] for row in rows], dtype=float)
+    return _csv_text(*zip(*rows)), np.array([row[1] for row in rows], dtype=float)
 
 
 def _shard_thin_sweep(v, streams):
@@ -281,7 +279,7 @@ def _shard_thin_sweep(v, streams):
                 violations += 1
         for p in ps:
             rows.append((p, idx, len(rep.sets[p]), rep.pair_counts[p], int(rep.truncated)))
-    return _csv_text(rows), violations
+    return _csv_text(*zip(*rows)), violations
 
 
 def _shard_ends(v, streams):
@@ -300,7 +298,7 @@ def _shard_ends(v, streams):
             rows.append((radius, idx, q, int(res.survived)))
             if res.survived:
                 by_radius.setdefault(radius, Counter())[q] += 1
-    return _csv_text(rows), (survivors, by_radius)
+    return _csv_text(*zip(*rows)), (survivors, by_radius)
 
 
 def _shard_worker(args):
@@ -354,11 +352,11 @@ def _median(counts) -> float:
 
 def _run_spectra(v, seed, workers, out_dir):
     g, n_max, stride = v["group"], v["n_max"], v["stride"]
-    traj = groups.spectral_radius_trajectory(g, n_max)
-    picks = [*range(stride, n_max, stride), n_max]
+    traj = groups.spectral_radius_trajectory(g, n_max, stride).tolist()
+    steps = [*range(2 * stride, 2 * n_max, 2 * stride), 2 * n_max]
     with _csv_file(os.path.join(out_dir, "spectra.csv"), ("n", "estimate")) as out:
-        out.write(_csv_text(zip([2 * n for n in picks], traj[np.subtract(picks, 1)].tolist())))
-    return 0, {"closed_form": g.spectral_radius_closed_form(), "estimate": float(traj[-1])}
+        out.write(_csv_text(steps, traj))
+    return 0, {"closed_form": g.spectral_radius_closed_form(), "estimate": traj[-1]}
 
 
 def _run_visits(v, seed, workers, out_dir):
@@ -366,7 +364,7 @@ def _run_visits(v, seed, workers, out_dir):
     series = groups.visits_series(v["group"], v["mean"], n_max)
     picks = [*range(0, n_max, stride), n_max]
     with _csv_file(os.path.join(out_dir, "visits.csv"), ("n", "partial_sum")) as out:
-        out.write(_csv_text(zip(picks, series.partial_sums[picks].tolist())))
+        out.write(_csv_text(picks, series.partial_sums[picks].tolist()))
     return 0, {
         "diverged": series.diverged,
         "guard_index": series.guard_index,

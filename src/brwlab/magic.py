@@ -136,10 +136,17 @@ class TreeBatch:
 
     def count_at_least(self, values, k_grid):
         """Per tree, the number of vertices whose value is >= k, for each
-        k of k_grid: an (n_trees, len(k_grid)) array, one bincount over
-        the tree ids of those vertices per k."""
-        return np.stack([np.bincount(self.tree[values >= k], minlength=self.n_trees)
-                         for k in k_grid], axis=1)
+        k of k_grid: an (n_trees, len(k_grid)) array, from one bincount
+        over (tree, how many distinct k a value reaches) summed from the
+        top level down."""
+        ks = sorted(set(k_grid))
+        # clipping a k above every value keeps it in their integer range
+        top = int(values.max(initial=0)) + 1
+        level = np.searchsorted([min(k, top) for k in ks], values, side="right")
+        width = len(ks) + 1
+        table = np.bincount(self.tree * width + level, minlength=self.n_trees * width)
+        at_least = table.reshape(self.n_trees, width)[:, ::-1].cumsum(axis=1)[:, ::-1]
+        return at_least[:, [ks.index(k) + 1 for k in k_grid]]
 
 
 class OrientedTree(TreeBatch):

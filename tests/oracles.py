@@ -36,10 +36,13 @@ and recounted at every p, by `percolate_root_component_reference`, the
 depth-first build with one `add_child` per kept vertex that percolation
 ran before its one-pass build; its component keeps the tree's truncation
 reason.  `tree_fields` compares a flat tree with a `DictTree`.
-Besides the recursion, the tree return series has two references:
-`tree_return_counts`, the exact integer distance chain, and
+Besides the recursion, the tree return series has three references:
+`tree_return_counts`, the exact integer distance chain,
 `tree_return_tail_decimal`, the closed-form tail sum carried to 40
-digits in `decimal`.
+digits in `decimal`, and `tree_return_series_correlate`, the series as
+`groups` computed it before its strided-window kernel: every tail sum at
+once by one `np.correlate`, on the coefficients of
+`groups._sqrt_coefficients`.
 """
 
 import math
@@ -722,6 +725,23 @@ def tree_return_tail_decimal(d, ns, digits=40):
                 break
             j += 1
         out[n] = ctx.multiply(total, Decimal(d) / 2)
+    return out
+
+
+def tree_return_series_correlate(d, n_max):
+    """p_n(e, e) / rho^n on the d-regular tree for n = 0..n_max: the
+    J-term tail sums (d/2) sum_{j=1..J} |c_{n/2+j}| rho^2j at every even n
+    by one np.correlate of the coefficients against rho^2j, with J, s[0]
+    and the odd entries as groups._tree_return_series documents them."""
+    from brwlab import groups
+
+    rho2 = 4.0 * (d - 1) / (d * d)
+    terms = math.ceil((64 * math.log(2.0) - math.log1p(-rho2)) / -math.log(rho2))
+    c = groups._sqrt_coefficients(n_max // 2 + terms)
+    tails = np.correlate(c, rho2 ** np.arange(1, terms + 1), "valid")
+    out = np.zeros(n_max + 1)
+    out[0] = 1.0
+    np.multiply(tails[1:], 0.5 * d, out=out[2::2])
     return out
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from brwlab import cli
@@ -384,6 +384,55 @@ PINNED_BODIES = {
               "m_threshold": 2, "replicates": 150}, "ends.csv",
              "07098ff45f8681852582471a51f0f7a9ea65d1d07f1ddb4a0c7423e5eefa8b24"),
 }
+
+
+# (config, output, sha256) of the exact series at their caps, recorded
+# before the tree kernel read strided windows and the CSV rows were
+# formatted from columns
+_CRIT_T4 = 1.0 / GroupSpec("regular_tree", 4).spectral_radius_closed_form()
+PINNED_SERIES = {
+    "spectra-T4": ({"experiment": "spectra", "seed": 3, "group": {"kind": "regular_tree",
+                                                                  "param": 4},
+                    "n_max": 60_000}, "spectra.csv",
+                   "c3260991a4952fca23f81b4d04a405ed1f266665c39eb0db56bc67f28a1e5b81"),
+    "spectra-Z3": ({"experiment": "spectra", "seed": 3, "group": {"kind": "integer_lattice",
+                                                                  "param": 3},
+                    "n_max": 63}, "spectra.csv",
+                   "d5fb4e331b49386513c2fbc0462c32085e7117bfcb1bd4fe03c23c287586a289"),
+    "visits-T4": ({"experiment": "visits", "seed": 3, "group": {"kind": "regular_tree",
+                                                                "param": 4},
+                   "mean": _CRIT_T4, "n_max": 60_000}, "visits.csv",
+                  "feeab1a097f3fe235665a152d74d98932304b0c012565c41d6faf173fe6bbcaf"),
+    "visits-Z3": ({"experiment": "visits", "seed": 3, "group": {"kind": "integer_lattice",
+                                                                "param": 3},
+                   "mean": 1.0, "n_max": 50}, "visits.csv",
+                  "acc0c3a4a11389d063fec27db46122604748be184f01a2ae2f71929cf0d0b24f"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SERIES)
+def test_series_outputs_match_pinned_digests(tmp_path, name):
+    """The spectra and visits series write the pinned bytes at 1 and 2
+    workers."""
+    cfg, body, digest = PINNED_SERIES[name]
+    for workers in (1, 2):
+        _, out = run_cfg(tmp_path, cfg, f"w{workers}", workers=workers)
+        assert hashlib.sha256((out / body).read_bytes()).hexdigest() == digest, workers
+
+
+_CSV_FIELDS = st.one_of(st.integers(), st.floats(), st.booleans(),
+                        st.sampled_from([-0.0, 1e16, 5e-324, 2**63, 2**64 + 1, -2**70]))
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda width: st.lists(st.tuples(*[_CSV_FIELDS] * width), min_size=1, max_size=20)))
+@example([(-0.0, 1e16, 5e-324, 2**63, True, False, -(2**64) - 3, float("nan"))])
+def test_csv_text_writes_what_csv_writer_writes(rows):
+    """_csv_text, fed the columns of the rows, writes the lines of
+    csv.writer: ints by str, floats by repr, bools as True/False."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert cli._csv_text(*zip(*rows)) == buf.getvalue()
 
 
 @pytest.mark.parametrize("name", PINNED_BODIES)

@@ -27,6 +27,7 @@ from oracles import (
     neighbors_reference,
     tree_distance_law,
     tree_return_counts,
+    tree_return_series_correlate,
     tree_return_tail_decimal,
     validate_elem_reference,
     z3_even_return_exact,
@@ -458,6 +459,41 @@ def test_tree_return_series_matches_recursion(g):
         assert s.shape == (n_max + 1,) and s[0] == 1.0, n_max
         assert np.all(s[1::2] == 0.0), n_max
         assert np.all(np.abs(s - want) <= 1e-13 * want), n_max
+
+
+@pytest.mark.parametrize("d", [3, 4, 8, 64])
+def test_tree_return_series_equals_the_correlate_tail_sum(d):
+    """The strided-window kernel over every window gives, bit for bit,
+    the series of one np.correlate over all of them, at odd and even
+    n_max up to the spectra cap of 120000 steps."""
+    for n_max in (0, 1, 2, 3, 64, 999, 1000, 119_999, 120_000):
+        assert np.array_equal(groups._tree_return_series(d, n_max),
+                              tree_return_series_correlate(d, n_max)), n_max
+
+
+# each graph at the largest n_max a spectra config accepts: the CLI cap,
+# or below it the largest whose 2 n_max steps fit the lattice box
+_SPECTRA_CAPS = [(T3, 60_000), (T4, 60_000), (F2, 60_000), (Z1, 60_000), (Z2, 1023), (Z3, 63)]
+
+
+@pytest.mark.parametrize("g, n_max", _SPECTRA_CAPS, ids=["T3", "T4", "F2", "Z1", "Z2", "Z3"])
+def test_strided_trajectory_equals_every_step_at_the_picks(g, n_max):
+    """At its caps, the trajectory at stride s holds, bit for bit, the
+    stride-1 trajectory's estimates at n = s, 2s, ... and n_max, and
+    spectral_radius is its entry at n_max."""
+    if n_max < 60_000:
+        with pytest.raises(ValueError):
+            groups.check_lattice_box(g, 2 * (n_max + 1))
+    full = groups.spectral_radius_trajectory(g, n_max)
+    assert full.shape == (n_max,)
+    for stride in (1, 2, 7, 30, n_max // 3, n_max - 1, n_max, n_max + 5):
+        ns = np.array([*range(stride, n_max, stride), n_max])
+        assert np.array_equal(groups.spectral_radius_trajectory(g, n_max, stride),
+                              full[ns - 1]), stride
+    assert groups.spectral_radius(g, n_max).estimate == full[-1]
+    for bad in ((0, 1), (n_max, 0)):
+        with pytest.raises(ValueError):
+            groups.spectral_radius_trajectory(g, *bad)
 
 
 def test_tree_return_series_first_terms_at_every_degree():

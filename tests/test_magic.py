@@ -329,10 +329,11 @@ def test_batch_supported_gaps_match_the_references():
 
 def test_batch_counts_per_tree():
     """count_at_least counts, per tree and k, the vertices at or above k,
-    for unsorted and repeated k grids and k past every value."""
+    for unsorted and repeated k grids and k past every value, also past
+    the int64 range."""
     forest = mixed_forest(np.random.default_rng(17))
     _, batch = reference_batch(forest)
-    k_grid = [8, 1, 9, 1, 10**12, 500]
+    k_grid = [8, 1, 9, 1, 10**12, 500, 2**70]
     for values in (*branch_deficiency_values(batch, [1, 2]).values(),
                    supported_gap_values(batch, 2)):
         counts = batch.count_at_least(values, k_grid)
