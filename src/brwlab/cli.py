@@ -69,14 +69,17 @@ class Key(NamedTuple):
     default: object = REQUIRED
 
 
-def _parse(cfg, keys, after=None, into=None) -> dict:
+def _parse(cfg, keys, after=None) -> dict:
     """Check a JSON object against a table of keys and return the typed
-    values; after(values) then runs the cross-key checks.  The values are
-    added to into when given, so after also sees the keys parsed before.
-    Every failure is a one-line ConfigError that names the key."""
+    values; after(values) then runs the cross-key checks.  A key outside
+    the table is refused.  Every failure is a one-line ConfigError that
+    names the key."""
     if not isinstance(cfg, dict):
         raise ConfigError("expected a JSON object")
-    out = {} if into is None else into
+    unknown = [key for key in cfg if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+    out = {}
     for key, spec in keys.items():
         if key not in cfg:
             if spec.default is REQUIRED:
@@ -99,6 +102,13 @@ def _parse(cfg, keys, after=None, into=None) -> dict:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     return out
+
+
+def _peek(cfg, key, keys):
+    """cfg[key] parsed alone by keys[key]: a key that is read before
+    the table that all of cfg is checked against is known."""
+    part = {k: v for k, v in cfg.items() if k == key} if isinstance(cfg, dict) else cfg
+    return _parse(part, {key: keys[key]})[key]
 
 
 def _is(what, ok, convert=None):
@@ -570,17 +580,32 @@ TABLE = {
     }, lambda v: _require(v["offspring"].mean > 1.0, "ends experiment needs offspring mean > 1")),
 }
 EXPERIMENTS = tuple(TABLE)
+_RUN_KEYS = {  # the keys of every config
+    "experiment": Key(_one_of(*EXPERIMENTS)),
+    "seed": Key(_int, 0, 2**64 - 1),
+    "out_dir": Key(_text, default=None),
+}
+
+
+def parse_config(config, seed_override=None) -> dict:
+    """Check a config against the table and return its typed values,
+    experiment and seed (seed_override in place of the config's) among
+    them.  The keys a config may hold are experiment, seed, out_dir, the
+    experiment's keys and, for mtp-test, its sampler's keys."""
+    name = _peek(config, "experiment", _RUN_KEYS)
+    _, keys, after = TABLE[name]
+    if name == "mtp-test":
+        _, sampler_keys, after = MTP_SAMPLERS[_peek(config, "sampler", keys)]
+        keys = {**keys, **sampler_keys}
+    if seed_override is not None:
+        config = dict(config, seed=seed_override)
+    return _parse(config, {**_RUN_KEYS, **keys}, after)
 
 
 def run(config: dict, out_dir: str, workers: int = 1, seed_override=None) -> int:
     """Execute one experiment config; returns the exit status."""
-    name = _parse(config, {"experiment": Key(_one_of(*EXPERIMENTS))})["experiment"]
-    seeded = config if seed_override is None else {"seed": seed_override}
-    seed = _parse(seeded, {"seed": Key(_int, 0, 2**64 - 1)})["seed"]
-    driver, keys, after = TABLE[name]
-    values = _parse(config, keys, after)
-    if name == "mtp-test":
-        _parse(config, *MTP_SAMPLERS[values["sampler"]][1:], into=values)
+    values = parse_config(config, seed_override)
+    name, seed = values["experiment"], values["seed"]
     if workers < 1:
         raise ConfigError("workers must be >= 1")
     try:
@@ -592,7 +617,7 @@ def run(config: dict, out_dir: str, workers: int = 1, seed_override=None) -> int
     with contextlib.suppress(FileNotFoundError):
         os.remove(manifest_path)
     started = time.time()
-    status, extra = driver(values, seed, workers, out_dir)
+    status, extra = TABLE[name][0](values, seed, workers, out_dir)
     manifest = {
         "experiment": name,
         "config": config,
@@ -631,7 +656,7 @@ def main(argv=None) -> int:
                 config = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        out_dir = args.out or _parse(config, {"out_dir": Key(_text, default=None)})["out_dir"]
+        out_dir = args.out or _peek(config, "out_dir", _RUN_KEYS)
         if not out_dir:
             raise ConfigError("no output directory (set out_dir in config or pass --out)")
         return run(config, out_dir, workers=args.workers, seed_override=args.seed)

@@ -307,17 +307,6 @@ def _tree_scaled_returns(d: int, m_max: int, stride: int = 1) -> np.ndarray:
     return tails * (0.5 * d)
 
 
-def _tree_return_series(d: int, n_max: int) -> np.ndarray:
-    """p_n(e, e) / ||P||^n on the d-regular tree for n = 0..n_max: the
-    tail sums of _tree_scaled_returns at every even n, O(n_max J) time.
-    Odd entries are 0.0 and s[0] is 1.0 exactly (the truncated sum can
-    miss it by an ulp or two)."""
-    out = np.zeros(n_max + 1)
-    out[0] = 1.0
-    out[2::2] = _tree_scaled_returns(d, n_max // 2)
-    return out
-
-
 def check_lattice_box(g: GroupSpec, steps: int) -> None:
     """Raise ValueError when an exact lattice kernel over the given number
     of steps reaches a (2*steps+1)^dim box of cells above
@@ -385,9 +374,11 @@ def scaled_p_series(g: GroupSpec, x, y, n_max: int):
 
     This is the numerically safe form: s decays polynomially on tree-like
     graphs (and equals p itself on lattices, where rho = 1).  Tree-like
-    graphs have one kernel, the closed-form return series
-    _tree_return_series (truncated below 2^-64 relative), and refuse
-    x != y with ValueError; lattices take any displacement.
+    graphs have one kernel, the return series, and refuse x != y with
+    ValueError: the tail sums of _tree_scaled_returns (truncated below
+    2^-64 relative) at every even n, O(n_max J) time, with odd entries
+    0.0 and s[0] set to 1.0 exactly (the truncated sum can miss it by an
+    ulp or two).  Lattices take any displacement.
     """
     validate_elem(g, x)
     validate_elem(g, y)
@@ -395,7 +386,10 @@ def scaled_p_series(g: GroupSpec, x, y, n_max: int):
     if g.is_tree_like:
         if x != y:
             raise ValueError("tree-like graphs have a kernel only at distance 0: x must equal y")
-        return _tree_return_series(g.degree, n_max), rho
+        s = np.zeros(n_max + 1)
+        s[0] = 1.0
+        s[2::2] = _tree_scaled_returns(g.degree, n_max // 2)
+        return s, rho
     delta = tuple(b - a for a, b in zip(x, y))
     return _lattice_vertex_series(g, delta, n_max), rho
 
@@ -488,23 +482,22 @@ def visits_series(g: GroupSpec, mean: float, n_max: int) -> VisitsSeries:
     if mean < 0:
         raise ValueError("mean must be >= 0")
     e = g.identity()
-    s, rho = scaled_p_series(g, e, e, n_max)
-    sums = np.empty(n_max + 1)
-    total = 0.0
-    comp = 0.0
-    log_scale = (math.log(mean) + math.log(rho)) if mean > 0 else None
+    s, rho = scaled_p_series(g, e, e, n_max)  # runs first: its refusals hold at mean 0
+    if mean == 0:
+        return VisitsSeries(np.ones(n_max + 1), None)
+    log_scale = math.log(mean) + math.log(rho)
     log_guard = math.log(VISITS_GUARD)
+    sums = []
+    total = comp = 0.0
     guard_index = None
-    for n in range(n_max + 1):
-        if mean == 0.0:
-            term = 1.0 if n == 0 else 0.0
-        elif s[n] <= 0.0:
+    for n, sn in enumerate(s.tolist()):
+        if sn <= 0.0:
             term = 0.0
         else:
-            log_term = n * log_scale + math.log(s[n])
+            log_term = n * log_scale + math.log(sn)
             if log_term > log_guard:
                 guard_index = n
-                sums[n:] = total + comp
+                sums += [total + comp] * (n_max + 1 - n)
                 break
             term = math.exp(log_term)
         # Kahan step: late terms sit far below the accumulated sum.
@@ -512,5 +505,5 @@ def visits_series(g: GroupSpec, mean: float, n_max: int) -> VisitsSeries:
         t = total + y
         comp = (t - total) - y
         total = t
-        sums[n] = total
-    return VisitsSeries(sums, guard_index)
+        sums.append(total)
+    return VisitsSeries(np.array(sums), guard_index)

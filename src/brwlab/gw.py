@@ -14,6 +14,8 @@ from itertools import islice, repeat
 
 import numpy as np
 
+from . import groups
+
 
 MAX_OFFSPRING = 64
 
@@ -174,13 +176,9 @@ class MarkedTree:
         self.edge_labels += rng.random(self.n_vertices - len(self.edge_labels)).tolist()
 
     def adjacency(self):
-        """groups.adjacency(range(n), edges()): each vertex's parent, then
-        its children, in id order."""
-        adj = {v: [p] for v, p in enumerate(self.parent)}
-        adj[0] = []
-        for v, p in enumerate(islice(self.parent, 1, None), 1):
-            adj[p].append(v)
-        return adj
+        """Adjacency lists by groups.adjacency over the edges in child id
+        order: each vertex's parent, then its children, in id order."""
+        return groups.adjacency(range(self.n_vertices), self.edges())
 
 
 def _grow(tree: MarkedTree, frontier, depth: int, mu: OffspringDistribution,

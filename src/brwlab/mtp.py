@@ -300,7 +300,7 @@ def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
     if a_rule not in (A_RULE_ORIGIN, A_RULE_BALL, A_RULE_TRACE):
         raise ValueError(f"unknown a_rule {a_rule!r}")
     if a_rule == A_RULE_BALL:
-        shift_pool = groups.elements_within(g, g.identity(), ball_radius)
+        shift_pool = groups.elements_within(g, start, ball_radius)
     if a_rule == A_RULE_TRACE:
         mu2 = mu2 or mu
         depth2 = depth2 if depth2 is not None else depth
@@ -314,7 +314,7 @@ def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
         elif a_rule == A_RULE_BALL:
             # center shifted so the start sits uniformly inside the ball
             w = shift_pool[int(rng.integers(0, len(shift_pool)))]
-            center = groups.mul(g, start, groups.inv(g, w))
+            center = groups.inv(g, w)
             # the ball around center is center times the ball around e
             ball = {groups.mul(g, center, u) for u in shift_pool}
             marks = frozenset(v for v, x in enumerate(values) if x in ball)

@@ -42,7 +42,10 @@ Besides the recursion, the tree return series has three references:
 digits in `decimal`, and `tree_return_series_correlate`, the series as
 `groups` computed it before its strided-window kernel: every tail sum at
 once by one `np.correlate`, on the coefficients of
-`groups._sqrt_coefficients`.
+`groups._sqrt_coefficients`.  `visits_series_reference` is
+`groups.visits_series` as it was before its loop ran over a list of
+Python floats: numpy scalars indexed per term and a zero-mean branch in
+every term, on the same kernel.
 """
 
 import math
@@ -732,7 +735,7 @@ def tree_return_series_correlate(d, n_max):
     """p_n(e, e) / rho^n on the d-regular tree for n = 0..n_max: the
     J-term tail sums (d/2) sum_{j=1..J} |c_{n/2+j}| rho^2j at every even n
     by one np.correlate of the coefficients against rho^2j, with J, s[0]
-    and the odd entries as groups._tree_return_series documents them."""
+    and the odd entries as groups.scaled_p_series documents them."""
     from brwlab import groups
 
     rho2 = 4.0 * (d - 1) / (d * d)
@@ -743,6 +746,41 @@ def tree_return_series_correlate(d, n_max):
     out[0] = 1.0
     np.multiply(tails[1:], 0.5 * d, out=out[2::2])
     return out
+
+
+def visits_series_reference(g, mean, n_max):
+    """groups.visits_series as it was before its loop ran over s.tolist()."""
+    from brwlab import groups
+
+    if mean < 0:
+        raise ValueError("mean must be >= 0")
+    e = g.identity()
+    s, rho = groups.scaled_p_series(g, e, e, n_max)
+    sums = np.empty(n_max + 1)
+    total = 0.0
+    comp = 0.0
+    log_scale = (math.log(mean) + math.log(rho)) if mean > 0 else None
+    log_guard = math.log(groups.VISITS_GUARD)
+    guard_index = None
+    for n in range(n_max + 1):
+        if mean == 0.0:
+            term = 1.0 if n == 0 else 0.0
+        elif s[n] <= 0.0:
+            term = 0.0
+        else:
+            log_term = n * log_scale + math.log(s[n])
+            if log_term > log_guard:
+                guard_index = n
+                sums[n:] = total + comp
+                break
+            term = math.exp(log_term)
+        # Kahan step: late terms sit far below the accumulated sum.
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        sums[n] = total
+    return groups.VisitsSeries(sums, guard_index)
 
 
 def validate_elem_reference(g, x):

@@ -563,6 +563,10 @@ MALFORMED = [
     ("thin-sweep", {"p_grid": [0.5] * 65}, "brwlab.cli._run_sharded"),
     ("ends", {"radius_grid": [1] * 65, "replicates": 10**6}, "brwlab.cli._run_sharded"),
     ("pullback", {"group": {"kind": "free_group", "param": 10**8}}, "brwlab.groups.neighbors"),
+    # a key outside the table: a typo, an extra group key, another sampler's key
+    ("intersect", {"budegt": 5}, None),
+    ("visits", {"group": dict(T4, degree=4)}, None),
+    ("pullback", {"graph": {"shape": "path", "n": 5}}, None),
 ]
 
 
@@ -586,6 +590,27 @@ def test_malformed_config_exits_1(tmp_path, capsys, monkeypatch, base, change, h
     err = capsys.readouterr().err
     assert status == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_unknown_keys_are_named(tmp_path, capsys):
+    """A key outside the table, at the top level or inside group or
+    graph, is refused on one line that names it."""
+    out = str(tmp_path / "o")
+    cases = [
+        ("intersect", {"budegt": 5}, "unknown config key 'budegt'"),
+        ("visits", {"group": dict(T4, degree=4)}, "group: unknown config key 'degree'"),
+        ("pullback", {"graph": {"shape": "path", "n": 5}}, "unknown config key 'graph'"),
+        ("uniform_root", {"graph": {"shape": "path", "n": 5, "mark": "all"}},
+         "graph: unknown config key 'mark'"),
+    ]
+    for base, change, message in cases:
+        assert main_with(tmp_path, dict(BASE[base], **change), "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out)
+    # every documented top-level key is known, and the seed may come from --seed
+    cfg = dict(BASE["spectra"], out_dir=out)
+    del cfg["seed"]
+    assert cli.parse_config(cfg, seed_override=3)["seed"] == 3
 
 
 @pytest.mark.parametrize("f, radius", [("adjacent", 1), ("within_two", 2), ("target_degree", 3)])

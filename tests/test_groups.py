@@ -30,6 +30,7 @@ from oracles import (
     tree_return_series_correlate,
     tree_return_tail_decimal,
     validate_elem_reference,
+    visits_series_reference,
     z3_even_return_exact,
 )
 
@@ -377,6 +378,27 @@ def test_visits_series_divergence_guard():
     assert 2.0**n * groups.return_series(T4, n)[n] > groups.VISITS_GUARD
 
 
+@pytest.mark.parametrize("g", [T3, T4, F2, T64, Z1, Z2, Z3],
+                         ids=["T3", "T4", "F2", "T64", "Z1", "Z2", "Z3"])
+def test_visits_series_matches_the_indexed_loop(g):
+    """visits_series gives, bit for bit, the partial sums and guard index
+    of the loop that indexed numpy scalars (oracles.visits_series_reference),
+    at means that reach the zero-mean exit, convergence, the critical
+    mean and guard cuts, at each n_max the lattice box cap admits."""
+    inv_rho = 1.0 / g.spectral_radius_closed_form()
+    cuts = 0
+    for mean in (0.0, 0.3, 1.0, inv_rho, 1.02 * inv_rho, 2.0, 10.0):
+        for n_max in (0, 1, 2, 50, 127, 4000):
+            if not g.is_tree_like and (2 * n_max + 1) ** g.param > groups.MAX_LATTICE_CELLS:
+                continue
+            got = groups.visits_series(g, mean, n_max)
+            want = visits_series_reference(g, mean, n_max)
+            assert got.partial_sums.tobytes() == want.partial_sums.tobytes(), (mean, n_max)
+            assert got.guard_index == want.guard_index, (mean, n_max)
+            cuts += got.diverged
+    assert cuts > 0
+
+
 def test_transition_table_matches_pointwise():
     table = TransitionTable(T3, 12)
     for n in (0, 3, 7, 12):
@@ -454,7 +476,8 @@ def test_tree_return_series_matches_recursion(g):
     e = g.identity()
     for n_max in (0, 1, 2, 63, 64, 1000, 4001, 120_000):
         s, _ = groups.scaled_p_series(g, e, e, n_max)
-        assert np.array_equal(s, groups._tree_return_series(g.degree, n_max)), n_max
+        tree = groups.scaled_p_series(GroupSpec("regular_tree", g.degree), (), (), n_max)[0]
+        assert np.array_equal(s, tree), n_max
         want = full_tree_scaled_series(g.degree, 0, n_max)
         assert s.shape == (n_max + 1,) and s[0] == 1.0, n_max
         assert np.all(s[1::2] == 0.0), n_max
@@ -467,8 +490,8 @@ def test_tree_return_series_equals_the_correlate_tail_sum(d):
     the series of one np.correlate over all of them, at odd and even
     n_max up to the spectra cap of 120000 steps."""
     for n_max in (0, 1, 2, 3, 64, 999, 1000, 119_999, 120_000):
-        assert np.array_equal(groups._tree_return_series(d, n_max),
-                              tree_return_series_correlate(d, n_max)), n_max
+        s = groups.scaled_p_series(GroupSpec("regular_tree", d), (), (), n_max)[0]
+        assert np.array_equal(s, tree_return_series_correlate(d, n_max)), n_max
 
 
 # each graph at the largest n_max a spectra config accepts: the CLI cap,
@@ -501,7 +524,7 @@ def test_tree_return_series_first_terms_at_every_degree():
     degree the specs admit; the truncated sum alone misses 1 by an ulp or
     two at d = 5, 8, 62 and others."""
     for d in range(3, groups.MAX_DEGREE + 1):
-        s = groups._tree_return_series(d, 3)
+        s = groups.scaled_p_series(GroupSpec("regular_tree", d), (), (), 3)[0]
         assert s[0] == 1.0 and s[1] == s[3] == 0.0, d
         assert s[2] == pytest.approx(d / (4 * (d - 1)), rel=1e-15), d
 
