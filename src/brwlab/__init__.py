@@ -32,12 +32,10 @@ from .gw import (
 )
 from .walks import TraceGraph, TreeWalk, run_walk, trace
 from .magic import (
-    EndsProfile,
     OrientedTree,
     TreeBatch,
     branch_deficiency_values,
     counting_bound,
-    ends_profile,
     supported_gap_values,
 )
 from .mtp import (

@@ -497,7 +497,8 @@ def visits_series(g: GroupSpec, mean: float, n_max: int) -> VisitsSeries:
             log_term = n * log_scale + math.log(sn)
             if log_term > log_guard:
                 guard_index = n
-                sums += [total + comp] * (n_max + 1 - n)
+                # total is within an ulp of the exact sum of the terms
+                sums += [total] * (n_max + 1 - n)
                 break
             term = math.exp(log_term)
         # Kahan step: late terms sit far below the accumulated sum.

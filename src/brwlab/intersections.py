@@ -1,7 +1,10 @@
 """Intersections of two independent tree-indexed walks: exact expected
 pair counts at matched truncation, Monte Carlo sampling, and shared-label
-thinning sweeps; and the ends experiment, a ball-removal component census
-of one walk's trace."""
+thinning sweeps; and the ends experiment on one walk's trace.  For each
+radius r of its grid, the ends experiment counts the components of the
+trace minus its closed radius-r ball (trace-graph distance from the
+start) that hold at least m_threshold trace vertices, every radius from
+one union-find pass."""
 
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ import numpy as np
 
 from . import groups
 from .gw import MarkedTree, OffspringDistribution, percolate_root_component, sample_gw
-from .magic import ends_profile
 from .walks import run_walk, trace
 
 # expected_pairs_profile freezes once a term or partial sum passes this
@@ -195,6 +197,37 @@ class TraceEndsResult:
     survived: bool
 
 
+def _ends_counts(adj: dict, start, radii, m_threshold: int) -> dict:
+    """For each radius r in radii (ascending), the number of components
+    of the graph minus the closed radius-r ball around start that hold at
+    least m_threshold vertices.  One BFS gives the distances; vertices then
+    join a union-find farthest first, and the count at r is read once
+    every vertex beyond r has joined."""
+    dist = groups.bfs(adj.__getitem__, start)
+    order = list(dist)  # BFS order: distances nondecreasing
+    parent = {}  # the vertices joined so far
+    size = {}  # at a root: its component's size
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    big = 0  # components with at least m_threshold vertices
+    counts = []
+    for r in reversed(radii):
+        while order and dist[order[-1]] > r:
+            v = order.pop()
+            roots = {find(w) for w in adj[v] if w in parent}
+            parent[v] = v
+            size[v] = 1 + sum(size[x] for x in roots)
+            big += (size[v] >= m_threshold) - sum(size[x] >= m_threshold for x in roots)
+            for x in roots:
+                parent[x] = v
+        counts.append(big)
+    return dict(zip(radii, reversed(counts)))
+
+
 def trace_ends_experiment(mu: OffspringDistribution, g: groups.GroupSpec,
                           depth: int, radius_grid, m_threshold: int,
                           rng, budget: int = 1_000_000) -> TraceEndsResult:
@@ -202,12 +235,13 @@ def trace_ends_experiment(mu: OffspringDistribution, g: groups.GroupSpec,
     around it and count components still holding enough trace vertices."""
     if mu.mean <= 1.0:
         raise ValueError("trace ends experiment needs a supercritical mean")
+    radii = sorted(set(int(r) for r in radius_grid))
+    if radii and radii[0] < 0:
+        raise ValueError("radius_grid entries must be >= 0")
+    if m_threshold < 1:
+        raise ValueError("m_threshold must be >= 1")
     start = g.identity()
     tree = sample_gw(mu, budget, rng, max_depth=depth)
     tr = trace(run_walk(tree, g, start, rng))
-    adj = tr.adjacency()
-    qualifying = {
-        radius: ends_profile(adj, tr.vertices, start, radius, m_threshold).qualifying
-        for radius in sorted(set(int(r) for r in radius_grid))
-    }
+    qualifying = _ends_counts(tr.adjacency(), start, radii, m_threshold)
     return TraceEndsResult(qualifying, tree.max_depth() >= depth)

@@ -30,12 +30,10 @@ indexed by the tree's own vertex ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import groups
 from .gw import MarkedTree
 
 
@@ -369,37 +367,3 @@ def counting_bound(n_marks: int, k: int, r: int) -> float:
     (and on (k, 1)-branching ones); negative when k > 2|A|."""
     return r * (2.0 * n_marks - k) / k
 
-
-@dataclass
-class EndsProfile:
-    """Component census after removing a ball: (size, mark count) pairs,
-    largest first, plus the count of components holding at least the
-    threshold number of marks."""
-
-    census: list
-    qualifying: int
-    removed: int
-
-
-def ends_profile(adj: dict, A, center, radius: int, m_threshold: int) -> EndsProfile:
-    """Remove the closed ball around the center of a graph (adjacency
-    lists) and census the remaining components by size and mark count."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    if m_threshold < 1:
-        raise ValueError("m_threshold must be >= 1")
-    if center not in adj:
-        raise ValueError("center not in graph")
-    A = set(A)
-    removed = groups.bfs(adj.__getitem__, center, radius)
-    seen = set(removed)
-    census = []
-    for v in adj:
-        if v in seen:
-            continue
-        comp = groups.bfs(lambda x: (w for w in adj[x] if w not in removed), v)
-        seen.update(comp)
-        census.append((len(comp), len(A.intersection(comp))))
-    census.sort(reverse=True)
-    qualifying = sum(1 for _, marks in census if marks >= m_threshold)
-    return EndsProfile(census, qualifying, len(removed))

@@ -45,11 +45,15 @@ once by one `np.correlate`, on the coefficients of
 `groups._sqrt_coefficients`.  `visits_series_reference` is
 `groups.visits_series` as it was before its loop ran over a list of
 Python floats: numpy scalars indexed per term and a zero-mean branch in
-every term, on the same kernel.
+every term, on the same kernel.  `ends_profile` is the ball-removal
+census that the ends experiment ran before its one-pass union-find: one
+radius at a time, one BFS per component, with any mark set; its BFS is
+`bfs_distances`, not `groups.bfs`.
 """
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -1102,3 +1106,39 @@ def sample_marked_fuzz_tree_reference(rng, max_vertices):
         marks = {int(rng.integers(0, n))}
     tree.marks = marks
     return tree
+
+
+@dataclass
+class EndsProfile:
+    """Component census after removing a ball: (size, mark count) pairs,
+    largest first, plus the count of components holding at least the
+    threshold number of marks."""
+
+    census: list
+    qualifying: int
+    removed: int
+
+
+def ends_profile(adj: dict, A, center, radius: int, m_threshold: int) -> EndsProfile:
+    """Remove the closed ball around the center of a graph (adjacency
+    lists) and census the remaining components by size and mark count."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    if m_threshold < 1:
+        raise ValueError("m_threshold must be >= 1")
+    if center not in adj:
+        raise ValueError("center not in graph")
+    A = set(A)
+    removed = {v for v, d in bfs_distances(adj, center).items() if d <= radius}
+    rest = {v: [w for w in ws if w not in removed] for v, ws in adj.items() if v not in removed}
+    seen = set()
+    census = []
+    for v in rest:
+        if v in seen:
+            continue
+        comp = bfs_distances(rest, v)
+        seen.update(comp)
+        census.append((len(comp), len(A.intersection(comp))))
+    census.sort(reverse=True)
+    qualifying = sum(1 for _, marks in census if marks >= m_threshold)
+    return EndsProfile(census, qualifying, len(removed))

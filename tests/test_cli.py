@@ -383,6 +383,13 @@ PINNED_BODIES = {
               "offspring": [0.3, 0.3, 0.4], "depth": 5, "radius_grid": [2, 0, 1, 2],
               "m_threshold": 2, "replicates": 150}, "ends.csv",
              "07098ff45f8681852582471a51f0f7a9ea65d1d07f1ddb4a0c7423e5eefa8b24"),
+    # recorded before the one-pass census: three shards on the tree, an
+    # unsorted and repeated grid, and a radius past every trace
+    "ends-tree": ({"experiment": "ends", "seed": 3, "group": {"kind": "regular_tree", "param": 4},
+                   "offspring": [0.42, 0, 0.58], "depth": 12,
+                   "radius_grid": [6, 0, 2, 1, 2, 40], "m_threshold": 3, "replicates": 250},
+                  "ends.csv",
+                  "3745e64c8b9662ef74193f2f9f318e58e1312e20ba4cd4e89b2299d12ca28431"),
 }
 
 

@@ -399,6 +399,27 @@ def test_visits_series_matches_the_indexed_loop(g):
     assert cuts > 0
 
 
+@pytest.mark.parametrize("g", [Z1, Z3, T4], ids=["Z1", "Z3", "T4"])
+def test_visits_series_guard_cut_freezes_the_exact_sum(g):
+    """At a guard cut the frozen partial sum is within 1 ulp of the exact
+    (Fraction) sum of the float terms before the cut, each term built as
+    visits_series builds it: exp(n log(mean rho) + log s_n)."""
+    e = g.identity()
+    inv_rho = 1.0 / g.spectral_radius_closed_form()
+    n_max = 127 if g.param == 3 else 4000  # the Z^3 box cap
+    s, rho = groups.scaled_p_series(g, e, e, n_max)
+    for mean in (1.5 * inv_rho, 2.0 * inv_rho, 10.0):
+        vs = groups.visits_series(g, mean, n_max)
+        cut = vs.guard_index
+        assert cut is not None, mean
+        log_scale = math.log(mean) + math.log(rho)
+        exact = sum(Fraction(math.exp(n * log_scale + math.log(sn)))
+                    for n, sn in enumerate(s[:cut].tolist()) if sn > 0.0)
+        frozen = float(vs.partial_sums[-1])
+        assert vs.partial_sums[cut] == frozen
+        assert abs(Fraction(frozen) - exact) <= Fraction(math.ulp(frozen)), mean
+
+
 def test_transition_table_matches_pointwise():
     table = TransitionTable(T3, 12)
     for n in (0, 3, 7, 12):

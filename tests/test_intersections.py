@@ -8,13 +8,16 @@ import pytest
 
 from brwlab import intersections as isec
 from brwlab.groups import GroupSpec
-from brwlab.gw import OffspringDistribution
+from brwlab.gw import OffspringDistribution, sample_gw
 from brwlab.rng import substream
+from brwlab.walks import run_walk, trace
 
-from oracles import TransitionTable, thinned_intersection_sweep_reference
+from oracles import TransitionTable, ends_profile, thinned_intersection_sweep_reference
 
 T4 = GroupSpec("regular_tree", 4)
+F2 = GroupSpec("free_group", 2)
 Z2 = GroupSpec("integer_lattice", 2)
+Z3 = GroupSpec("integer_lattice", 3)
 E = T4.identity()
 MU11 = OffspringDistribution([0.45, 0.0, 0.55])
 
@@ -217,6 +220,65 @@ def test_trace_ends_requires_supercritical():
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError):
         isec.trace_ends_experiment(OffspringDistribution.delta(1), T4, 3, [1], 1, rng)
+
+
+def test_trace_ends_refuses_bad_arguments_before_any_draw():
+    """A negative radius or an m_threshold below 1 is refused before the
+    tree or the walk draws from the stream."""
+    rng, ref_rng = substream(9, 0), substream(9, 0)
+    for radius_grid, m_threshold in (([-1], 1), ([2, -3, 0], 2), ([1], 0), ([0, 1], -2)):
+        with pytest.raises(ValueError):
+            isec.trace_ends_experiment(MU11, T4, 6, radius_grid, m_threshold, rng)
+        assert rng.random() == ref_rng.random()
+
+
+# radius grids with 0, repeats, and radii past every trace at depth 10
+ENDS_GRIDS = ([0], [3, 0, 3, 1], [0, 1, 2, 5, 40], [2, 2, 60, 4])
+ENDS_LAWS = (MU11, OffspringDistribution([0.2, 0.0, 0.8]))
+
+
+def _ends_cases(g, seed):
+    """80 depth-10 runs of trace_ends_experiment, over both laws, every
+    grid and m_threshold 1..4: (result, m_threshold, the sampled trace,
+    rebuilt on a copy of the stream)."""
+    rng, ref_rng = substream(seed, 0), substream(seed, 0)
+    for rep in range(80):
+        mu, grid, m_threshold = ENDS_LAWS[rep % 2], ENDS_GRIDS[rep % 4], 1 + rep // 4 % 4
+        res = isec.trace_ends_experiment(mu, g, 10, grid, m_threshold, rng)
+        tree = sample_gw(mu, 1_000_000, ref_rng, max_depth=10)
+        yield res, m_threshold, trace(run_walk(tree, g, g.identity(), ref_rng))
+
+
+@pytest.mark.parametrize("g", [T4, F2, Z2, Z3], ids=["T4", "F2", "Z2", "Z3"])
+def test_trace_ends_matches_the_census_oracle(g):
+    """The one-pass census gives, at every radius of the grid, the
+    qualifying count of oracles.ends_profile, the census one ball at a
+    time, with every trace vertex marked."""
+    for rep, (res, m_threshold, tr) in enumerate(_ends_cases(g, 21)):
+        radii = sorted(set(ENDS_GRIDS[rep % 4]))
+        adj = tr.adjacency()
+        assert list(res.qualifying.items()) == [
+            (r, ends_profile(adj, tr.vertices, tr.start, r, m_threshold).qualifying)
+            for r in radii
+        ]
+
+
+def test_trace_ends_matches_networkx_on_lattice_traces():
+    """On Z^2 traces, which have cycles, the census equals a networkx count
+    of the components of the trace minus each closed ball that hold at
+    least m_threshold vertices."""
+    import networkx as nx
+
+    cyclic = 0
+    for res, m_threshold, tr in _ends_cases(Z2, 22):
+        G = nx.Graph(list(tr.edge_mult))
+        G.add_nodes_from(tr.vertices)
+        cyclic += G.number_of_edges() >= G.number_of_nodes()
+        dist = nx.single_source_shortest_path_length(G, tr.start)
+        for r, q in res.qualifying.items():
+            H = G.subgraph(v for v in G if dist[v] > r)
+            assert q == sum(len(c) >= m_threshold for c in nx.connected_components(H))
+    assert cyclic > 10
 
 
 def test_trace_ends_transient_counts_grow_with_radius():

@@ -1,5 +1,6 @@
-"""Tests for branching/supported detection, auxiliary trees, the counting
-bound, and the component census."""
+"""Tests for branching/supported detection, auxiliary trees and the
+counting bound; and for the component census oracle that the ends
+experiment's one-pass census is checked against."""
 
 import numpy as np
 import pytest
@@ -13,11 +14,11 @@ from brwlab.magic import (
     TreeBatch,
     branch_deficiency_values,
     counting_bound,
-    ends_profile,
     supported_gap_values,
 )
 
 import oracles
+from oracles import ends_profile
 
 
 def path_tree(n):
@@ -654,7 +655,7 @@ def test_residue_class_supported_implication():
                             assert v in gaps_m and gaps_m[v] >= k
 
 
-# --- ends profile ---------------------------------------------------------------
+# --- ends profile (the oracle) ----------------------------------------------------
 
 
 def test_ends_profile_path_and_star():
