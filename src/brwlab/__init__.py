@@ -8,15 +8,12 @@ __version__ = "0.1.0"
 from .groups import (
     GroupSpec,
     InvalidElementError,
-    SpectralEstimate,
     VisitsSeries,
     distance,
     elements_within,
     neighbors,
     p_series,
-    return_series,
     scaled_p_series,
-    spectral_radius,
     spectral_radius_trajectory,
     visits_series,
 )
@@ -30,7 +27,7 @@ from .gw import (
     sample_unimodular_gw,
     thin,
 )
-from .walks import TraceGraph, TreeWalk, run_walk, trace
+from .walks import TreeWalk, run_walk, trace
 from .magic import (
     OrientedTree,
     TreeBatch,

@@ -270,7 +270,7 @@ def _shard_intersect(v, streams):
     rows = []
     for idx, rng in streams:
         rec = intersections.sample_intersections(
-            v["offspring1"], v["offspring2"], v["group"], v["depth"], v["depth"], rng, v["budget"]
+            v["offspring1"], v["offspring2"], v["group"], v["depth"], rng, v["budget"]
         )
         rows.append((idx, rec.pair_count, len(rec.intersection), int(rec.truncated)))
     return _csv_text(*zip(*rows)), np.array([row[1] for row in rows], dtype=float)

@@ -409,32 +409,6 @@ def p_series(g: GroupSpec, x, y, n_max: int) -> np.ndarray:
     return out
 
 
-def return_series(g: GroupSpec, n_max: int) -> np.ndarray:
-    """p_n(e, e) for n = 0..n_max."""
-    e = g.identity()
-    return p_series(g, e, e, n_max)
-
-
-@dataclass(frozen=True)
-class SpectralEstimate:
-    estimate: float
-    closed_form: float
-    n_max: int
-
-
-def spectral_radius(g: GroupSpec, n_max: int) -> SpectralEstimate:
-    """Estimate the operator norm from p_{2n}(e,e)^(1/2n) at n = n_max:
-    the trajectory's entry there, which on tree-like graphs is one tail
-    sum.
-
-    The estimate approaches the closed form from below; the closed form is
-    checked against the trend of the exact series in the test suite before
-    being trusted.
-    """
-    estimate = float(spectral_radius_trajectory(g, n_max, stride=n_max)[-1])
-    return SpectralEstimate(estimate, g.spectral_radius_closed_form(), n_max)
-
-
 def spectral_radius_trajectory(g: GroupSpec, n_max: int, stride: int = 1) -> np.ndarray:
     """p_{2n}(e,e)^(1/2n) (even-step estimates) at n = stride, 2 stride,
     ... below n_max, and at n_max; stride 1 gives every n = 1..n_max.
@@ -465,10 +439,6 @@ class VisitsSeries:
     @property
     def diverged(self) -> bool:
         return self.guard_index is not None
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.partial_sums, prepend=0.0)
 
 
 def visits_series(g: GroupSpec, mean: float, n_max: int) -> VisitsSeries:

@@ -1,10 +1,11 @@
 """Intersections of two independent tree-indexed walks: exact expected
-pair counts at matched truncation, Monte Carlo sampling, and shared-label
-thinning sweeps; and the ends experiment on one walk's trace.  For each
-radius r of its grid, the ends experiment counts the components of the
-trace minus its closed radius-r ball (trace-graph distance from the
-start) that hold at least m_threshold trace vertices, every radius from
-one union-find pass."""
+pair counts at matched truncation, Monte Carlo sampling at one depth for
+both trees, and shared-label thinning sweeps; and the ends experiment on
+one walk's trace, the adjacency lists of walks.trace.  For each radius r
+of its grid, the ends experiment counts the components of the trace
+minus its closed radius-r ball (trace-graph distance from the start)
+that hold at least m_threshold trace vertices, every radius from one
+union-find pass."""
 
 from __future__ import annotations
 
@@ -87,13 +88,14 @@ class IntersectionRecord:
 
 
 def sample_intersections(mu1: OffspringDistribution, mu2: OffspringDistribution,
-                         g: groups.GroupSpec, n1: int, n2: int, rng,
+                         g: groups.GroupSpec, depth: int, rng,
                          budget: int = 1_000_000) -> IntersectionRecord:
-    """Sample two independent truncated walks, both started at the
-    identity, and record the vertices of g visited by both, the matching
-    tree-1 preimage, and the pair count."""
-    tree1 = sample_gw(mu1, budget, rng, max_depth=n1)
-    tree2 = sample_gw(mu2, budget, rng, max_depth=n2)
+    """Sample two independent walks, both started at the identity, on
+    trees truncated at the same depth (the matched truncation of
+    expected_pairs_truncated), and record the vertices of g visited by
+    both, the matching tree-1 preimage, and the pair count."""
+    tree1 = sample_gw(mu1, budget, rng, max_depth=depth)
+    tree2 = sample_gw(mu2, budget, rng, max_depth=depth)
     e = g.identity()
     walk1 = run_walk(tree1, g, e, rng)
     walk2 = run_walk(tree2, g, e, rng)
@@ -242,6 +244,6 @@ def trace_ends_experiment(mu: OffspringDistribution, g: groups.GroupSpec,
         raise ValueError("m_threshold must be >= 1")
     start = g.identity()
     tree = sample_gw(mu, budget, rng, max_depth=depth)
-    tr = trace(run_walk(tree, g, start, rng))
-    qualifying = _ends_counts(tr.adjacency(), start, radii, m_threshold)
+    adj = trace(run_walk(tree, g, start, rng))
+    qualifying = _ends_counts(adj, start, radii, m_threshold)
     return TraceEndsResult(qualifying, tree.max_depth() >= depth)

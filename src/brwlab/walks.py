@@ -1,4 +1,5 @@
-"""Tree-indexed random walks and their traces."""
+"""Tree-indexed random walks and their traces: the subgraph of the
+group spanned by the edges the walk crosses, as adjacency lists."""
 
 from __future__ import annotations
 
@@ -18,10 +19,6 @@ class TreeWalk:
         self.tree = tree
         self.values = values
 
-    @property
-    def start(self):
-        return self.values[0]
-
     def image_counts(self) -> Counter:
         """Visits per group element; the keys are the image."""
         return Counter(self.values)
@@ -39,30 +36,11 @@ def run_walk(tree: MarkedTree, g: groups.GroupSpec, start, rng) -> TreeWalk:
     return TreeWalk(tree, values)
 
 
-class TraceGraph:
-    """Subgraph spanned by the crossed edges, with crossing multiplicities
-    and per-vertex visit counts."""
-
-    def __init__(self, vertices, edge_mult, visits, start):
-        self.vertices = vertices
-        self.edge_mult = edge_mult
-        self.visits = visits
-        self.start = start
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    def adjacency(self):
-        return groups.adjacency(self.vertices, self.edge_mult)
-
-
-def trace(walk: TreeWalk) -> TraceGraph:
+def trace(walk: TreeWalk) -> dict:
+    """The trace as adjacency lists: every walk value, and each crossed
+    edge listed once at both of its ends, in first-crossing order."""
     values = walk.values
-    edge_mult = Counter()
-    for p, b in zip(islice(walk.tree.parent, 1, None), islice(values, 1, None)):
-        a = values[p]
-        key = (a, b) if a <= b else (b, a)
-        edge_mult[key] += 1
-    visits = walk.image_counts()
-    return TraceGraph(set(visits.keys()), dict(edge_mult), dict(visits), walk.start)
+    crossed = zip(map(values.__getitem__, islice(walk.tree.parent, 1, None)),
+                  islice(values, 1, None))
+    edges = dict.fromkeys((a, b) if a <= b else (b, a) for a, b in crossed)
+    return groups.adjacency(values, edges)

@@ -36,6 +36,9 @@ and recounted at every p, by `percolate_root_component_reference`, the
 depth-first build with one `add_child` per kept vertex that percolation
 ran before its one-pass build; its component keeps the tree's truncation
 reason.  `tree_fields` compares a flat tree with a `DictTree`.
+`rooted_trees` enumerates every rooted unlabelled tree on n vertices
+(Beyer-Hedetniemi level sequences), for the exhaustive counting-lemma
+checks on small trees.
 Besides the recursion, the tree return series has three references:
 `tree_return_counts`, the exact integer distance chain,
 `tree_return_tail_decimal`, the closed-form tail sum carried to 40
@@ -619,6 +622,30 @@ def random_marked_tree(rng, max_vertices, mark_rate=None):
         marks = {int(rng.integers(0, n))}
     tree.marks = marks
     return tree
+
+
+def rooted_trees(n):
+    """Every rooted unlabelled tree on n >= 1 vertices, once each, as a
+    parent list (-1 at the root, parent[v] < v), by the Beyer-Hedetniemi
+    successor on canonical level sequences (SIAM J. Comput. 1980): from
+    the path, let p be the last vertex at level 2 or deeper and q its
+    parent, the last earlier vertex one level up, and copy the levels
+    from q on forward over p..n-1; the star ends it.  Vertex v's parent is the last
+    earlier vertex one level up, so the root is vertex 0."""
+    level = list(range(n))
+    while True:
+        last = {}  # level -> the last vertex seen at it
+        parent = []
+        for v, lv in enumerate(level):
+            parent.append(last[lv - 1] if lv else -1)
+            last[lv] = v
+        yield parent
+        p = max((v for v, lv in enumerate(level) if lv > 1), default=None)
+        if p is None:
+            return
+        shift = p - parent[p]
+        for v in range(p, n):
+            level[v] = level[v - shift]
 
 
 def full_tree_scaled_series(d, dist, n_max):

@@ -9,7 +9,8 @@ count at r >= 2 is only reported: no bound in |A|, k and r exists for it
 tests/test_magic.py::test_branching_bound_counterexamples_at_larger_radius),
 so criterion 1 checks its first witnesses against the brute-force oracle
 instead, to show that the excess comes from the mathematics and not from
-the implementation.
+the implementation.  Criterion 12 checks the same bounds on every marked
+tree with at most 10 vertices, and that each is attained.
 """
 
 import math
@@ -135,9 +136,11 @@ def test_criterion_03_spectral_radius():
     ok = True
     details = []
     for d in (3, 4, 6):
-        est = groups.spectral_radius(GroupSpec("regular_tree", d), 2000)
-        gap = abs(est.estimate - est.closed_form)
-        details.append(f"d={d}: |{est.estimate:.4f}-{est.closed_form:.4f}|={gap:.4f}")
+        g = GroupSpec("regular_tree", d)
+        est = groups.spectral_radius_trajectory(g, 2000, stride=2000)[-1]
+        closed_form = g.spectral_radius_closed_form()
+        gap = abs(est - closed_form)
+        details.append(f"d={d}: |{est:.4f}-{closed_form:.4f}|={gap:.4f}")
         ok = ok and gap < 0.01
     ok = _report(3, "spectral radius within 0.01 at n=2000 (" + "; ".join(details) + ")", ok)
     assert ok
@@ -150,7 +153,7 @@ def test_criterion_04_critical_series_convergence():
     N = 3000."""
     crit = 1.0 / T4.spectral_radius_closed_form()
     series = groups.visits_series(T4, crit, 30_000)
-    inc = series.increments
+    inc = np.diff(series.partial_sums, prepend=0.0)
     below = [n for n in range(2, 30_001, 2) if inc[n] < 1e-6]
     first = below[0] if below else None
     converged_late = first is not None and first > 3000 and inc[3000] >= 1e-6
@@ -171,7 +174,7 @@ def test_criterion_05_intersection_formula_agreement():
     means 1.1/1.1 on the 4-regular tree) within 4 sigma of the exact sum."""
     counts = np.array(
         [
-            isec.sample_intersections(MU11, MU11, T4, 6, 6, substream(5, i)).pair_count
+            isec.sample_intersections(MU11, MU11, T4, 6, substream(5, i)).pair_count
             for i in range(10_000)
         ],
         dtype=float,
@@ -323,3 +326,57 @@ def test_criterion_11_determinism(tmp_path):
     ok = bodies[0] == bodies[1] == bodies[2] and bodies2[0] == bodies2[1]
     ok = _report(11, "byte-identical CSV bodies across reruns and worker counts", ok)
     assert ok
+
+
+def test_criterion_12_counting_bounds_on_every_small_tree():
+    """Every nonempty mark set of every rooted tree with at most 10
+    vertices (918 721 configurations), at every r = 1..n and k = 1..2n:
+    the r = 1 branching count and the supported count at every r never
+    exceed r(2|A|-k)/k, and each attains it (the largest count/bound over
+    cells with a positive bound is exactly 1.0).  The r >= 2 branching
+    count has no bound in |A|, k and r; its largest count/bound at n
+    vertices is n/2, as on the marked-hub star.  Ratios are taken as
+    count * k / (r(2|A| - k)), a quotient of integers."""
+    trees = [0] * 11
+    configurations = 0
+    violations = {"branching r=1": 0, "supported": 0}
+    top = {"branching r=1": (0.0, None), "supported": (0.0, None)}
+    excess = [0.0] * 11  # per n: the largest r >= 2 branching count/bound
+    for n, parent in ((n, p) for n in range(1, 11) for p in oracles.rooted_trees(n)):
+        # one batch per rooted tree: mark set m holds the vertices of its set bits
+        batch = magic.TreeBatch.fold(
+            (parent, [v for v in range(n) if m >> v & 1]) for m in range(1, 2**n))
+        trees[n] += 1
+        configurations += batch.n_trees
+        ks = np.arange(1, 2 * n + 1)
+        vals = magic.branch_deficiency_values(batch, range(1, n + 1))
+        for r in range(1, n + 1):
+            den = r * (2 * batch.n_marks[:, None] - ks)  # the bound is den / k
+            for name, values in (("branching r=1" if r == 1 else None, vals[r]),
+                                 ("supported", magic.supported_gap_values(batch, r))):
+                counts = batch.count_at_least(values, ks)
+                ratio = np.divide(counts * ks, den, out=np.zeros(counts.shape), where=den > 0)
+                if name is None:
+                    excess[n] = max(excess[n], float(ratio.max()))
+                    continue
+                violations[name] += int(np.count_nonzero(
+                    np.where(den > 0, counts * ks > den, counts > 0)))
+                t, k = np.unravel_index(np.argmax(ratio), ratio.shape)
+                if ratio[t, k] >= top[name][0]:  # the last extremal configuration
+                    marks = [v for v in range(n) if (t + 1) >> v & 1]
+                    top[name] = (float(ratio[t, k]),
+                                 f"parent {parent}, marks {marks}, k={k + 1}, r={r}")
+    ok = (trees[1:] == [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
+          and configurations == 918_721
+          and violations == {"branching r=1": 0, "supported": 0}
+          and all(ratio == 1.0 for ratio, _ in top.values())
+          and excess[2:] == [n / 2 for n in range(2, 11)])
+    ok = _report(
+        12,
+        f"counting bounds on all {configurations} marked trees with <= 10 vertices: "
+        f"violations {violations}; max count/bound "
+        + "; ".join(f"{name} {ratio} at {where}" for name, (ratio, where) in top.items())
+        + f"; r>=2 branching max count/bound at n = 2..10: {excess[2:]}",
+        ok,
+    )
+    assert ok, (trees, configurations, violations, top, excess)

@@ -23,6 +23,8 @@ from brwlab.groups import GroupSpec
 from brwlab.gw import OffspringDistribution
 from brwlab.rng import substream
 from oracles import (
+    run_walk_values_reference,
+    sample_gw_reference,
     thinned_intersection_sweep_reference,
     tree_return_counts,
     z3_even_return_exact,
@@ -279,6 +281,41 @@ def test_thin_sweep_csv_matches_reference_sweep(tmp_path, group, p_grid):
         assert (out / "thin_sweep.csv").read_text() == want.getvalue()
 
 
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "intersect", "seed": 5, "group": {"kind": "regular_tree", "param": 4},
+     "offspring1": [0.45, 0, 0.55], "offspring2": [0.3, 0.3, 0.4], "depth": 5,
+     "replicates": 600},
+    {"experiment": "intersect", "seed": 5, "group": {"kind": "integer_lattice", "param": 2},
+     "offspring1": [0.3, 0, 0.7], "depth": 4, "budget": 12, "replicates": 450},
+], ids=["T4-two-laws", "Z2-budget"])
+def test_intersect_csv_matches_reference_rows(tmp_path, cfg):
+    """intersect.csv at 1 and 2 workers holds, row for row, the pair count
+    sum_z c1[z] c2[z], the intersection size |keys1 & keys2| and the
+    truncation flag of either tree, rebuilt on each replicate's substream
+    from the per-vertex references of the samplers and the walk."""
+    g = GroupSpec(**cfg["group"])
+    mu1 = OffspringDistribution(cfg["offspring1"])
+    mu2 = OffspringDistribution(cfg.get("offspring2", cfg["offspring1"]))
+    budget = cfg.get("budget", 1_000_000)
+    want = [["replicate", "pair_count", "intersection_size", "truncated"]]
+    for idx in range(cfg["replicates"]):
+        rng = substream(cfg["seed"], idx)
+        tree1 = sample_gw_reference(mu1, budget, rng, max_depth=cfg["depth"])
+        tree2 = sample_gw_reference(mu2, budget, rng, max_depth=cfg["depth"])
+        c1 = Counter(run_walk_values_reference(tree1, g, g.identity(), rng))
+        c2 = Counter(run_walk_values_reference(tree2, g, g.identity(), rng))
+        common = c1.keys() & c2.keys()
+        want.append([str(idx), str(sum(c1[z] * c2[z] for z in common)), str(len(common)),
+                     str(int(tree1.truncated or tree2.truncated))])
+    truncated = sum(row[3] == "1" for row in want[1:])
+    assert 0 < truncated < cfg["replicates"]
+    for workers in (1, 2):
+        # the budget cuts pair counts short, so that run's z-check fails
+        # (exit 2); the rows are written either way
+        _, out = run_cfg(tmp_path, cfg, f"w{workers}", workers=workers)
+        assert read_csv(out / "intersect.csv") == want, workers
+
+
 def test_ends_run(tmp_path):
     cfg = {
         "experiment": "ends",
@@ -390,6 +427,22 @@ PINNED_BODIES = {
                    "radius_grid": [6, 0, 2, 1, 2, 40], "m_threshold": 3, "replicates": 250},
                   "ends.csv",
                   "3745e64c8b9662ef74193f2f9f318e58e1312e20ba4cd4e89b2299d12ca28431"),
+    # recorded before trace returned a bare adjacency: signed-letter words
+    # on F2 through the edge normalisation, a lattice in three dimensions,
+    # and intersect with two different laws
+    "ends-free": ({"experiment": "ends", "seed": 3, "group": {"kind": "free_group", "param": 2},
+                   "offspring": [0.42, 0, 0.58], "depth": 10, "radius_grid": [3, 0, 1, 3, 25],
+                   "m_threshold": 2, "replicates": 250}, "ends.csv",
+                  "59db80e983afcfdfd6227e16d562ab9ac1c07dc39c389f79a17878f6ded5fdc1"),
+    "ends-Z3": ({"experiment": "ends", "seed": 3, "group": {"kind": "integer_lattice", "param": 3},
+                 "offspring": [0.3, 0.3, 0.4], "depth": 8, "radius_grid": [2, 0, 1, 4],
+                 "m_threshold": 3, "replicates": 250}, "ends.csv",
+                "d6a796df7670ee84280b08d194f2b08b66c5b26e804500dc9216487b9d2d8c29"),
+    "intersect-two-laws": ({"experiment": "intersect", "seed": 3,
+                            "group": {"kind": "integer_lattice", "param": 2},
+                            "offspring1": [0.45, 0, 0.55], "offspring2": [0.3, 0.3, 0.4],
+                            "depth": 4, "replicates": 900}, "intersect.csv",
+                           "0d8edffddf506627d6ec32a4f47d0a4384529c7a1a591c606a9862541b351800"),
 }
 
 

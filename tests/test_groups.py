@@ -268,7 +268,7 @@ def test_symmetry_and_radial_consistency():
 
 
 def test_submultiplicativity():
-    series = groups.return_series(T4, 800)
+    series = groups.p_series(T4, (), (), 800)
     for n in range(1, 201, 7):
         for m in range(1, 201, 11):
             assert series[2 * (n + m)] >= series[2 * n] * series[2 * m] * (1 - 1e-12)
@@ -310,11 +310,12 @@ def test_spectral_radius_closed_form_verified_by_dp(d):
     """The closed form 2 sqrt(d-1)/d is trusted only because the DP
     estimate climbs to within 0.01 of it from below."""
     g = GroupSpec("regular_tree", d)
-    est = groups.spectral_radius(g, 2000)
-    assert est.estimate <= est.closed_form + 1e-12
-    assert abs(est.estimate - est.closed_form) < 0.01
-    coarse = groups.spectral_radius(g, 50)
-    assert coarse.estimate < est.estimate  # approach from below
+    closed_form = g.spectral_radius_closed_form()
+    est = groups.spectral_radius_trajectory(g, 2000, stride=2000)[-1]
+    assert est <= closed_form + 1e-12
+    assert abs(est - closed_form) < 0.01
+    coarse = groups.spectral_radius_trajectory(g, 50, stride=50)[-1]
+    assert coarse < est  # approach from below
 
 
 def test_spectral_estimate_monotone():
@@ -323,27 +324,27 @@ def test_spectral_estimate_monotone():
 
 
 def test_spectral_radius_is_the_trajectory_end():
-    """One estimate path: spectral_radius(g, n) is the trajectory's last
-    entry, p_2n(e, e)^(1/2n), here against exact values at n = 1 and 50."""
+    """One estimate path: the spectral-radius estimate at n, the
+    trajectory's last entry at stride n, is p_2n(e, e)^(1/2n), here
+    against exact values at n = 1 and 50."""
     counts = tree_return_counts(4, 100)
     for g, p_2n in [(T4, lambda n: counts[2 * n] / 4 ** (2 * n)),
                     (Z1, lambda n: math.comb(2 * n, n) / 4**n)]:
         for n in (1, 50):
-            est = groups.spectral_radius(g, n).estimate
+            est = groups.spectral_radius_trajectory(g, n, stride=n)[-1]
             assert est == groups.spectral_radius_trajectory(g, n)[-1]
             assert est == pytest.approx(p_2n(n) ** (1 / (2 * n)), rel=1e-14), (g, n)
 
 
 def test_spectral_radius_lattice():
-    est = groups.spectral_radius(Z1, 2000)
-    assert est.closed_form == 1.0
-    assert 0.99 < est.estimate < 1.0
+    assert Z1.spectral_radius_closed_form() == 1.0
+    assert 0.99 < groups.spectral_radius_trajectory(Z1, 2000, stride=2000)[-1] < 1.0
 
 
 def test_free_group_matches_regular_tree_kernel():
     """The rank-2 free group walks on the 4-regular tree."""
-    s_free = groups.return_series(F2, 40)
-    s_tree = groups.return_series(T4, 40)
+    s_free = groups.p_series(F2, (), (), 40)
+    s_tree = groups.p_series(T4, (), (), 40)
     assert np.allclose(s_free, s_tree, atol=1e-15)
 
 
@@ -360,7 +361,7 @@ def test_visits_series_monotone_and_critical_tail():
     vs = groups.visits_series(T4, crit, 4000)
     sums = vs.partial_sums
     assert np.all(np.diff(sums) >= 0)
-    inc = vs.increments
+    inc = np.diff(sums, prepend=0.0)
     # critical increments decay like n^(-3/2): strictly below 1e-4 by 1500
     assert inc[1500] < 1e-4
     assert inc[3000] < inc[1000]
@@ -374,8 +375,8 @@ def test_visits_series_divergence_guard():
     n = vs.guard_index
     assert n == 60
     assert vs.partial_sums[-1] == vs.partial_sums[n]
-    assert np.all(vs.increments[:n] <= groups.VISITS_GUARD)
-    assert 2.0**n * groups.return_series(T4, n)[n] > groups.VISITS_GUARD
+    assert np.all(np.diff(vs.partial_sums, prepend=0.0)[:n] <= groups.VISITS_GUARD)
+    assert 2.0**n * groups.p_series(T4, (), (), n)[n] > groups.VISITS_GUARD
 
 
 @pytest.mark.parametrize("g", [T3, T4, F2, T64, Z1, Z2, Z3],
@@ -523,8 +524,7 @@ _SPECTRA_CAPS = [(T3, 60_000), (T4, 60_000), (F2, 60_000), (Z1, 60_000), (Z2, 10
 @pytest.mark.parametrize("g, n_max", _SPECTRA_CAPS, ids=["T3", "T4", "F2", "Z1", "Z2", "Z3"])
 def test_strided_trajectory_equals_every_step_at_the_picks(g, n_max):
     """At its caps, the trajectory at stride s holds, bit for bit, the
-    stride-1 trajectory's estimates at n = s, 2s, ... and n_max, and
-    spectral_radius is its entry at n_max."""
+    stride-1 trajectory's estimates at n = s, 2s, ... and n_max."""
     if n_max < 60_000:
         with pytest.raises(ValueError):
             groups.check_lattice_box(g, 2 * (n_max + 1))
@@ -534,7 +534,6 @@ def test_strided_trajectory_equals_every_step_at_the_picks(g, n_max):
         ns = np.array([*range(stride, n_max, stride), n_max])
         assert np.array_equal(groups.spectral_radius_trajectory(g, n_max, stride),
                               full[ns - 1]), stride
-    assert groups.spectral_radius(g, n_max).estimate == full[-1]
     for bad in ((0, 1), (n_max, 0)):
         with pytest.raises(ValueError):
             groups.spectral_radius_trajectory(g, *bad)
@@ -586,7 +585,7 @@ def test_walk_law_against_exact_binomials():
 def test_z3_return_series_exact_to_the_visits_cap():
     """p_n(e, e) on Z^3 for n <= 127, the largest visits n_max, against
     exact rationals."""
-    s = groups.return_series(Z3, 127)
+    s = groups.p_series(Z3, (0, 0, 0), (0, 0, 0), 127)
     assert np.all(s[1::2] == 0.0)
     for k in range(64):
         want = z3_even_return_exact(k)
@@ -596,7 +595,7 @@ def test_z3_return_series_exact_to_the_visits_cap():
 def test_z1_return_series_exact_at_the_spectra_cap():
     """Spectra at n_max 60000 take 120000 steps: p_2n(e, e) on Z^1 against
     C(2n, n) / 4^n at sampled n."""
-    s = groups.return_series(Z1, 120_000)
+    s = groups.p_series(Z1, (0,), (0,), 120_000)
     assert np.all(s[1::2] == 0.0)
     for n in [0, 1, 2, 3, 10, 1000] + list(range(5000, 60_001, 11_000)) + [60_000]:
         assert s[2 * n] == pytest.approx(math.comb(2 * n, n) / 4**n, rel=1e-12), n
@@ -645,8 +644,8 @@ def _sample_graphs():
     mu = OffspringDistribution([0.2, 0.3, 0.5])
     for g in (T4, Z2):
         for _ in range(10):
-            tr = trace(run_walk(sample_gw(mu, 400, rng, max_depth=6), g, g.identity(), rng))
-            out.append((tr.adjacency(), tr.start))
+            adj = trace(run_walk(sample_gw(mu, 400, rng, max_depth=6), g, g.identity(), rng))
+            out.append((adj, g.identity()))
     return out
 
 

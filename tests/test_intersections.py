@@ -74,7 +74,7 @@ def test_supercritical_profile_diverges():
 def test_sample_intersections_degenerate():
     rng = np.random.default_rng(0)
     d0 = OffspringDistribution.delta(0)
-    rec = isec.sample_intersections(d0, d0, T4, 3, 3, rng)
+    rec = isec.sample_intersections(d0, d0, T4, 3, rng)
     assert rec.pair_count == 1
     assert rec.intersection == {E}
     assert rec.pulled_back == {0}
@@ -85,7 +85,7 @@ def test_sample_intersections_matches_expectation():
     n = 4000
     counts = np.array(
         [
-            isec.sample_intersections(MU11, MU11, T4, 3, 3, rng).pair_count
+            isec.sample_intersections(MU11, MU11, T4, 3, rng).pair_count
             for _ in range(n)
         ],
         dtype=float,
@@ -106,7 +106,7 @@ def test_mc_agreement_across_mean_pairs():
         n = 4000
         counts = np.array(
             [
-                isec.sample_intersections(mu_a, mu_b, T4, 6, 6, rng).pair_count
+                isec.sample_intersections(mu_a, mu_b, T4, 6, rng).pair_count
                 for _ in range(n)
             ],
             dtype=float,
@@ -127,7 +127,7 @@ def test_diagnostic_root_branching_frequency_bounded():
     hits = {4: 0, 8: 0}
     used = 0
     while used < 1500:
-        rec = isec.sample_intersections(mu_crit, mu_crit, T4, 8, 8, rng)
+        rec = isec.sample_intersections(mu_crit, mu_crit, T4, 8, rng)
         if not rec.pulled_back:
             continue
         used += 1
@@ -239,14 +239,14 @@ ENDS_LAWS = (MU11, OffspringDistribution([0.2, 0.0, 0.8]))
 
 def _ends_cases(g, seed):
     """80 depth-10 runs of trace_ends_experiment, over both laws, every
-    grid and m_threshold 1..4: (result, m_threshold, the sampled trace,
+    grid and m_threshold 1..4: (result, m_threshold, the sampled walk,
     rebuilt on a copy of the stream)."""
     rng, ref_rng = substream(seed, 0), substream(seed, 0)
     for rep in range(80):
         mu, grid, m_threshold = ENDS_LAWS[rep % 2], ENDS_GRIDS[rep % 4], 1 + rep // 4 % 4
         res = isec.trace_ends_experiment(mu, g, 10, grid, m_threshold, rng)
         tree = sample_gw(mu, 1_000_000, ref_rng, max_depth=10)
-        yield res, m_threshold, trace(run_walk(tree, g, g.identity(), ref_rng))
+        yield res, m_threshold, run_walk(tree, g, g.identity(), ref_rng)
 
 
 @pytest.mark.parametrize("g", [T4, F2, Z2, Z3], ids=["T4", "F2", "Z2", "Z3"])
@@ -254,11 +254,11 @@ def test_trace_ends_matches_the_census_oracle(g):
     """The one-pass census gives, at every radius of the grid, the
     qualifying count of oracles.ends_profile, the census one ball at a
     time, with every trace vertex marked."""
-    for rep, (res, m_threshold, tr) in enumerate(_ends_cases(g, 21)):
+    for rep, (res, m_threshold, walk) in enumerate(_ends_cases(g, 21)):
         radii = sorted(set(ENDS_GRIDS[rep % 4]))
-        adj = tr.adjacency()
+        adj = trace(walk)
         assert list(res.qualifying.items()) == [
-            (r, ends_profile(adj, tr.vertices, tr.start, r, m_threshold).qualifying)
+            (r, ends_profile(adj, adj, g.identity(), r, m_threshold).qualifying)
             for r in radii
         ]
 
@@ -266,15 +266,17 @@ def test_trace_ends_matches_the_census_oracle(g):
 def test_trace_ends_matches_networkx_on_lattice_traces():
     """On Z^2 traces, which have cycles, the census equals a networkx count
     of the components of the trace minus each closed ball that hold at
-    least m_threshold vertices."""
+    least m_threshold vertices.  The reference graph is built from the
+    walk's own (parent value, child value) pairs, not from trace."""
     import networkx as nx
 
     cyclic = 0
-    for res, m_threshold, tr in _ends_cases(Z2, 22):
-        G = nx.Graph(list(tr.edge_mult))
-        G.add_nodes_from(tr.vertices)
+    for res, m_threshold, walk in _ends_cases(Z2, 22):
+        values = walk.values
+        G = nx.Graph((values[p], values[v]) for v, p in enumerate(walk.tree.parent) if v)
+        G.add_node(values[0])
         cyclic += G.number_of_edges() >= G.number_of_nodes()
-        dist = nx.single_source_shortest_path_length(G, tr.start)
+        dist = nx.single_source_shortest_path_length(G, values[0])
         for r, q in res.qualifying.items():
             H = G.subgraph(v for v in G if dist[v] > r)
             assert q == sum(len(c) >= m_threshold for c in nx.connected_components(H))

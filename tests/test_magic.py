@@ -146,6 +146,50 @@ def test_supported_matches_brute_force():
             )
 
 
+def test_rooted_trees_are_every_shape_once():
+    """oracles.rooted_trees(n) gives A000081's count of parent lists for
+    n <= 10, each with parent[v] < v, and for n <= 7 no two of them are
+    isomorphic as rooted trees."""
+    import networkx as nx
+
+    counts = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
+    for n, count in enumerate(counts, 1):
+        trees = list(oracles.rooted_trees(n))
+        assert len(trees) == count
+        assert all(p[0] == -1 and all(0 <= p[v] < v for v in range(1, n)) for p in trees)
+        if n <= 7:
+            graphs = []
+            for p in trees:
+                G = nx.Graph((v, p[v]) for v in range(1, n))
+                G.add_node(0)
+                nx.set_node_attributes(G, {v: v == 0 for v in G}, "root")
+                graphs.append(G)
+            assert not any(nx.is_isomorphic(G, H, node_match=lambda a, b: a["root"] == b["root"])
+                           for i, G in enumerate(graphs) for H in graphs[:i])
+
+
+def test_kernels_match_brute_force_on_every_small_tree():
+    """Every nonempty mark set of every rooted tree with at most 7
+    vertices (7 713 configurations), folded one batch per tree, at every
+    r = 1..n: the branching and supported kernels equal the brute-force
+    oracles (51 916 (configuration, r) pairs)."""
+    pairs = 0
+    for n in range(1, 8):
+        for parent in oracles.rooted_trees(n):
+            tree = MarkedTree(parent)
+            mark_sets = [[v for v in range(n) if m >> v & 1] for m in range(1, 2**n)]
+            batch = TreeBatch.fold((parent, marks) for marks in mark_sets)
+            vals = branch_deficiency_values(batch, range(1, n + 1))
+            for r in range(1, n + 1):
+                fast = per_tree(batch, vals[r])
+                gaps = per_tree(batch, supported_gap_values(batch, r))
+                for marks, b, s in zip(mark_sets, fast, gaps):
+                    assert as_map(b) == oracles.brute_branch_values(tree, marks, r), (parent, marks)
+                    assert as_map(s) == oracles.brute_supported_gaps(tree, marks, r), (parent, marks)
+                    pairs += 1
+    assert pairs == 51_916
+
+
 R_LISTS = ([1], [2], [3], [4], [1, 3], [2, 3], [1, 2, 3])
 
 

@@ -38,7 +38,6 @@ def test_single_vertex_walk():
     rng = np.random.default_rng(0)
     w = run_walk(MarkedTree(), T4, (), rng)
     assert w.values == [()]
-    assert w.start == ()
 
 
 def test_single_edge_uniform_neighbor():
@@ -143,49 +142,47 @@ def test_walk_steps_are_edges():
 
 def test_trace_single_edge():
     w = TreeWalk(path_tree(2), [(0,), (1,)])
-    tr = trace(w)
-    assert tr.n_vertices == 2
-    assert tr.edge_mult == {((0,), (1,)): 1}
-    assert tr.visits == {(0,): 1, (1,): 1}
+    assert trace(w) == {(0,): [(1,)], (1,): [(0,)]}
 
 
 def test_trace_merged_edge_multiplicity():
-    # both children step to the same neighbour: one edge crossed twice
+    # both children step to the same neighbour: one edge crossed twice,
+    # listed once
     w = TreeWalk(star_tree(2), [(), (0,), (0,)])
-    tr = trace(w)
-    assert list(tr.edge_mult.values()) == [2]
-    assert tr.visits[(0,)] == 2
+    assert trace(w) == {(): [(0,)], (0,): [()]}
 
 
 def test_trace_backtracking_path():
+    # out and back along one edge: crossed in both directions, listed once
     w = TreeWalk(path_tree(3), [(), (2,), ()])
-    tr = trace(w)
-    assert len(tr.edge_mult) == 1
-    assert tr.visits[()] == 2
+    assert trace(w) == {(): [(2,)], (2,): [()]}
 
 
 def test_trace_accounting_invariants():
+    """The trace's vertices are the walk's values; every listed edge joins
+    group neighbours; the lists are symmetric with no repeats; and the
+    trace is connected."""
     rng = np.random.default_rng(4)
     mu = OffspringDistribution([0.25, 0.25, 0.5])
     for _ in range(40):
         t = sample_gw(mu, 3000, rng, max_depth=9)
         w = run_walk(t, T4, (), rng)
-        tr = trace(w)
-        assert sum(tr.visits.values()) == t.n_vertices
-        assert tr.start in tr.vertices
-        for a, b in tr.edge_mult:
-            assert groups.distance(T4, a, b) == 1
-        # connectivity of the trace
-        adj = tr.adjacency()
-        seen = {tr.start}
-        stack = [tr.start]
+        adj = trace(w)
+        assert set(adj) == set(w.values)
+        for a, nbrs in adj.items():
+            assert len(set(nbrs)) == len(nbrs)
+            for b in nbrs:
+                assert groups.distance(T4, a, b) == 1
+                assert a in adj[b]
+        seen = {()}
+        stack = [()]
         while stack:
             v = stack.pop()
             for u in adj[v]:
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
-        assert seen == tr.vertices
+        assert seen == set(adj)
 
 
 def test_time_reversal_endpoint_law():
@@ -257,12 +254,22 @@ def test_origin_visits_match_visit_series():
 
 
 def test_trace_serialization():
-    """Every trace edge joins group neighbours, and the multiplicities
-    count the tree's edges: each >= 1, summing to n_vertices - 1."""
+    """The trace lists each distinct crossed edge once at both of its
+    ends, in the order the walk first crosses it: the tree's edges in id
+    order, with repeats and reversals dropped."""
     rng = np.random.default_rng(11)
-    t = sample_gw(OffspringDistribution([0.2, 0.3, 0.5]), 200, rng, max_depth=6)
-    tr = trace(run_walk(t, T3, (), rng))
-    for (a, b), m in tr.edge_mult.items():
-        assert groups.distance(T3, a, b) == 1
-        assert m >= 1
-    assert sum(tr.edge_mult.values()) == t.n_vertices - 1
+    repeats = 0
+    for _ in range(20):
+        t = sample_gw(OffspringDistribution([0.2, 0.3, 0.5]), 200, rng, max_depth=6)
+        w = run_walk(t, T3, (), rng)
+        want = {z: [] for z in w.values}
+        crossed = set()
+        for v in range(1, t.n_vertices):
+            a, b = w.values[t.parent[v]], w.values[v]
+            if frozenset((a, b)) not in crossed:
+                crossed.add(frozenset((a, b)))
+                want[a].append(b)
+                want[b].append(a)
+        assert trace(w) == want
+        repeats += t.n_vertices - 1 - len(crossed)
+    assert repeats > 0  # some edge is crossed more than once
