@@ -164,11 +164,8 @@ _GRAPH_KEYS = {
 def _graph(raw):
     """A finite path or star for the fixed-graph samplers: (adj, marks)."""
     spec = _parse(raw, _GRAPH_KEYS)
-    n = spec["n"]
-    if spec["shape"] == "path":
-        adj = {i: [j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)}
-    else:
-        adj = {i: [0] if i else list(range(1, n)) for i in range(n)}
+    n, star = spec["n"], spec["shape"] == "star"
+    adj = groups.adjacency(range(n), ((0 if star else i - 1, i) for i in range(1, n)))
     if spec["marks"] == "all":
         return adj, set(adj)
     return adj, {v for v, ns in adj.items() if len(ns) == 1}
@@ -267,13 +264,17 @@ def _shard_mtp(v, streams):
 
 
 def _shard_intersect(v, streams):
+    """The extra is the pair counts and how many replicates the budget
+    cut."""
     rows = []
+    cut = 0
     for idx, rng in streams:
         rec = intersections.sample_intersections(
             v["offspring1"], v["offspring2"], v["group"], v["depth"], rng, v["budget"]
         )
         rows.append((idx, rec.pair_count, len(rec.intersection), int(rec.truncated)))
-    return _csv_text(*zip(*rows)), np.array([row[1] for row in rows], dtype=float)
+        cut += rec.budget_cut
+    return _csv_text(*zip(*rows)), (np.array([row[1] for row in rows], dtype=float), cut)
 
 
 def _shard_thin_sweep(v, streams):
@@ -346,6 +347,16 @@ def _run_sharded(shard, block, v, seed, n_units, workers):
         yield from map(_shard_worker, tasks)
 
 
+def _write_shards(out_dir, name, header, shard, block, v, seed, n_units, workers):
+    """_run_sharded with each task's rows written to the CSV file name in
+    out_dir as they arrive: yields each task's extra, and the file takes
+    its name after the last one (a task that raises leaves no file)."""
+    with _csv_file(os.path.join(out_dir, name), header) as out:
+        for text, extra in _run_sharded(shard, block, v, seed, n_units, workers):
+            out.write(text)
+            yield extra
+
+
 def _median(counts) -> float:
     """np.median of the multiset {value: count}: the middle value, or the
     mean of the two middle values."""
@@ -382,18 +393,11 @@ def _run_visits(v, seed, workers, out_dir):
     }
 
 
-# the sharded drivers write each shard's text as it arrives and keep only
-# what their manifest needs
-
-
 def _run_magic_fuzz(v, seed, workers, out_dir):
-    violations = 0
-    with _csv_file(os.path.join(out_dir, "magic_fuzz.csv"),
-                   ("tree_id", "n_vertices", "n_marks", "k", "r", "branching_count",
-                    "supported_count", "bound", "pass")) as out:
-        for text, failed in _run_sharded(_shard_magic_fuzz, 100, v, seed, v["n_trees"], workers):
-            out.write(text)
-            violations += failed
+    violations = sum(_write_shards(
+        out_dir, "magic_fuzz.csv", ("tree_id", "n_vertices", "n_marks", "k", "r",
+                                    "branching_count", "supported_count", "bound", "pass"),
+        _shard_magic_fuzz, 100, v, seed, v["n_trees"], workers))
     return (0 if violations == 0 else 2), {"bound_violations": violations}
 
 
@@ -414,14 +418,11 @@ def _run_mtp_test(v, seed, workers, out_dir):
 
 
 def _run_intersect(v, seed, workers, out_dir):
-    counts = np.empty(v["replicates"])  # the pair counts
-    n = 0
-    with _csv_file(os.path.join(out_dir, "intersect.csv"),
-                   ("replicate", "pair_count", "intersection_size", "truncated")) as out:
-        for text, pairs in _run_sharded(_shard_intersect, 400, v, seed, v["replicates"], workers):
-            out.write(text)
-            counts[n:n + len(pairs)] = pairs
-            n += len(pairs)
+    pairs, cuts = zip(*_write_shards(
+        out_dir, "intersect.csv", ("replicate", "pair_count", "intersection_size", "truncated"),
+        _shard_intersect, 400, v, seed, v["replicates"], workers))
+    counts = np.concatenate(pairs)
+    cut = sum(cuts)
     g = v["group"]
     e = g.identity()
     exact = intersections.expected_pairs_truncated(
@@ -429,37 +430,36 @@ def _run_intersect(v, seed, workers, out_dir):
     )
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     z = (counts.mean() - exact) / se if se > 0 else 0.0
-    status = 0 if abs(z) <= 4.0 else 2
+    # a budget cut keeps a breadth-first prefix of the depth-capped tree,
+    # so it can only lower a pair count: then only a mean above the exact
+    # one fails
+    status = 0 if (z if cut else abs(z)) <= 4.0 else 2
     return status, {
         "expected_pairs": exact,
         "mc_mean": float(counts.mean()),
         "mc_se": float(se),
         "z": float(z),
+        "budget_truncated": cut,
     }
 
 
 def _run_thin_sweep(v, seed, workers, out_dir):
-    violations = 0
-    with _csv_file(os.path.join(out_dir, "thin_sweep.csv"),
-                   ("p", "replicate", "intersection_size", "pair_count", "truncated")) as out:
-        for text, failed in _run_sharded(_shard_thin_sweep, 100, v, seed, v["replicates"],
-                                         workers):
-            out.write(text)
-            violations += failed
+    violations = sum(_write_shards(
+        out_dir, "thin_sweep.csv", ("p", "replicate", "intersection_size", "pair_count",
+                                    "truncated"),
+        _shard_thin_sweep, 100, v, seed, v["replicates"], workers))
     return (0 if violations == 0 else 2), {"monotonicity_violations": violations}
 
 
 def _run_ends(v, seed, workers, out_dir):
     survivors = 0
     by_radius = {}
-    with _csv_file(os.path.join(out_dir, "ends.csv"),
-                   ("radius", "replicate", "qualifying_components", "survived")) as out:
-        for text, (n, tallies) in _run_sharded(_shard_ends, 100, v, seed, v["replicates"],
-                                               workers):
-            out.write(text)
-            survivors += n
-            for radius, tally in tallies.items():
-                by_radius.setdefault(radius, Counter()).update(tally)
+    for n, tallies in _write_shards(
+            out_dir, "ends.csv", ("radius", "replicate", "qualifying_components", "survived"),
+            _shard_ends, 100, v, seed, v["replicates"], workers):
+        survivors += n
+        for radius, tally in tallies.items():
+            by_radius.setdefault(radius, Counter()).update(tally)
     medians = {str(rad): _median(tally) for rad, tally in sorted(by_radius.items())}
     return 0, {"median_qualifying_by_radius": medians, "n_survivors": survivors}
 

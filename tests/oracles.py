@@ -27,7 +27,8 @@ builtin-level or family-at-a-time step; the sampler references build
 parent list, one `add_child` per vertex.  `mul_reference` is the
 letter-by-letter word product (`apply_letter_reference`) that `groups`
 ran before it cancelled one word's tail against the other's head, and
-`inv_reference` and `distance_reference` are built on it.  The
+`inv_reference` and `distance_reference` are built on it (on the
+lattice: coordinate sum, negation and the L1 norm).  The
 references for `ensure_edge_labels` and `sample_marked_fuzz_tree` draw
 one scalar per vertex, as those functions did before they drew in bulk,
 and `thinned_intersection_sweep_reference` is the sweep as it was before
@@ -40,7 +41,8 @@ reason.  `tree_fields` compares a flat tree with a `DictTree`.
 (Beyer-Hedetniemi level sequences), for the exhaustive counting-lemma
 checks on small trees.
 Besides the recursion, the tree return series has three references:
-`tree_return_counts`, the exact integer distance chain,
+`tree_return_counts`, the exact integer distance chain (and on it
+`tree_pairs_exact`, the expected pair count as a Fraction double sum),
 `tree_return_tail_decimal`, the closed-form tail sum carried to 40
 digits in `decimal`, and `tree_return_series_correlate`, the series as
 `groups` computed it before its strided-window kernel: every tail sum at
@@ -732,6 +734,15 @@ def tree_return_counts(d, steps):
     return counts
 
 
+def tree_pairs_exact(d, mean1, mean2, n_max):
+    """sum_{n,m <= n_max} mean1^n mean2^m p_{n+m}(e, e) on the d-regular
+    tree as a Fraction, from the exact return counts (integer or Fraction
+    means)."""
+    counts = tree_return_counts(d, 2 * n_max)
+    return sum(Fraction(mean1**n * mean2**m * counts[n + m], d ** (n + m))
+               for n in range(n_max + 1) for m in range(n_max + 1))
+
+
 def tree_return_tail_decimal(d, ns, digits=40):
     """p_2n(e, e) / rho^2n on the d-regular tree for each n in ns, as
     Decimals carried to the given digits: the tail sum
@@ -872,22 +883,38 @@ def apply_letter_reference(g, x, s):
 
 
 def mul_reference(g, x, y):
-    """The product of tree-like words, one letter of y at a time."""
+    """The product of tree-like words, one letter of y at a time; the
+    coordinate sum on the lattice."""
+    from brwlab.groups import INTEGER_LATTICE
+
+    if g.kind == INTEGER_LATTICE:
+        return tuple(a + b for a, b in zip(x, y))
     for s in y:
         x = apply_letter_reference(g, x, s)
     return x
 
 
 def inv_reference(g, x):
-    """The inverse of a tree-like word: reversed, each letter inverted."""
-    from brwlab.groups import REGULAR_TREE
+    """The inverse of a tree-like word: reversed, each letter inverted;
+    the negated coordinates on the lattice."""
+    from brwlab.groups import INTEGER_LATTICE, REGULAR_TREE
 
+    if g.kind == INTEGER_LATTICE:
+        return tuple(-c for c in x)
     return tuple(s if g.kind == REGULAR_TREE else -s for s in reversed(x))
 
 
+def length_reference(g, x):
+    """The distance from the identity: the word length, the L1 norm on
+    the lattice."""
+    from brwlab.groups import INTEGER_LATTICE
+
+    return sum(abs(c) for c in x) if g.kind == INTEGER_LATTICE else len(x)
+
+
 def distance_reference(g, x, y):
-    """The word length of x^-1 y, by the letter-by-letter product."""
-    return len(mul_reference(g, inv_reference(g, x), y))
+    """The length of x^-1 y, by the reference product."""
+    return length_reference(g, mul_reference(g, inv_reference(g, x), y))
 
 
 def run_walk_values_reference(tree, g, start, rng):

@@ -26,6 +26,7 @@ from oracles import (
     run_walk_values_reference,
     sample_gw_reference,
     thinned_intersection_sweep_reference,
+    tree_pairs_exact,
     tree_return_counts,
     z3_even_return_exact,
 )
@@ -219,6 +220,20 @@ def test_mtp_truncation_reported_as_usage_error(tmp_path):
         cli.run(cfg, str(tmp_path / "x"))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mtp_budget_cuts_end_in_exit_1(tmp_path, capsys, workers):
+    """A pull-back sample cut at the vertex budget certifies no radius, so
+    a budget of 2 leaves 655 of 1000 samples uncertified although depth 12
+    certifies radius 6: one error line, and no report, manifest or
+    partial file."""
+    cfg = dict(BASE["pullback"], seed=3, f="target_degree", depth=12, budget=2)
+    out = tmp_path / "out"
+    assert main_with(tmp_path, cfg, "--out", str(out), "--workers", str(workers)) == 1
+    assert capsys.readouterr().err == (
+        "error: 655/1000 samples could not certify the transport radius\n")
+    assert os.listdir(out) == []
+
+
 def test_intersect_run_and_agreement(tmp_path):
     cfg = {
         "experiment": "intersect",
@@ -281,18 +296,19 @@ def test_thin_sweep_csv_matches_reference_sweep(tmp_path, group, p_grid):
         assert (out / "thin_sweep.csv").read_text() == want.getvalue()
 
 
-@pytest.mark.parametrize("cfg", [
-    {"experiment": "intersect", "seed": 5, "group": {"kind": "regular_tree", "param": 4},
-     "offspring1": [0.45, 0, 0.55], "offspring2": [0.3, 0.3, 0.4], "depth": 5,
-     "replicates": 600},
-    {"experiment": "intersect", "seed": 5, "group": {"kind": "integer_lattice", "param": 2},
-     "offspring1": [0.3, 0, 0.7], "depth": 4, "budget": 12, "replicates": 450},
+@pytest.mark.parametrize("cfg, budget_cut", [
+    ({"experiment": "intersect", "seed": 5, "group": {"kind": "regular_tree", "param": 4},
+      "offspring1": [0.45, 0, 0.55], "offspring2": [0.3, 0.3, 0.4], "depth": 5,
+      "replicates": 600}, 0),
+    ({"experiment": "intersect", "seed": 5, "group": {"kind": "integer_lattice", "param": 2},
+      "offspring1": [0.3, 0, 0.7], "depth": 4, "budget": 12, "replicates": 450}, 324),
 ], ids=["T4-two-laws", "Z2-budget"])
-def test_intersect_csv_matches_reference_rows(tmp_path, cfg):
+def test_intersect_csv_matches_reference_rows(tmp_path, cfg, budget_cut):
     """intersect.csv at 1 and 2 workers holds, row for row, the pair count
     sum_z c1[z] c2[z], the intersection size |keys1 & keys2| and the
     truncation flag of either tree, rebuilt on each replicate's substream
-    from the per-vertex references of the samplers and the walk."""
+    from the per-vertex references of the samplers and the walk.  The run
+    passes, and the manifest counts the replicates the budget cut."""
     g = GroupSpec(**cfg["group"])
     mu1 = OffspringDistribution(cfg["offspring1"])
     mu2 = OffspringDistribution(cfg.get("offspring2", cfg["offspring1"]))
@@ -310,10 +326,44 @@ def test_intersect_csv_matches_reference_rows(tmp_path, cfg):
     truncated = sum(row[3] == "1" for row in want[1:])
     assert 0 < truncated < cfg["replicates"]
     for workers in (1, 2):
-        # the budget cuts pair counts short, so that run's z-check fails
-        # (exit 2); the rows are written either way
-        _, out = run_cfg(tmp_path, cfg, f"w{workers}", workers=workers)
+        status, out = run_cfg(tmp_path, cfg, f"w{workers}", workers=workers)
+        assert status == 0, workers
         assert read_csv(out / "intersect.csv") == want, workers
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["budget_truncated"] == budget_cut, workers
+
+
+@pytest.mark.parametrize("name, cut", [("intersect", False), ("intersect-budget", True)])
+def test_intersect_verdict_is_one_sided_under_budget_cuts(tmp_path, monkeypatch, name, cut):
+    """With the exact reference put 5 SE above or below the Monte Carlo
+    mean, a run that no budget cut fails either way; a cut only lowers
+    pair counts, so a cut run fails only when its mean lies above the
+    reference."""
+    cfg = PINNED_BODIES[name][0]
+    _, out = run_cfg(tmp_path, cfg, "run")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["budget_truncated"] > 0) == cut
+    mean, se = manifest["mc_mean"], manifest["mc_se"]
+    for shift, fails in ((-5, True), (5, not cut)):
+        reference = mean + shift * se
+        monkeypatch.setattr(cli.intersections, "expected_pairs_truncated",
+                            lambda *args: reference)
+        status, out = run_cfg(tmp_path, cfg, f"shift{shift}")
+        assert json.loads((out / "manifest.json").read_text())["z"] == pytest.approx(-shift)
+        assert status == (2 if fails else 0), shift
+
+
+def test_intersect_writes_the_exact_pair_count(tmp_path):
+    """At the depth cap, with every vertex having 3 children, the exact
+    pair count 5.8e50 is the Fraction double sum to 1e-12; the budget
+    cuts every replicate, so the far lower mean passes."""
+    cfg = {"experiment": "intersect", "seed": 3, "group": {"kind": "regular_tree", "param": 4},
+           "offspring1": [0, 0, 0, 1], "depth": 64, "budget": 20, "replicates": 20}
+    status, out = run_cfg(tmp_path, cfg, "run")
+    manifest = json.loads((out / "manifest.json").read_text())
+    exact = tree_pairs_exact(4, 3, 3, 64)
+    assert abs(Fraction(manifest["expected_pairs"]) - exact) <= 1e-12 * exact
+    assert status == 0 and manifest["budget_truncated"] == 20
 
 
 def test_ends_run(tmp_path):
@@ -395,6 +445,18 @@ PINNED_BODIES = {
                       "graph": {"shape": "path", "n": 6}, "f": "marked_neighbors",
                       "w": "unit", "n_samples": 1000, "alpha": 0.01}, "mtp_report.json",
                      "5ec19df1cc3ab1504f4778a7b5be430ed732a997c05e1a63ca4e5bd1c89f7a20"),
+    # recorded before the fixed graphs were built by groups.adjacency: the
+    # star shape and leaf marks (the fixed root fails at estimate -56, the
+    # uniform root passes at -0.497)
+    "fixed_root-star": ({"experiment": "mtp-test", "seed": 3, "sampler": "fixed_root",
+                         "graph": {"shape": "star", "n": 9, "marks": "leaves"}, "root_index": 0,
+                         "f": "target_degree", "w": "unit", "n_samples": 1000, "alpha": 0.01},
+                        "mtp_report.json",
+                        "e5b317cace49eb10d01b0c11c53d9ff8109c4553d542778f7e475e954eec2378"),
+    "uniform_root-star": ({"experiment": "mtp-test", "seed": 3, "sampler": "uniform_root",
+                           "graph": {"shape": "star", "n": 9}, "f": "target_degree",
+                           "w": "unit", "n_samples": 1000, "alpha": 0.01}, "mtp_report.json",
+                          "135e200eddd7530a92c6c8bf70b5bb8530e7a28150bfddf53db43633e13e1295"),
     "intersect": ({"experiment": "intersect", "seed": 3,
                    "group": {"kind": "regular_tree", "param": 4}, "offspring1": [0.45, 0, 0.55],
                    "depth": 3, "replicates": 500}, "intersect.csv",

@@ -23,6 +23,7 @@ from oracles import (
     enumerate_walk_endpoint_law,
     full_tree_scaled_series,
     inv_reference,
+    length_reference,
     mul_reference,
     neighbors_reference,
     tree_distance_law,
@@ -182,9 +183,9 @@ def test_word_arithmetic_matches_letter_by_letter_reference(data):
     """mul, inv and distance equal the letter-by-letter references on
     walk values, with y independent of x, sharing a prefix with it, or
     starting with x's inverse (so the product cancels), and satisfy
-    d(x, y) = d(y, x) = |x^-1 y| and x x^-1 = e.  A word that fails
-    validate_elem_reference is refused by all three."""
-    g = data.draw(st.sampled_from([T3, T4, F2, F32]))
+    d(x, y) = d(y, x) = |x^-1 y| (L1 on the lattices) and x x^-1 = e.  A
+    word that fails validate_elem_reference is refused by all three."""
+    g = data.draw(st.sampled_from([T3, T4, F2, F32, Z1, Z2, Z3]))
     x = data.draw(_walk_words(g))
     y = data.draw(_walk_words(g))
     valid = [_outcome(validate_elem_reference, g, w) is None for w in (x, y)]
@@ -195,8 +196,8 @@ def test_word_arithmetic_matches_letter_by_letter_reference(data):
         assert groups.inv(g, x) == inv_reference(g, x)
         d = groups.distance(g, x, y)
         assert d == distance_reference(g, x, y) == groups.distance(g, y, x)
-        assert d == len(groups.mul(g, groups.inv(g, x), y))
-        assert groups.mul(g, x, groups.inv(g, x)) == ()
+        assert d == length_reference(g, groups.mul(g, groups.inv(g, x), y))
+        assert groups.mul(g, x, groups.inv(g, x)) == g.identity()
     for w, other, ok in ((x, y, valid[0]), (y, x, valid[1])):
         if ok:
             continue

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brwlab import groups, gw
+from brwlab import groups, gw, intersections, mtp
 from brwlab.gw import OffspringDistribution
 
 import oracles
@@ -487,3 +487,47 @@ def test_fuzz_tree_matches_reference_draws():
         _assert_same_tree(t, ref)
         assert rng.random() == ref_rng.random()
     assert kinds == set(range(5))  # every kind, at three vertices or more
+
+
+_MU = OffspringDistribution([0.45, 0.0, 0.55])
+_T4 = groups.GroupSpec("regular_tree", 4)
+# (call on a generator, message): the library refusals that no other test
+# reaches, each case named after its function and the argument it refuses
+REFUSALS = {
+    "visits_series-mean": (lambda rng: groups.visits_series(_T4, -0.5, 4), "mean must be >= 0"),
+    "pairs-mean": (lambda rng: intersections.expected_pairs_profile(1.0, -1.0, _T4, (), (), 4),
+                   "means must be >= 0"),
+    "pairs-n_max": (lambda rng: intersections.expected_pairs_profile(1.0, 1.0, _T4, (), (), -1),
+                    "n_max must be >= 0"),
+    "pmf-empty": (lambda rng: OffspringDistribution([]), "pmf must be a nonempty"),
+    "thin-p": (lambda rng: gw.thin(_MU, 1.5), r"p must lie in \[0, 1\]"),
+    "sample_gw-budget": (lambda rng: gw.sample_gw(_MU, 0, rng), "budget must be >= 1"),
+    "unimodular-budget": (lambda rng: gw.sample_unimodular_gw(_MU, 1, rng),
+                          "budget must be >= 2"),
+    "unimodular-variant": (lambda rng: gw.sample_unimodular_gw(_MU, 10, rng, variant="plain"),
+                           "unknown variant 'plain'"),
+    "fuzz-max_vertices": (lambda rng: gw.sample_marked_fuzz_tree(rng, 0),
+                          "max_vertices must be >= 1"),
+    "percolate-p": (lambda rng: gw.percolate_root_component(gw.MarkedTree(), -0.1),
+                    r"p must lie in \[0, 1\]"),
+    "sweep-p_grid": (lambda rng: intersections.thinned_intersection_sweep(
+        _MU, _MU, _T4, [0.5, 1.2], 3, rng), r"p_grid entries must lie in \[0, 1\]"),
+    "aggregate-alpha": (lambda rng: mtp.aggregate_mtp_report(np.zeros((10, 2)), 0, 10, 1.0),
+                        r"alpha must be in \(0, 1\)"),
+    "fixed_root-root": (lambda rng: mtp.fixed_root_sampler({0: [1], 1: [0]}, {0}, 2),
+                        "root not in graph"),
+    "pullback-a_rule": (lambda rng: mtp.pullback_sampler(_T4, _MU, 4, "nearest"),
+                        "unknown a_rule 'nearest'"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_library_refusals(name):
+    """Each refusal raises ValueError with its message before it draws
+    from the generator it is given."""
+    call, message = REFUSALS[name]
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        call(rng)
+    assert rng.bit_generator.state == before

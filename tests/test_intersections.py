@@ -2,6 +2,8 @@
 experiment."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,12 @@ from brwlab.gw import OffspringDistribution, sample_gw
 from brwlab.rng import substream
 from brwlab.walks import run_walk, trace
 
-from oracles import TransitionTable, ends_profile, thinned_intersection_sweep_reference
+from oracles import (
+    TransitionTable,
+    ends_profile,
+    thinned_intersection_sweep_reference,
+    tree_pairs_exact,
+)
 
 T4 = GroupSpec("regular_tree", 4)
 F2 = GroupSpec("free_group", 2)
@@ -69,6 +76,31 @@ def test_supercritical_profile_diverges():
     prof = isec.expected_pairs_profile(1.05 * crit, 1.05 * crit, T4, E, E, 2000)
     assert prof[-1] > 1e6
     assert int(np.argmax(prof > 1e6)) < 2000
+
+
+@pytest.mark.parametrize("d, mean", [(4, 3), (8, 64)])
+def test_expected_pairs_profile_is_the_exact_sum(d, mean):
+    """Past 1e30 the profile is still the double sum: within 1e-12 of the
+    Fraction sum of the exact return counts, up to 5.8e50 on T4 and
+    2.7e205 on T8 at N = 64."""
+    g = GroupSpec("regular_tree", d)
+    prof = isec.expected_pairs_profile(mean, mean, g, E, E, 64)
+    for n in (0, 1, 12, 40, 64):
+        exact = tree_pairs_exact(d, mean, mean, n)
+        assert abs(Fraction(prof[n]) - exact) <= 1e-12 * exact, n
+    assert prof[64] > 1e50
+
+
+def test_supercritical_profile_overflows_only_past_the_double_range():
+    """At 1.05 times the critical mean on T4 the profile grows without a
+    freeze until its sum leaves the double range, then reads inf, with no
+    warning."""
+    crit = 1.0 / T4.spectral_radius_closed_form()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = isec.expected_pairs_profile(1.05 * crit, 1.05 * crit, T4, E, E, 7400)
+    assert np.all(np.diff(prof[:7350]) > 0)
+    assert prof[7349] > 1e306 and np.all(np.isinf(prof[7350:]))
 
 
 def test_sample_intersections_degenerate():

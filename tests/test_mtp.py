@@ -11,6 +11,7 @@ import pytest
 from brwlab import groups, mtp
 from brwlab.groups import GroupSpec
 from brwlab.gw import OffspringDistribution
+from brwlab.rng import substream
 
 import oracles
 
@@ -265,6 +266,24 @@ def test_truncation_error_when_depth_too_small():
             sampler, mtp.BUILTIN_TRANSPORT["target_degree"], mtp.BUILTIN_WEIGHT["unit"],
             100, 0.01, rng,
         )
+
+
+def test_budget_cut_samples_certify_no_radius():
+    """A pull-back tree cut at the vertex budget certifies no radius, so
+    its sample evaluates to None although depth 12 certifies radius 6;
+    the trees that fit the budget of 2 are evaluated."""
+    sampler = mtp.pullback_sampler(T4, MU11, 12, budget=2)
+    F = mtp.BUILTIN_TRANSPORT["target_degree"]
+    cut = 0
+    for idx in range(200):
+        sample = sampler(substream(1, idx))
+        got = mtp.evaluate_sample(sample, F, mtp.BUILTIN_WEIGHT["unit"])
+        if sample.certified_radius == -1:
+            cut += 1
+            assert got is None
+        else:
+            assert sample.certified_radius == 6 and got is not None
+    assert 0 < cut < 200
 
 
 def test_report_json_shape():
