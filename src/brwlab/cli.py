@@ -404,15 +404,18 @@ def _run_magic_fuzz(v, seed, workers, out_dir):
 def _run_mtp_test(v, seed, workers, out_dir):
     n_samples = v["n_samples"]
     rows = np.empty((n_samples, 2))  # the (weighted difference, weight) of each certified sample
-    n = inconclusive = 0
-    for part, skipped in _run_sharded(_shard_mtp, 200, v, seed, n_samples, workers):
+    n = inconclusive = budget_cut = 0
+    for part, skipped, cut in _run_sharded(_shard_mtp, 200, v, seed, n_samples, workers):
         rows[n:n + len(part)] = part
         n += len(part)
         inconclusive += skipped
+        budget_cut += cut
     try:
         report = mtp.aggregate_mtp_report(rows[:n], inconclusive, n_samples, v["alpha"])
     except mtp.TruncationError as exc:
-        raise ConfigError(str(exc)) from exc
+        # _certifies refuses a depth that cannot certify, so the budget is the cause
+        raise ConfigError(f"{exc}; {budget_cut} of them hit the vertex budget "
+                          f"(budget = {v['budget']})") from exc
     _write_json(os.path.join(out_dir, "mtp_report.json"), report.to_json_dict())
     return (0 if report.passed else 2), {"report": report.to_json_dict()}
 

@@ -23,6 +23,7 @@ from .gw import MarkedTree, OffspringDistribution, sample_unimodular_gw
 from .walks import run_walk
 
 UNBOUNDED = 10**9
+BUDGET_CUT = -1  # the certified radius of a sample whose tree the vertex budget cut
 
 
 class TruncationError(RuntimeError):
@@ -173,17 +174,19 @@ def evaluate_sample(sample: MtpSample, F: TransportFunction, W):
 def evaluate_samples(sampler, F: TransportFunction, W, rngs):
     """Draw one sample from each stream of rngs and evaluate it: the
     (weighted difference, weight) rows of the certified samples as an
-    (n, 2) float64 array, and the number of samples that could not
-    certify the transport radius."""
+    (n, 2) float64 array, the number of samples that could not certify
+    the transport radius, and how many of those were cut at the budget."""
     rows = []
-    inconclusive = 0
+    inconclusive = budget_cut = 0
     for rng in rngs:
-        got = evaluate_sample(sampler(rng), F, W)
+        sample = sampler(rng)
+        got = evaluate_sample(sample, F, W)
         if got is None:
             inconclusive += 1
+            budget_cut += sample.certified_radius == BUDGET_CUT
         else:
             rows.append(got)
-    return np.array(rows, dtype=float).reshape(-1, 2), inconclusive
+    return np.array(rows, dtype=float).reshape(-1, 2), inconclusive, budget_cut
 
 
 def aggregate_mtp_report(rows, inconclusive: int, n_samples: int,
@@ -231,7 +234,7 @@ def mc_mtp_test(sampler, F: TransportFunction, W,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    rows, inconclusive = evaluate_samples(sampler, F, W, itertools.repeat(rng, n_samples))
+    rows, inconclusive, _ = evaluate_samples(sampler, F, W, itertools.repeat(rng, n_samples))
     return aggregate_mtp_report(rows, inconclusive, n_samples, alpha)
 
 
@@ -272,10 +275,10 @@ A_RULE_TRACE = "trace"
 
 def _certified_radius(tree: MarkedTree, reach: int) -> int:
     """Half the reach a sample was built to (the tree depth of a
-    pull-back, the ball radius of a push-forward), or -1 when its tree was
-    cut at the budget."""
+    pull-back, the ball radius of a push-forward), or BUDGET_CUT when its
+    tree was cut at the budget."""
     if tree.truncation_reason == "budget":
-        return -1
+        return BUDGET_CUT
     return reach // 2
 
 

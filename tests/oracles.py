@@ -53,7 +53,9 @@ Python floats: numpy scalars indexed per term and a zero-mean branch in
 every term, on the same kernel.  `ends_profile` is the ball-removal
 census that the ends experiment ran before its one-pass union-find: one
 radius at a time, one BFS per component, with any mark set; its BFS is
-`bfs_distances`, not `groups.bfs`.
+`bfs_distances`, not `groups.bfs`.  `substream_reference` is
+`rng.substream` as it was before it hashed its Philox keys a block of
+indices at a time: a SeedSequence built per call.
 """
 
 import math
@@ -1196,3 +1198,9 @@ def ends_profile(adj: dict, A, center, radius: int, m_threshold: int) -> EndsPro
     census.sort(reverse=True)
     qualifying = sum(1 for _, marks in census if marks >= m_threshold)
     return EndsProfile(census, qualifying, len(removed))
+
+
+def substream_reference(seed, *indices):
+    """The Generator of `Philox(SeedSequence((seed, *indices)))`."""
+    entropy = (int(seed),) + tuple(int(i) for i in indices)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

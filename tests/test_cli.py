@@ -174,7 +174,7 @@ def test_magic_fuzz_exit_semantics(tmp_path):
     assert all(r[-1] == "1" for r in rows[1:])
     # the (1, 2) cell has genuine counterexamples: exit 2 and flagged rows
     status, out = run_cfg(tmp_path, dict(base, k_grid=[1], r_grid=[2]), "fuzz2")
-    rows = read_csv(out / "fuzz2" if False else out / "magic_fuzz.csv")
+    rows = read_csv(out / "magic_fuzz.csv")
     flagged = [r for r in rows[1:] if r[-1] == "0"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert status == 2
@@ -230,7 +230,8 @@ def test_mtp_budget_cuts_end_in_exit_1(tmp_path, capsys, workers):
     out = tmp_path / "out"
     assert main_with(tmp_path, cfg, "--out", str(out), "--workers", str(workers)) == 1
     assert capsys.readouterr().err == (
-        "error: 655/1000 samples could not certify the transport radius\n")
+        "error: 655/1000 samples could not certify the transport radius; "
+        "655 of them hit the vertex budget (budget = 2)\n")
     assert os.listdir(out) == []
 
 
