@@ -16,10 +16,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
 from collections import Counter
+from functools import partial
 from itertools import chain, cycle, repeat
 from multiprocessing import Pool
 from typing import Callable, NamedTuple
@@ -213,14 +215,14 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 # sharded experiments: one worker call covers a block of replicate indices;
 # shards receive the typed config values and an (idx, rng) pair per index,
-# and return their rows as CSV text, formatted in the worker, with an extra
-# that holds what the manifest needs
+# and return their rows as CSV text, formatted in the worker, with a Counter
+# of integer tallies for the manifest: sums that no cut of the shards moves
 
 
 def _shard_magic_fuzz(v, streams):
     """Every tree of the shard in one batch, each folded in as it is
     sampled, and one kernel call per value and radius; rows run (tree, r,
-    k) in grid order, and the extra is the count of failed cells."""
+    k) in grid order, and the tally counts the failed cells."""
     k_grid, r_grid = v["k_grid"], v["r_grid"]
     ids = []
 
@@ -253,7 +255,7 @@ def _shard_magic_fuzz(v, streams):
         scount.ravel().tolist(),
         chain.from_iterable(map(bound_text.__getitem__, n_marks)),
         ok.ravel().astype(int).tolist(),
-    ), int(np.count_nonzero(~ok))
+    ), Counter(bound_violations=int(np.count_nonzero(~ok)))
 
 
 def _shard_mtp(v, streams):
@@ -263,53 +265,48 @@ def _shard_mtp(v, streams):
     return mtp.evaluate_samples(sampler, F, W, (rng for _, rng in streams))
 
 
-def _shard_intersect(v, streams):
-    """The extra is the pair counts and how many replicates the budget
-    cut."""
+def _each_replicate(one, v, streams):
+    """A shard that samples one replicate at a time: one(v, idx, rng) gives
+    its rows and tallies (a dict of ints, or falsy when all are zero).
+    TABLE binds one by functools.partial, which a pool can pickle."""
     rows = []
-    cut = 0
+    total = Counter()
     for idx, rng in streams:
-        rec = intersections.sample_intersections(
-            v["offspring1"], v["offspring2"], v["group"], v["depth"], rng, v["budget"]
-        )
-        rows.append((idx, rec.pair_count, len(rec.intersection), int(rec.truncated)))
-        cut += rec.budget_cut
-    return _csv_text(*zip(*rows)), (np.array([row[1] for row in rows], dtype=float), cut)
+        more, tally = one(v, idx, rng)
+        rows += more
+        if tally:
+            total.update(tally)
+    return _csv_text(*zip(*rows)), total
 
 
-def _shard_thin_sweep(v, streams):
-    rows = []
-    violations = 0
-    for idx, rng in streams:
-        rep = intersections.thinned_intersection_sweep(
-            v["offspring1"], v["offspring2"], v["group"], v["p_grid"], v["depth"], rng, v["budget"]
-        )
-        ps = sorted(rep.sets)
-        for a, b in zip(ps, ps[1:]):
-            if not rep.sets[a] <= rep.sets[b]:
-                violations += 1
-        for p in ps:
-            rows.append((p, idx, len(rep.sets[p]), rep.pair_counts[p], int(rep.truncated)))
-    return _csv_text(*zip(*rows)), violations
+def _intersect_one(v, idx, rng):
+    rec = intersections.sample_intersections(
+        v["offspring1"], v["offspring2"], v["group"], v["depth"], rng, v["budget"]
+    )
+    n = rec.pair_count
+    return [(idx, n, len(rec.intersection), int(rec.truncated))], {
+        "replicates": 1, "pairs": n, "pairs_squared": n * n,
+        "budget_truncated": int(rec.budget_cut)}
 
 
-def _shard_ends(v, streams):
-    """The extra is the survivor count and, per radius, how many
-    survivors had each count of qualifying components."""
-    rows = []
-    survivors = 0
-    by_radius = {}
-    for idx, rng in streams:
-        res = intersections.trace_ends_experiment(
-            v["offspring"], v["group"], v["depth"], v["radius_grid"], v["m_threshold"], rng,
-            v["budget"],
-        )
-        survivors += res.survived
-        for radius, q in res.qualifying.items():
-            rows.append((radius, idx, q, int(res.survived)))
-            if res.survived:
-                by_radius.setdefault(radius, Counter())[q] += 1
-    return _csv_text(*zip(*rows)), (survivors, by_radius)
+def _thin_sweep_one(v, idx, rng):
+    rep = intersections.thinned_intersection_sweep(
+        v["offspring1"], v["offspring2"], v["group"], v["p_grid"], v["depth"], rng, v["budget"]
+    )
+    ps = sorted(rep.sets)
+    rows = [(p, idx, len(rep.sets[p]), rep.pair_counts[p], int(rep.truncated)) for p in ps]
+    bad = sum(not rep.sets[a] <= rep.sets[b] for a, b in zip(ps, ps[1:]))
+    return rows, bad and {"monotonicity_violations": bad}
+
+
+def _ends_one(v, idx, rng):
+    """A survivor is tallied once, and once per (radius, qualifying count)."""
+    res = intersections.trace_ends_experiment(
+        v["offspring"], v["group"], v["depth"], v["radius_grid"], v["m_threshold"], rng,
+        v["budget"],
+    )
+    rows = [(radius, idx, q, int(res.survived)) for radius, q in res.qualifying.items()]
+    return rows, res.survived and {"survivors": 1, **dict.fromkeys(res.qualifying.items(), 1)}
 
 
 def _shard_worker(args):
@@ -330,11 +327,11 @@ def _usable_cpus() -> int:
 def _run_sharded(shard, block, v, seed, n_units, workers):
     """Split the replicate indices into near-equal tasks of at most block
     indices, run shard on each, in one process or on a pool, and yield
-    each task's (rows, extra) in task order, so rows come in replicate
-    order whichever task finishes first.  The task count is a multiple of the processes and a pool
-    hands the tasks out one at a time, so no worker gets a task more than
-    the others.  Each index has its own stream, so the cuts never change
-    the rows."""
+    each task's result in task order, so rows come in replicate order
+    whichever task finishes first.  The task count is a multiple of the
+    processes and a pool hands the tasks out one at a time, so no worker
+    gets a task more than the others.  Each index has its own stream, so
+    the cuts never change the rows."""
     n_tasks = -(-n_units // block)
     processes = min(workers, n_tasks, _usable_cpus())
     n_tasks = -(-n_tasks // processes) * processes
@@ -347,14 +344,21 @@ def _run_sharded(shard, block, v, seed, n_units, workers):
         yield from map(_shard_worker, tasks)
 
 
-def _write_shards(out_dir, name, header, shard, block, v, seed, n_units, workers):
-    """_run_sharded with each task's rows written to the CSV file name in
-    out_dir as they arrive: yields each task's extra, and the file takes
-    its name after the last one (a task that raises leaves no file)."""
-    with _csv_file(os.path.join(out_dir, name), header) as out:
-        for text, extra in _run_sharded(shard, block, v, seed, n_units, workers):
-            out.write(text)
-            yield extra
+def _sharded_csv(file, header, shard, block, units_key, verdict):
+    """The driver of a sharded CSV experiment: each task's text reaches
+    file as it arrives, which takes its name after the last task (a task
+    that raises leaves no file), and verdict(v, tally) turns the sum of
+    the tallies into the exit status and the manifest entries."""
+
+    def run(v, seed, workers, out_dir):
+        total = Counter()
+        with _csv_file(os.path.join(out_dir, file), header) as out:
+            for text, tally in _run_sharded(shard, block, v, seed, v[units_key], workers):
+                out.write(text)
+                total.update(tally)
+        return verdict(v, total)
+
+    return run
 
 
 def _median(counts) -> float:
@@ -368,7 +372,7 @@ def _median(counts) -> float:
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers: each takes the typed values of its table
+# experiment drivers (each takes the typed values of its table) and verdicts
 
 
 def _run_spectra(v, seed, workers, out_dir):
@@ -393,14 +397,6 @@ def _run_visits(v, seed, workers, out_dir):
     }
 
 
-def _run_magic_fuzz(v, seed, workers, out_dir):
-    violations = sum(_write_shards(
-        out_dir, "magic_fuzz.csv", ("tree_id", "n_vertices", "n_marks", "k", "r",
-                                    "branching_count", "supported_count", "bound", "pass"),
-        _shard_magic_fuzz, 100, v, seed, v["n_trees"], workers))
-    return (0 if violations == 0 else 2), {"bound_violations": violations}
-
-
 def _run_mtp_test(v, seed, workers, out_dir):
     n_samples = v["n_samples"]
     rows = np.empty((n_samples, 2))  # the (weighted difference, weight) of each certified sample
@@ -420,51 +416,44 @@ def _run_mtp_test(v, seed, workers, out_dir):
     return (0 if report.passed else 2), {"report": report.to_json_dict()}
 
 
-def _run_intersect(v, seed, workers, out_dir):
-    pairs, cuts = zip(*_write_shards(
-        out_dir, "intersect.csv", ("replicate", "pair_count", "intersection_size", "truncated"),
-        _shard_intersect, 400, v, seed, v["replicates"], workers))
-    counts = np.concatenate(pairs)
-    cut = sum(cuts)
-    g = v["group"]
-    e = g.identity()
+def _flagged(key, v, tally):
+    """The verdict of an experiment whose tally counts its failed checks
+    under key: exit 2 when any failed."""
+    return (2 if tally[key] else 0), {key: tally[key]}
+
+
+def _intersect_verdict(v, tally):
+    """The Monte Carlo mean pair count against the exact one, in standard
+    errors; the tallied moments give the variance's numerator exactly."""
+    n, s, ss = tally["replicates"], tally["pairs"], tally["pairs_squared"]
+    cut = tally["budget_truncated"]
+    e = v["group"].identity()
     exact = intersections.expected_pairs_truncated(
-        v["offspring1"].mean, v["offspring2"].mean, g, e, e, v["depth"]
-    )
-    se = counts.std(ddof=1) / np.sqrt(len(counts))
-    z = (counts.mean() - exact) / se if se > 0 else 0.0
+        v["offspring1"].mean, v["offspring2"].mean, v["group"], e, e, v["depth"])
+    mean = s / n
+    se = math.sqrt((n * ss - s * s) / (n * n * (n - 1)))
+    z = (mean - exact) / se if se > 0 else 0.0
     # a budget cut keeps a breadth-first prefix of the depth-capped tree,
     # so it can only lower a pair count: then only a mean above the exact
     # one fails
     status = 0 if (z if cut else abs(z)) <= 4.0 else 2
     return status, {
         "expected_pairs": exact,
-        "mc_mean": float(counts.mean()),
-        "mc_se": float(se),
-        "z": float(z),
+        "mc_mean": mean,
+        "mc_se": se,
+        "z": z,
         "budget_truncated": cut,
     }
 
 
-def _run_thin_sweep(v, seed, workers, out_dir):
-    violations = sum(_write_shards(
-        out_dir, "thin_sweep.csv", ("p", "replicate", "intersection_size", "pair_count",
-                                    "truncated"),
-        _shard_thin_sweep, 100, v, seed, v["replicates"], workers))
-    return (0 if violations == 0 else 2), {"monotonicity_violations": violations}
-
-
-def _run_ends(v, seed, workers, out_dir):
-    survivors = 0
+def _ends_verdict(v, tally):
+    """Per radius, the median count of qualifying components of survivors."""
     by_radius = {}
-    for n, tallies in _write_shards(
-            out_dir, "ends.csv", ("radius", "replicate", "qualifying_components", "survived"),
-            _shard_ends, 100, v, seed, v["replicates"], workers):
-        survivors += n
-        for radius, tally in tallies.items():
-            by_radius.setdefault(radius, Counter()).update(tally)
-    medians = {str(rad): _median(tally) for rad, tally in sorted(by_radius.items())}
-    return 0, {"median_qualifying_by_radius": medians, "n_survivors": survivors}
+    for key, count in tally.items():
+        if key != "survivors":
+            by_radius.setdefault(key[0], {})[key[1]] = count
+    medians = {str(rad): _median(counts) for rad, counts in sorted(by_radius.items())}
+    return 0, {"median_qualifying_by_radius": medians, "n_survivors": tally["survivors"]}
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +540,10 @@ TABLE = {
         "n_max": Key(_int, 1, CAPS["n_max"]),
         "stride": Key(_int, 1, default=1),
     }, lambda v: groups.check_lattice_box(v["group"], v["n_max"])),
-    "magic-fuzz": (_run_magic_fuzz, {
+    "magic-fuzz": (_sharded_csv(
+        "magic_fuzz.csv", ("tree_id", "n_vertices", "n_marks", "k", "r", "branching_count",
+                           "supported_count", "bound", "pass"),
+        _shard_magic_fuzz, 100, "n_trees", partial(_flagged, "bound_violations")), {
         "n_trees": Key(_int, 1, CAPS["n_trees"]),
         "max_vertices": Key(_int, 1, CAPS["max_vertices"]),
         "k_grid": Key(_grid(_int), 1),
@@ -564,15 +556,22 @@ TABLE = {
         "alpha": Key(_open_unit),
         "sampler": Key(_one_of(*MTP_SAMPLERS)),
     }, None),
-    "intersect": (_run_intersect, dict(
+    "intersect": (_sharded_csv(
+        "intersect.csv", ("replicate", "pair_count", "intersection_size", "truncated"),
+        partial(_each_replicate, _intersect_one), 400, "replicates", _intersect_verdict), dict(
         _PAIR_KEYS, replicates=Key(_int, 2, CAPS["replicates"]),
     ), lambda v: groups.check_lattice_box(v["group"], 2 * v["depth"])),
-    "thin-sweep": (_run_thin_sweep, dict(
+    "thin-sweep": (_sharded_csv(
+        "thin_sweep.csv", ("p", "replicate", "intersection_size", "pair_count", "truncated"),
+        partial(_each_replicate, _thin_sweep_one), 100, "replicates",
+        partial(_flagged, "monotonicity_violations")), dict(
         _PAIR_KEYS,
         p_grid=Key(_grid(_float), 0.0, 1.0),
         replicates=Key(_int, 1, CAPS["replicates"]),
     ), None),
-    "ends": (_run_ends, {
+    "ends": (_sharded_csv(
+        "ends.csv", ("radius", "replicate", "qualifying_components", "survived"),
+        partial(_each_replicate, _ends_one), 100, "replicates", _ends_verdict), {
         "group": Key(_group),
         "offspring": Key(_offspring),
         "depth": Key(_int, 1, CAPS["depth"]),

@@ -458,11 +458,6 @@ def brute_supported_gaps(tree, A, r, anchor=None):
     return {v: dv - worst for v, (dv, worst) in out.items()}
 
 
-def brute_supported(tree, A, k, r, anchor=None):
-    gaps = brute_supported_gaps(tree, A, r, anchor)
-    return {v for v, gap in gaps.items() if gap >= k}
-
-
 def implication_slack_marks(tree, A, u, r, anchor=None):
     """Marks that can separate branching from supported at u: the mark at
     u itself, plus marks outside u's subtree whose meeting point with u is

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from brwlab import cli
 from brwlab.groups import GroupSpec
 from brwlab.gw import OffspringDistribution
-from brwlab.rng import substream
+from brwlab.rng import _block_keys, substream
 from oracles import (
     run_walk_values_reference,
     sample_gw_reference,
@@ -297,13 +297,19 @@ def test_thin_sweep_csv_matches_reference_sweep(tmp_path, group, p_grid):
         assert (out / "thin_sweep.csv").read_text() == want.getvalue()
 
 
-@pytest.mark.parametrize("cfg, budget_cut", [
-    ({"experiment": "intersect", "seed": 5, "group": {"kind": "regular_tree", "param": 4},
-      "offspring1": [0.45, 0, 0.55], "offspring2": [0.3, 0.3, 0.4], "depth": 5,
-      "replicates": 600}, 0),
-    ({"experiment": "intersect", "seed": 5, "group": {"kind": "integer_lattice", "param": 2},
-      "offspring1": [0.3, 0, 0.7], "depth": 4, "budget": 12, "replicates": 450}, 324),
-], ids=["T4-two-laws", "Z2-budget"])
+# (config, replicates the budget cuts) of intersect runs of two shards
+INTERSECT_RUNS = {
+    "T4-two-laws": ({"experiment": "intersect", "seed": 5,
+                     "group": {"kind": "regular_tree", "param": 4},
+                     "offspring1": [0.45, 0, 0.55], "offspring2": [0.3, 0.3, 0.4], "depth": 5,
+                     "replicates": 600}, 0),
+    "Z2-budget": ({"experiment": "intersect", "seed": 5,
+                   "group": {"kind": "integer_lattice", "param": 2},
+                   "offspring1": [0.3, 0, 0.7], "depth": 4, "budget": 12, "replicates": 450}, 324),
+}
+
+
+@pytest.mark.parametrize("cfg, budget_cut", INTERSECT_RUNS.values(), ids=list(INTERSECT_RUNS))
 def test_intersect_csv_matches_reference_rows(tmp_path, cfg, budget_cut):
     """intersect.csv at 1 and 2 workers holds, row for row, the pair count
     sum_z c1[z] c2[z], the intersection size |keys1 & keys2| and the
@@ -352,6 +358,56 @@ def test_intersect_verdict_is_one_sided_under_budget_cuts(tmp_path, monkeypatch,
         status, out = run_cfg(tmp_path, cfg, f"shift{shift}")
         assert json.loads((out / "manifest.json").read_text())["z"] == pytest.approx(-shift)
         assert status == (2 if fails else 0), shift
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_manifests_follow_from_their_csv(tmp_path, monkeypatch, workers):
+    """Each sharded manifest, recomputed from its CSV: ends' survivors and
+    per-radius medians over them, intersect's mean and SE of the pair
+    count from exact moments, and its budget cuts; a thin-sweep replicate
+    whose sets are not nested is counted once and fails the run.  Without
+    its wall time and worker count, each manifest is the 1-worker one."""
+
+    def run(cfg, name, file):
+        status, out = run_cfg(tmp_path, cfg, f"{name}-w{workers}", workers=workers)
+        manifest = json.loads((out / "manifest.json").read_text())
+        _, one = run_cfg(tmp_path, cfg, f"{name}-w1-again")
+        again = json.loads((one / "manifest.json").read_text())
+        for m in (manifest, again):
+            del m["wall_time_s"], m["workers"]
+        assert manifest == again and manifest["status"] == status, name
+        return manifest, read_csv(out / file)[1:]
+
+    manifest, rows = run(PINNED_BODIES["ends-tree"][0], "ends", "ends.csv")
+    survived = [(int(radius), int(q)) for radius, _, q, s in rows if s == "1"]
+    assert manifest["n_survivors"] == len({idx for _, idx, _, s in rows if s == "1"}) > 0
+    assert manifest["median_qualifying_by_radius"] == {
+        str(r): np.median([q for radius, q in survived if radius == r])
+        for r in sorted({radius for radius, _ in survived})}
+    assert manifest["status"] == 0
+
+    for name, (cfg, budget_cut) in INTERSECT_RUNS.items():
+        manifest, rows = run(cfg, name, "intersect.csv")
+        pairs = [int(row[1]) for row in rows]
+        n, s, ss = len(pairs), sum(pairs), sum(x * x for x in pairs)
+        assert manifest["mc_mean"] == pytest.approx(float(Fraction(s, n)), rel=1e-15)
+        se = math.sqrt(Fraction(n * ss - s * s, n * n * (n - 1)))
+        assert manifest["mc_se"] == pytest.approx(se, rel=1e-15)
+        assert manifest["budget_truncated"] == budget_cut and manifest["status"] == 0
+
+    cfg = dict(BASE["thin-sweep"], p_grid=[0.5, 0.9, 1.0], depth=4, replicates=150)
+    bad_key = substream(cfg["seed"], 120).bit_generator.state["state"]["key"].tolist()
+    sweep = cli.intersections.thinned_intersection_sweep
+
+    def unnested(mu1, mu2, g, p_grid, depth, rng, budget):
+        rep = sweep(mu1, mu2, g, p_grid, depth, rng, budget)
+        if rng.bit_generator.state["state"]["key"].tolist() == bad_key:
+            rep.sets[min(rep.sets)] |= {-1}  # a vertex that no higher p keeps
+        return rep
+
+    monkeypatch.setattr(cli.intersections, "thinned_intersection_sweep", unnested)
+    manifest, _ = run(cfg, "thin-sweep", "thin_sweep.csv")
+    assert manifest["monotonicity_violations"] == 1 and manifest["status"] == 2
 
 
 def test_intersect_writes_the_exact_pair_count(tmp_path):
@@ -842,16 +898,22 @@ def test_pool_sized_by_cpu_affinity(tmp_path, monkeypatch):
     assert (out / "thin_sweep.csv").read_bytes() == (out1 / "thin_sweep.csv").read_bytes()
 
 
-# (config, the key that counts its units, units at 1x, bytes kept per unit):
-# intersect keeps each pair count as a double and mtp-test each (difference,
-# weight) row as two, and np.std adds one double per unit for the deviations
+# the substream key cache when full: maxsize blocks of (256, 2) uint64 keys
+KEY_CACHE = _block_keys.cache_info().maxsize * 256 * 2 * 8
+
+# (config, the key that counts its units, units at 1x, bytes kept per unit,
+# bytes allowed once): mtp-test keeps each (difference, weight) row as two
+# doubles and np.std adds one per unit for the deviations; intersect keeps
+# integer tallies, and its 10x run may fill the key cache further than 1x
 STREAMED = {
     "magic-fuzz": (dict(BASE["magic-fuzz"], max_vertices=40, k_grid=list(range(1, 9)),
-                        r_grid=[1, 2, 3]), "n_trees", 400, 0),
-    "thin-sweep": (dict(BASE["thin-sweep"], p_grid=[0.5, 0.9, 1.0], depth=6), "replicates", 200, 0),
-    "intersect": (dict(BASE["intersect"], depth=4), "replicates", 400, 16),
-    "ends": (dict(BASE["ends"], depth=4, radius_grid=[1, 2], m_threshold=2), "replicates", 100, 0),
-    "mtp-test": (dict(BASE["uniform_root"], f="marked_neighbors"), "n_samples", 1000, 24),
+                        r_grid=[1, 2, 3]), "n_trees", 400, 0, 0),
+    "thin-sweep": (dict(BASE["thin-sweep"], p_grid=[0.5, 0.9, 1.0], depth=6), "replicates", 200,
+                   0, 0),
+    "intersect": (dict(BASE["intersect"], depth=4), "replicates", 400, 0, KEY_CACHE),
+    "ends": (dict(BASE["ends"], depth=4, radius_grid=[1, 2], m_threshold=2), "replicates", 100,
+             0, 0),
+    "mtp-test": (dict(BASE["uniform_root"], f="marked_neighbors"), "n_samples", 1000, 24, 0),
 }
 
 
@@ -868,19 +930,19 @@ def _traced_peak(cfg, out):
 def test_sharded_run_memory_does_not_grow_with_its_units(tmp_path, name):
     """Rows reach the file shard by shard: ten times the units peak within
     1.5 times the traced peak of one time the units, plus what the
-    manifest keeps per unit."""
-    cfg, key, units, kept = STREAMED[name]
+    manifest keeps per unit and the allowance for a cache."""
+    cfg, key, units, kept, cached = STREAMED[name]
     run_cfg(tmp_path, dict(cfg, **{key: 10 * units}), "warm")  # fill the caches first
     one = _traced_peak(dict(cfg, **{key: units}), tmp_path / "one")
     ten = _traced_peak(dict(cfg, **{key: 10 * units}), tmp_path / "ten")
-    assert ten <= 1.5 * one + kept * 10 * units, (one, ten)
+    assert ten <= 1.5 * one + kept * 10 * units + cached, (one, ten)
 
 
 @pytest.mark.parametrize("name", STREAMED)
 def test_failed_run_leaves_no_output(tmp_path, monkeypatch, name):
     """A shard that raises on its third task leaves neither the output
     nor a partial file, and the manifest of an earlier run is gone."""
-    cfg, key, units, _ = STREAMED[name]
+    cfg, key, units, *_ = STREAMED[name]
     calls = []
 
     def third_fails(task):
