@@ -1,20 +1,23 @@
 """Transitive base graphs: regular trees, free groups, integer lattices.
 
-Vertices are normal-form words (trees, free groups) or coordinate tuples
-(lattices).  n-step transition probabilities of simple random walk are
-computed exactly.  Tree-like graphs have one kernel, the return series
-p_n(e, e): a positive tail sum from Kesten's closed-form generating
-function, truncated below 2^-64 relative; x != y is refused there.  On
-lattices, closed-form 1-d binomial laws are combined per dimension, at
-any displacement.  Long-horizon series are computed on the scale of the
-operator norm so that nothing under- or overflows.
+One class per graph family holds its vertices, arithmetic, balls, caps
+and kernel: WordGroup for the normal-form words of trees and free groups,
+Lattice for the coordinate tuples of Z^d.  GroupSpec picks its family
+once, and each module function dispatches to it.  n-step transition
+probabilities of simple random walk are computed exactly.  Tree-like
+graphs have one kernel, the return series p_n(e, e): a positive tail sum
+from Kesten's closed-form generating function, truncated below 2^-64
+relative; x != y is refused there.  On lattices, closed-form 1-d binomial
+laws are combined per dimension, at any displacement.  Long-horizon
+series are computed on the scale of the operator norm so that nothing
+under- or overflows.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from operator import add, eq, neg
 
@@ -24,8 +27,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 REGULAR_TREE = "regular_tree"
 FREE_GROUP = "free_group"
 INTEGER_LATTICE = "integer_lattice"
-
-_KINDS = (REGULAR_TREE, FREE_GROUP, INTEGER_LATTICE)
 
 MAX_LATTICE_DIM = 3
 # Horizon cap: an N-step lattice kernel is refused when the (2N+1)^dim box
@@ -44,9 +45,203 @@ class InvalidElementError(ValueError):
     """Raised when a word or coordinate tuple is not a valid vertex."""
 
 
+class WordGroup:
+    """Reduced words over letters closed under a letter inverse.  Methods
+    take valid words, except neighbors(), which validates its own."""
+
+    is_tree_like = True
+    identity = ()
+
+    def __init__(self, letters, inverted, span: str):
+        self.generators = tuple(letters)  # in the fixed order neighbors() uses
+        self.degree = d = len(self.generators)
+        self.rho = 2.0 * math.sqrt(d - 1) / d
+        self._inverted = inverted  # the inverses of a run of letters, in order
+        self._span = span  # the letter range, as a refusal names it
+        self._letters = frozenset(self.generators)
+        self._unit_words = tuple((s,) for s in self.generators)
+        # each last letter's back-step slot: that of its inverse
+        self._back_slot = dict(zip(inverted(self.generators), range(d)))
+
+    def validate(self, x) -> None:
+        """Each check is one builtin that loops in C: an int test of every
+        letter, a superset test for the range, a pair test for reducedness."""
+        if not isinstance(x, tuple):
+            raise InvalidElementError(f"element must be a tuple, got {type(x).__name__}")
+        # ints first: the set lookup would accept 1.0 or np.int64(1) for 1
+        if not all(map(isinstance, x, repeat(int))) or not self._letters.issuperset(x):
+            raise InvalidElementError(f"{x!r} has letters outside {self._span}")
+        if any(map(eq, x, self._inverted(x[1:]))):
+            raise InvalidElementError(f"{x!r} is not reduced")
+
+    def neighbors(self, x) -> list:
+        # validate's tests, inlined for the walk's one call per step; it
+        # raises with the message of the test that failed
+        if not (isinstance(x, tuple) and all(map(isinstance, x, repeat(int)))
+                and self._letters.issuperset(x)) or any(map(eq, x, self._inverted(x[1:]))):
+            self.validate(x)
+        out = [x + s for s in self._unit_words]
+        if x:  # the one letter that cancels x's last letter steps back to x[:-1]
+            out[self._back_slot[x[-1]]] = x[:-1]
+        return out
+
+    def mul(self, x, y):
+        k, head = 0, tuple(self._inverted(y))
+        while k < min(len(x), len(y)) and x[-1 - k] == head[k]:
+            k += 1
+        return x[:len(x) - k] + y[k:]
+
+    def inv(self, x):
+        return tuple(self._inverted(reversed(x)))
+
+    def distance(self, x, y) -> int:
+        common = next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), min(len(x), len(y)))
+        return len(x) + len(y) - 2 * common
+
+    def ball_size(self, radius: int) -> int:
+        d = self.degree  # sum of sphere sizes; any radius above 64 is over the cap
+        return 1 + d * ((d - 1) ** min(radius, 64) - 1) // (d - 2)
+
+    def check_horizon(self, steps: int) -> None:
+        """No cap: the kernel needs O(steps) memory and no box."""
+
+    def scaled_series(self, x, y, n_max: int) -> np.ndarray:
+        """The tail sums of even_returns (truncated below 2^-64 relative) at
+        every even n, O(n_max J) time, with odd entries 0.0 and s[0] set to
+        1.0 exactly (the truncated sum can miss it by an ulp or two)."""
+        if x != y:
+            raise ValueError("tree-like graphs have a kernel only at distance 0: x must equal y")
+        s = np.zeros(n_max + 1)
+        s[0] = 1.0
+        s[2::2] = self.even_returns(n_max // 2)
+        return s
+
+    def even_returns(self, m_max: int, stride: int = 1) -> np.ndarray:
+        """p_2m(e, e) / rho^2m at m = stride, 2 stride, ... <= m_max, and at
+        m_max when stride does not divide it.
+
+        Kesten's return generating function (Woess, Random Walks on Infinite
+        Graphs and Groups, 2000, Lemma 1.24) is, with w = z^2 and rho^2 =
+        4(d-1)/d^2,
+          sum_n p_2n w^n = (d sqrt(1 - rho^2 w) - (d-2)) / (2(1-w)).
+        Its numerator vanishes at w = 1, so with |c_k| the coefficients of
+        sqrt(1 - x) (_sqrt_coefficients)
+          p_2m / rho^2m = (d/2) sum_{j>=1} |c_{m+j}| rho^2j,
+        a sum of positive terms falling faster than rho^2 per term.  It stops
+        after J terms, with J the least such that the bound rho^2J / (1 - rho^2)
+        on the relative truncation error is <= 2^-64 (J = 396 at d = 3, 160
+        at d = 4, 16 at d = 64).  Each entry is one dot product of a J-term
+        window of the coefficients, read through a strided view that copies
+        no window, so the cost is O(J) per returned entry plus O(m_max) for
+        the coefficients, and O(m_max) memory.
+        """
+        d = self.degree
+        rho2 = 4.0 * (d - 1) / (d * d)
+        terms = math.ceil((64 * math.log(2.0) - math.log1p(-rho2)) / -math.log(rho2))
+        weights = rho2 ** np.arange(1, terms + 1)
+        # row m: |c_{m+1}| .. |c_{m+J}|
+        windows = sliding_window_view(_sqrt_coefficients(m_max + terms), terms)
+        tails = np.vecdot(windows[stride::stride], weights)
+        if m_max % stride:
+            tails = np.append(tails, np.vecdot(windows[m_max], weights))
+        return tails * (0.5 * d)
+
+
+class Lattice:
+    """Z^dim with nearest-neighbour edges.  Methods take valid points,
+    except neighbors(), which validates its own."""
+
+    is_tree_like = False
+    rho = 1.0
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.degree = 2 * dim
+        self.identity = (0,) * dim
+        # the unit steps, in the fixed order neighbors() uses
+        self.generators = tuple(tuple(sign if i == axis else 0 for i in range(dim))
+                                for axis in range(dim) for sign in (1, -1))
+
+    def validate(self, x) -> None:
+        if not isinstance(x, tuple):
+            raise InvalidElementError(f"element must be a tuple, got {type(x).__name__}")
+        if len(x) != self.dim or not all(map(isinstance, x, repeat(int))):
+            raise InvalidElementError(f"{x!r} is not a coordinate in Z^{self.dim}")
+
+    def neighbors(self, x) -> list:
+        # validate's tests, inlined as in WordGroup.neighbors
+        if not (isinstance(x, tuple) and len(x) == self.dim
+                and all(map(isinstance, x, repeat(int)))):
+            self.validate(x)
+        return [tuple(map(add, x, step)) for step in self.generators]
+
+    def mul(self, x, y):
+        return tuple(map(add, x, y))
+
+    def inv(self, x):
+        return tuple(map(neg, x))
+
+    def distance(self, x, y) -> int:
+        return sum(abs(a - b) for a, b in zip(x, y))
+
+    def ball_size(self, radius: int) -> int:
+        return (2 * radius + 1) ** self.dim  # the box around the ball
+
+    def check_horizon(self, steps: int) -> None:
+        if (2 * steps + 1) ** self.dim > MAX_LATTICE_CELLS:
+            raise ValueError(f"{steps} steps on Z^{self.dim} need more than "
+                             f"{MAX_LATTICE_CELLS} lattice cells")
+
+    def even_returns(self, m_max: int, stride: int = 1) -> np.ndarray:
+        """p_2m(e, e) at m = stride, 2 stride, ... below m_max, and at m_max."""
+        ms = np.array([*range(stride, m_max, stride), m_max])
+        return self.scaled_series(self.identity, self.identity, 2 * m_max)[2 * ms]
+
+    def scaled_series(self, x, y, n_max: int) -> np.ndarray:
+        """p_n(x, y) for n = 0..n_max from the exact 1-d laws q of
+        _walk_law, in O(n_max) memory (Lawler and Limic, Random Walk: A
+        Modern Introduction, 2010):
+          Z^1: q(d1), with delta = y - x;
+          Z^2: q(d1 + d2) q(d1 - d2), as x+y and x-y are independent +-1 walks;
+          Z^3: sum over the m steps taken along axis 1 of
+               Bin(n, 1/3)(m) q_m(d1) p2_{n-m}(d2, d3), O(n_max^2) time.
+        """
+        self.check_horizon(n_max)
+        delta = tuple(b - a for a, b in zip(x, y))
+        if self.dim == 1:
+            return _walk_law(delta[0], n_max)
+        a, b = delta[-2:]
+        plane = _walk_law(a + b, n_max) * _walk_law(a - b, n_max)
+        if self.dim == 2:
+            return plane
+        axis = _walk_law(delta[0], n_max)
+        out = np.empty(n_max + 1)
+        binom = np.zeros(n_max + 1)  # row n of Bin(n, 1/3), updated in place
+        binom[0] = 1.0
+        for n in range(n_max + 1):
+            if n:
+                binom[1:n + 1] = binom[1:n + 1] * (2.0 / 3.0) + binom[:n] * (1.0 / 3.0)
+                binom[0] *= 2.0 / 3.0
+            out[n] = np.dot(binom[:n + 1] * axis[:n + 1], plane[n::-1])
+        return out
+
+
+# kind -> (least param, greatest param, refusal outside them, degree per
+# unit of param, family of param); the degree is capped before it is built
+_FAMILIES = {
+    REGULAR_TREE: (3, math.inf, "regular tree needs degree >= 3", 1,
+                   lambda d: WordGroup(range(d), tuple, f"0..{d - 1}")),
+    FREE_GROUP: (2, math.inf, "free group needs rank >= 2", 2, lambda k: WordGroup(
+        [s for i in range(1, k + 1) for s in (i, -i)], partial(map, neg), f"+-1..{k}")),
+    INTEGER_LATTICE: (1, MAX_LATTICE_DIM, f"lattice dimension must be in 1..{MAX_LATTICE_DIM}",
+                      2, Lattice),
+}
+
+
 @dataclass(frozen=True)
 class GroupSpec:
-    """A transitive graph given by kind and a single integer parameter.
+    """A transitive graph given by kind and a single integer parameter,
+    equal, hashed and pickled by the two alone; `family` does the work.
 
     regular_tree(d):     d-regular tree, d >= 3 (free product of d involutions)
     free_group(k):       free group of rank k >= 2, Cayley graph is the
@@ -58,103 +253,45 @@ class GroupSpec:
     param: int
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _FAMILIES:
             raise ValueError(f"unknown group kind {self.kind!r}")
-        if self.kind == REGULAR_TREE and self.param < 3:
-            raise ValueError("regular tree needs degree >= 3")
-        if self.kind == FREE_GROUP and self.param < 2:
-            raise ValueError("free group needs rank >= 2")
-        if self.kind == INTEGER_LATTICE and not (1 <= self.param <= MAX_LATTICE_DIM):
-            raise ValueError(f"lattice dimension must be in 1..{MAX_LATTICE_DIM}")
-        if self.degree > MAX_DEGREE:
-            raise ValueError(f"degree {self.degree} exceeds {MAX_DEGREE}")
+        if type(self.param) is not int:
+            raise ValueError(f"group param must be an integer, got {self.param!r}")
+        least, greatest, refusal, per_param, family = _FAMILIES[self.kind]
+        if not least <= self.param <= greatest:
+            raise ValueError(refusal)
+        if per_param * self.param > MAX_DEGREE:
+            raise ValueError(f"degree {per_param * self.param} exceeds {MAX_DEGREE}")
+        object.__setattr__(self, "family", family(self.param))
+
+    def __reduce__(self):
+        return GroupSpec, (self.kind, self.param)
 
     @property
     def degree(self) -> int:
-        if self.kind == REGULAR_TREE:
-            return self.param
-        return 2 * self.param
+        return self.family.degree
 
     @property
     def is_tree_like(self) -> bool:
-        return self.kind in (REGULAR_TREE, FREE_GROUP)
-
-    @functools.cached_property
-    def generators(self) -> tuple:
-        """The degree generators, in the fixed order neighbors() uses."""
-        if self.kind == REGULAR_TREE:
-            return tuple(range(self.param))
-        if self.kind == FREE_GROUP:
-            return tuple(s for i in range(1, self.param + 1) for s in (i, -i))
-        return tuple(tuple(sign if i == axis else 0 for i in range(self.param))
-                     for axis in range(self.param) for sign in (1, -1))
-
-    # tree-like words: the letter set, the 1-letter words in generator
-    # order, each letter's inverse (itself on regular trees, its negation
-    # on free groups), and each last letter's back-step slot (that of its
-    # inverse)
-    @functools.cached_property
-    def _letters(self) -> frozenset:
-        return frozenset(self.generators)
-
-    @functools.cached_property
-    def _unit_words(self) -> tuple:
-        return tuple((s,) for s in self.generators)
-
-    @functools.cached_property
-    def _inverse(self) -> dict:
-        gens = self.generators
-        return dict(zip(gens, gens if self.kind == REGULAR_TREE else map(neg, gens)))
-
-    @functools.cached_property
-    def _back_slot(self) -> dict:
-        return {self._inverse[s]: i for i, s in enumerate(self.generators)}
+        return self.family.is_tree_like
 
     def identity(self):
-        if self.kind == INTEGER_LATTICE:
-            return (0,) * self.param
-        return ()
+        return self.family.identity
 
     def spectral_radius_closed_form(self) -> float:
         """Norm of the Markov operator: 2*sqrt(deg-1)/deg on the tree-like
         graphs, 1 on lattices."""
-        if self.is_tree_like:
-            d = self.degree
-            return 2.0 * math.sqrt(d - 1) / d
-        return 1.0
+        return self.family.rho
 
 
 def validate_elem(g: GroupSpec, x) -> None:
-    """Raise InvalidElementError unless x is a vertex of g.  Every walk
-    step calls this through neighbors(), so each check is one builtin that
-    loops in C: an int test of every entry, then, on tree-like graphs, one
-    superset test of the generator set for the letter range and one
-    adjacent-pair comparison for reducedness."""
-    if not isinstance(x, tuple):
-        raise InvalidElementError(f"element must be a tuple, got {type(x).__name__}")
-    ints = all(map(isinstance, x, repeat(int)))
-    if g.kind == INTEGER_LATTICE:
-        if len(x) != g.param or not ints:
-            raise InvalidElementError(f"{x!r} is not a coordinate in Z^{g.param}")
-        return
-    tree = g.kind == REGULAR_TREE
-    # ints first: the set lookup would accept 1.0 or np.int64(1) for 1
-    if not ints or not g._letters.issuperset(x):
-        span = f"0..{g.param - 1}" if tree else f"+-1..{g.param}"
-        raise InvalidElementError(f"{x!r} has letters outside {span}")
-    if any(map(eq, x, x[1:] if tree else map(neg, x[1:]))):
-        raise InvalidElementError(f"{x!r} is not reduced")
+    """Raise InvalidElementError unless x is a vertex of g."""
+    g.family.validate(x)
 
 
 def neighbors(g: GroupSpec, x):
     """The deg(g) neighbours of x, in fixed generator order."""
-    validate_elem(g, x)
-    if g.kind == INTEGER_LATTICE:
-        return [tuple(map(add, x, step)) for step in g.generators]
-    out = [x + s for s in g._unit_words]
-    if x:  # the one letter that cancels x's last letter steps back to x[:-1]
-        out[g._back_slot[x[-1]]] = x[:-1]
-    return out
+    return g.family.neighbors(x)
 
 
 def mul(g: GroupSpec, x, y):
@@ -162,19 +299,12 @@ def mul(g: GroupSpec, x, y):
     head while their letters are inverses."""
     validate_elem(g, x)
     validate_elem(g, y)
-    if g.kind == INTEGER_LATTICE:
-        return tuple(map(add, x, y))
-    k = 0
-    while k < min(len(x), len(y)) and g._inverse[x[-1 - k]] == y[k]:
-        k += 1
-    return x[:len(x) - k] + y[k:]
+    return g.family.mul(x, y)
 
 
 def inv(g: GroupSpec, x):
     validate_elem(g, x)
-    if g.kind == INTEGER_LATTICE:
-        return tuple(map(neg, x))
-    return tuple(map(g._inverse.__getitem__, reversed(x)))
+    return g.family.inv(x)
 
 
 def distance(g: GroupSpec, x, y) -> int:
@@ -182,22 +312,16 @@ def distance(g: GroupSpec, x, y) -> int:
     the word length of x^-1 y; L1 on the lattice."""
     validate_elem(g, x)
     validate_elem(g, y)
-    if g.kind == INTEGER_LATTICE:
-        return sum(abs(a - b) for a, b in zip(x, y))
-    common = next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), min(len(x), len(y)))
-    return len(x) + len(y) - 2 * common
+    return g.family.distance(x, y)
 
 
 def check_ball(g: GroupSpec, radius: int) -> None:
-    """Raise ValueError when a radius ball may hold more than
-    MAX_BALL_ELEMENTS vertices: its exact size on tree-like graphs, the
-    (2r+1)^dim box around it on Z^d."""
-    if g.is_tree_like:  # sum of sphere sizes; any radius above 64 is over the cap
-        d = g.degree
-        size = 1 + d * ((d - 1) ** min(radius, 64) - 1) // (d - 2)
-    else:
-        size = (2 * radius + 1) ** g.param
-    if size > MAX_BALL_ELEMENTS:
+    """Raise ValueError when radius is negative or a radius ball may hold
+    more than MAX_BALL_ELEMENTS vertices: its exact size on tree-like
+    graphs, the (2r+1)^dim box around it on Z^d."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    if g.family.ball_size(radius) > MAX_BALL_ELEMENTS:
         raise ValueError(f"a radius-{radius} ball exceeds {MAX_BALL_ELEMENTS} vertices")
 
 
@@ -277,45 +401,12 @@ def _sqrt_coefficients(count: int) -> np.ndarray:
     return c
 
 
-def _tree_scaled_returns(d: int, m_max: int, stride: int = 1) -> np.ndarray:
-    """p_2m(e, e) / ||P||^2m on the d-regular tree at m = stride,
-    2 stride, ... <= m_max, and at m_max when stride does not divide it.
-
-    Kesten's return generating function (Woess, Random Walks on Infinite
-    Graphs and Groups, 2000, Lemma 1.24) is, with w = z^2 and rho^2 =
-    4(d-1)/d^2,
-      sum_n p_2n w^n = (d sqrt(1 - rho^2 w) - (d-2)) / (2(1-w)).
-    Its numerator vanishes at w = 1, so with |c_k| the coefficients of
-    sqrt(1 - x) (_sqrt_coefficients)
-      p_2m / rho^2m = (d/2) sum_{j>=1} |c_{m+j}| rho^2j,
-    a sum of positive terms falling faster than rho^2 per term.  It stops
-    after J terms, with J the least such that the bound rho^2J / (1 - rho^2)
-    on the relative truncation error is <= 2^-64 (J = 396 at d = 3, 160
-    at d = 4, 16 at d = 64).  Each entry is one dot product of a J-term
-    window of the coefficients, read through a strided view that copies
-    no window, so the cost is O(J) per returned entry plus O(m_max) for
-    the coefficients, and O(m_max) memory.
-    """
-    rho2 = 4.0 * (d - 1) / (d * d)
-    terms = math.ceil((64 * math.log(2.0) - math.log1p(-rho2)) / -math.log(rho2))
-    weights = rho2 ** np.arange(1, terms + 1)
-    # row m: |c_{m+1}| .. |c_{m+J}|
-    windows = sliding_window_view(_sqrt_coefficients(m_max + terms), terms)
-    tails = np.vecdot(windows[stride::stride], weights)
-    if m_max % stride:
-        tails = np.append(tails, np.vecdot(windows[m_max], weights))
-    return tails * (0.5 * d)
-
-
 def check_lattice_box(g: GroupSpec, steps: int) -> None:
     """Raise ValueError when an exact lattice kernel over the given number
     of steps reaches a (2*steps+1)^dim box of cells above
     MAX_LATTICE_CELLS.  A horizon cap: the kernel itself needs O(steps)
     memory."""
-    if g.kind == INTEGER_LATTICE and (2 * steps + 1) ** g.param > MAX_LATTICE_CELLS:
-        raise ValueError(
-            f"{steps} steps on Z^{g.param} need more than {MAX_LATTICE_CELLS} lattice cells"
-        )
+    g.family.check_horizon(steps)
 
 
 def _walk_law(c: int, n_max: int) -> np.ndarray:
@@ -342,56 +433,23 @@ def _walk_law(c: int, n_max: int) -> np.ndarray:
 
 
 def _lattice_vertex_series(g: GroupSpec, delta, n_max: int) -> np.ndarray:
-    """p_n(x, x+delta) for n = 0..n_max from the exact 1-d laws q of
-    _walk_law, in O(n_max) memory (Lawler and Limic, Random Walk: A Modern
-    Introduction, 2010):
-      Z^1: q(d1);
-      Z^2: q(d1 + d2) q(d1 - d2), as x+y and x-y are independent +-1 walks;
-      Z^3: sum over the m steps taken along axis 1 of
-           Bin(n, 1/3)(m) q_m(d1) p2_{n-m}(d2, d3), O(n_max^2) time.
-    """
-    check_lattice_box(g, n_max)
-    if g.param == 1:
-        return _walk_law(delta[0], n_max)
-    a, b = delta[-2:]
-    plane = _walk_law(a + b, n_max) * _walk_law(a - b, n_max)
-    if g.param == 2:
-        return plane
-    axis = _walk_law(delta[0], n_max)
-    out = np.empty(n_max + 1)
-    binom = np.zeros(n_max + 1)  # row n of Bin(n, 1/3), updated in place
-    binom[0] = 1.0
-    for n in range(n_max + 1):
-        if n:
-            binom[1:n + 1] = binom[1:n + 1] * (2.0 / 3.0) + binom[:n] * (1.0 / 3.0)
-            binom[0] *= 2.0 / 3.0
-        out[n] = np.dot(binom[:n + 1] * axis[:n + 1], plane[n::-1])
-    return out
+    """p_n(x, x+delta) for n = 0..n_max on Z^d."""
+    return g.family.scaled_series(g.identity(), delta, n_max)
 
 
 def scaled_p_series(g: GroupSpec, x, y, n_max: int):
     """(s, rho) with s[n] = p_n(x, y) / rho^n and rho the operator norm.
 
     This is the numerically safe form: s decays polynomially on tree-like
-    graphs (and equals p itself on lattices, where rho = 1).  Tree-like
-    graphs have one kernel, the return series, and refuse x != y with
-    ValueError: the tail sums of _tree_scaled_returns (truncated below
-    2^-64 relative) at every even n, O(n_max J) time, with odd entries
-    0.0 and s[0] set to 1.0 exactly (the truncated sum can miss it by an
-    ulp or two).  Lattices take any displacement.
+    graphs, which have one kernel, the return series, and refuse x != y
+    with ValueError (WordGroup.scaled_series).  Lattices take any
+    displacement, and there s is p itself, as rho = 1.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     validate_elem(g, x)
     validate_elem(g, y)
-    rho = g.spectral_radius_closed_form()
-    if g.is_tree_like:
-        if x != y:
-            raise ValueError("tree-like graphs have a kernel only at distance 0: x must equal y")
-        s = np.zeros(n_max + 1)
-        s[0] = 1.0
-        s[2::2] = _tree_scaled_returns(g.degree, n_max // 2)
-        return s, rho
-    delta = tuple(b - a for a, b in zip(x, y))
-    return _lattice_vertex_series(g, delta, n_max), rho
+    return g.family.scaled_series(x, y, n_max), g.family.rho
 
 
 def p_series(g: GroupSpec, x, y, n_max: int) -> np.ndarray:
@@ -419,14 +477,8 @@ def spectral_radius_trajectory(g: GroupSpec, n_max: int, stride: int = 1) -> np.
     if stride < 1:
         raise ValueError("stride must be >= 1")
     ns = np.array([*range(stride, n_max, stride), n_max])
-    rho = g.spectral_radius_closed_form()
-    if g.is_tree_like:
-        s = _tree_scaled_returns(g.degree, n_max, stride)
-    else:
-        e = g.identity()
-        s = scaled_p_series(g, e, e, 2 * n_max)[0][2 * ns]
     # p^(1/2n) = rho * s^(1/2n), evaluated in logs
-    return rho * np.exp(np.log(s) / (2 * ns))
+    return g.family.rho * np.exp(np.log(g.family.even_returns(n_max, stride)) / (2 * ns))
 
 
 @dataclass

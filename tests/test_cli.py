@@ -730,8 +730,8 @@ MALFORMED = [
     ("pullback", {"a_rule": "ball", "ball_radius": 40}, "brwlab.mtp.pullback_sampler"),
     ("pullback", {"a_rule": "ball", "ball_radius": 16}, "brwlab.mtp.pullback_sampler"),
     ("pushforward", {"ball_radius": 16}, "brwlab.groups.elements_within"),
-    ("spectra", {"group": Z3, "n_max": 60_000}, "brwlab.groups.scaled_p_series"),
-    ("spectra", {"group": Z3, "n_max": 64}, "brwlab.groups.scaled_p_series"),
+    ("spectra", {"group": Z3, "n_max": 60_000}, "brwlab.groups.spectral_radius_trajectory"),
+    ("spectra", {"group": Z3, "n_max": 64}, "brwlab.groups.spectral_radius_trajectory"),
     ("visits", {"group": Z3, "n_max": 128}, "brwlab.groups.scaled_p_series"),
     ("intersect", {"group": Z3, "depth": 64}, "brwlab.intersections.sample_intersections"),
     ("uniform_root", {"graph": {"shape": "star", "n": 10**9}}, "brwlab.mtp.uniform_root_sampler"),

@@ -1,6 +1,7 @@
 """Tests for the base graphs and their exact transition kernels."""
 
 import math
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brwlab import groups, intersections
+from brwlab import cli, groups, intersections
 from brwlab.groups import GroupSpec, InvalidElementError
 
 from brwlab.gw import MarkedTree, OffspringDistribution, sample_gw, sample_marked_fuzz_tree
@@ -66,6 +67,29 @@ def test_degree_cap():
     for kind, param in [("regular_tree", 65), ("free_group", 33), ("free_group", 10**8)]:
         with pytest.raises(ValueError, match="exceeds"):
             GroupSpec(kind, param)
+
+
+def test_spec_value_semantics():
+    """A spec is equal and hashed by (kind, param) alone, and a pickle
+    round trip gives an equal spec with the same neighbours, before and
+    after its family has been used.  A parsed config's spec that has
+    stepped does the same, as a --workers 2 pool sends it."""
+    for kind, param, x in [("regular_tree", 4, (0, 1, 2)), ("free_group", 2, (1, -2)),
+                           ("integer_lattice", 3, (1, 0, -2))]:
+        fresh, used = GroupSpec(kind, param), GroupSpec(kind, param)
+        want = groups.neighbors(used, x)
+        assert fresh == used and hash(fresh) == hash(used) == hash((kind, param))
+        for g in (fresh, used):
+            back = pickle.loads(pickle.dumps(g))
+            assert back == g and hash(back) == hash(g) and repr(back) == repr(g)
+            assert groups.neighbors(back, x) == want
+    assert GroupSpec("regular_tree", 4) != GroupSpec("free_group", 2)  # same degree
+    assert len({GroupSpec("regular_tree", 4), T4, F2, GroupSpec("free_group", 2)}) == 2
+    g = cli.parse_config({"experiment": "spectra", "seed": 1, "n_max": 5,
+                          "group": {"kind": "free_group", "param": 3}})["group"]
+    want = groups.neighbors(g, (3, -1))
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and groups.neighbors(back, (3, -1)) == want
 
 
 def test_neighbors_degree_and_examples():

@@ -491,6 +491,7 @@ def test_fuzz_tree_matches_reference_draws():
 
 _MU = OffspringDistribution([0.45, 0.0, 0.55])
 _T4 = groups.GroupSpec("regular_tree", 4)
+_Z3 = groups.GroupSpec("integer_lattice", 3)
 # (call on a generator, message): the library refusals that no other test
 # reaches, each case named after its function and the argument it refuses
 REFUSALS = {
@@ -499,6 +500,28 @@ REFUSALS = {
                    "means must be >= 0"),
     "pairs-n_max": (lambda rng: intersections.expected_pairs_profile(1.0, 1.0, _T4, (), (), -1),
                     "n_max must be >= 0"),
+    "spec-param-float": (lambda rng: groups.GroupSpec("regular_tree", 4.0),
+                         "param must be an integer"),
+    "spec-param-str": (lambda rng: groups.GroupSpec("regular_tree", "4"),
+                       "param must be an integer"),
+    "spec-param-bool": (lambda rng: groups.GroupSpec("free_group", True),
+                        "param must be an integer"),
+    "scaled_p_series-n_max-T4": (lambda rng: groups.scaled_p_series(_T4, (), (), -1),
+                                 "n_max must be >= 0"),
+    "scaled_p_series-n_max-Z3": (
+        lambda rng: groups.scaled_p_series(_Z3, (0, 0, 0), (1, 0, 0), -1), "n_max must be >= 0"),
+    "p_series-n_max-T4": (lambda rng: groups.p_series(_T4, (), (), -1), "n_max must be >= 0"),
+    "p_series-n_max-Z3": (lambda rng: groups.p_series(_Z3, (0, 0, 0), (0, 0, 0), -1),
+                          "n_max must be >= 0"),
+    "visits_series-n_max-T4": (lambda rng: groups.visits_series(_T4, 1.0, -1),
+                               "n_max must be >= 0"),
+    "visits_series-n_max-Z3": (lambda rng: groups.visits_series(_Z3, 0.0, -1),
+                               "n_max must be >= 0"),
+    "check_ball-radius": (lambda rng: groups.check_ball(_T4, -1), "radius must be >= 0"),
+    "elements_within-radius-T4": (lambda rng: groups.elements_within(_T4, (), -1),
+                                  "radius must be >= 0"),
+    "elements_within-radius-Z3": (lambda rng: groups.elements_within(_Z3, (0, 0, 0), -1),
+                                  "radius must be >= 0"),
     "pmf-empty": (lambda rng: OffspringDistribution([]), "pmf must be a nonempty"),
     "thin-p": (lambda rng: gw.thin(_MU, 1.5), r"p must lie in \[0, 1\]"),
     "sample_gw-budget": (lambda rng: gw.sample_gw(_MU, 0, rng), "budget must be >= 1"),
