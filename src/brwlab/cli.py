@@ -328,10 +328,11 @@ def _run_sharded(shard, block, v, seed, n_units, workers):
     """Split the replicate indices into near-equal tasks of at most block
     indices, run shard on each, in one process or on a pool, and yield
     each task's result in task order, so rows come in replicate order
-    whichever task finishes first.  The task count is a multiple of the
-    processes and a pool hands the tasks out one at a time, so no worker
-    gets a task more than the others.  Each index has its own stream, so
-    the cuts never change the rows."""
+    whichever task finishes first.  A pool hands each task to whichever
+    worker is free, so one worker can run more tasks than another; the
+    task count is rounded up to a multiple of the processes so that, when
+    tasks cost alike, the last wave keeps every process busy.  Each index
+    has its own stream, so the cuts never change the rows."""
     n_tasks = -(-n_units // block)
     processes = min(workers, n_tasks, _usable_cpus())
     n_tasks = -(-n_tasks // processes) * processes

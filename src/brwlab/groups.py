@@ -34,8 +34,9 @@ MAX_LATTICE_DIM = 3
 # cap keeps Z^d runs at the horizons they were tested at.
 MAX_LATTICE_CELLS = 2**24
 MAX_BALL_ELEMENTS = 10**6
-# every walk step makes one validated neighbors() call, which builds all
-# deg(g) neighbour words of a vertex, so its cost grows with the degree
+# every walk step makes one neighbors() call, which validates a vertex and
+# builds all deg(g) neighbour words, or, for a sibling, copies the list
+# built for the one before; either way its cost grows with the degree
 MAX_DEGREE = 64
 # visits_series cuts the series at the first term above this
 VISITS_GUARD = 1e12
@@ -158,9 +159,6 @@ class Lattice:
         self.dim = dim
         self.degree = 2 * dim
         self.identity = (0,) * dim
-        # the unit steps, in the fixed order neighbors() uses
-        self.generators = tuple(tuple(sign if i == axis else 0 for i in range(dim))
-                                for axis in range(dim) for sign in (1, -1))
 
     def validate(self, x) -> None:
         if not isinstance(x, tuple):
@@ -173,7 +171,11 @@ class Lattice:
         if not (isinstance(x, tuple) and len(x) == self.dim
                 and all(map(isinstance, x, repeat(int)))):
             self.validate(x)
-        return [tuple(map(add, x, step)) for step in self.generators]
+        out = []
+        for i, c in enumerate(x):  # in the fixed order +e_1, -e_1, +e_2, ...
+            head, tail = x[:i], x[i + 1:]
+            out += head + (c + 1,) + tail, head + (c - 1,) + tail
+        return out
 
     def mul(self, x, y):
         return tuple(map(add, x, y))
@@ -262,7 +264,10 @@ class GroupSpec:
             raise ValueError(refusal)
         if per_param * self.param > MAX_DEGREE:
             raise ValueError(f"degree {per_param * self.param} exceeds {MAX_DEGREE}")
-        object.__setattr__(self, "family", family(self.param))
+        family = family(self.param)
+        # neighbors()'s memo, seeded with a valid word
+        family.last = family.identity, family.neighbors(family.identity)
+        object.__setattr__(self, "family", family)
 
     def __reduce__(self):
         return GroupSpec, (self.kind, self.param)
@@ -290,8 +295,21 @@ def validate_elem(g: GroupSpec, x) -> None:
 
 
 def neighbors(g: GroupSpec, x):
-    """The deg(g) neighbours of x, in fixed generator order."""
-    return g.family.neighbors(x)
+    """The deg(g) neighbours of x, in fixed generator order, as a new list.
+
+    g's family remembers the last word it was given and its list: a walk
+    asks once per child for the neighbours of the parent's value, and
+    siblings are consecutive, so they share one validated list.  The memo
+    is keyed by identity, not equality, as (1.0, 2) == (1, 2) but only
+    (1, 2) is a word.  It keeps its word alive, so no other object can
+    take that id, and a validated word holds only ints and cannot change.
+    """
+    family = g.family
+    last, out = family.last
+    if x is not last:
+        out = family.neighbors(x)
+        family.last = x, out
+    return [*out]
 
 
 def mul(g: GroupSpec, x, y):
@@ -409,6 +427,15 @@ def check_lattice_box(g: GroupSpec, steps: int) -> None:
     g.family.check_horizon(steps)
 
 
+def check_count(name: str, n, least: int) -> None:
+    """Raise ValueError unless n, a horizon or a stride, is an int (not a
+    bool, as for GroupSpec's param) of at least least."""
+    if type(n) is not int:
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def _walk_law(c: int, n_max: int) -> np.ndarray:
     """q[m] = P(S_m = c) = C(m, (m+c)/2) 2^-m for the simple +-1 walk S,
     m = 0..n_max, by the exact ratios q_m / q_{m-2} = m(m-1) / ((m+c)(m-c)).
@@ -445,8 +472,7 @@ def scaled_p_series(g: GroupSpec, x, y, n_max: int):
     with ValueError (WordGroup.scaled_series).  Lattices take any
     displacement, and there s is p itself, as rho = 1.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_count("n_max", n_max, 0)
     validate_elem(g, x)
     validate_elem(g, y)
     return g.family.scaled_series(x, y, n_max), g.family.rho
@@ -472,10 +498,8 @@ def spectral_radius_trajectory(g: GroupSpec, n_max: int, stride: int = 1) -> np.
     ... below n_max, and at n_max; stride 1 gives every n = 1..n_max.
     Tree-like graphs evaluate their kernel at those n only, so the cost
     is per returned estimate; lattices pick them from the full series."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    check_count("n_max", n_max, 1)
+    check_count("stride", stride, 1)
     ns = np.array([*range(stride, n_max, stride), n_max])
     # p^(1/2n) = rho * s^(1/2n), evaluated in logs
     return g.family.rho * np.exp(np.log(g.family.even_returns(n_max, stride)) / (2 * ns))
@@ -501,6 +525,8 @@ def visits_series(g: GroupSpec, mean: float, n_max: int) -> VisitsSeries:
     the series is cut there and flagged as divergence-suspected
     (remaining partial sums are frozen at the cut).
     """
+    if not math.isfinite(mean):
+        raise ValueError("mean must be finite")
     if mean < 0:
         raise ValueError("mean must be >= 0")
     e = g.identity()

@@ -29,10 +29,11 @@ def expected_pairs_profile(mean1: float, mean2: float, g: groups.GroupSpec,
     is their float sum, inf only once it leaves the double range; within
     the CLI's caps (means and N at most 64) E(N) stays below 7e234.
     """
+    if not (math.isfinite(mean1) and math.isfinite(mean2)):
+        raise ValueError("means must be finite")
     if mean1 < 0 or mean2 < 0:
         raise ValueError("means must be >= 0")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    groups.check_count("n_max", n_max, 0)
     s, rho = groups.scaled_p_series(g, x, y, 2 * n_max)
     with np.errstate(divide="ignore"):
         log_s = np.log(s)

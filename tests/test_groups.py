@@ -180,8 +180,33 @@ def test_validate_elem_matches_reference(data):
     x = data.draw(st.one_of(_INTS, _SMALL, _MIXED, _STUTTER, _NOT_A_TUPLE, _walk_words(g)))
     got = _outcome(groups.validate_elem, g, x)
     assert got == _outcome(validate_elem_reference, g, x)
-    if got is None:
-        assert groups.neighbors(g, x) == neighbors_reference(g, x)
+    if got is None:  # twice, as a walk asks for each sibling
+        assert groups.neighbors(g, x) == groups.neighbors(g, x) == neighbors_reference(g, x)
+
+
+@pytest.mark.parametrize("g, x, other", [(T4, (1, 2), F2), (F2, (1, 2), T4),
+                                         (Z3, (1, 0, 2), T3)], ids=str)
+def test_neighbors_memo_is_keyed_by_identity(g, x, other):
+    """neighbors() remembers the last word it was given by identity: words
+    equal to it but of other letter types get their own verdict, message
+    and letters, each call returns a new list, a caller that changes its
+    list changes neither another caller's list nor the memo, and the same
+    word on another spec gets that spec's neighbours."""
+    want = neighbors_reference(g, x)
+    for letter in (1.0, True, np.int64(1)):
+        equal = (letter,) + x[1:]
+        assert equal == x and equal is not x
+        groups.neighbors(g, x)
+        verdict = _outcome(validate_elem_reference, g, equal)
+        if verdict is None:  # a bool: a word of its own letters
+            assert repr(groups.neighbors(g, equal)) == repr(g.family.neighbors(equal))
+        else:
+            assert _outcome(groups.neighbors, g, equal) == verdict
+    first, second = groups.neighbors(g, x), groups.neighbors(g, x)
+    assert first == second == want and first is not second
+    first[0] = first.pop()
+    assert second == want and groups.neighbors(g, x) == want
+    assert groups.neighbors(other, x) == neighbors_reference(other, x) != want
 
 
 @pytest.mark.parametrize("g", [T3, T64, F2, F32], ids=str)

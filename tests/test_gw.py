@@ -517,6 +517,30 @@ REFUSALS = {
                                "n_max must be >= 0"),
     "visits_series-n_max-Z3": (lambda rng: groups.visits_series(_Z3, 0.0, -1),
                                "n_max must be >= 0"),
+    "visits_series-mean-nan": (lambda rng: groups.visits_series(_T4, math.nan, 3),
+                               "mean must be finite"),
+    "visits_series-mean-inf": (lambda rng: groups.visits_series(_T4, math.inf, 3),
+                               "mean must be finite"),
+    "pairs-mean-nan": (lambda rng: intersections.expected_pairs_profile(
+        math.nan, 1.0, _T4, (), (), 3), "means must be finite"),
+    "pairs-mean-inf": (lambda rng: intersections.expected_pairs_profile(
+        math.inf, 1.0, _T4, (), (), 3), "means must be finite"),
+    "pairs_truncated-mean-nan": (lambda rng: intersections.expected_pairs_truncated(
+        1.0, math.nan, _T4, (), (), 3), "means must be finite"),
+    "scaled_p_series-n_max-float": (lambda rng: groups.scaled_p_series(_T4, (), (), 3.0),
+                                    "n_max must be an integer, got 3.0"),
+    "p_series-n_max-float": (lambda rng: groups.p_series(_Z3, (0, 0, 0), (0, 0, 0), 3.0),
+                             "n_max must be an integer, got 3.0"),
+    "visits_series-n_max-float": (lambda rng: groups.visits_series(_T4, 1.0, 3.0),
+                                  "n_max must be an integer, got 3.0"),
+    "visits_series-n_max-bool": (lambda rng: groups.visits_series(_Z3, 1.0, True),
+                                 "n_max must be an integer, got True"),
+    "spectral-n_max-float": (lambda rng: groups.spectral_radius_trajectory(_T4, 4.5),
+                             "n_max must be an integer, got 4.5"),
+    "spectral-stride-float": (lambda rng: groups.spectral_radius_trajectory(_T4, 8, 2.0),
+                              "stride must be an integer, got 2.0"),
+    "pairs-n_max-float": (lambda rng: intersections.expected_pairs_profile(
+        1.0, 1.0, _T4, (), (), 3.0), "n_max must be an integer, got 3.0"),
     "check_ball-radius": (lambda rng: groups.check_ball(_T4, -1), "radius must be >= 0"),
     "elements_within-radius-T4": (lambda rng: groups.elements_within(_T4, (), -1),
                                   "radius must be >= 0"),
