@@ -262,7 +262,7 @@ def _shard_mtp(v, streams):
     sampler = MTP_SAMPLERS[v["sampler"]][0](v)
     F = mtp.BUILTIN_TRANSPORT[v["f"]]
     W = mtp.BUILTIN_WEIGHT[v["w"]]
-    return mtp.evaluate_samples(sampler, F, W, (rng for _, rng in streams))
+    return mtp.evaluate_samples(sampler, (F,), W, (rng for _, rng in streams))[0]
 
 
 def _each_replicate(one, v, streams):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from operator import add, eq, neg
 
 import numpy as np
@@ -65,12 +64,12 @@ class WordGroup:
         self._back_slot = dict(zip(inverted(self.generators), range(d)))
 
     def validate(self, x) -> None:
-        """Each check is one builtin that loops in C: an int test of every
+        """Each check is one builtin that loops in C: a type test of every
         letter, a superset test for the range, a pair test for reducedness."""
         if not isinstance(x, tuple):
             raise InvalidElementError(f"element must be a tuple, got {type(x).__name__}")
-        # ints first: the set lookup would accept 1.0 or np.int64(1) for 1
-        if not all(map(isinstance, x, repeat(int))) or not self._letters.issuperset(x):
+        # exact ints first: the set lookup would accept 1.0, True or np.int64(1) for 1
+        if not {int}.issuperset(map(type, x)) or not self._letters.issuperset(x):
             raise InvalidElementError(f"{x!r} has letters outside {self._span}")
         if any(map(eq, x, self._inverted(x[1:]))):
             raise InvalidElementError(f"{x!r} is not reduced")
@@ -78,7 +77,7 @@ class WordGroup:
     def neighbors(self, x) -> list:
         # validate's tests, inlined for the walk's one call per step; it
         # raises with the message of the test that failed
-        if not (isinstance(x, tuple) and all(map(isinstance, x, repeat(int)))
+        if not (isinstance(x, tuple) and {int}.issuperset(map(type, x))
                 and self._letters.issuperset(x)) or any(map(eq, x, self._inverted(x[1:]))):
             self.validate(x)
         out = [x + s for s in self._unit_words]
@@ -163,13 +162,13 @@ class Lattice:
     def validate(self, x) -> None:
         if not isinstance(x, tuple):
             raise InvalidElementError(f"element must be a tuple, got {type(x).__name__}")
-        if len(x) != self.dim or not all(map(isinstance, x, repeat(int))):
+        if len(x) != self.dim or not {int}.issuperset(map(type, x)):
             raise InvalidElementError(f"{x!r} is not a coordinate in Z^{self.dim}")
 
     def neighbors(self, x) -> list:
         # validate's tests, inlined as in WordGroup.neighbors
         if not (isinstance(x, tuple) and len(x) == self.dim
-                and all(map(isinstance, x, repeat(int)))):
+                and {int}.issuperset(map(type, x))):
             self.validate(x)
         out = []
         for i, c in enumerate(x):  # in the fixed order +e_1, -e_1, +e_2, ...
@@ -300,9 +299,10 @@ def neighbors(g: GroupSpec, x):
     g's family remembers the last word it was given and its list: a walk
     asks once per child for the neighbours of the parent's value, and
     siblings are consecutive, so they share one validated list.  The memo
-    is keyed by identity, not equality, as (1.0, 2) == (1, 2) but only
-    (1, 2) is a word.  It keeps its word alive, so no other object can
-    take that id, and a validated word holds only ints and cannot change.
+    is keyed by identity, not equality, as (1.0, 2) == (True, 2) == (1, 2)
+    but only (1, 2) is a word.  It keeps its word alive, so no other
+    object can take that id, and a validated word holds only ints and
+    cannot change.
     """
     family = g.family
     last, out = family.last
@@ -334,11 +334,10 @@ def distance(g: GroupSpec, x, y) -> int:
 
 
 def check_ball(g: GroupSpec, radius: int) -> None:
-    """Raise ValueError when radius is negative or a radius ball may hold
-    more than MAX_BALL_ELEMENTS vertices: its exact size on tree-like
-    graphs, the (2r+1)^dim box around it on Z^d."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    """Raise ValueError unless radius is an int >= 0 (check_count) whose
+    ball holds at most MAX_BALL_ELEMENTS vertices: its exact size on
+    tree-like graphs, the (2r+1)^dim box around it on Z^d."""
+    check_count("radius", radius, 0)
     if g.family.ball_size(radius) > MAX_BALL_ELEMENTS:
         raise ValueError(f"a radius-{radius} ball exceeds {MAX_BALL_ELEMENTS} vertices")
 
@@ -457,11 +456,6 @@ def _walk_law(c: int, n_max: int) -> np.ndarray:
         start = math.comb(m0, (m0 + c) // 2) / 2**m0
         q[m0::2] = np.cumprod(np.concatenate(([start], ratios[k:])))
     return q
-
-
-def _lattice_vertex_series(g: GroupSpec, delta, n_max: int) -> np.ndarray:
-    """p_n(x, x+delta) for n = 0..n_max on Z^d."""
-    return g.family.scaled_series(g.identity(), delta, n_max)
 
 
 def scaled_p_series(g: GroupSpec, x, y, n_max: int):

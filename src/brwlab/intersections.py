@@ -227,9 +227,9 @@ def trace_ends_experiment(mu: OffspringDistribution, g: groups.GroupSpec,
     around it and count components still holding enough trace vertices."""
     if mu.mean <= 1.0:
         raise ValueError("trace ends experiment needs a supercritical mean")
-    radii = sorted(set(int(r) for r in radius_grid))
-    if radii and radii[0] < 0:
-        raise ValueError("radius_grid entries must be >= 0")
+    for r in radius_grid:
+        groups.check_count("radius_grid entries", r, 0)
+    radii = sorted(set(radius_grid))
     if m_threshold < 1:
         raise ValueError("m_threshold must be >= 1")
     start = g.identity()

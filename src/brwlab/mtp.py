@@ -171,22 +171,24 @@ def evaluate_sample(sample: MtpSample, F: TransportFunction, W):
     return w * paired_difference(sample, F), w
 
 
-def evaluate_samples(sampler, F: TransportFunction, W, rngs):
-    """Draw one sample from each stream of rngs and evaluate it: the
-    (weighted difference, weight) rows of the certified samples as an
-    (n, 2) float64 array, the number of samples that could not certify
-    the transport radius, and how many of those were cut at the budget."""
-    rows = []
-    inconclusive = budget_cut = 0
+def evaluate_samples(sampler, transports, W, rngs):
+    """Draw one sample from each stream of rngs and read every transport
+    off it: per transport, in order, the (weighted difference, weight)
+    rows of the samples certified to its radius as an (n, 2) float64
+    array, and its counts of uncertified and budget-cut samples."""
+    rows = [[] for _ in transports]
+    skipped = [[0, 0] for _ in transports]  # inconclusive, budget_cut
     for rng in rngs:
         sample = sampler(rng)
-        got = evaluate_sample(sample, F, W)
-        if got is None:
-            inconclusive += 1
-            budget_cut += sample.certified_radius == BUDGET_CUT
-        else:
-            rows.append(got)
-    return np.array(rows, dtype=float).reshape(-1, 2), inconclusive, budget_cut
+        for F, got, skips in zip(transports, rows, skipped):
+            row = evaluate_sample(sample, F, W)
+            if row is None:
+                skips[0] += 1
+                skips[1] += sample.certified_radius == BUDGET_CUT
+            else:
+                got.append(row)
+    return [(np.array(got, dtype=float).reshape(-1, 2), *skips)
+            for got, skips in zip(rows, skipped)]
 
 
 def aggregate_mtp_report(rows, inconclusive: int, n_samples: int,
@@ -222,20 +224,23 @@ def aggregate_mtp_report(rows, inconclusive: int, n_samples: int,
     )
 
 
-def mc_mtp_test(sampler, F: TransportFunction, W,
-                n_samples: int, alpha: float, rng) -> MtpTestReport:
-    """Paired Monte Carlo test of the weighted mass-transport identity.
+def mc_mtp_test(sampler, transports, W, n_samples: int, alpha: float, rng) -> list[MtpTestReport]:
+    """Paired Monte Carlo tests of the weighted mass-transport identity:
+    one report per transport of the tuple transports, in order.
 
     H0: E[W * (outgoing - incoming)] = 0, tested with a normal CI on the
-    paired differences of n_samples draws from the one stream rng.
-    Samples that cannot certify the transport radius are skipped; more
-    than 10% of them is a truncation error.  alpha is checked before the
-    first sample is drawn.
+    paired differences of n_samples draws from the one stream rng, which
+    every transport reads.  Samples that cannot certify a transport's
+    radius are skipped for it; more than 10% of them is a truncation
+    error.  alpha and an empty tuple are refused before the first draw.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    rows, inconclusive, _ = evaluate_samples(sampler, F, W, itertools.repeat(rng, n_samples))
-    return aggregate_mtp_report(rows, inconclusive, n_samples, alpha)
+    if not transports:
+        raise ValueError("need at least one transport")
+    evaluated = evaluate_samples(sampler, transports, W, itertools.repeat(rng, n_samples))
+    return [aggregate_mtp_report(rows, inconclusive, n_samples, alpha)
+            for rows, inconclusive, _ in evaluated]
 
 
 # ---------------------------------------------------------------------------

@@ -824,25 +824,26 @@ def visits_series_reference(g, mean, n_max):
 
 def validate_elem_reference(g, x):
     """`groups.validate_elem` as it was before its checks became builtins
-    that loop in C: one generator expression per letter check.  Raises
-    the same InvalidElementError messages."""
+    that loop in C: one generator expression per letter check, whose
+    letters are ints by exact type, so a bool is refused.  Raises the
+    same InvalidElementError messages."""
     from brwlab.groups import INTEGER_LATTICE, REGULAR_TREE, InvalidElementError
 
     if not isinstance(x, tuple):
         raise InvalidElementError(f"element must be a tuple, got {type(x).__name__}")
     if g.kind == INTEGER_LATTICE:
-        if len(x) != g.param or not all(isinstance(c, int) for c in x):
+        if len(x) != g.param or not all(type(c) is int for c in x):
             raise InvalidElementError(f"{x!r} is not a coordinate in Z^{g.param}")
         return
     if g.kind == REGULAR_TREE:
         d = g.param
-        if not all(isinstance(s, int) and 0 <= s < d for s in x):
+        if not all(type(s) is int and 0 <= s < d for s in x):
             raise InvalidElementError(f"{x!r} has letters outside 0..{d - 1}")
         if any(x[i] == x[i + 1] for i in range(len(x) - 1)):
             raise InvalidElementError(f"{x!r} is not reduced")
         return
     k = g.param
-    if not all(isinstance(s, int) and s != 0 and abs(s) <= k for s in x):
+    if not all(type(s) is int and s != 0 and abs(s) <= k for s in x):
         raise InvalidElementError(f"{x!r} has letters outside +-1..{k}")
     if any(x[i] == -x[i + 1] for i in range(len(x) - 1)):
         raise InvalidElementError(f"{x!r} is not reduced")

@@ -202,6 +202,11 @@ def test_criterion_06_exact_mass_transport():
     assert ok
 
 
+# criteria 7 and 8 read all three off each draw of their sampler
+MTP_TRANSPORTS = tuple(
+    mtp.BUILTIN_TRANSPORT[f] for f in ("marked_neighbors", "target_degree", "leaf_target"))
+
+
 def test_criterion_07_pullback_unit_weight():
     """Pulled-back marks with unit weight on the deterministic transitive
     graph: all three transports pass at alpha = 0.01 with 10^4 samples,
@@ -210,12 +215,10 @@ def test_criterion_07_pullback_unit_weight():
     ok = True
     for rule, kwargs in (("origin", {}), ("ball", {"ball_radius": 1})):
         sampler = mtp.pullback_sampler(T4, MU11, 12, rule, **kwargs)
-        for fname in ("marked_neighbors", "target_degree", "leaf_target"):
-            rep = mtp.mc_mtp_test(
-                sampler, mtp.BUILTIN_TRANSPORT[fname], mtp.BUILTIN_WEIGHT["unit"],
-                10_000, 0.01, np.random.default_rng(55),
-            )
-            results.append(f"{rule}/{fname}:{'ok' if rep.passed else 'FAIL'}")
+        reports = mtp.mc_mtp_test(sampler, MTP_TRANSPORTS, mtp.BUILTIN_WEIGHT["unit"],
+                                  10_000, 0.01, np.random.default_rng(55))
+        for F, rep in zip(MTP_TRANSPORTS, reports, strict=True):
+            results.append(f"{rule}/{F.name}:{'ok' if rep.passed else 'FAIL'}")
             ok = ok and rep.passed
     ok = _report(7, "unit-weight pull-back (" + ", ".join(results) + ")", ok)
     assert ok
@@ -227,12 +230,10 @@ def test_criterion_08_trace_weighted_pullback():
     sampler = mtp.pullback_sampler(T4, MU11, 12, "trace", depth2=24)
     results = []
     ok = True
-    for fname in ("marked_neighbors", "target_degree", "leaf_target"):
-        rep = mtp.mc_mtp_test(
-            sampler, mtp.BUILTIN_TRANSPORT[fname], mtp.BUILTIN_WEIGHT["ingredient"],
-            10_000, 0.01, np.random.default_rng(101),
-        )
-        results.append(f"{fname}: est={rep.estimate:+.4f} {'ok' if rep.passed else 'FAIL'}")
+    reports = mtp.mc_mtp_test(sampler, MTP_TRANSPORTS, mtp.BUILTIN_WEIGHT["ingredient"],
+                              10_000, 0.01, np.random.default_rng(101))
+    for F, rep in zip(MTP_TRANSPORTS, reports, strict=True):
+        results.append(f"{F.name}: est={rep.estimate:+.4f} {'ok' if rep.passed else 'FAIL'}")
         ok = ok and rep.passed
     ok = _report(8, "trace-weighted pull-back (" + ", ".join(results) + ")", ok)
     assert ok

@@ -546,6 +546,16 @@ REFUSALS = {
                                   "radius must be >= 0"),
     "elements_within-radius-Z3": (lambda rng: groups.elements_within(_Z3, (0, 0, 0), -1),
                                   "radius must be >= 0"),
+    "elements_within-radius-float": (lambda rng: groups.elements_within(_T4, (), 1.5),
+                                     "radius must be an integer, got 1.5"),
+    "elements_within-radius-bool": (lambda rng: groups.elements_within(_Z3, (0, 0, 0), True),
+                                    "radius must be an integer, got True"),
+    "pullback-ball_radius-float": (lambda rng: mtp.pullback_sampler(
+        _T4, _MU, 4, "ball", ball_radius=1.5), "radius must be an integer, got 1.5"),
+    "pushforward-ball_radius-float": (lambda rng: mtp.pushforward_trace_sampler(
+        _T4, _MU, 4, 2.5), "radius must be an integer, got 2.5"),
+    "trace_ends-radius-float": (lambda rng: intersections.trace_ends_experiment(
+        _MU, _T4, 3, [1.5], 1, rng), "radius_grid entries must be an integer, got 1.5"),
     "pmf-empty": (lambda rng: OffspringDistribution([]), "pmf must be a nonempty"),
     "thin-p": (lambda rng: gw.thin(_MU, 1.5), r"p must lie in \[0, 1\]"),
     "sample_gw-budget": (lambda rng: gw.sample_gw(_MU, 0, rng), "budget must be >= 1"),

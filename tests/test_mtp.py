@@ -179,8 +179,8 @@ def test_exact_check_is_the_all_pairs_sum_with_one_bfs_per_mark(monkeypatch):
 def test_uniform_root_sampler_passes():
     rng = np.random.default_rng(2)
     sampler = mtp.uniform_root_sampler(PATH3, {0, 1, 2})
-    rep = mtp.mc_mtp_test(
-        sampler, mtp.BUILTIN_TRANSPORT["marked_neighbors"], mtp.BUILTIN_WEIGHT["unit"],
+    [rep] = mtp.mc_mtp_test(
+        sampler, (mtp.BUILTIN_TRANSPORT["marked_neighbors"],), mtp.BUILTIN_WEIGHT["unit"],
         2000, 0.01, rng,
     )
     assert rep.passed
@@ -192,8 +192,8 @@ def test_fixed_root_sampler_fails():
     test must detect it."""
     rng = np.random.default_rng(3)
     sampler = mtp.fixed_root_sampler(PATH3, {0, 1, 2}, 0)
-    rep = mtp.mc_mtp_test(
-        sampler, mtp.BUILTIN_TRANSPORT["leaf_target"], mtp.BUILTIN_WEIGHT["unit"],
+    [rep] = mtp.mc_mtp_test(
+        sampler, (mtp.BUILTIN_TRANSPORT["leaf_target"],), mtp.BUILTIN_WEIGHT["unit"],
         1000, 0.01, rng,
     )
     assert not rep.passed
@@ -208,7 +208,7 @@ def test_level_of_the_test():
     F = mtp.BUILTIN_TRANSPORT["marked_neighbors"]
     rejects = 0
     for _ in range(200):
-        rep = mtp.mc_mtp_test(sampler, F, mtp.BUILTIN_WEIGHT["unit"], 1000, 0.05, rng)
+        [rep] = mtp.mc_mtp_test(sampler, (F,), mtp.BUILTIN_WEIGHT["unit"], 1000, 0.05, rng)
         rejects += not rep.passed
     assert 0.01 <= rejects / 200 <= 0.12
 
@@ -216,8 +216,8 @@ def test_level_of_the_test():
 def test_pullback_origin_rule():
     rng = np.random.default_rng(5)
     sampler = mtp.pullback_sampler(T4, MU11, 12, "origin")
-    rep = mtp.mc_mtp_test(
-        sampler, mtp.BUILTIN_TRANSPORT["target_degree"], mtp.BUILTIN_WEIGHT["unit"],
+    [rep] = mtp.mc_mtp_test(
+        sampler, (mtp.BUILTIN_TRANSPORT["target_degree"],), mtp.BUILTIN_WEIGHT["unit"],
         3000, 0.01, rng,
     )
     assert rep.passed
@@ -227,19 +227,20 @@ def test_pullback_origin_rule():
 def test_pullback_ball_rule():
     rng = np.random.default_rng(6)
     sampler = mtp.pullback_sampler(T4, MU11, 12, "ball", ball_radius=1)
-    for fname in ("marked_neighbors", "leaf_target"):
-        rep = mtp.mc_mtp_test(
-            sampler, mtp.BUILTIN_TRANSPORT[fname], mtp.BUILTIN_WEIGHT["unit"],
-            3000, 0.01, rng,
-        )
+    names = ("marked_neighbors", "leaf_target")
+    reports = mtp.mc_mtp_test(
+        sampler, tuple(mtp.BUILTIN_TRANSPORT[f] for f in names), mtp.BUILTIN_WEIGHT["unit"],
+        3000, 0.01, rng,
+    )
+    for fname, rep in zip(names, reports, strict=True):
         assert rep.passed, fname
 
 
 def test_pullback_trace_rule_with_weight():
     rng = np.random.default_rng(7)
     sampler = mtp.pullback_sampler(T4, MU11, 12, "trace", depth2=20)
-    rep = mtp.mc_mtp_test(
-        sampler, mtp.BUILTIN_TRANSPORT["marked_neighbors"], mtp.BUILTIN_WEIGHT["ingredient"],
+    [rep] = mtp.mc_mtp_test(
+        sampler, (mtp.BUILTIN_TRANSPORT["marked_neighbors"],), mtp.BUILTIN_WEIGHT["ingredient"],
         3000, 0.01, rng,
     )
     assert rep.passed
@@ -251,8 +252,8 @@ def test_pushforward_trace_weight():
     visits, satisfies the transport identity."""
     rng = np.random.default_rng(8)
     sampler = mtp.pushforward_trace_sampler(T4, MU11, 12, ball_radius=6)
-    rep = mtp.mc_mtp_test(
-        sampler, mtp.BUILTIN_TRANSPORT["marked_neighbors"], mtp.BUILTIN_WEIGHT["ingredient"],
+    [rep] = mtp.mc_mtp_test(
+        sampler, (mtp.BUILTIN_TRANSPORT["marked_neighbors"],), mtp.BUILTIN_WEIGHT["ingredient"],
         3000, 0.01, rng,
     )
     assert rep.passed
@@ -263,7 +264,7 @@ def test_truncation_error_when_depth_too_small():
     sampler = mtp.pullback_sampler(T4, MU11, 2, "origin")
     with pytest.raises(mtp.TruncationError):
         mtp.mc_mtp_test(
-            sampler, mtp.BUILTIN_TRANSPORT["target_degree"], mtp.BUILTIN_WEIGHT["unit"],
+            sampler, (mtp.BUILTIN_TRANSPORT["target_degree"],), mtp.BUILTIN_WEIGHT["unit"],
             100, 0.01, rng,
         )
 
@@ -289,8 +290,8 @@ def test_budget_cut_samples_certify_no_radius():
 def test_report_json_shape():
     rng = np.random.default_rng(10)
     sampler = mtp.uniform_root_sampler(PATH3, {0, 1, 2})
-    rep = mtp.mc_mtp_test(
-        sampler, mtp.BUILTIN_TRANSPORT["adjacent"], mtp.BUILTIN_WEIGHT["unit"], 100, 0.05, rng
+    [rep] = mtp.mc_mtp_test(
+        sampler, (mtp.BUILTIN_TRANSPORT["adjacent"],), mtp.BUILTIN_WEIGHT["unit"], 100, 0.05, rng
     )
     d = rep.to_json_dict()
     assert set(d) == {"estimate", "ci_low", "ci_high", "n", "inconclusive", "alpha", "pass"}
@@ -299,13 +300,13 @@ def test_report_json_shape():
 def test_argument_validation():
     rng = np.random.default_rng(11)
     sampler = mtp.uniform_root_sampler(PATH3, {0, 1, 2})
-    F = mtp.BUILTIN_TRANSPORT["adjacent"]
+    transports = (mtp.BUILTIN_TRANSPORT["adjacent"],)
     with pytest.raises(ValueError):
-        mtp.mc_mtp_test(sampler, F, mtp.BUILTIN_WEIGHT["unit"], 1, 0.05, rng)
+        mtp.mc_mtp_test(sampler, transports, mtp.BUILTIN_WEIGHT["unit"], 1, 0.05, rng)
     with pytest.raises(ValueError):
-        mtp.mc_mtp_test(sampler, F, mtp.BUILTIN_WEIGHT["unit"], 100, 1.5, rng)
+        mtp.mc_mtp_test(sampler, transports, mtp.BUILTIN_WEIGHT["unit"], 100, 1.5, rng)
     with pytest.raises(ValueError, match="positive"):
-        mtp.mc_mtp_test(sampler, F, lambda s: 0.0, 100, 0.05, rng)
+        mtp.mc_mtp_test(sampler, transports, lambda s: 0.0, 100, 0.05, rng)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
@@ -319,9 +320,67 @@ def test_invalid_alpha_refused_before_any_sample(alpha):
         return inner(rng)
 
     with pytest.raises(ValueError, match="alpha"):
-        mtp.mc_mtp_test(sampler, mtp.BUILTIN_TRANSPORT["adjacent"], mtp.BUILTIN_WEIGHT["unit"],
-                        100, alpha, np.random.default_rng(11))
+        mtp.mc_mtp_test(sampler, (mtp.BUILTIN_TRANSPORT["adjacent"],),
+                        mtp.BUILTIN_WEIGHT["unit"], 100, alpha, np.random.default_rng(11))
     assert calls == []
+
+
+def test_empty_transports_refused_before_any_sample():
+    """mc_mtp_test refuses an empty tuple of transports before it draws."""
+    calls = []
+
+    def sampler(rng):
+        calls.append(rng)
+        return mtp.MtpSample(PATH3, frozenset(PATH3), 0)
+
+    with pytest.raises(ValueError, match="at least one transport"):
+        mtp.mc_mtp_test(sampler, (), mtp.BUILTIN_WEIGHT["unit"], 100, 0.05,
+                        np.random.default_rng(11))
+    assert calls == []
+
+
+# criteria 7 and 8's samplers, weights and transports
+SHARED_DRAW_RULES = {
+    "origin": ({}, "unit"),
+    "ball": ({"ball_radius": 1}, "unit"),
+    "trace": ({"depth2": 24}, "ingredient"),
+}
+CRITERIA_TRANSPORTS = tuple(
+    mtp.BUILTIN_TRANSPORT[f] for f in ("marked_neighbors", "target_degree", "leaf_target"))
+
+
+@pytest.mark.parametrize("rule", SHARED_DRAW_RULES)
+def test_shared_draw_reports_equal_single_transport_reports(rule):
+    """One call reads every transport off each draw; its reports equal,
+    field for field, one call per transport at the same seed, as
+    evaluate_sample draws nothing."""
+    kwargs, weight = SHARED_DRAW_RULES[rule]
+    sampler = mtp.pullback_sampler(T4, MU11, 12, rule, **kwargs)
+    W = mtp.BUILTIN_WEIGHT[weight]
+    shared = mtp.mc_mtp_test(sampler, CRITERIA_TRANSPORTS, W, 2000, 0.01,
+                             np.random.default_rng(55))
+    assert shared == [mtp.mc_mtp_test(sampler, (F,), W, 2000, 0.01,
+                                      np.random.default_rng(55))[0]
+                      for F in CRITERIA_TRANSPORTS]
+
+
+def test_shared_draw_keeps_skip_counts_per_transport():
+    """Depth 4 certifies radius 2, so target_degree (radius 3) skips every
+    sample and marked_neighbors (radius 2) only those the budget cut; each
+    transport's rows and counts equal those of a run of it alone."""
+    sampler = mtp.pullback_sampler(T4, MU11, 4, "trace", budget=6)
+    W = mtp.BUILTIN_WEIGHT["ingredient"]
+    transports = (mtp.BUILTIN_TRANSPORT["marked_neighbors"], mtp.BUILTIN_TRANSPORT["target_degree"])
+
+    def run(fs):
+        return mtp.evaluate_samples(sampler, fs, W, (substream(3, i) for i in range(300)))
+
+    (near, near_skipped, near_cut), (far, far_skipped, far_cut) = run(transports)
+    assert 0 < near_skipped == near_cut == far_cut < far_skipped == 300
+    assert len(near) == 300 - near_skipped and len(far) == 0
+    for F, (rows, skipped, cut) in zip(transports, run(transports)):
+        [(alone, alone_skipped, alone_cut)] = run((F,))
+        assert np.array_equal(rows, alone) and (skipped, cut) == (alone_skipped, alone_cut)
 
 
 def test_traced_pullback_trace_run(tmp_path, monkeypatch):
