@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, groups, intersections, magic, mtp
-from .gw import MAX_OFFSPRING, OffspringDistribution, sample_marked_fuzz_tree
+from .gw import DEFAULT_BUDGET, MAX_OFFSPRING, OffspringDistribution, sample_marked_fuzz_tree
 from .rng import substream
 
 CAPS = {
@@ -379,7 +379,7 @@ def _median(counts) -> float:
 def _run_spectra(v, seed, workers, out_dir):
     g, n_max, stride = v["group"], v["n_max"], v["stride"]
     traj = groups.spectral_radius_trajectory(g, n_max, stride).tolist()
-    steps = [*range(2 * stride, 2 * n_max, 2 * stride), 2 * n_max]
+    steps = (2 * groups.spectra_grid(n_max, stride)).tolist()
     with _csv_file(os.path.join(out_dir, "spectra.csv"), ("n", "estimate")) as out:
         out.write(_csv_text(steps, traj))
     return 0, {"closed_form": g.spectral_radius_closed_form(), "estimate": traj[-1]}
@@ -461,12 +461,12 @@ def _ends_verdict(v, tally):
 # the config table: experiment -> (driver, keys, cross-key check)
 
 
-_BUDGET = Key(_int, 1, CAPS["budget"], 1_000_000)
+_BUDGET = Key(_int, 1, CAPS["budget"], DEFAULT_BUDGET)
 _TREE_KEYS = {  # samplers of unimodular trees: the budget must cover root and co-root
     "group": Key(_group),
     "offspring": Key(_offspring),
     "depth": Key(_int, 1, CAPS["depth"]),
-    "budget": Key(_int, 2, CAPS["budget"], 1_000_000),
+    "budget": Key(_int, 2, CAPS["budget"], DEFAULT_BUDGET),
 }
 _PAIR_KEYS = {
     "group": Key(_group),
@@ -477,24 +477,25 @@ _PAIR_KEYS = {
 }
 
 
-def _certifies(v, radius, rule):
+def _certifies(v, reach):
     """Refuse a tree sampler that cannot certify the transport.  Every
-    pull-back or push-forward sample not cut at the budget certifies
-    radius (which rule computes from the config); below the radius of f
-    no sample could be evaluated."""
+    pull-back or push-forward sample not cut at the budget certifies the
+    radius that mtp's rule gives for the config's reach; below the radius
+    of f no sample could be evaluated."""
+    radius = mtp._certified_radius(v[reach])
     need = mtp.BUILTIN_TRANSPORT[v["f"]].radius
-    _require(radius >= need, f"{v['sampler']} certifies radius {rule} = {radius}, "
+    _require(radius >= need, f"{v['sampler']} certifies radius {reach} // 2 = {radius}, "
                              f"below the radius {need} of transport {v['f']!r}")
 
 
 def _check_pullback(v):
-    _certifies(v, v["depth"] // 2, "depth // 2")
+    _certifies(v, "depth")
     if v["a_rule"] == mtp.A_RULE_BALL:  # only the ball rule materialises its ball
         groups.check_ball(v["group"], v["ball_radius"])
 
 
 def _check_pushforward(v):
-    _certifies(v, v["ball_radius"] // 2, "ball_radius // 2")
+    _certifies(v, "ball_radius")
     groups.check_ball(v["group"], v["ball_radius"])
 
 

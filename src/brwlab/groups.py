@@ -117,8 +117,9 @@ class WordGroup:
         return s
 
     def even_returns(self, m_max: int, stride: int = 1) -> np.ndarray:
-        """p_2m(e, e) / rho^2m at m = stride, 2 stride, ... <= m_max, and at
-        m_max when stride does not divide it.
+        """p_2m(e, e) / rho^2m at the rows m of spectra_grid(m_max, stride):
+        m = stride, 2 stride, ... <= m_max, and m_max when stride does not
+        divide it.
 
         Kesten's return generating function (Woess, Random Walks on Infinite
         Graphs and Groups, 2000, Lemma 1.24) is, with w = z^2 and rho^2 =
@@ -194,8 +195,8 @@ class Lattice:
                              f"{MAX_LATTICE_CELLS} lattice cells")
 
     def even_returns(self, m_max: int, stride: int = 1) -> np.ndarray:
-        """p_2m(e, e) at m = stride, 2 stride, ... below m_max, and at m_max."""
-        ms = np.array([*range(stride, m_max, stride), m_max])
+        """p_2m(e, e) at the rows m of spectra_grid(m_max, stride)."""
+        ms = spectra_grid(m_max, stride)
         return self.scaled_series(self.identity, self.identity, 2 * m_max)[2 * ms]
 
     def scaled_series(self, x, y, n_max: int) -> np.ndarray:
@@ -427,8 +428,9 @@ def check_lattice_box(g: GroupSpec, steps: int) -> None:
 
 
 def check_count(name: str, n, least: int) -> None:
-    """Raise ValueError unless n, a horizon or a stride, is an int (not a
-    bool, as for GroupSpec's param) of at least least."""
+    """Raise ValueError unless n is an int (not a bool, as for GroupSpec's
+    param) of at least least: the library's one check of an integer
+    argument, a horizon, stride, radius, depth, budget or count."""
     if type(n) is not int:
         raise ValueError(f"{name} must be an integer, got {n!r}")
     if n < least:
@@ -487,6 +489,12 @@ def p_series(g: GroupSpec, x, y, n_max: int) -> np.ndarray:
     return out
 
 
+def spectra_grid(n_max: int, stride: int) -> np.ndarray:
+    """The rows of a spectra trajectory: n = stride, 2 stride, ... below
+    n_max, then n_max."""
+    return np.append(np.arange(stride, n_max, stride), n_max)
+
+
 def spectral_radius_trajectory(g: GroupSpec, n_max: int, stride: int = 1) -> np.ndarray:
     """p_{2n}(e,e)^(1/2n) (even-step estimates) at n = stride, 2 stride,
     ... below n_max, and at n_max; stride 1 gives every n = 1..n_max.
@@ -494,7 +502,7 @@ def spectral_radius_trajectory(g: GroupSpec, n_max: int, stride: int = 1) -> np.
     is per returned estimate; lattices pick them from the full series."""
     check_count("n_max", n_max, 1)
     check_count("stride", stride, 1)
-    ns = np.array([*range(stride, n_max, stride), n_max])
+    ns = spectra_grid(n_max, stride)
     # p^(1/2n) = rho * s^(1/2n), evaluated in logs
     return g.family.rho * np.exp(np.log(g.family.even_returns(n_max, stride)) / (2 * ns))
 

@@ -18,6 +18,7 @@ from . import groups
 
 
 MAX_OFFSPRING = 64
+DEFAULT_BUDGET = 1_000_000  # the vertex budget of every sampler that takes one
 
 
 class OffspringDistribution:
@@ -214,8 +215,9 @@ def _grow(tree: MarkedTree, frontier, depth: int, mu: OffspringDistribution,
 def sample_gw(mu: OffspringDistribution, budget: int, rng, max_depth: int | None = None) -> MarkedTree:
     """Breadth-first Galton-Watson tree, truncated at the vertex budget
     (and optionally at a depth cap)."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    groups.check_count("budget", budget, 1)
+    if max_depth is not None:
+        groups.check_count("max_depth", max_depth, 0)
     return _grow(MarkedTree(), [0], 0, mu, budget, rng, max_depth)
 
 
@@ -234,8 +236,9 @@ def sample_unimodular_gw(mu: OffspringDistribution, budget: int, rng,
         is decided before anything else, so the bias commutes with
         truncation); a try accepts with probability E[1/(k+1)] >= 1/65.
     """
-    if budget < 2:
-        raise ValueError("budget must be >= 2")
+    groups.check_count("budget", budget, 2)
+    if max_depth is not None:
+        groups.check_count("max_depth", max_depth, 0)
     if variant not in (AUGMENTED, UNIMODULAR):
         raise ValueError(f"unknown variant {variant!r}")
     k0 = int(mu.sample(rng))
@@ -255,8 +258,7 @@ def sample_marked_fuzz_tree(rng, max_vertices: int) -> MarkedTree:
     paths, stars, preferential-attachment trees and caterpillars, with
     Bernoulli marks (never empty).  Sizes skew small with a heavy tail up
     to max_vertices."""
-    if max_vertices < 1:
-        raise ValueError("max_vertices must be >= 1")
+    groups.check_count("max_vertices", max_vertices, 1)
     hi = max_vertices if rng.random() < 0.2 else max(1, max_vertices // 4)
     n = int(rng.integers(1, hi + 1))
     kind = int(rng.integers(0, 5))

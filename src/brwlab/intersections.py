@@ -17,7 +17,8 @@ from itertools import islice, repeat
 import numpy as np
 
 from . import groups
-from .gw import MarkedTree, OffspringDistribution, percolate_root_component, sample_gw
+from .gw import (DEFAULT_BUDGET, MarkedTree, OffspringDistribution, percolate_root_component,
+                 sample_gw)
 from .walks import run_walk, trace
 
 
@@ -78,7 +79,7 @@ class IntersectionRecord:
 
 def sample_intersections(mu1: OffspringDistribution, mu2: OffspringDistribution,
                          g: groups.GroupSpec, depth: int, rng,
-                         budget: int = 1_000_000) -> IntersectionRecord:
+                         budget: int = DEFAULT_BUDGET) -> IntersectionRecord:
     """Sample two independent walks, both started at the identity, on
     trees truncated at the same depth (the matched truncation of
     expected_pairs_truncated), and record the vertices of g visited by
@@ -128,7 +129,7 @@ def _thresholds(tree: MarkedTree, p: float):
 
 def thinned_intersection_sweep(mu1: OffspringDistribution, mu2: OffspringDistribution,
                                g: groups.GroupSpec, p_grid, depth: int, rng,
-                               budget: int = 1_000_000) -> ThinSweepReplicate:
+                               budget: int = DEFAULT_BUDGET) -> ThinSweepReplicate:
     """Sample one replicate: thin both trees by their fixed edge labels at
     every p in the grid and intersect the restricted walks.
 
@@ -222,7 +223,7 @@ def _ends_counts(adj: dict, start, radii, m_threshold: int) -> dict:
 
 def trace_ends_experiment(mu: OffspringDistribution, g: groups.GroupSpec,
                           depth: int, radius_grid, m_threshold: int,
-                          rng, budget: int = 1_000_000) -> TraceEndsResult:
+                          rng, budget: int = DEFAULT_BUDGET) -> TraceEndsResult:
     """Grow one trace from the identity to a depth budget, carve out balls
     around it and count components still holding enough trace vertices."""
     if mu.mean <= 1.0:
@@ -230,8 +231,7 @@ def trace_ends_experiment(mu: OffspringDistribution, g: groups.GroupSpec,
     for r in radius_grid:
         groups.check_count("radius_grid entries", r, 0)
     radii = sorted(set(radius_grid))
-    if m_threshold < 1:
-        raise ValueError("m_threshold must be >= 1")
+    groups.check_count("m_threshold", m_threshold, 1)
     start = g.identity()
     tree = sample_gw(mu, budget, rng, max_depth=depth)
     adj = trace(run_walk(tree, g, start, rng))

@@ -34,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .groups import check_count
 from .gw import MarkedTree
 
 
@@ -178,11 +179,6 @@ def _require_marks(batch: TreeBatch):
         raise ValueError("the marked set must be nonempty")
 
 
-def _require_radius(r):
-    if r < 1:
-        raise ValueError("r must be >= 1")
-
-
 # the rerooting rows run over consecutive whole trees of about this many
 # vertices at a time, so their working memory is bounded by a run rather
 # than by the batch
@@ -311,9 +307,10 @@ def branch_deficiency_values(batch: TreeBatch, r_list) -> dict:
     tops = np.bincount(batch.tree[batch.parent < 0], minlength=batch.n_trees)
     if (tops != 1).any():
         raise ValueError("branching needs a single-anchor orientation")
-    r_list = sorted(set(int(r) for r in r_list))
+    r_list = list(r_list)
     for r in r_list:
-        _require_radius(r)
+        check_count("r", r, 1)
+    r_list = sorted(set(r_list))
     height, sub = batch._climb
     marks = batch.n_marks.astype(np.int32)[batch.tree]  # |A| of each vertex's tree
     out = {r: marks.copy() if r > 2 * height else np.empty_like(marks) for r in r_list}
@@ -343,7 +340,7 @@ def supported_gap_values(batch: TreeBatch, r: int):
     largest |A_w|.  Tops may be several per tree.
     """
     _require_marks(batch)
-    _require_radius(r)
+    check_count("r", r, 1)
     n = batch.n_vertices
     height, sub = batch._climb
     gaps = np.full(n, -1, dtype=np.int32)

@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import groups
-from .gw import MarkedTree, OffspringDistribution, sample_unimodular_gw
+from .gw import DEFAULT_BUDGET, MarkedTree, OffspringDistribution, sample_unimodular_gw
 from .walks import run_walk
 
 UNBOUNDED = 10**9
@@ -232,12 +232,14 @@ def mc_mtp_test(sampler, transports, W, n_samples: int, alpha: float, rng) -> li
     paired differences of n_samples draws from the one stream rng, which
     every transport reads.  Samples that cannot certify a transport's
     radius are skipped for it; more than 10% of them is a truncation
-    error.  alpha and an empty tuple are refused before the first draw.
+    error.  alpha, n_samples and an empty tuple are refused before the
+    first draw.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if not transports:
         raise ValueError("need at least one transport")
+    groups.check_count("n_samples", n_samples, 2)
     evaluated = evaluate_samples(sampler, transports, W, itertools.repeat(rng, n_samples))
     return [aggregate_mtp_report(rows, inconclusive, n_samples, alpha)
             for rows, inconclusive, _ in evaluated]
@@ -278,11 +280,12 @@ A_RULE_BALL = "ball"
 A_RULE_TRACE = "trace"
 
 
-def _certified_radius(tree: MarkedTree, reach: int) -> int:
-    """Half the reach a sample was built to (the tree depth of a
-    pull-back, the ball radius of a push-forward), or BUDGET_CUT when its
-    tree was cut at the budget."""
-    if tree.truncation_reason == "budget":
+def _certified_radius(reach: int, tree: MarkedTree | None = None) -> int:
+    """The certification rule, stated here only: a sample built to a reach
+    (the tree depth of a pull-back, the ball radius of a push-forward)
+    certifies half of it, or BUDGET_CUT when its tree was cut at the
+    budget.  Without a tree, the radius every uncut sample certifies."""
+    if tree is not None and tree.truncation_reason == "budget":
         return BUDGET_CUT
     return reach // 2
 
@@ -290,7 +293,7 @@ def _certified_radius(tree: MarkedTree, reach: int) -> int:
 def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
                      a_rule: str = A_RULE_ORIGIN, *, ball_radius: int = 1,
                      mu2: OffspringDistribution | None = None, depth2: int | None = None,
-                     budget: int = 1_000_000):
+                     budget: int = DEFAULT_BUDGET):
     """Tree-side samples: an offspring-biased double tree, a tree-indexed
     walk on g from the identity (the start), and the preimage marks of a
     target set on g.
@@ -311,7 +314,10 @@ def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
         shift_pool = groups.elements_within(g, start, ball_radius)
     if a_rule == A_RULE_TRACE:
         mu2 = mu2 or mu
-        depth2 = depth2 if depth2 is not None else depth
+        if depth2 is None:
+            depth2 = depth
+        else:  # its tree is drawn second, so it is checked before the first draw
+            groups.check_count("depth2", depth2, 0)
 
     def sample(rng) -> MtpSample:
         tree = sample_unimodular_gw(mu, budget, rng, max_depth=depth)
@@ -331,14 +337,14 @@ def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
             counts2 = run_walk(tree2, g, start, rng).image_counts()
             marks = frozenset(v for v, x in enumerate(values) if x in counts2)
             ingredient = 1.0 / counts2[start]
-        cert = _certified_radius(tree, depth)
+        cert = _certified_radius(depth, tree)
         return MtpSample(tree.adjacency(), marks, tree.root, ingredient, cert)
 
     return sample
 
 
 def pushforward_trace_sampler(g: groups.GroupSpec, mu: OffspringDistribution,
-                              depth: int, ball_radius: int, *, budget: int = 1_000_000):
+                              depth: int, ball_radius: int, *, budget: int = DEFAULT_BUDGET):
     """Graph-side samples: the walk from the identity (the start), its
     image marked inside a materialized ball of g around the start, with
     ingredient 1 / #returns to the start."""
@@ -354,6 +360,6 @@ def pushforward_trace_sampler(g: groups.GroupSpec, mu: OffspringDistribution,
         counts = run_walk(tree, g, start, rng).image_counts()
         marks = frozenset(x for x in counts if x in ball_set)
         return MtpSample(adj, marks, start, 1.0 / counts[start],
-                         _certified_radius(tree, ball_radius))
+                         _certified_radius(ball_radius, tree))
 
     return sample

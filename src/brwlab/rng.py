@@ -14,6 +14,7 @@ Philox through numpy's `ISeedSequence` interface.
 """
 
 import functools
+from operator import index
 
 import numpy as np
 
@@ -125,11 +126,13 @@ def substream(seed, *indices):
     Streams are derived from a counter-based Philox generator keyed by the
     seed and the index path only, so results do not depend on worker count
     or scheduling order.  The stream is that of
-    `Generator(Philox(SeedSequence((seed, *indices))))`; a negative entry
-    raises ValueError, as SeedSequence does.  The bit generator's seed
+    `Generator(Philox(SeedSequence((seed, *indices))))`.  Every entry is
+    an integer (operator.index): as in SeedSequence, a negative one raises
+    ValueError and a float TypeError.  A numeric string, which SeedSequence
+    reads as its number, raises TypeError here.  The bit generator's seed
     sequence holds only the key, so `Generator.spawn` is not supported.
     """
-    entropy = (int(seed), *map(int, indices))
+    entropy = (index(seed), *map(index, indices))
     block, j = divmod(entropy[-1], _BLOCK)
     Generator, Philox = _philox_generator()
     return Generator(Philox(_PhiloxKey(_block_keys(entropy[:-1], block)[j])))

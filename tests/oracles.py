@@ -1198,5 +1198,4 @@ def ends_profile(adj: dict, A, center, radius: int, m_threshold: int) -> EndsPro
 
 def substream_reference(seed, *indices):
     """The Generator of `Philox(SeedSequence((seed, *indices)))`."""
-    entropy = (int(seed),) + tuple(int(i) for i in indices)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *indices))))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brwlab import groups, gw, intersections, mtp
+from brwlab import groups, gw, intersections, magic, mtp
 from brwlab.gw import OffspringDistribution
 
 import oracles
@@ -492,6 +492,8 @@ def test_fuzz_tree_matches_reference_draws():
 _MU = OffspringDistribution([0.45, 0.0, 0.55])
 _T4 = groups.GroupSpec("regular_tree", 4)
 _Z3 = groups.GroupSpec("integer_lattice", 3)
+_STAR = magic.OrientedTree.from_tree(gw.MarkedTree([-1, 0, 0, 0]), marks={1, 2})
+_PATH3 = {0: [1], 1: [0, 2], 2: [1]}
 # (call on a generator, message): the library refusals that no other test
 # reaches, each case named after its function and the argument it refuses
 REFUSALS = {
@@ -575,6 +577,42 @@ REFUSALS = {
                         "root not in graph"),
     "pullback-a_rule": (lambda rng: mtp.pullback_sampler(_T4, _MU, 4, "nearest"),
                         "unknown a_rule 'nearest'"),
+    "sample_gw-budget-float": (lambda rng: gw.sample_gw(_MU, 10.0, rng),
+                               "budget must be an integer, got 10.0"),
+    "sample_gw-max_depth-float": (lambda rng: gw.sample_gw(_MU, 10, rng, max_depth=2.5),
+                                  "max_depth must be an integer, got 2.5"),
+    "sample_gw-max_depth": (lambda rng: gw.sample_gw(_MU, 10, rng, max_depth=-1),
+                            "max_depth must be >= 0"),
+    "unimodular-budget-float": (lambda rng: gw.sample_unimodular_gw(_MU, 10.0, rng),
+                                "budget must be an integer, got 10.0"),
+    "unimodular-max_depth-float": (lambda rng: gw.sample_unimodular_gw(
+        _MU, 10, rng, max_depth=2.5), "max_depth must be an integer, got 2.5"),
+    "fuzz-max_vertices-float": (lambda rng: gw.sample_marked_fuzz_tree(rng, 5.0),
+                                "max_vertices must be an integer, got 5.0"),
+    "pullback-depth-float": (lambda rng: mtp.pullback_sampler(_T4, _MU, 4.5)(rng),
+                             "max_depth must be an integer, got 4.5"),
+    "pullback-depth2-float": (lambda rng: mtp.pullback_sampler(
+        _T4, _MU, 4, "trace", depth2=4.5)(rng), "depth2 must be an integer, got 4.5"),
+    "pushforward-depth-float": (lambda rng: mtp.pushforward_trace_sampler(
+        _T4, _MU, 4.5, 2)(rng), "max_depth must be an integer, got 4.5"),
+    "intersect-depth-float": (lambda rng: intersections.sample_intersections(
+        _MU, _MU, _T4, 2.5, rng), "max_depth must be an integer, got 2.5"),
+    "sweep-depth-float": (lambda rng: intersections.thinned_intersection_sweep(
+        _MU, _MU, _T4, [0.5], 2.5, rng), "max_depth must be an integer, got 2.5"),
+    "trace_ends-depth-float": (lambda rng: intersections.trace_ends_experiment(
+        _MU, _T4, 5.5, [1], 1, rng), "max_depth must be an integer, got 5.5"),
+    "trace_ends-m_threshold-float": (lambda rng: intersections.trace_ends_experiment(
+        _MU, _T4, 5, [1], 1.5, rng), "m_threshold must be an integer, got 1.5"),
+    "mc_mtp_test-n_samples-float": (lambda rng: mtp.mc_mtp_test(
+        mtp.uniform_root_sampler(_PATH3, {0, 1, 2}), (mtp.BUILTIN_TRANSPORT["adjacent"],),
+        mtp.BUILTIN_WEIGHT["unit"], 200.5, 0.05, rng), "n_samples must be an integer, got 200.5"),
+    "mc_mtp_test-n_samples": (lambda rng: mtp.mc_mtp_test(
+        mtp.uniform_root_sampler(_PATH3, {0, 1, 2}), (mtp.BUILTIN_TRANSPORT["adjacent"],),
+        mtp.BUILTIN_WEIGHT["unit"], 1, 0.05, rng), "n_samples must be >= 2"),
+    "branching-r-float": (lambda rng: magic.branch_deficiency_values(_STAR, [1.5]),
+                          "r must be an integer, got 1.5"),
+    "supported-r-float": (lambda rng: magic.supported_gap_values(_STAR, 1.5),
+                          "r must be an integer, got 1.5"),
 }
 
 

@@ -3,6 +3,7 @@ experiment."""
 
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from brwlab import intersections as isec
 from brwlab.groups import GroupSpec
-from brwlab.gw import OffspringDistribution, sample_gw
+from brwlab.gw import DEFAULT_BUDGET, OffspringDistribution, sample_gw
 from brwlab.rng import substream
 from brwlab.walks import run_walk, trace
 
@@ -188,11 +189,23 @@ def test_thinning_sweep_monotone_and_extremes():
 
 def test_thinning_p1_recovers_plain_sample():
     """At p = 1 the sweep sees the full trees: its overlap equals the
-    pulled-back set of an unthinned run with the same draws."""
-    rng = np.random.default_rng(3)
-    reps = [isec.thinned_intersection_sweep(MU11, MU11, T4, [1.0], 5, rng) for _ in range(50)]
-    for rep in reps:
-        assert rep.pair_counts[1.0] >= len(rep.sets[1.0]) > 0 or rep.sets[1.0] == frozenset()
+    pulled-back set of an unthinned run with the same draws, replayed by
+    hand from each replicate's substream, and its pair count is
+    sample_intersections' sum over z of counts1[z] * counts2[z]."""
+    overlaps = 0
+    for i in range(50):
+        rep = isec.thinned_intersection_sweep(MU11, MU11, T4, [1.0], 5, substream(3, i))
+        rng = substream(3, i)
+        trees = [sample_gw(MU11, DEFAULT_BUDGET, rng, max_depth=5) for _ in range(2)]
+        for tree in trees:
+            tree.ensure_edge_labels(rng)
+        values1, values2 = (run_walk(tree, T4, E, rng).values for tree in trees)
+        counts1, counts2 = Counter(values1), Counter(values2)
+        assert rep.sets[1.0] == {v for v, z in enumerate(values1) if z in counts2}
+        assert rep.pair_counts[1.0] == sum(n * counts2[z] for z, n in counts1.items())
+        assert rep.truncated == any(tree.truncated for tree in trees)
+        overlaps += len(rep.sets[1.0]) > 1
+    assert overlaps > 0  # some replicate overlaps beyond the shared root
 
 
 SWEEP_GRIDS = [

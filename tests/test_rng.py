@@ -105,3 +105,19 @@ def test_import_leaves_numpy_random_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("entropy", [(1.5, 2), (1, 2.0), (3, np.float64(2.0)), (1, 2, None)])
+def test_non_integer_entry_raises(entropy):
+    """An entry that SeedSequence refuses is refused, not truncated to an
+    integer's stream."""
+    with pytest.raises(TypeError):
+        oracles.substream_reference(*entropy)
+    with pytest.raises(TypeError):
+        substream(*entropy)
+
+
+@pytest.mark.parametrize("entropy", [(np.int64(3), 2), (1, np.int64(2)), (1, True), (True,),
+                                     (np.uint32(7), np.int64(2**40), 5)])
+def test_integer_like_entries_keep_seed_sequence_stream(entropy):
+    _assert_same_stream(substream(*entropy), oracles.substream_reference(*entropy))
