@@ -47,7 +47,7 @@ class InvalidElementError(ValueError):
 
 class WordGroup:
     """Reduced words over letters closed under a letter inverse.  Methods
-    take valid words, except neighbors(), which validates its own."""
+    take valid words."""
 
     is_tree_like = True
     identity = ()
@@ -75,11 +75,6 @@ class WordGroup:
             raise InvalidElementError(f"{x!r} is not reduced")
 
     def neighbors(self, x) -> list:
-        # validate's tests, inlined for the walk's one call per step; it
-        # raises with the message of the test that failed
-        if not (isinstance(x, tuple) and {int}.issuperset(map(type, x))
-                and self._letters.issuperset(x)) or any(map(eq, x, self._inverted(x[1:]))):
-            self.validate(x)
         out = [x + s for s in self._unit_words]
         if x:  # the one letter that cancels x's last letter steps back to x[:-1]
             out[self._back_slot[x[-1]]] = x[:-1]
@@ -149,8 +144,7 @@ class WordGroup:
 
 
 class Lattice:
-    """Z^dim with nearest-neighbour edges.  Methods take valid points,
-    except neighbors(), which validates its own."""
+    """Z^dim with nearest-neighbour edges.  Methods take valid points."""
 
     is_tree_like = False
     rho = 1.0
@@ -167,10 +161,6 @@ class Lattice:
             raise InvalidElementError(f"{x!r} is not a coordinate in Z^{self.dim}")
 
     def neighbors(self, x) -> list:
-        # validate's tests, inlined as in WordGroup.neighbors
-        if not (isinstance(x, tuple) and len(x) == self.dim
-                and {int}.issuperset(map(type, x))):
-            self.validate(x)
         out = []
         for i, c in enumerate(x):  # in the fixed order +e_1, -e_1, +e_2, ...
             head, tail = x[:i], x[i + 1:]
@@ -308,6 +298,7 @@ def neighbors(g: GroupSpec, x):
     family = g.family
     last, out = family.last
     if x is not last:
+        family.validate(x)
         out = family.neighbors(x)
         family.last = x, out
     return [*out]
@@ -344,10 +335,11 @@ def check_ball(g: GroupSpec, radius: int) -> None:
 
 
 def elements_within(g: GroupSpec, x, radius: int):
-    """All vertices within the given distance of x, in BFS order."""
+    """All vertices within the given distance of x, in BFS order.  Only x
+    is validated: each other vertex is built from a valid one."""
     validate_elem(g, x)
     check_ball(g, radius)
-    return list(bfs(lambda v: neighbors(g, v), x, radius))
+    return list(bfs(g.family.neighbors, x, radius))
 
 
 def bfs(nbrs, root, radius=None) -> dict:

@@ -324,19 +324,18 @@ def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
         values = run_walk(tree, g, start, rng).values
         ingredient = 1.0
         if a_rule == A_RULE_ORIGIN:
-            marks = frozenset(v for v, x in enumerate(values) if x == start)
+            target = {start}
         elif a_rule == A_RULE_BALL:
             # center shifted so the start sits uniformly inside the ball
             w = shift_pool[int(rng.integers(0, len(shift_pool)))]
             center = groups.inv(g, w)
             # the ball around center is center times the ball around e
-            ball = {groups.mul(g, center, u) for u in shift_pool}
-            marks = frozenset(v for v, x in enumerate(values) if x in ball)
+            target = {groups.mul(g, center, u) for u in shift_pool}
         else:
             tree2 = sample_unimodular_gw(mu2, budget, rng, max_depth=depth2)
-            counts2 = run_walk(tree2, g, start, rng).image_counts()
-            marks = frozenset(v for v, x in enumerate(values) if x in counts2)
-            ingredient = 1.0 / counts2[start]
+            target = run_walk(tree2, g, start, rng).image_counts()
+            ingredient = 1.0 / target[start]
+        marks = frozenset(v for v, x in enumerate(values) if x in target)
         cert = _certified_radius(depth, tree)
         return MtpSample(tree.adjacency(), marks, tree.root, ingredient, cert)
 

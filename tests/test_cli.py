@@ -492,6 +492,26 @@ PINNED_BODIES = {
                         "f": "marked_neighbors", "w": "ingredient", "n_samples": 1000,
                         "alpha": 0.01}, "mtp_report.json",
                        "cf1b8a0007cb92dcf4d222a43f7310abceb7e68bae97f6e88159fd5c691c3323"),
+    # the other two pull-back target rules: a shifted ball on a tree and on
+    # a lattice, and the start alone
+    "pullback-ball": ({"experiment": "mtp-test", "seed": 3, "sampler": "pullback",
+                       "group": {"kind": "regular_tree", "param": 4},
+                       "offspring": [0.45, 0, 0.55], "depth": 4, "a_rule": "ball",
+                       "ball_radius": 2, "f": "marked_neighbors", "w": "unit",
+                       "n_samples": 1000, "alpha": 0.01}, "mtp_report.json",
+                      "918a3e908aa09860570adc119b9ec93f99e1488bdacee4f4b37f85a104fece41"),
+    "pullback-ball-lattice": ({"experiment": "mtp-test", "seed": 3, "sampler": "pullback",
+                               "group": {"kind": "integer_lattice", "param": 2},
+                               "offspring": [0.45, 0, 0.55], "depth": 6, "a_rule": "ball",
+                               "ball_radius": 1, "f": "target_degree", "w": "unit",
+                               "n_samples": 1000, "alpha": 0.01}, "mtp_report.json",
+                              "31874af0ed1cb067d092f9aecd4a4085f45161af3d0c6f32e2e5103bef0257ee"),
+    "pullback-origin": ({"experiment": "mtp-test", "seed": 3, "sampler": "pullback",
+                         "group": {"kind": "regular_tree", "param": 4},
+                         "offspring": [0.45, 0, 0.55], "depth": 6, "a_rule": "origin",
+                         "f": "target_degree", "w": "unit", "n_samples": 1000,
+                         "alpha": 0.01}, "mtp_report.json",
+                        "9f71f2ef1c39b85a7efe4021f468fd037392aeb6fa2e4af153990f3a5ae8c93f"),
     "pushforward": ({"experiment": "mtp-test", "seed": 3, "sampler": "pushforward",
                      "group": {"kind": "regular_tree", "param": 4},
                      "offspring": [0.45, 0, 0.55], "depth": 4, "ball_radius": 4,

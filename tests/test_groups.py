@@ -175,13 +175,16 @@ def test_validate_elem_matches_reference(data):
     generator expressions, on ints, bools, numpy ints, floats, None, huge
     ints, unhashable entries, empty and non-reduced words, walk values of
     up to 30 letters on degrees up to 64, and non-tuples; accepted words
-    get the same neighbour list."""
+    get the same neighbour list, and refused ones the same refusal from
+    neighbors()."""
     g = data.draw(st.sampled_from(_SPECS))
     x = data.draw(st.one_of(_INTS, _SMALL, _MIXED, _STUTTER, _NOT_A_TUPLE, _walk_words(g)))
     got = _outcome(groups.validate_elem, g, x)
     assert got == _outcome(validate_elem_reference, g, x)
     if got is None:  # twice, as a walk asks for each sibling
         assert groups.neighbors(g, x) == groups.neighbors(g, x) == neighbors_reference(g, x)
+    else:
+        assert _outcome(groups.neighbors, g, x) == got
 
 
 @pytest.mark.parametrize("g, x, other", [(T4, (1, 2), F2), (F2, (1, 2), T4),
@@ -730,6 +733,14 @@ def test_elements_within_order():
     assert len(ball) == 1 + 4 + 12 + 36
     dists = [groups.distance(F2, (1,), x) for x in ball]
     assert dists == sorted(dists) and len(set(ball)) == len(ball)
+    # walk values as centres: the ball is the reference BFS, order included
+    rng = np.random.default_rng(0)
+    for g in (T4, F2, Z2, Z3):
+        for _ in range(5):
+            x = _walk_word(g, rng.integers(0, 64, size=rng.integers(0, 9)).tolist())
+            for radius in range(4):
+                want = groups.bfs(lambda v: neighbors_reference(g, v), x, radius)
+                assert groups.elements_within(g, x, radius) == list(want)
 
 
 def test_adjacency_builder():
