@@ -483,7 +483,8 @@ def p_series(g: GroupSpec, x, y, n_max: int) -> np.ndarray:
 
 def spectra_grid(n_max: int, stride: int) -> np.ndarray:
     """The rows of a spectra trajectory: n = stride, 2 stride, ... below
-    n_max, then n_max."""
+    n_max, then n_max; any stride >= n_max gives the one row n_max."""
+    stride = min(stride, n_max)  # so the rows are int64 at any stride
     return np.append(np.arange(stride, n_max, stride), n_max)
 
 

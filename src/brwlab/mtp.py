@@ -326,11 +326,10 @@ def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
         if a_rule == A_RULE_ORIGIN:
             target = {start}
         elif a_rule == A_RULE_BALL:
-            # center shifted so the start sits uniformly inside the ball
-            w = shift_pool[int(rng.integers(0, len(shift_pool)))]
-            center = groups.inv(g, w)
-            # the ball around center is center times the ball around e
-            target = {groups.mul(g, center, u) for u in shift_pool}
+            # center = w^-1 for w uniform in the ball around e, so the start sits
+            # uniformly inside the ball around center: center times that ball
+            center = g.family.inv(shift_pool[int(rng.integers(0, len(shift_pool)))])
+            target = {g.family.mul(center, u) for u in shift_pool}
         else:
             tree2 = sample_unimodular_gw(mu2, budget, rng, max_depth=depth2)
             target = run_walk(tree2, g, start, rng).image_counts()
@@ -350,9 +349,7 @@ def pushforward_trace_sampler(g: groups.GroupSpec, mu: OffspringDistribution,
     start = g.identity()
     ball_elems = groups.elements_within(g, start, ball_radius)
     ball_set = set(ball_elems)
-    adj = {
-        v: [w for w in groups.neighbors(g, v) if w in ball_set] for v in ball_elems
-    }
+    adj = {v: [w for w in g.family.neighbors(v) if w in ball_set] for v in ball_elems}
 
     def sample(rng) -> MtpSample:
         tree = sample_unimodular_gw(mu, budget, rng, max_depth=depth)

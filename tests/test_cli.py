@@ -95,6 +95,21 @@ def test_spectra_run(tmp_path):
     assert manifest["experiment"] == "spectra"
 
 
+@pytest.mark.parametrize("group", [{"kind": "regular_tree", "param": 4},
+                                   {"kind": "integer_lattice", "param": 1}], ids=["T4", "Z1"])
+def test_spectra_stride_past_n_max_writes_one_row(tmp_path, group):
+    """Any stride the table accepts runs: one past n_max, even past int64
+    and uint64, exits 0 with the stride-n_max body, the one row 2 n_max."""
+    bodies = []
+    for stride in (5, 2**63, 2**64, 10**23):
+        cfg = {"experiment": "spectra", "seed": 7, "group": group, "n_max": 5, "stride": stride}
+        status, out = run_cfg(tmp_path, cfg, f"stride{stride}")
+        assert status == 0, stride
+        bodies.append(read_csv(out / "spectra.csv"))
+    assert [row[0] for row in bodies[0]] == ["n", "10"]
+    assert all(body == bodies[0] for body in bodies)
+
+
 def test_visits_run(tmp_path):
     cfg = {
         "experiment": "visits",
@@ -441,6 +456,34 @@ def test_ends_run(tmp_path):
     assert {r[3] for r in rows[1:]} <= {"0", "1"}
 
 
+def test_repeated_grid_entries(tmp_path):
+    """magic-fuzz writes a row per grid entry, repeats included: k_grid
+    [1, 1] by r_grid [2, 2] is each tree's one row four times.  thin-sweep's
+    p_grid and ends' radius_grid write a row per distinct value: [0.5, 0.5,
+    1.0] writes the rows of [0.5, 1.0], and [1, 1] those of [1]."""
+
+    def rows(cfg, file, **grids):
+        status, out = run_cfg(tmp_path, dict(cfg, **grids), f"{file}-{grids}")
+        assert status in (0, 2)
+        return read_csv(out / file)[1:]
+
+    magic = {"experiment": "magic-fuzz", "seed": 3, "n_trees": 7, "max_vertices": 20}
+    once = rows(magic, "magic_fuzz.csv", k_grid=[1], r_grid=[2])
+    assert len(once) == 7
+    assert rows(magic, "magic_fuzz.csv", k_grid=[1, 1], r_grid=[2, 2]) == [
+        row for row in once for _ in range(4)]
+    sweep = {"experiment": "thin-sweep", "seed": 3, "group": T4, "offspring1": MU,
+             "depth": 3, "replicates": 5}
+    distinct = rows(sweep, "thin_sweep.csv", p_grid=[0.5, 1.0])
+    assert len(distinct) == 2 * 5
+    assert rows(sweep, "thin_sweep.csv", p_grid=[0.5, 0.5, 1.0]) == distinct
+    ends = {"experiment": "ends", "seed": 3, "group": T4, "offspring": [0.3, 0.3, 0.4],
+            "depth": 4, "m_threshold": 2, "replicates": 5}
+    distinct = rows(ends, "ends.csv", radius_grid=[1])
+    assert len(distinct) == 5
+    assert rows(ends, "ends.csv", radius_grid=[1, 1]) == distinct
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = {
         "experiment": "intersect",
@@ -506,6 +549,14 @@ PINNED_BODIES = {
                                "ball_radius": 1, "f": "target_degree", "w": "unit",
                                "n_samples": 1000, "alpha": 0.01}, "mtp_report.json",
                               "31874af0ed1cb067d092f9aecd4a4085f45161af3d0c6f32e2e5103bef0257ee"),
+    # the ball rule on F2, where inv negates the signed letters: a path the
+    # T4 and Z2 ball digests do not reach
+    "pullback-ball-free": ({"experiment": "mtp-test", "seed": 3, "sampler": "pullback",
+                            "group": {"kind": "free_group", "param": 2},
+                            "offspring": [0.45, 0, 0.55], "depth": 4, "a_rule": "ball",
+                            "ball_radius": 2, "f": "marked_neighbors", "w": "unit",
+                            "n_samples": 1000, "alpha": 0.01}, "mtp_report.json",
+                           "f54a6945ba7220048b2f7ad020df747750d1ec2e19c2884d70fe470abbd6018b"),
     "pullback-origin": ({"experiment": "mtp-test", "seed": 3, "sampler": "pullback",
                          "group": {"kind": "regular_tree", "param": 4},
                          "offspring": [0.45, 0, 0.55], "depth": 6, "a_rule": "origin",
@@ -991,15 +1042,19 @@ _BAD_VALUES = [True, False, -1, 0, 2.5, NAN, float("inf"), [], [NAN, 1.0], "x", 
 _GROUPS = st.sampled_from([T4, {"kind": "free_group", "param": 2},
                            {"kind": "integer_lattice", "param": 2}])
 _LAWS = st.sampled_from([MU, [0.5, 0.5], [0.3, 0.3, 0.4], [0, 1]])
+# no cap bounds these int keys, so a valid config can hold any size: a
+# bit length in 61..70, then a value of it, past int64 and uint64 as often
+# as not
+_HUGE = st.integers(61, 70).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2**bits - 1))
 _SMALL_VALID = {
     "group": _GROUPS,
     "n_max": st.integers(1, 30),
-    "stride": st.integers(1, 5),
+    "stride": st.one_of(st.integers(1, 5), _HUGE),
     "mean": st.floats(0.0, 2.0),
     "n_trees": st.integers(1, 3),
     "max_vertices": st.integers(1, 12),
-    "k_grid": st.lists(st.integers(1, 4), min_size=1, max_size=3),
-    "r_grid": st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    "k_grid": st.lists(st.one_of(st.integers(1, 4), _HUGE), min_size=1, max_size=3),
+    "r_grid": st.lists(st.one_of(st.integers(1, 3), _HUGE), min_size=1, max_size=2),
     "offspring1": _LAWS,
     "offspring2": _LAWS,
     "offspring": _LAWS,
@@ -1007,8 +1062,8 @@ _SMALL_VALID = {
     "budget": st.integers(2, 60),
     "replicates": st.integers(2, 5),
     "p_grid": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
-    "radius_grid": st.lists(st.integers(0, 3), min_size=1, max_size=3),
-    "m_threshold": st.integers(1, 3),
+    "radius_grid": st.lists(st.one_of(st.integers(0, 3), _HUGE), min_size=1, max_size=3),
+    "m_threshold": st.one_of(st.integers(1, 3), _HUGE),
     "f": st.sampled_from(["adjacent", "within_two", "target_degree"]),
     "w": st.sampled_from(["unit", "ingredient"]),
     "n_samples": st.just(1000),
@@ -1016,7 +1071,7 @@ _SMALL_VALID = {
     "sampler": st.sampled_from(["uniform_root", "fixed_root", "pullback", "pushforward"]),
     "graph": st.fixed_dictionaries({"shape": st.sampled_from(["path", "star"]),
                                     "n": st.integers(2, 6)}),
-    "root_index": st.integers(0, 5),
+    "root_index": st.one_of(st.integers(0, 5), _HUGE),
     "a_rule": st.sampled_from(["origin", "ball", "trace"]),
     "ball_radius": st.integers(1, 2),
     "depth2": st.integers(1, 3),
@@ -1039,8 +1094,9 @@ _KEYS = {
 @given(data=st.data())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_config_fuzz_exit_status(data):
-    """Small valid configs with up to two keys made malformed or dropped:
-    exit 0, 1 or 2, never an exception, and exit 1 prints one error line."""
+    """Small valid configs, their uncapped int keys up to 2^70, with up
+    to two keys made malformed or dropped: exit 0, 1 or 2, never an
+    exception, and exit 1 prints one error line."""
     name = data.draw(st.sampled_from(sorted(_KEYS)))
     keys = ["seed"] + _KEYS[name]
     bad = data.draw(st.sets(st.sampled_from(keys), max_size=2))

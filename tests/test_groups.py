@@ -574,13 +574,14 @@ _SPECTRA_CAPS = [(T3, 60_000), (T4, 60_000), (F2, 60_000), (Z1, 60_000), (Z2, 10
 @pytest.mark.parametrize("g, n_max", _SPECTRA_CAPS, ids=["T3", "T4", "F2", "Z1", "Z2", "Z3"])
 def test_strided_trajectory_equals_every_step_at_the_picks(g, n_max):
     """At its caps, the trajectory at stride s holds, bit for bit, the
-    stride-1 trajectory's estimates at n = s, 2s, ... and n_max."""
+    stride-1 trajectory's estimates at n = s, 2s, ... and n_max, at every
+    stride check_count accepts: past int64 (2^63) and uint64 (2^64) too."""
     if n_max < 60_000:
         with pytest.raises(ValueError):
             groups.check_lattice_box(g, 2 * (n_max + 1))
     full = groups.spectral_radius_trajectory(g, n_max)
     assert full.shape == (n_max,)
-    for stride in (1, 2, 7, 30, n_max // 3, n_max - 1, n_max, n_max + 5):
+    for stride in (1, 2, 7, 30, n_max // 3, n_max - 1, n_max, n_max + 5, 2**63, 2**64, 10**23):
         ns = np.array([*range(stride, n_max, stride), n_max])
         assert np.array_equal(groups.spectral_radius_trajectory(g, n_max, stride),
                               full[ns - 1]), stride

@@ -259,6 +259,25 @@ def test_pushforward_trace_weight():
     assert rep.passed
 
 
+@pytest.mark.parametrize("g", [T4, GroupSpec("integer_lattice", 2)], ids=["T4", "Z2"])
+@pytest.mark.parametrize("fname", ["target_degree", "marked_neighbors", "leaf_target"])
+def test_pushforward_ball_past_twice_the_radius_changes_no_result(g, fname):
+    """A push-forward ball of radius 2r certifies a radius-r transport,
+    and a larger ball changes no byte of its rows or counts: the
+    transport reads nothing outside the radius-2r ball, and the draws do
+    not depend on the ball."""
+    F = mtp.BUILTIN_TRANSPORT[fname]
+    W = mtp.BUILTIN_WEIGHT["ingredient"]
+    results = []
+    for ball_radius in (2 * F.radius, 2 * F.radius + 1, 2 * F.radius + 3):
+        sampler = mtp.pushforward_trace_sampler(g, MU11, 8, ball_radius)
+        [(rows, skipped, cut)] = mtp.evaluate_samples(
+            sampler, (F,), W, (substream(4, i) for i in range(300)))
+        results.append((rows.tobytes(), skipped, cut))
+    assert len(results[0][0]) == 16 * (300 - results[0][1]) > 0
+    assert results[0] == results[1] == results[2]
+
+
 def test_truncation_error_when_depth_too_small():
     rng = np.random.default_rng(9)
     sampler = mtp.pullback_sampler(T4, MU11, 2, "origin")

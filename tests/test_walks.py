@@ -99,9 +99,12 @@ def test_run_walk_one_neighbors_call_per_step(monkeypatch):
 
 
 def test_experiments_make_one_neighbors_call_per_walk_step(monkeypatch):
-    """Over whole pull-back trace samples and thin sweeps on T4, F2 and
-    Z^2, groups.neighbors is called once per walk step and nowhere else:
-    the benchmark's traced runs count walks.steps against these calls."""
+    """Over whole pull-back samples of every target rule, push-forward
+    samplers built and drawn, and thin sweeps on T4, F2 and Z^2,
+    groups.neighbors is called once per walk step and nowhere else, and
+    groups.mul and groups.inv not at all: the words the samplers build on
+    are valid, so they go to the family methods.  The benchmark's traced
+    runs count walks.steps against the groups.neighbors calls."""
     from brwlab import intersections, mtp
 
     calls, steps = [0], [0]
@@ -116,15 +119,24 @@ def test_experiments_make_one_neighbors_call_per_walk_step(monkeypatch):
         steps[0] += len(walk.values) - 1
         return walk
 
+    def refused(*args):
+        raise AssertionError(f"a library-built word checked again: {args!r}")
+
     monkeypatch.setattr(groups, "neighbors", counted)
+    monkeypatch.setattr(groups, "mul", refused)
+    monkeypatch.setattr(groups, "inv", refused)
     monkeypatch.setattr(mtp, "run_walk", stepped)
     monkeypatch.setattr(intersections, "run_walk", stepped)
     mu = OffspringDistribution([0.45, 0, 0.55])
     for g in (T4, F2, Z2):
         rng = np.random.default_rng(7)
-        sampler = mtp.pullback_sampler(g, mu, 8, "trace", depth2=12)
-        for _ in range(30):
-            sampler(rng)
+        samplers = [mtp.pullback_sampler(g, mu, 8, "trace", depth2=12),
+                    mtp.pullback_sampler(g, mu, 8, "ball", ball_radius=2),
+                    mtp.pullback_sampler(g, mu, 8, "origin"),
+                    mtp.pushforward_trace_sampler(g, mu, 8, 4)]
+        for sampler in samplers:
+            for _ in range(30):
+                sampler(rng)
         for _ in range(30):
             intersections.thinned_intersection_sweep(mu, mu, g, [0.5, 1.0], 8, rng)
         assert steps[0] > 1000
