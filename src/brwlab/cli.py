@@ -410,7 +410,7 @@ def _run_mtp_test(v, seed, workers, out_dir):
     try:
         report = mtp.aggregate_mtp_report(rows[:n], inconclusive, n_samples, v["alpha"])
     except mtp.TruncationError as exc:
-        # _certifies refuses a depth that cannot certify, so the budget is the cause
+        # no depth or ball that the config allows fails to certify: the budget is the cause
         raise ConfigError(f"{exc}; {budget_cut} of them hit the vertex budget "
                           f"(budget = {v['budget']})") from exc
     _write_json(os.path.join(out_dir, "mtp_report.json"), report.to_json_dict())
@@ -477,26 +477,16 @@ _PAIR_KEYS = {
 }
 
 
-def _certifies(v, reach):
-    """Refuse a tree sampler that cannot certify the transport.  Every
-    pull-back or push-forward sample not cut at the budget certifies the
-    radius that mtp's rule gives for the config's reach; below the radius
-    of f no sample could be evaluated."""
-    radius = mtp._certified_radius(v[reach])
-    need = mtp.BUILTIN_TRANSPORT[v["f"]].radius
-    _require(radius >= need, f"{v['sampler']} certifies radius {reach} // 2 = {radius}, "
-                             f"below the radius {need} of transport {v['f']!r}")
+def _reach(v):
+    """The least reach that certifies f: a pull-back depth, the push-forward ball."""
+    return mtp.certifying_reach(mtp.BUILTIN_TRANSPORT[v["f"]].radius)
 
 
 def _check_pullback(v):
-    _certifies(v, "depth")
+    _require(v["depth"] >= _reach(v), f"depth {v['depth']} is below {_reach(v)}, the least "
+                                      f"that certifies transport {v['f']!r}")
     if v["a_rule"] == mtp.A_RULE_BALL:  # only the ball rule materialises its ball
         groups.check_ball(v["group"], v["ball_radius"])
-
-
-def _check_pushforward(v):
-    _certifies(v, "ball_radius")
-    groups.check_ball(v["group"], v["ball_radius"])
 
 
 # mtp-test: sampler -> (builder, keys, cross-key check), parsed after the
@@ -524,9 +514,9 @@ MTP_SAMPLERS = {
     ),
     "pushforward": (
         lambda v: mtp.pushforward_trace_sampler(
-            v["group"], v["offspring"], v["depth"], v["ball_radius"], budget=v["budget"]),
-        dict(_TREE_KEYS, ball_radius=Key(_int, 1, CAPS["ball_radius"])),
-        _check_pushforward,
+            v["group"], v["offspring"], v["depth"], _reach(v), budget=v["budget"]),
+        _TREE_KEYS,
+        lambda v: groups.check_ball(v["group"], _reach(v)),
     ),
 }
 

@@ -70,7 +70,7 @@ def _f_target_degree(adj, marks, v, d):
 # adjacent and within_two read only d, so F(u, v) = F(v, u): their paired
 # difference is identically 0 and their exact check balances by symmetry,
 # so neither can reject a sampler.  They are the radius-1 and radius-2
-# fixtures of the CLI's certification refusals.
+# fixtures of the CLI's pull-back certification refusals.
 BUILTIN_TRANSPORT = {
     "adjacent": TransportFunction("adjacent", 1, _f_adjacent),
     "within_two": TransportFunction("within_two", 2, _f_within_two),
@@ -280,14 +280,17 @@ A_RULE_BALL = "ball"
 A_RULE_TRACE = "trace"
 
 
-def _certified_radius(reach: int, tree: MarkedTree | None = None) -> int:
+def _certified_radius(reach: int, tree: MarkedTree) -> int:
     """The certification rule, stated here only: a sample built to a reach
     (the tree depth of a pull-back, the ball radius of a push-forward)
     certifies half of it, or BUDGET_CUT when its tree was cut at the
-    budget.  Without a tree, the radius every uncut sample certifies."""
-    if tree is not None and tree.truncation_reason == "budget":
-        return BUDGET_CUT
-    return reach // 2
+    budget; certifying_reach is its inverse."""
+    return BUDGET_CUT if tree.truncation_reason == "budget" else reach // 2
+
+
+def certifying_reach(radius: int) -> int:
+    """The least reach whose samples not cut at the budget certify radius."""
+    return 2 * radius
 
 
 def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
@@ -345,7 +348,10 @@ def pushforward_trace_sampler(g: groups.GroupSpec, mu: OffspringDistribution,
                               depth: int, ball_radius: int, *, budget: int = DEFAULT_BUDGET):
     """Graph-side samples: the walk from the identity (the start), its
     image marked inside a materialized ball of g around the start, with
-    ingredient 1 / #returns to the start."""
+    ingredient 1 / #returns to the start.  A sample certifies
+    ball_radius // 2; a radius-r transport reads nothing outside the
+    radius-2r ball and no draw depends on the ball, so any ball of radius
+    2r or more gives the same rows, and one ball can serve several."""
     start = g.identity()
     ball_elems = groups.elements_within(g, start, ball_radius)
     ball_set = set(ball_elems)

@@ -565,7 +565,7 @@ PINNED_BODIES = {
                         "9f71f2ef1c39b85a7efe4021f468fd037392aeb6fa2e4af153990f3a5ae8c93f"),
     "pushforward": ({"experiment": "mtp-test", "seed": 3, "sampler": "pushforward",
                      "group": {"kind": "regular_tree", "param": 4},
-                     "offspring": [0.45, 0, 0.55], "depth": 4, "ball_radius": 4,
+                     "offspring": [0.45, 0, 0.55], "depth": 4,
                      "f": "marked_neighbors", "w": "ingredient", "n_samples": 1000,
                      "alpha": 0.01}, "mtp_report.json",
                     "beb0dccc0a286ebe849883c3a70d079aa5d494344e178a757838c0af51833464"),
@@ -744,7 +744,7 @@ BASE = {
                  "offspring": MU, "depth": 4, "f": "adjacent", "w": "unit",
                  "n_samples": 1000, "alpha": 0.01},
     "pushforward": {"experiment": "mtp-test", "seed": 1, "sampler": "pushforward",
-                    "group": T4, "offspring": MU, "depth": 4, "ball_radius": 2,
+                    "group": T4, "offspring": MU, "depth": 4,
                     "f": "adjacent", "w": "unit", "n_samples": 1000, "alpha": 0.01},
     "uniform_root": {"experiment": "mtp-test", "seed": 1, "sampler": "uniform_root",
                      "graph": {"shape": "path", "n": 5}, "f": "adjacent", "w": "unit",
@@ -791,16 +791,13 @@ MALFORMED = [
     ("pullback", {"f": "within_two", "depth": 3}, "brwlab.mtp.pullback_sampler"),
     ("pullback", {"f": "target_degree", "depth": 5, "a_rule": "trace"},
      "brwlab.mtp.pullback_sampler"),
-    ("pushforward", {"f": "adjacent", "ball_radius": 1}, "brwlab.mtp.pushforward_trace_sampler"),
-    ("pushforward", {"f": "within_two", "ball_radius": 3},
-     "brwlab.mtp.pushforward_trace_sampler"),
-    ("pushforward", {"f": "target_degree", "ball_radius": 5},
-     "brwlab.mtp.pushforward_trace_sampler"),
     # over a cap: rejected while the config is parsed
     ("intersect", {"budget": 10**8}, "brwlab.intersections.sample_intersections"),
     ("pullback", {"a_rule": "ball", "ball_radius": 40}, "brwlab.mtp.pullback_sampler"),
     ("pullback", {"a_rule": "ball", "ball_radius": 16}, "brwlab.mtp.pullback_sampler"),
-    ("pushforward", {"ball_radius": 16}, "brwlab.groups.elements_within"),
+    # the push-forward ball that target_degree needs, radius 6, on T64
+    ("pushforward", {"group": {"kind": "regular_tree", "param": 64}, "f": "target_degree"},
+     "brwlab.groups.elements_within"),
     ("spectra", {"group": Z3, "n_max": 60_000}, "brwlab.groups.spectral_radius_trajectory"),
     ("spectra", {"group": Z3, "n_max": 64}, "brwlab.groups.spectral_radius_trajectory"),
     ("visits", {"group": Z3, "n_max": 128}, "brwlab.groups.scaled_p_series"),
@@ -817,6 +814,7 @@ MALFORMED = [
     ("intersect", {"budegt": 5}, None),
     ("visits", {"group": dict(T4, degree=4)}, None),
     ("pullback", {"graph": {"shape": "path", "n": 5}}, None),
+    ("pushforward", {"ball_radius": 2}, None),
 ]
 
 
@@ -850,6 +848,7 @@ def test_unknown_keys_are_named(tmp_path, capsys):
         ("intersect", {"budegt": 5}, "unknown config key 'budegt'"),
         ("visits", {"group": dict(T4, degree=4)}, "group: unknown config key 'degree'"),
         ("pullback", {"graph": {"shape": "path", "n": 5}}, "unknown config key 'graph'"),
+        ("pushforward", {"ball_radius": 2}, "unknown config key 'ball_radius'"),
         ("uniform_root", {"graph": {"shape": "path", "n": 5, "mark": "all"}},
          "graph: unknown config key 'mark'"),
     ]
@@ -863,12 +862,14 @@ def test_unknown_keys_are_named(tmp_path, capsys):
     assert cli.parse_config(cfg, seed_override=3)["seed"] == 3
 
 
-@pytest.mark.parametrize("f, radius", [("adjacent", 1), ("within_two", 2), ("target_degree", 3)])
+@pytest.mark.parametrize("f, radius", [("adjacent", 1), ("within_two", 2), ("marked_neighbors", 2),
+                                       ("leaf_target", 2), ("target_degree", 3)])
 def test_mtp_runs_at_the_certified_radius(tmp_path, f, radius):
-    """depth = 2 * radius (pullback) and ball_radius = 2 * radius
-    (pushforward) certify every sample: the run is decided, not refused."""
-    for base, key in (("pullback", "depth"), ("pushforward", "ball_radius")):
-        cfg = dict(BASE[base], f=f, **{key: 2 * radius})
+    """depth = 2 * radius certifies every pull-back sample, and the
+    push-forward ball derived from f every push-forward sample: the run
+    is decided, not refused."""
+    for base, change in (("pullback", {"depth": 2 * radius}), ("pushforward", {})):
+        cfg = dict(BASE[base], f=f, **change)
         status, out = run_cfg(tmp_path, cfg, f"{base}-{f}")
         assert status in (0, 2)
         assert json.loads((out / "mtp_report.json").read_text())["inconclusive"] == 0

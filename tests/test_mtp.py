@@ -259,15 +259,18 @@ def test_pushforward_trace_weight():
     assert rep.passed
 
 
-@pytest.mark.parametrize("g", [T4, GroupSpec("integer_lattice", 2)], ids=["T4", "Z2"])
+@pytest.mark.parametrize("g", [T4, GroupSpec("free_group", 2), GroupSpec("integer_lattice", 1),
+                               GroupSpec("integer_lattice", 2), GroupSpec("integer_lattice", 3)],
+                         ids=["T4", "F2", "Z1", "Z2", "Z3"])
 @pytest.mark.parametrize("fname", ["target_degree", "marked_neighbors", "leaf_target"])
 def test_pushforward_ball_past_twice_the_radius_changes_no_result(g, fname):
-    """A push-forward ball of radius 2r certifies a radius-r transport,
-    and a larger ball changes no byte of its rows or counts: the
-    transport reads nothing outside the radius-2r ball, and the draws do
-    not depend on the ball."""
+    """A push-forward ball of radius 2r, the one the CLI derives, certifies
+    a radius-r transport, and a larger ball changes no byte of its rows or
+    counts: the transport reads nothing outside the radius-2r ball, and
+    the draws do not depend on the ball."""
     F = mtp.BUILTIN_TRANSPORT[fname]
     W = mtp.BUILTIN_WEIGHT["ingredient"]
+    assert mtp.certifying_reach(F.radius) == 2 * F.radius
     results = []
     for ball_radius in (2 * F.radius, 2 * F.radius + 1, 2 * F.radius + 3):
         sampler = mtp.pushforward_trace_sampler(g, MU11, 8, ball_radius)
