@@ -401,17 +401,17 @@ def _run_visits(v, seed, workers, out_dir):
 def _run_mtp_test(v, seed, workers, out_dir):
     n_samples = v["n_samples"]
     rows = np.empty((n_samples, 2))  # the (weighted difference, weight) of each certified sample
-    n = inconclusive = budget_cut = 0
-    for part, skipped, cut in _run_sharded(_shard_mtp, 200, v, seed, n_samples, workers):
+    n = inconclusive = 0
+    for part, skipped in _run_sharded(_shard_mtp, 200, v, seed, n_samples, workers):
         rows[n:n + len(part)] = part
         n += len(part)
         inconclusive += skipped
-        budget_cut += cut
     try:
         report = mtp.aggregate_mtp_report(rows[:n], inconclusive, n_samples, v["alpha"])
     except mtp.TruncationError as exc:
-        # no depth or ball that the config allows fails to certify: the budget is the cause
-        raise ConfigError(f"{exc}; {budget_cut} of them hit the vertex budget "
+        # every sampler a config can build certifies f, the pull-back by its
+        # checked depth: each sample skipped was cut at the vertex budget
+        raise ConfigError(f"{exc}; {inconclusive} of them hit the vertex budget "
                           f"(budget = {v['budget']})") from exc
     _write_json(os.path.join(out_dir, "mtp_report.json"), report.to_json_dict())
     return (0 if report.passed else 2), {"report": report.to_json_dict()}
@@ -477,14 +477,10 @@ _PAIR_KEYS = {
 }
 
 
-def _reach(v):
-    """The least reach that certifies f: a pull-back depth, the push-forward ball."""
-    return mtp.certifying_reach(mtp.BUILTIN_TRANSPORT[v["f"]].radius)
-
-
 def _check_pullback(v):
-    _require(v["depth"] >= _reach(v), f"depth {v['depth']} is below {_reach(v)}, the least "
-                                      f"that certifies transport {v['f']!r}")
+    least = mtp.certifying_reach(mtp.BUILTIN_TRANSPORT[v["f"]].radius)
+    _require(v["depth"] >= least,
+             f"depth {v['depth']} is below {least}, the least that certifies transport {v['f']!r}")
     if v["a_rule"] == mtp.A_RULE_BALL:  # only the ball rule materialises its ball
         groups.check_ball(v["group"], v["ball_radius"])
 
@@ -512,12 +508,8 @@ MTP_SAMPLERS = {
         ),
         _check_pullback,
     ),
-    "pushforward": (
-        lambda v: mtp.pushforward_trace_sampler(
-            v["group"], v["offspring"], v["depth"], _reach(v), budget=v["budget"]),
-        _TREE_KEYS,
-        lambda v: groups.check_ball(v["group"], _reach(v)),
-    ),
+    "pushforward": (lambda v: mtp.pushforward_trace_sampler(
+        v["group"], v["offspring"], v["depth"], budget=v["budget"]), _TREE_KEYS, None),
 }
 
 TABLE = {

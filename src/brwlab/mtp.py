@@ -70,7 +70,10 @@ def _f_target_degree(adj, marks, v, d):
 # adjacent and within_two read only d, so F(u, v) = F(v, u): their paired
 # difference is identically 0 and their exact check balances by symmetry,
 # so neither can reject a sampler.  They are the radius-1 and radius-2
-# fixtures of the CLI's pull-back certification refusals.
+# fixtures of the CLI's pull-back certification refusals.  On a
+# push-forward sample of a transitive graph every vertex has the graph's
+# degree, so leaf_target and target_degree read a constant there and are
+# vacuous too.
 BUILTIN_TRANSPORT = {
     "adjacent": TransportFunction("adjacent", 1, _f_adjacent),
     "within_two": TransportFunction("within_two", 2, _f_within_two),
@@ -175,20 +178,16 @@ def evaluate_samples(sampler, transports, W, rngs):
     """Draw one sample from each stream of rngs and read every transport
     off it: per transport, in order, the (weighted difference, weight)
     rows of the samples certified to its radius as an (n, 2) float64
-    array, and its counts of uncertified and budget-cut samples."""
+    array, and its count of the samples that were not."""
     rows = [[] for _ in transports]
-    skipped = [[0, 0] for _ in transports]  # inconclusive, budget_cut
-    for rng in rngs:
+    n = 0
+    for n, rng in enumerate(rngs, 1):
         sample = sampler(rng)
-        for F, got, skips in zip(transports, rows, skipped):
+        for F, got in zip(transports, rows):
             row = evaluate_sample(sample, F, W)
-            if row is None:
-                skips[0] += 1
-                skips[1] += sample.certified_radius == BUDGET_CUT
-            else:
+            if row is not None:
                 got.append(row)
-    return [(np.array(got, dtype=float).reshape(-1, 2), *skips)
-            for got, skips in zip(rows, skipped)]
+    return [(np.array(got, dtype=float).reshape(-1, 2), n - len(got)) for got in rows]
 
 
 def aggregate_mtp_report(rows, inconclusive: int, n_samples: int,
@@ -242,7 +241,7 @@ def mc_mtp_test(sampler, transports, W, n_samples: int, alpha: float, rng) -> li
     groups.check_count("n_samples", n_samples, 2)
     evaluated = evaluate_samples(sampler, transports, W, itertools.repeat(rng, n_samples))
     return [aggregate_mtp_report(rows, inconclusive, n_samples, alpha)
-            for rows, inconclusive, _ in evaluated]
+            for rows, inconclusive in evaluated]
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +281,9 @@ A_RULE_TRACE = "trace"
 
 def _certified_radius(reach: int, tree: MarkedTree) -> int:
     """The certification rule, stated here only: a sample built to a reach
-    (the tree depth of a pull-back, the ball radius of a push-forward)
-    certifies half of it, or BUDGET_CUT when its tree was cut at the
-    budget; certifying_reach is its inverse."""
+    (the tree depth of a pull-back; a push-forward reads g itself, at the
+    reach of every radius) certifies half of it, or BUDGET_CUT when its
+    tree was cut at the budget; certifying_reach is its inverse."""
     return BUDGET_CUT if tree.truncation_reason == "budget" else reach // 2
 
 
@@ -344,24 +343,30 @@ def pullback_sampler(g: groups.GroupSpec, mu: OffspringDistribution, depth: int,
     return sample
 
 
+class _Adjacency(dict):
+    """g's adjacency lists, each built by its family on first read and kept."""
+
+    def __init__(self, family):
+        self.neighbors = family.neighbors
+
+    def __missing__(self, v):
+        out = self[v] = self.neighbors(v)
+        return out
+
+
 def pushforward_trace_sampler(g: groups.GroupSpec, mu: OffspringDistribution,
-                              depth: int, ball_radius: int, *, budget: int = DEFAULT_BUDGET):
-    """Graph-side samples: the walk from the identity (the start), its
-    image marked inside a materialized ball of g around the start, with
-    ingredient 1 / #returns to the start.  A sample certifies
-    ball_radius // 2; a radius-r transport reads nothing outside the
-    radius-2r ball and no draw depends on the ball, so any ball of radius
-    2r or more gives the same rows, and one ball can serve several."""
+                              depth: int, *, budget: int = DEFAULT_BUDGET):
+    """Graph-side samples: the walk from the identity (the start) with its
+    whole image marked on g itself, and ingredient 1 / #returns to the
+    start.  The transports read g's adjacency, built where they look, so
+    a sample certifies every radius unless the budget cut its tree."""
     start = g.identity()
-    ball_elems = groups.elements_within(g, start, ball_radius)
-    ball_set = set(ball_elems)
-    adj = {v: [w for w in g.family.neighbors(v) if w in ball_set] for v in ball_elems}
+    adj = _Adjacency(g.family)
 
     def sample(rng) -> MtpSample:
         tree = sample_unimodular_gw(mu, budget, rng, max_depth=depth)
         counts = run_walk(tree, g, start, rng).image_counts()
-        marks = frozenset(x for x in counts if x in ball_set)
-        return MtpSample(adj, marks, start, 1.0 / counts[start],
-                         _certified_radius(ball_radius, tree))
+        return MtpSample(adj, frozenset(counts), start, 1.0 / counts[start],
+                         _certified_radius(certifying_reach(UNBOUNDED), tree))
 
     return sample

@@ -56,6 +56,9 @@ radius at a time, one BFS per component, with any mark set; its BFS is
 `bfs_distances`, not `groups.bfs`.  `substream_reference` is
 `rng.substream` as it was before it hashed its Philox keys a block of
 indices at a time: a SeedSequence built per call.
+`pushforward_ball_sampler_reference` is `mtp.pushforward_trace_sampler`
+as it was before it read g itself: the walk's image marked inside a
+materialised ball of g, which certifies half its radius.
 """
 
 import math
@@ -1199,3 +1202,26 @@ def ends_profile(adj: dict, A, center, radius: int, m_threshold: int) -> EndsPro
 def substream_reference(seed, *indices):
     """The Generator of `Philox(SeedSequence((seed, *indices)))`."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *indices))))
+
+
+def pushforward_ball_sampler_reference(g, mu, depth, ball_radius, budget):
+    """The push-forward sampler on a ball of g: the walk from the identity,
+    its image marked inside the radius-ball_radius ball around it, whose
+    adjacency lists keep only ball vertices; a sample certifies
+    ball_radius // 2, or nothing when its tree was cut at the budget."""
+    from brwlab import groups, gw, mtp
+    from brwlab.walks import run_walk
+
+    start = g.identity()
+    ball_elems = groups.elements_within(g, start, ball_radius)
+    ball_set = set(ball_elems)
+    adj = {v: [w for w in g.family.neighbors(v) if w in ball_set] for v in ball_elems}
+
+    def sample(rng):
+        tree = gw.sample_unimodular_gw(mu, budget, rng, max_depth=depth)
+        counts = run_walk(tree, g, start, rng).image_counts()
+        marks = frozenset(x for x in counts if x in ball_set)
+        cert = mtp.BUDGET_CUT if tree.truncation_reason == "budget" else ball_radius // 2
+        return mtp.MtpSample(adj, marks, start, 1.0 / counts[start], cert)
+
+    return sample

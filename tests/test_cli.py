@@ -795,9 +795,6 @@ MALFORMED = [
     ("intersect", {"budget": 10**8}, "brwlab.intersections.sample_intersections"),
     ("pullback", {"a_rule": "ball", "ball_radius": 40}, "brwlab.mtp.pullback_sampler"),
     ("pullback", {"a_rule": "ball", "ball_radius": 16}, "brwlab.mtp.pullback_sampler"),
-    # the push-forward ball that target_degree needs, radius 6, on T64
-    ("pushforward", {"group": {"kind": "regular_tree", "param": 64}, "f": "target_degree"},
-     "brwlab.groups.elements_within"),
     ("spectra", {"group": Z3, "n_max": 60_000}, "brwlab.groups.spectral_radius_trajectory"),
     ("spectra", {"group": Z3, "n_max": 64}, "brwlab.groups.spectral_radius_trajectory"),
     ("visits", {"group": Z3, "n_max": 128}, "brwlab.groups.scaled_p_series"),
@@ -865,14 +862,29 @@ def test_unknown_keys_are_named(tmp_path, capsys):
 @pytest.mark.parametrize("f, radius", [("adjacent", 1), ("within_two", 2), ("marked_neighbors", 2),
                                        ("leaf_target", 2), ("target_degree", 3)])
 def test_mtp_runs_at_the_certified_radius(tmp_path, f, radius):
-    """depth = 2 * radius certifies every pull-back sample, and the
-    push-forward ball derived from f every push-forward sample: the run
-    is decided, not refused."""
+    """depth = 2 * radius certifies every pull-back sample, and a
+    push-forward sample, read on g itself, certifies every radius: the
+    run is decided, not refused."""
     for base, change in (("pullback", {"depth": 2 * radius}), ("pushforward", {})):
         cfg = dict(BASE[base], f=f, **change)
         status, out = run_cfg(tmp_path, cfg, f"{base}-{f}")
         assert status in (0, 2)
         assert json.loads((out / "mtp_report.json").read_text())["inconclusive"] == 0
+
+
+def test_pushforward_runs_on_the_64_regular_tree(tmp_path):
+    """A push-forward sample materialises no ball, so a degree-64 run,
+    whose radius-4 ball would hold over 10^6 vertices, runs: every
+    sample certifies, and the report's bytes do not depend on --workers."""
+    cfg = dict(BASE["pushforward"], group={"kind": "regular_tree", "param": 64},
+               f="marked_neighbors")
+    bodies = []
+    for workers in (1, 2):
+        status, out = run_cfg(tmp_path, cfg, f"w{workers}", workers=workers)
+        assert status in (0, 2)
+        bodies.append((out / "mtp_report.json").read_bytes())
+    assert json.loads(bodies[0])["inconclusive"] == 0
+    assert bodies[0] == bodies[1]
 
 
 def test_malformed_invocation_exits_1(tmp_path, capsys):

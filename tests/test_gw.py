@@ -554,8 +554,6 @@ REFUSALS = {
                                     "radius must be an integer, got True"),
     "pullback-ball_radius-float": (lambda rng: mtp.pullback_sampler(
         _T4, _MU, 4, "ball", ball_radius=1.5), "radius must be an integer, got 1.5"),
-    "pushforward-ball_radius-float": (lambda rng: mtp.pushforward_trace_sampler(
-        _T4, _MU, 4, 2.5), "radius must be an integer, got 2.5"),
     "trace_ends-radius-float": (lambda rng: intersections.trace_ends_experiment(
         _MU, _T4, 3, [1.5], 1, rng), "radius_grid entries must be an integer, got 1.5"),
     "pmf-empty": (lambda rng: OffspringDistribution([]), "pmf must be a nonempty"),
@@ -594,7 +592,7 @@ REFUSALS = {
     "pullback-depth2-float": (lambda rng: mtp.pullback_sampler(
         _T4, _MU, 4, "trace", depth2=4.5)(rng), "depth2 must be an integer, got 4.5"),
     "pushforward-depth-float": (lambda rng: mtp.pushforward_trace_sampler(
-        _T4, _MU, 4.5, 2)(rng), "max_depth must be an integer, got 4.5"),
+        _T4, _MU, 4.5)(rng), "max_depth must be an integer, got 4.5"),
     "intersect-depth-float": (lambda rng: intersections.sample_intersections(
         _MU, _MU, _T4, 2.5, rng), "max_depth must be an integer, got 2.5"),
     "sweep-depth-float": (lambda rng: intersections.thinned_intersection_sweep(

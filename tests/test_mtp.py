@@ -251,7 +251,7 @@ def test_pushforward_trace_weight():
     """The walk image on the base graph, reweighted by inverse root
     visits, satisfies the transport identity."""
     rng = np.random.default_rng(8)
-    sampler = mtp.pushforward_trace_sampler(T4, MU11, 12, ball_radius=6)
+    sampler = mtp.pushforward_trace_sampler(T4, MU11, 12)
     [rep] = mtp.mc_mtp_test(
         sampler, (mtp.BUILTIN_TRANSPORT["marked_neighbors"],), mtp.BUILTIN_WEIGHT["ingredient"],
         3000, 0.01, rng,
@@ -259,26 +259,40 @@ def test_pushforward_trace_weight():
     assert rep.passed
 
 
-@pytest.mark.parametrize("g", [T4, GroupSpec("free_group", 2), GroupSpec("integer_lattice", 1),
-                               GroupSpec("integer_lattice", 2), GroupSpec("integer_lattice", 3)],
-                         ids=["T4", "F2", "Z1", "Z2", "Z3"])
-@pytest.mark.parametrize("fname", ["target_degree", "marked_neighbors", "leaf_target"])
-def test_pushforward_ball_past_twice_the_radius_changes_no_result(g, fname):
-    """A push-forward ball of radius 2r, the one the CLI derives, certifies
-    a radius-r transport, and a larger ball changes no byte of its rows or
-    counts: the transport reads nothing outside the radius-2r ball, and
-    the draws do not depend on the ball."""
+PUSHFORWARD_GROUPS = [T4, GroupSpec("free_group", 2), GroupSpec("integer_lattice", 1),
+                      GroupSpec("integer_lattice", 2), GroupSpec("integer_lattice", 3)]
+
+
+@pytest.mark.parametrize("g", PUSHFORWARD_GROUPS, ids=["T4", "F2", "Z1", "Z2", "Z3"])
+@pytest.mark.parametrize("fname", list(mtp.BUILTIN_TRANSPORT))
+def test_pushforward_on_g_matches_the_ball_reference(g, fname):
+    """A push-forward sample read on g itself gives the rows and skip
+    count of the reference sampler on a ball of radius 2r: a radius-r
+    transport reads nothing outside that ball, and the draws do not
+    depend on it.  Budget 40 cuts some trees, which both skip."""
     F = mtp.BUILTIN_TRANSPORT[fname]
     W = mtp.BUILTIN_WEIGHT["ingredient"]
-    assert mtp.certifying_reach(F.radius) == 2 * F.radius
     results = []
-    for ball_radius in (2 * F.radius, 2 * F.radius + 1, 2 * F.radius + 3):
-        sampler = mtp.pushforward_trace_sampler(g, MU11, 8, ball_radius)
-        [(rows, skipped, cut)] = mtp.evaluate_samples(
+    for sampler in (mtp.pushforward_trace_sampler(g, MU11, 8, budget=40),
+                    oracles.pushforward_ball_sampler_reference(g, MU11, 8, 2 * F.radius, 40)):
+        [(rows, skipped)] = mtp.evaluate_samples(
             sampler, (F,), W, (substream(4, i) for i in range(300)))
-        results.append((rows.tobytes(), skipped, cut))
-    assert len(results[0][0]) == 16 * (300 - results[0][1]) > 0
-    assert results[0] == results[1] == results[2]
+        results.append((rows.tobytes(), skipped))
+    assert len(results[0][0]) == 16 * (300 - results[0][1])
+    assert 0 < results[0][1] < 300
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("g", [T4, GroupSpec("integer_lattice", 2)], ids=["T4", "Z2"])
+def test_pushforward_degree_transports_are_vacuous(g):
+    """On a push-forward sample of a transitive graph every vertex has the
+    graph's degree, so leaf_target and target_degree send as much as they
+    receive: the estimate and both CI ends are exactly 0."""
+    for fname in ("leaf_target", "target_degree"):
+        [rep] = mtp.mc_mtp_test(
+            mtp.pushforward_trace_sampler(g, MU11, 8), (mtp.BUILTIN_TRANSPORT[fname],),
+            mtp.BUILTIN_WEIGHT["ingredient"], 200, 0.01, np.random.default_rng(12))
+        assert (rep.estimate, rep.ci_low, rep.ci_high) == (0.0, 0.0, 0.0), fname
 
 
 def test_truncation_error_when_depth_too_small():
@@ -389,20 +403,22 @@ def test_shared_draw_reports_equal_single_transport_reports(rule):
 def test_shared_draw_keeps_skip_counts_per_transport():
     """Depth 4 certifies radius 2, so target_degree (radius 3) skips every
     sample and marked_neighbors (radius 2) only those the budget cut; each
-    transport's rows and counts equal those of a run of it alone."""
+    transport's rows and count equal those of a run of it alone."""
     sampler = mtp.pullback_sampler(T4, MU11, 4, "trace", budget=6)
     W = mtp.BUILTIN_WEIGHT["ingredient"]
     transports = (mtp.BUILTIN_TRANSPORT["marked_neighbors"], mtp.BUILTIN_TRANSPORT["target_degree"])
+    assert [mtp.certifying_reach(F.radius) for F in transports] == [4, 6]
 
     def run(fs):
         return mtp.evaluate_samples(sampler, fs, W, (substream(3, i) for i in range(300)))
 
-    (near, near_skipped, near_cut), (far, far_skipped, far_cut) = run(transports)
-    assert 0 < near_skipped == near_cut == far_cut < far_skipped == 300
+    (near, near_skipped), (far, far_skipped) = run(transports)
+    cut = sum(sampler(substream(3, i)).certified_radius == mtp.BUDGET_CUT for i in range(300))
+    assert 0 < near_skipped == cut < far_skipped == 300
     assert len(near) == 300 - near_skipped and len(far) == 0
-    for F, (rows, skipped, cut) in zip(transports, run(transports)):
-        [(alone, alone_skipped, alone_cut)] = run((F,))
-        assert np.array_equal(rows, alone) and (skipped, cut) == (alone_skipped, alone_cut)
+    for F, (rows, skipped) in zip(transports, run(transports)):
+        [(alone, alone_skipped)] = run((F,))
+        assert np.array_equal(rows, alone) and skipped == alone_skipped
 
 
 def test_traced_pullback_trace_run(tmp_path, monkeypatch):

@@ -133,7 +133,7 @@ def test_experiments_make_one_neighbors_call_per_walk_step(monkeypatch):
         samplers = [mtp.pullback_sampler(g, mu, 8, "trace", depth2=12),
                     mtp.pullback_sampler(g, mu, 8, "ball", ball_radius=2),
                     mtp.pullback_sampler(g, mu, 8, "origin"),
-                    mtp.pushforward_trace_sampler(g, mu, 8, 4)]
+                    mtp.pushforward_trace_sampler(g, mu, 8)]
         for sampler in samplers:
             for _ in range(30):
                 sampler(rng)
