@@ -33,9 +33,10 @@ MAX_LATTICE_DIM = 3
 # cap keeps Z^d runs at the horizons they were tested at.
 MAX_LATTICE_CELLS = 2**24
 MAX_BALL_ELEMENTS = 10**6
-# every walk step makes one neighbors() call, which validates a vertex and
-# builds all deg(g) neighbour words, or, for a sibling, copies the list
-# built for the one before; either way its cost grows with the degree
+# every walk step makes one neighbors() call, which builds all deg(g)
+# neighbour words (validating the word first outside a walk) or, for a
+# sibling, copies the list built for the one before; either way its cost
+# grows with the degree
 MAX_DEGREE = 64
 # visits_series cuts the series at the first term above this
 VISITS_GUARD = 1e12
@@ -255,8 +256,9 @@ class GroupSpec:
         if per_param * self.param > MAX_DEGREE:
             raise ValueError(f"degree {per_param * self.param} exceeds {MAX_DEGREE}")
         family = family(self.param)
-        # neighbors()'s memo, seeded with a valid word
+        # neighbors()'s memo, seeded with a valid word, outside any walk
         family.last = family.identity, family.neighbors(family.identity)
+        family.walking = False
         object.__setattr__(self, "family", family)
 
     def __reduce__(self):
@@ -289,16 +291,20 @@ def neighbors(g: GroupSpec, x):
 
     g's family remembers the last word it was given and its list: a walk
     asks once per child for the neighbours of the parent's value, and
-    siblings are consecutive, so they share one validated list.  The memo
-    is keyed by identity, not equality, as (1.0, 2) == (True, 2) == (1, 2)
-    but only (1, 2) is a word.  It keeps its word alive, so no other
-    object can take that id, and a validated word holds only ints and
-    cannot change.
+    siblings are consecutive, so they share one list.  The memo is keyed
+    by identity, not equality, as (1.0, 2) == (True, 2) == (1, 2) but only
+    (1, 2) is a word.  It keeps its word alive, so no other object can
+    take that id, and a valid word holds only ints and cannot change.
+
+    A miss validates x, except while run_walk marks the family as walking:
+    every word its loop asks for is its validated start or a word the
+    family built from it, so a miss there only builds the list.
     """
     family = g.family
     last, out = family.last
     if x is not last:
-        family.validate(x)
+        if not family.walking:
+            family.validate(x)
         out = family.neighbors(x)
         family.last = x, out
     return [*out]

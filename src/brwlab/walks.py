@@ -25,14 +25,29 @@ class TreeWalk:
 
 
 def run_walk(tree: MarkedTree, g: groups.GroupSpec, start, rng) -> TreeWalk:
+    """The walk on g from start indexed by tree, whose parent list names
+    every parent before its children.
+
+    start is validated once, before any draw.  The picks are one
+    rng.integers call with one entry per vertex, the root's unused, and
+    each non-root vertex makes one groups.neighbors call, for its
+    parent's value.  The step loop runs with g's family marked as
+    walking, so those calls validate nothing: each value is start or a
+    word the family built from it.  The mark is cleared however the loop
+    ends.
+    """
     groups.validate_elem(g, start)
-    # one pick per vertex, the root's unused
     picks = rng.integers(0, g.degree, size=tree.n_vertices)
     neighbors = groups.neighbors  # looked up per walk, so a patched one counts
     values = [start]
     append = values.append
-    for p, k in zip(islice(tree.parent, 1, None), picks[1:].tolist()):
-        append(neighbors(g, values[p])[k])  # one neighbors() step per non-root vertex
+    family = g.family
+    family.walking = True
+    try:
+        for p, k in zip(islice(tree.parent, 1, None), picks[1:].tolist()):
+            append(neighbors(g, values[p])[k])
+    finally:
+        family.walking = False
     return TreeWalk(tree, values)
 
 

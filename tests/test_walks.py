@@ -1,9 +1,12 @@
 """Tests for tree-indexed walks and traces."""
 
 import math
+import pickle
+import re
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from brwlab import groups
 from brwlab.groups import GroupSpec
@@ -61,11 +64,22 @@ def test_two_children_collision_probability():
     assert abs(coll / n - 0.25) < 4 * sd
 
 
+def _count_validations(monkeypatch, g, counter):
+    real = g.family.validate
+
+    def counted(x):
+        counter[0] += 1
+        return real(x)
+
+    monkeypatch.setattr(g.family, "validate", counted)
+
+
 def test_run_walk_one_neighbors_call_per_step(monkeypatch):
     """Exactly one groups.neighbors call per non-root vertex, looked up at
-    call time, and the values, their order and the generator state of the
-    per-vertex loop, on trees from every sampler and from percolation."""
-    calls = [0]
+    call time, and one validation per walk, of its start; and the values,
+    their order and the generator state of the per-vertex loop, on trees
+    from every sampler and from percolation."""
+    calls, validations = [0], [0]
     real = groups.neighbors
 
     def counted(g, x):
@@ -73,6 +87,8 @@ def test_run_walk_one_neighbors_call_per_step(monkeypatch):
         return real(g, x)
 
     monkeypatch.setattr(groups, "neighbors", counted)
+    for g in (T4, F2, Z2):
+        _count_validations(monkeypatch, g, validations)
     mu = OffspringDistribution([0.3, 0.2, 0.5])
     for g, start in [(T4, ()), (T4, (2, 1)), (F2, (1, -2)), (Z2, (3, -1))]:
         for seed in range(15):
@@ -90,9 +106,10 @@ def test_run_walk_one_neighbors_call_per_step(monkeypatch):
             for t in trees:
                 ref_rng = np.random.default_rng()
                 ref_rng.bit_generator.state = rng.bit_generator.state
-                calls[0] = 0
+                calls[0] = validations[0] = 0
                 walk = run_walk(t, g, start, rng)
                 assert calls[0] == t.n_vertices - 1
+                assert validations[0] == 1
                 ref = oracles.run_walk_values_reference(t, g, start, ref_rng)
                 assert walk.values == ref
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -101,13 +118,14 @@ def test_run_walk_one_neighbors_call_per_step(monkeypatch):
 def test_experiments_make_one_neighbors_call_per_walk_step(monkeypatch):
     """Over whole pull-back samples of every target rule, push-forward
     samplers built and drawn, and thin sweeps on T4, F2 and Z^2,
-    groups.neighbors is called once per walk step and nowhere else, and
-    groups.mul and groups.inv not at all: the words the samplers build on
-    are valid, so they go to the family methods.  The benchmark's traced
-    runs count walks.steps against the groups.neighbors calls."""
+    groups.neighbors is called once per walk step and nowhere else, a
+    word is validated once per walk, and groups.mul and groups.inv are not
+    called at all: the words the samplers build on are valid, so they go
+    to the family methods.  The benchmark's traced runs count walks.steps
+    against the groups.neighbors calls."""
     from brwlab import intersections, mtp
 
-    calls, steps = [0], [0]
+    calls, steps, walks, validations = [0], [0], [0], [0]
     real_neighbors = groups.neighbors
 
     def counted(g, x):
@@ -117,6 +135,7 @@ def test_experiments_make_one_neighbors_call_per_walk_step(monkeypatch):
     def stepped(tree, g, start, rng):
         walk = run_walk(tree, g, start, rng)
         steps[0] += len(walk.values) - 1
+        walks[0] += 1
         return walk
 
     def refused(*args):
@@ -134,6 +153,8 @@ def test_experiments_make_one_neighbors_call_per_walk_step(monkeypatch):
                     mtp.pullback_sampler(g, mu, 8, "ball", ball_radius=2),
                     mtp.pullback_sampler(g, mu, 8, "origin"),
                     mtp.pushforward_trace_sampler(g, mu, 8)]
+        # counted from here: the ball rule's builder validates its start once
+        _count_validations(monkeypatch, g, validations)
         for sampler in samplers:
             for _ in range(30):
                 sampler(rng)
@@ -141,7 +162,47 @@ def test_experiments_make_one_neighbors_call_per_walk_step(monkeypatch):
             intersections.thinned_intersection_sweep(mu, mu, g, [0.5, 1.0], 8, rng)
         assert steps[0] > 1000
         assert calls[0] == steps[0]
-        calls[0] = steps[0] = 0
+        assert validations[0] == walks[0] >= 150
+        calls[0] = steps[0] = walks[0] = validations[0] = 0
+
+
+INVALID_WORDS = [
+    (T3, (0, 0), "(0, 0) is not reduced"),
+    (T4, (True, 2), "(True, 2) has letters outside 0..3"),
+    (F2, (1, -1), "(1, -1) is not reduced"),
+]
+
+
+def _assert_neighbors_validate(*specs):
+    for g, (_, x, message) in zip(specs, INVALID_WORDS):
+        with pytest.raises(groups.InvalidElementError, match=f"^{re.escape(message)}$"):
+            groups.neighbors(g, x)
+
+
+def test_walk_scope_ends_with_its_walk():
+    """groups.neighbors skips validation only inside run_walk's step loop:
+    after a walk, after a walk that raised mid-loop (a parent list that
+    points forward) and on a family rebuilt by pickle, each memo miss
+    validates again, with the same message."""
+    rng = np.random.default_rng(4)
+    specs = [g for g, _, _ in INVALID_WORDS]
+    for g in specs:
+        run_walk(star_tree(3), g, g.identity(), rng)
+    _assert_neighbors_validate(*specs)
+    for g in specs:
+        with pytest.raises(IndexError):
+            run_walk(MarkedTree([-1, 2, 0]), g, g.identity(), rng)
+    _assert_neighbors_validate(*specs)
+    _assert_neighbors_validate(*(pickle.loads(pickle.dumps(g)) for g in specs))
+
+
+def test_invalid_start_refused_before_any_draw():
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    for g, x, message in INVALID_WORDS:
+        with pytest.raises(groups.InvalidElementError, match=f"^{re.escape(message)}$"):
+            run_walk(path_tree(4), g, x, rng)
+        assert rng.bit_generator.state == state
 
 
 def test_walk_steps_are_edges():
