@@ -33,10 +33,9 @@ MAX_LATTICE_DIM = 3
 # cap keeps Z^d runs at the horizons they were tested at.
 MAX_LATTICE_CELLS = 2**24
 MAX_BALL_ELEMENTS = 10**6
-# every walk step makes one neighbors() call, which builds all deg(g)
-# neighbour words (validating the word first outside a walk) or, for a
-# sibling, copies the list built for the one before; either way its cost
-# grows with the degree
+# a walk step builds the one neighbour it takes, at any degree, but
+# elements_within and the push-forward adjacency build all deg(g)
+# neighbours of each vertex they reach
 MAX_DEGREE = 64
 # visits_series cuts the series at the first term above this
 VISITS_GUARD = 1e12
@@ -80,6 +79,10 @@ class WordGroup:
         if x:  # the one letter that cancels x's last letter steps back to x[:-1]
             out[self._back_slot[x[-1]]] = x[:-1]
         return out
+
+    def neighbor(self, x, k: int):
+        """neighbors(x)[k] alone."""
+        return x[:-1] if x and self._back_slot[x[-1]] == k else x + self._unit_words[k]
 
     def mul(self, x, y):
         k, head = 0, tuple(self._inverted(y))
@@ -167,6 +170,11 @@ class Lattice:
             head, tail = x[:i], x[i + 1:]
             out += head + (c + 1,) + tail, head + (c - 1,) + tail
         return out
+
+    def neighbor(self, x, k: int):
+        """neighbors(x)[k] alone: coordinate k // 2 moved by +1 at even k, -1 at odd k."""
+        i = k >> 1
+        return x[:i] + (x[i] + 1 - 2 * (k & 1),) + x[i + 1:]
 
     def mul(self, x, y):
         return tuple(map(add, x, y))
@@ -256,9 +264,7 @@ class GroupSpec:
         if per_param * self.param > MAX_DEGREE:
             raise ValueError(f"degree {per_param * self.param} exceeds {MAX_DEGREE}")
         family = family(self.param)
-        # neighbors()'s memo, seeded with a valid word, outside any walk
-        family.last = family.identity, family.neighbors(family.identity)
-        family.walking = False
+        family.walking = False  # run_walk sets it for its step loop only
         object.__setattr__(self, "family", family)
 
     def __reduce__(self):
@@ -286,28 +292,22 @@ def validate_elem(g: GroupSpec, x) -> None:
     g.family.validate(x)
 
 
-def neighbors(g: GroupSpec, x):
-    """The deg(g) neighbours of x, in fixed generator order, as a new list.
+def neighbors(g: GroupSpec, x, k=None):
+    """The deg(g) neighbours of x, in fixed generator order, as a new list;
+    given an int k in range(deg(g)), the k-th of them, built alone.
 
-    g's family remembers the last word it was given and its list: a walk
-    asks once per child for the neighbours of the parent's value, and
-    siblings are consecutive, so they share one list.  The memo is keyed
-    by identity, not equality, as (1.0, 2) == (True, 2) == (1, 2) but only
-    (1, 2) is a word.  It keeps its word alive, so no other object can
-    take that id, and a valid word holds only ints and cannot change.
-
-    A miss validates x, except while run_walk marks the family as walking:
-    every word its loop asks for is its validated start or a word the
-    family built from it, so a miss there only builds the list.
+    x, then k, is validated, except while run_walk marks the family as
+    walking: its loop asks with its validated start or a word the family
+    built from it, and a pick it drew in range, so there it only builds.
     """
     family = g.family
-    last, out = family.last
-    if x is not last:
-        if not family.walking:
-            family.validate(x)
-        out = family.neighbors(x)
-        family.last = x, out
-    return [*out]
+    if not family.walking:
+        family.validate(x)
+        if k is None:
+            return family.neighbors(x)
+        if type(k) is not int or not 0 <= k < family.degree:
+            raise ValueError(f"neighbour index must be an int in 0..{family.degree - 1}")
+    return family.neighbor(x, k)
 
 
 def mul(g: GroupSpec, x, y):

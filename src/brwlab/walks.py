@@ -31,10 +31,11 @@ def run_walk(tree: MarkedTree, g: groups.GroupSpec, start, rng) -> TreeWalk:
     start is validated once, before any draw.  The picks are one
     rng.integers call with one entry per vertex, the root's unused, and
     each non-root vertex makes one groups.neighbors call, for its
-    parent's value.  The step loop runs with g's family marked as
-    walking, so those calls validate nothing: each value is start or a
-    word the family built from it.  The mark is cleared however the loop
-    ends.
+    parent's value and its own pick, which builds that one neighbour.
+    The step loop runs with g's family marked as walking, so those calls
+    validate nothing: each value is start or a word the family built
+    from it, and each pick is in range.  The mark is cleared however the
+    loop ends.
     """
     groups.validate_elem(g, start)
     picks = rng.integers(0, g.degree, size=tree.n_vertices)
@@ -45,7 +46,7 @@ def run_walk(tree: MarkedTree, g: groups.GroupSpec, start, rng) -> TreeWalk:
     family.walking = True
     try:
         for p, k in zip(islice(tree.parent, 1, None), picks[1:].tolist()):
-            append(neighbors(g, values[p])[k])
+            append(neighbors(g, values[p], k))
     finally:
         family.walking = False
     return TreeWalk(tree, values)

@@ -60,8 +60,9 @@ def test_spec_validation():
 
 
 def test_degree_cap():
-    """neighbors() builds every neighbour word at each walk step, so the
-    degree is capped when the spec is made."""
+    """elements_within and the push-forward adjacency build every neighbour
+    word of each vertex they reach, so the degree is capped when the spec
+    is made."""
     assert GroupSpec("regular_tree", groups.MAX_DEGREE).degree == 64
     assert GroupSpec("free_group", groups.MAX_DEGREE // 2).degree == 64
     for kind, param in [("regular_tree", 65), ("free_group", 33), ("free_group", 10**8)]:
@@ -181,7 +182,7 @@ def test_validate_elem_matches_reference(data):
     x = data.draw(st.one_of(_INTS, _SMALL, _MIXED, _STUTTER, _NOT_A_TUPLE, _walk_words(g)))
     got = _outcome(groups.validate_elem, g, x)
     assert got == _outcome(validate_elem_reference, g, x)
-    if got is None:  # twice, as a walk asks for each sibling
+    if got is None:  # twice: a call keeps nothing for the next
         assert groups.neighbors(g, x) == groups.neighbors(g, x) == neighbors_reference(g, x)
     else:
         assert _outcome(groups.neighbors, g, x) == got
@@ -189,12 +190,13 @@ def test_validate_elem_matches_reference(data):
 
 @pytest.mark.parametrize("g, x, other", [(T4, (1, 2), F2), (F2, (1, 2), T4),
                                          (Z3, (1, 0, 2), T3)], ids=str)
-def test_neighbors_memo_is_keyed_by_identity(g, x, other):
-    """neighbors() remembers the last word it was given by identity: words
-    equal to it but with a float, bool or numpy letter are refused with
-    the reference's message, each call returns a new list, a caller that
-    changes its list changes neither another caller's list nor the memo,
-    and the same word on another spec gets that spec's neighbours."""
+def test_neighbors_validates_each_word_into_a_new_list(g, x, other):
+    """neighbors() keeps nothing from one call to the next: words equal to
+    a word it was just given but with a float, bool or numpy letter are
+    refused with the reference's message, each call returns a new list, a
+    caller that changes its list changes no other caller's list or later
+    answer, and the same word on another spec gets that spec's
+    neighbours."""
     want = neighbors_reference(g, x)
     for letter in (1.0, True, np.int64(1)):
         equal = (letter,) + x[1:]
@@ -209,13 +211,38 @@ def test_neighbors_memo_is_keyed_by_identity(g, x, other):
     assert groups.neighbors(other, x) == neighbors_reference(other, x) != want
 
 
-@pytest.mark.parametrize("g", [T3, T64, F2, F32], ids=str)
+@pytest.mark.parametrize("g", [T3, T64, F2, F32, Z1, Z2, Z3], ids=str)
 def test_neighbors_match_reference_on_balls(g):
     """Every vertex of the radius-3 ball: the empty word, which has no back
-    step, and words ending in every letter, which put it at every slot."""
+    step, words ending in every letter, which put it at every slot, and
+    lattice points off every axis; the whole list, and each neighbour
+    built alone within radius 2, where words already end in every pair
+    of letters (a k reads only the last one)."""
     ball = groups.bfs(lambda v: neighbors_reference(g, v), g.identity(), 3)
-    for x in ball:
-        assert groups.neighbors(g, x) == neighbors_reference(g, x)
+    for x, d in ball.items():
+        want = neighbors_reference(g, x)
+        assert groups.neighbors(g, x) == want
+        if d <= 2:
+            assert [groups.neighbors(g, x, k) for k in range(g.degree)] == want
+
+
+@pytest.mark.parametrize("g, bad_x", [(T4, (1, 1)), (F2, (1, -1)), (Z3, (0, 0))], ids=str)
+def test_neighbor_index_refused_outside_a_walk(g, bad_x):
+    """A neighbour index that is not an int in range(deg(g)) (a bool, a
+    float, a numpy int, -1 or deg(g)) is refused with one ValueError
+    message; a word that is refused too is refused first."""
+    x = g.identity()
+    bad_ks = [True, 1.0, np.int64(1), -1, g.degree]
+    messages = set()
+    for k in bad_ks:
+        with pytest.raises(ValueError) as exc:
+            groups.neighbors(g, x, k)
+        assert exc.type is ValueError
+        messages.add(str(exc.value))
+    assert messages == {f"neighbour index must be an int in 0..{g.degree - 1}"}
+    verdict = _outcome(validate_elem_reference, g, bad_x)
+    for k in bad_ks + [0]:
+        assert _outcome(lambda g, x: groups.neighbors(g, x, k), g, bad_x) == verdict
 
 
 def test_word_arithmetic():

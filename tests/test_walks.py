@@ -27,6 +27,7 @@ T4 = GroupSpec("regular_tree", 4)
 Z1 = GroupSpec("integer_lattice", 1)
 Z2 = GroupSpec("integer_lattice", 2)
 F2 = GroupSpec("free_group", 2)
+T64 = GroupSpec("regular_tree", 64)
 
 
 def path_tree(n):
@@ -74,23 +75,38 @@ def _count_validations(monkeypatch, g, counter):
     monkeypatch.setattr(g.family, "validate", counted)
 
 
+def _refuse_full_builds_in_walks(monkeypatch, g):
+    """Make g.family.neighbors, the build of all deg(g) neighbours of a
+    vertex, fail the test when a walk's step loop calls it."""
+    family = g.family
+    real = family.neighbors
+
+    def checked(x):
+        assert not family.walking, f"all neighbours of {x!r} built in a walk step"
+        return real(x)
+
+    monkeypatch.setattr(family, "neighbors", checked)
+
+
 def test_run_walk_one_neighbors_call_per_step(monkeypatch):
     """Exactly one groups.neighbors call per non-root vertex, looked up at
-    call time, and one validation per walk, of its start; and the values,
-    their order and the generator state of the per-vertex loop, on trees
-    from every sampler and from percolation."""
-    calls, validations = [0], [0]
+    call time, passing that vertex's own pick, and one validation per
+    walk, of its start; no step builds all the neighbours of a vertex;
+    and the values, their order and the generator state of the
+    per-vertex loop, on trees from every sampler and from percolation."""
+    picks, validations = [], [0]
     real = groups.neighbors
 
-    def counted(g, x):
-        calls[0] += 1
-        return real(g, x)
+    def counted(g, x, k):
+        picks.append(k)
+        return real(g, x, k)
 
     monkeypatch.setattr(groups, "neighbors", counted)
-    for g in (T4, F2, Z2):
+    for g in (T4, T64, F2, Z2):
         _count_validations(monkeypatch, g, validations)
+        _refuse_full_builds_in_walks(monkeypatch, g)
     mu = OffspringDistribution([0.3, 0.2, 0.5])
-    for g, start in [(T4, ()), (T4, (2, 1)), (F2, (1, -2)), (Z2, (3, -1))]:
+    for g, start in [(T4, ()), (T4, (2, 1)), (T64, (63, 5)), (F2, (1, -2)), (Z2, (3, -1))]:
         for seed in range(15):
             rng = np.random.default_rng(seed)
             tree = sample_gw(mu, 300, rng, max_depth=8)
@@ -106,9 +122,12 @@ def test_run_walk_one_neighbors_call_per_step(monkeypatch):
             for t in trees:
                 ref_rng = np.random.default_rng()
                 ref_rng.bit_generator.state = rng.bit_generator.state
-                calls[0] = validations[0] = 0
+                want_picks = ref_rng.integers(0, g.degree, size=t.n_vertices)[1:].tolist()
+                ref_rng.bit_generator.state = rng.bit_generator.state
+                picks.clear()
+                validations[0] = 0
                 walk = run_walk(t, g, start, rng)
-                assert calls[0] == t.n_vertices - 1
+                assert picks == want_picks  # one call per step, in vertex order
                 assert validations[0] == 1
                 ref = oracles.run_walk_values_reference(t, g, start, ref_rng)
                 assert walk.values == ref
@@ -118,7 +137,8 @@ def test_run_walk_one_neighbors_call_per_step(monkeypatch):
 def test_experiments_make_one_neighbors_call_per_walk_step(monkeypatch):
     """Over whole pull-back samples of every target rule, push-forward
     samplers built and drawn, and thin sweeps on T4, F2 and Z^2,
-    groups.neighbors is called once per walk step and nowhere else, a
+    groups.neighbors(g, x, k) is called once per walk step and nowhere
+    else, no step builds all the neighbours of a vertex, a
     word is validated once per walk, and groups.mul and groups.inv are not
     called at all: the words the samplers build on are valid, so they go
     to the family methods.  The benchmark's traced runs count walks.steps
@@ -128,9 +148,9 @@ def test_experiments_make_one_neighbors_call_per_walk_step(monkeypatch):
     calls, steps, walks, validations = [0], [0], [0], [0]
     real_neighbors = groups.neighbors
 
-    def counted(g, x):
+    def counted(g, x, k):
         calls[0] += 1
-        return real_neighbors(g, x)
+        return real_neighbors(g, x, k)
 
     def stepped(tree, g, start, rng):
         walk = run_walk(tree, g, start, rng)
@@ -155,6 +175,7 @@ def test_experiments_make_one_neighbors_call_per_walk_step(monkeypatch):
                     mtp.pushforward_trace_sampler(g, mu, 8)]
         # counted from here: the ball rule's builder validates its start once
         _count_validations(monkeypatch, g, validations)
+        _refuse_full_builds_in_walks(monkeypatch, g)
         for sampler in samplers:
             for _ in range(30):
                 sampler(rng)
@@ -182,7 +203,7 @@ def _assert_neighbors_validate(*specs):
 def test_walk_scope_ends_with_its_walk():
     """groups.neighbors skips validation only inside run_walk's step loop:
     after a walk, after a walk that raised mid-loop (a parent list that
-    points forward) and on a family rebuilt by pickle, each memo miss
+    points forward) and on a family rebuilt by pickle, each call
     validates again, with the same message."""
     rng = np.random.default_rng(4)
     specs = [g for g, _, _ in INVALID_WORDS]
